@@ -108,7 +108,7 @@ func (l *Loader) Expand(patterns []string) ([]string, error) {
 					return nil
 				}
 				name := d.Name()
-				if p != base && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				if p != base && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || isModuleRoot(p)) {
 					return filepath.SkipDir
 				}
 				if hasGoFiles(p) {
@@ -128,6 +128,13 @@ func (l *Loader) Expand(patterns []string) ([]string, error) {
 	}
 	sort.Strings(dirs)
 	return dirs, nil
+}
+
+// isModuleRoot reports whether dir holds a go.mod: a nested module is a
+// separate build with its own dependencies, not part of this one.
+func isModuleRoot(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, "go.mod"))
+	return err == nil
 }
 
 func hasGoFiles(dir string) bool {

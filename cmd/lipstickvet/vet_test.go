@@ -144,3 +144,51 @@ func TestDiagnosticFormat(t *testing.T) {
 		t.Errorf("diagnostic %q does not start with file:line prefix %q", diags[0].String(), want)
 	}
 }
+
+// TestExpandSkipsNestedModules: the ./... walk stays inside the module it
+// starts in — a subdirectory with its own go.mod (like bench/) is another
+// build, and neither it nor its packages are vetted.
+func TestExpandSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":                   "module fixture\n\ngo 1.24\n",
+		"a.go":                     "package fixture\n",
+		"inner/b.go":               "package inner\n",
+		"nested/go.mod":            "module fixture/nested\n\ngo 1.24\n",
+		"nested/c.go":              "package nested\n",
+		"nested/deeper/d.go":       "package deeper\n",
+		"inner/sub/go.mod":         "module fixture/inner/sub\n\ngo 1.24\n",
+		"inner/sub/e.go":           "package sub\n",
+		"testdata/ignored/f.go":    "package ignored\n",
+		"inner/nogo/README.md":     "no Go files\n",
+		"inner/onlytest/x_test.go": "package onlytest\n",
+	}
+	for name, body := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs, err := loader.Expand([]string{filepath.Join(root, "...")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range dirs {
+		rel, err := filepath.Rel(root, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, filepath.ToSlash(rel))
+	}
+	if want := []string{".", "inner"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Expand = %v, want %v", got, want)
+	}
+}

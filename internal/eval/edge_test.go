@@ -85,24 +85,38 @@ func TestRebindSharesIndex(t *testing.T) {
 	}
 }
 
-// TestLazyAnnTupleMemoizes: the deferred node is created once and shared
-// across copies.
+// TestLazyAnnTupleMemoizes: a deferred (BindDeferred) node is created
+// once, from the tuple's base annotation, and shared across copies.
 func TestLazyAnnTupleMemoizes(t *testing.T) {
+	schema := nested.NewSchema(nested.Field{Name: "x", Type: nested.ScalarType(nested.KindInt)})
+	base := NewRelation(schema)
+	base.Add(nil, AnnTuple{Tuple: nested.NewTuple(nested.Int(1)), Prov: 3, Mult: 1})
+	base.Add(nil, AnnTuple{Tuple: nested.NewTuple(nested.Int(2)), Prov: 4, Mult: 2})
 	calls := 0
-	lt := LazyAnnTuple(nested.NewTuple(nested.Int(1)), 1, func() provgraph.NodeID {
+	bound := base.BindDeferred(func(b provgraph.NodeID) provgraph.NodeID {
 		calls++
-		return provgraph.NodeID(7)
+		return b + 100
 	})
-	cp := lt // value copy shares the cell
-	if lt.Node() != 7 || cp.Node() != 7 || lt.Node() != 7 {
+	if calls != 0 || bound.Tuples[0].Prov != provgraph.InvalidNode {
+		t.Fatal("binding must not create nodes")
+	}
+	lt := bound.Tuples[0]
+	cp := lt // value copy shares the memo
+	if lt.Node() != 103 || cp.Node() != 103 || lt.Node() != 103 {
 		t.Error("wrong node")
 	}
 	if calls != 1 {
 		t.Errorf("constructor called %d times, want 1", calls)
 	}
+	if got, ok := bound.Lookup(nested.NewTuple(nested.Int(2))); !ok || got.Mult != 2 || got.Node() != 104 || calls != 2 {
+		t.Errorf("bound lookup = %+v, %v (calls %d)", got, ok, calls)
+	}
+	if orig, _ := base.Lookup(nested.NewTuple(nested.Int(1))); orig.Node() != 3 {
+		t.Error("binding mutated the base relation")
+	}
 	plain := AnnTuple{Tuple: nested.NewTuple(nested.Int(1)), Prov: 9, Mult: 1}
 	if plain.Node() != 9 {
-		t.Error("non-lazy Node() should return Prov")
+		t.Error("non-deferred Node() should return Prov")
 	}
 }
 

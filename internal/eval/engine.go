@@ -93,40 +93,26 @@ type groupBucket struct {
 	members [][]AnnTuple
 }
 
-// evalKey computes a (possibly composite) grouping key.
-func evalKey(keys []pig.Expr, t *nested.Tuple) (nested.Value, error) {
-	if len(keys) == 1 {
-		return keys[0].Eval(t)
-	}
-	vals := make([]nested.Value, len(keys))
-	for i, k := range keys {
-		v, err := k.Eval(t)
-		if err != nil {
-			return nested.Null(), err
-		}
-		vals[i] = v
-	}
-	return nested.TupleVal(nested.NewTuple(vals...)), nil
-}
-
 // collectGroups buckets the tuples of several relations by key, preserving
 // first-seen key order for deterministic output.
 func collectGroups(rels []*Relation, keys [][]pig.Expr) ([]*groupBucket, error) {
 	var order []*groupBucket
-	index := map[string]*groupBucket{}
+	var table keyTable
 	for ri, rel := range rels {
+		k := newKeyer(keys[ri])
 		for _, t := range rel.Tuples {
-			kv, err := evalKey(keys[ri], t.Tuple)
+			kv, err := k.eval(t.Tuple)
 			if err != nil {
 				return nil, err
 			}
-			kk := kv.Key()
-			bucket, ok := index[kk]
-			if !ok {
-				bucket = &groupBucket{key: kv, members: make([][]AnnTuple, len(rels))}
-				index[kk] = bucket
-				order = append(order, bucket)
+			h := kv.KeyHash()
+			id := table.find(h, kv)
+			if id < 0 {
+				kv = k.own(kv)
+				id = table.add(h, kv)
+				order = append(order, &groupBucket{key: kv, members: make([][]AnnTuple, len(rels))})
 			}
+			bucket := order[id]
 			bucket.members[ri] = append(bucket.members[ri], t)
 		}
 	}
@@ -195,7 +181,7 @@ func (e *Engine) buildGrouped(out *nested.Schema, buckets []*groupBucket, env *E
 }
 
 // runJoin implements the n-way equality join: one ·-annotated derivation
-// per combination of matching tuples.
+// per combination of matching tuples (see joinTable for the algorithm).
 func (e *Engine) runJoin(o *pig.JoinOp, env *Env) (*Relation, error) {
 	rels := make([]*Relation, len(o.InputNames))
 	for i, name := range o.InputNames {
@@ -205,83 +191,41 @@ func (e *Engine) runJoin(o *pig.JoinOp, env *Env) (*Relation, error) {
 		}
 		rels[i] = r
 	}
-	// Bucket every input by key; iterate keys in first-input order.
-	type entry struct{ tuples []AnnTuple }
-	maps := make([]map[string]*entry, len(rels))
-	for i, rel := range rels {
-		maps[i] = make(map[string]*entry, rel.Len())
-		for _, t := range rel.Tuples {
-			kv, err := evalKey(o.Keys[i], t.Tuple)
-			if err != nil {
-				return nil, err
-			}
-			kk := kv.Key()
-			en, ok := maps[i][kk]
-			if !ok {
-				en = &entry{}
-				maps[i][kk] = en
-			}
-			en.tuples = append(en.tuples, t)
-		}
-	}
 	res := NewRelation(o.Out)
-	var keyOrder []string
-	seen := map[string]bool{}
-	for _, t := range rels[0].Tuples {
-		kv, err := evalKey(o.Keys[0], t.Tuple)
-		if err != nil {
-			return nil, err
-		}
-		kk := kv.Key()
-		if !seen[kk] {
-			seen[kk] = true
-			keyOrder = append(keyOrder, kk)
-		}
+	jt, err := buildJoinTable(rels, o.Keys)
+	if err != nil || jt == nil {
+		return res, err
 	}
-	for _, kk := range keyOrder {
-		groups := make([][]AnnTuple, len(rels))
-		ok := true
-		for i := range rels {
-			en := maps[i][kk]
-			if en == nil {
-				ok = false
-				break
-			}
-			groups[i] = en.tuples
-		}
-		if !ok {
-			continue
-		}
-		e.crossJoin(res, groups, nil)
-	}
+	jt.emit(func(combo []AnnTuple) { e.addJoined(res, combo) })
 	return res, nil
 }
 
-// crossJoin emits every combination of one tuple per group.
-func (e *Engine) crossJoin(res *Relation, groups [][]AnnTuple, acc []AnnTuple) {
-	if len(acc) == len(groups) {
-		fields := make([]nested.Value, 0)
-		mult := 1
-		provs := make([]provgraph.NodeID, 0, len(acc))
-		for _, t := range acc {
-			fields = append(fields, t.Tuple.Fields...)
-			mult *= t.Mult
-			provs = append(provs, t.Node())
-		}
-		prov := provgraph.InvalidNode
-		if e.b != nil {
-			if len(provs) == 2 {
-				prov = e.b.Join(provs[0], provs[1])
-			} else {
-				prov = e.b.Product(provs...)
+// addJoined adds one combination of matching tuples (one per input, in
+// input order) to the join result. Deferred annotations resolve in input
+// order, as the provenance node ids depend on it.
+func (e *Engine) addJoined(res *Relation, combo []AnnTuple) {
+	arity, mult := 0, 1
+	for _, t := range combo {
+		arity += len(t.Tuple.Fields)
+		mult *= t.Mult
+	}
+	fields := make([]nested.Value, 0, arity)
+	for _, t := range combo {
+		fields = append(fields, t.Tuple.Fields...)
+	}
+	prov := provgraph.InvalidNode
+	if e.b != nil {
+		if len(combo) == 2 {
+			prov = e.b.Join(combo[0].Node(), combo[1].Node())
+		} else {
+			provs := make([]provgraph.NodeID, len(combo))
+			for i, t := range combo {
+				provs[i] = t.Node()
 			}
+			prov = e.b.Product(provs...)
 		}
-		res.Add(e.b, AnnTuple{Tuple: nested.NewTuple(fields...), Prov: prov, Mult: mult})
-		return
 	}
-	for _, t := range groups[len(acc)] {
-		e.crossJoin(res, groups, append(acc, t))
-	}
+	res.Add(e.b, AnnTuple{Tuple: nested.NewTuple(fields...), Prov: prov, Mult: mult})
 }
 
 // runUnion merges inputs; equal tuples appearing in several inputs add
@@ -324,7 +268,7 @@ func (e *Engine) runOrder(o *pig.OrderOp, env *Env) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := in.Clone()
+	res := &Relation{Schema: in.Schema, Tuples: append([]AnnTuple(nil), in.Tuples...)}
 	var evalErr error
 	sort.SliceStable(res.Tuples, func(i, j int) bool {
 		for k, key := range o.Keys {
@@ -351,11 +295,7 @@ func (e *Engine) runOrder(o *pig.OrderOp, env *Env) (*Relation, error) {
 	if evalErr != nil {
 		return nil, evalErr
 	}
-	// Rebuild the index after reordering.
-	res.index = make(map[string]int, len(res.Tuples))
-	for i, t := range res.Tuples {
-		res.index[t.Tuple.Key()] = i
-	}
+	res.reindex()
 	return res, nil
 }
 

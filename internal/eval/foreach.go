@@ -30,8 +30,8 @@ func (e *Engine) runForeach(o *pig.ForeachOp, env *Env) (*Relation, error) {
 		valueNodes []provgraph.NodeID
 		mult       int
 	}
-	var order []string
-	derivs := map[string]*deriv{}
+	var derivs []*deriv
+	var distinct keyTable // result tuple -> position in derivs
 
 	for _, t := range in.Tuples {
 		fields := make([]nested.Value, 0, len(o.Items))
@@ -70,21 +70,21 @@ func (e *Engine) runForeach(o *pig.ForeachOp, env *Env) (*Relation, error) {
 			}
 		}
 		tuple := nested.NewTuple(fields...)
-		key := tuple.Key()
-		d, ok := derivs[key]
-		if !ok {
-			d = &deriv{tuple: tuple}
-			derivs[key] = d
-			order = append(order, key)
+		key := nested.TupleVal(tuple)
+		h := key.KeyHash()
+		id := distinct.find(h, key)
+		if id < 0 {
+			id = distinct.add(h, key)
+			derivs = append(derivs, &deriv{tuple: tuple})
 		}
+		d := derivs[id]
 		d.sources = append(d.sources, t.Node())
 		d.valueNodes = append(d.valueNodes, valueNodes...)
 		d.mult += t.Mult
 	}
 
 	res := NewRelation(o.Out)
-	for _, key := range order {
-		d := derivs[key]
+	for _, d := range derivs {
 		prov := provgraph.InvalidNode
 		if e.b != nil {
 			prov = e.b.Project(d.sources...)

@@ -12,6 +12,31 @@
 // is its support plus annotations. Plain mode uses the same representation
 // with no provenance nodes; multiplicities carry the bag semantics, so the
 // two modes compute identical bags (a property the tests exploit).
+//
+// # Keying
+//
+// Every operator that matches values — a relation's dedupe index, GROUP
+// and COGROUP bucketing, JOIN, FOREACH's merge of equal results — uses one
+// typed keying: nested.Value.KeyHash, a 64-bit hash, into a keyIndex
+// (hash -> dense id, colliding ids chained), with each hit confirmed by
+// nested.KeyEqual. Equality is exactly that of the canonical encoding
+// nested.Value.Key (kinds exact, floats by bits, bags as multisets), but no
+// key is ever rendered to a string. Composite keys are evaluated into a
+// reused scratch tuple, so evaluating, hashing and probing a key allocates
+// nothing; only a key that is kept (a new group, a build-side key) is
+// copied.
+//
+// # Joins
+//
+// An n-way JOIN hashes its smallest input only and probes every other
+// input against that table once, evaluating each tuple's key exactly once;
+// a probe miss allocates nothing, so joining a large relation (a dealer's
+// Cars state) with a small one costs a hash per large-side tuple. Matches
+// are chained per build-side key and input. The output order is the one
+// the provenance node ids depend on and does not depend on which input was
+// built: keys in the first input's first-seen order, and per key the cross
+// product in input order, the first input varying slowest. When the
+// smallest input is empty the join is empty and no key is evaluated.
 package eval
 
 import (
@@ -26,39 +51,39 @@ type AnnTuple struct {
 	Tuple *nested.Tuple
 	// Prov is the tuple's provenance node (InvalidNode in plain mode).
 	Prov provgraph.NodeID
+	// slot is the tuple's position in deferred.
+	slot int32
 	// Mult is the tuple's multiplicity (bag semantics).
 	Mult int
-	// lazy defers node creation until the tuple is actually used in a
-	// derivation. The workflow runner binds module state this way: an
+	// deferred, when set, creates the tuple's node on first use. The
+	// workflow runner binds module state this way (BindDeferred): an
 	// invocation's "s" node for a state tuple materializes only when the
 	// invocation's queries touch the tuple, which keeps the graph linear
 	// in the touched data rather than in the full state (the behaviour
 	// underlying the paper's Section 5.5 measurements).
-	lazy *lazyProv
+	deferred *deferredNodes
 }
 
-type lazyProv struct {
-	resolved provgraph.NodeID
-	make     func() provgraph.NodeID
+// deferredNodes is one invocation's binding of one state relation: slot
+// i's node is mk(base[i].Prov), made on first use and memoized here, so
+// every copy of the tuple resolves to the same node.
+type deferredNodes struct {
+	base  []AnnTuple
+	nodes []provgraph.NodeID // InvalidNode until made
+	mk    func(base provgraph.NodeID) provgraph.NodeID
 }
 
-// LazyAnnTuple builds an annotated tuple whose provenance node is created
-// on first use by the given constructor.
-func LazyAnnTuple(t *nested.Tuple, mult int, make func() provgraph.NodeID) AnnTuple {
-	return AnnTuple{
-		Tuple: t, Prov: provgraph.InvalidNode, Mult: mult,
-		lazy: &lazyProv{resolved: provgraph.InvalidNode, make: make},
+func (d *deferredNodes) node(slot int32) provgraph.NodeID {
+	if d.nodes[slot] == provgraph.InvalidNode {
+		d.nodes[slot] = d.mk(d.base[slot].Prov)
 	}
+	return d.nodes[slot]
 }
 
 // Node returns the tuple's provenance node, materializing it if deferred.
-// The resolution is memoized across all copies of this AnnTuple.
 func (t AnnTuple) Node() provgraph.NodeID {
-	if t.lazy != nil {
-		if t.lazy.resolved == provgraph.InvalidNode {
-			t.lazy.resolved = t.lazy.make()
-		}
-		return t.lazy.resolved
+	if t.deferred != nil {
+		return t.deferred.node(t.slot)
 	}
 	return t.Prov
 }
@@ -67,12 +92,12 @@ func (t AnnTuple) Node() provgraph.NodeID {
 type Relation struct {
 	Schema *nested.Schema
 	Tuples []AnnTuple
-	index  map[string]int // canonical tuple key -> position in Tuples
+	index  keyIndex // tuple key hash -> position in Tuples
 }
 
 // NewRelation returns an empty relation with the given schema.
 func NewRelation(schema *nested.Schema) *Relation {
-	return &Relation{Schema: schema, index: make(map[string]int)}
+	return &Relation{Schema: schema}
 }
 
 // Len returns the number of distinct tuples.
@@ -87,30 +112,41 @@ func (r *Relation) Card() int {
 	return n
 }
 
+// find returns the position of the tuple equal to t (whose KeyHash is h),
+// or -1.
+func (r *Relation) find(h uint64, t *nested.Tuple) int32 {
+	for pos := r.index.first(h); pos >= 0; pos = r.index.next[pos] {
+		if r.Tuples[pos].Tuple.KeyEqual(t) {
+			return pos
+		}
+	}
+	return -1
+}
+
 // Add inserts a derivation of a tuple. Duplicate tuples merge: their
 // multiplicities add, and in tracked mode their provenance nodes merge
 // under a + node via the supplied builder (nil in plain mode).
 func (r *Relation) Add(b *provgraph.Builder, t AnnTuple) {
-	key := t.Tuple.Key()
-	if pos, ok := r.index[key]; ok {
+	h := t.Tuple.KeyHash()
+	if pos := r.find(h, t.Tuple); pos >= 0 {
 		prev := &r.Tuples[pos]
 		prev.Mult += t.Mult
 		if b != nil {
 			pn, tn := prev.Node(), t.Node()
 			if pn != tn {
 				prev.Prov = b.MergeDerivations([]provgraph.NodeID{pn, tn})
-				prev.lazy = nil
+				prev.deferred = nil
 			}
 		}
 		return
 	}
-	r.index[key] = len(r.Tuples)
+	r.index.add(h)
 	r.Tuples = append(r.Tuples, t)
 }
 
 // Lookup returns the annotated tuple equal to t, if present.
 func (r *Relation) Lookup(t *nested.Tuple) (AnnTuple, bool) {
-	if pos, ok := r.index[t.Key()]; ok {
+	if pos := r.find(t.KeyHash(), t); pos >= 0 {
 		return r.Tuples[pos], true
 	}
 	return AnnTuple{}, false
@@ -140,8 +176,8 @@ func FromBag(schema *nested.Schema, bag *nested.Bag) *Relation {
 // Rebind returns a view of the relation with every annotation mapped
 // through fn, sharing the tuple index with the receiver. It exists for the
 // workflow runner's per-invocation input/state binding, which re-annotates
-// large unchanged relations: sharing the index avoids recomputing every
-// tuple key. The returned relation must be treated as read-only (Add would
+// large unchanged relations: sharing the index avoids rehashing every
+// tuple. The returned relation must be treated as read-only (Add would
 // corrupt the shared index).
 func (r *Relation) Rebind(fn func(AnnTuple) AnnTuple) *Relation {
 	out := &Relation{Schema: r.Schema, index: r.index}
@@ -152,14 +188,34 @@ func (r *Relation) Rebind(fn func(AnnTuple) AnnTuple) *Relation {
 	return out
 }
 
+// BindDeferred returns a read-only view of the relation (sharing its
+// index, like Rebind) whose tuple i is annotated by mk(base), base being
+// the receiver's annotation of tuple i. mk runs on the tuple's first use
+// in a derivation, at most once per tuple however often it is copied.
+// The workflow runner binds module state with it, one mk per invocation.
+func (r *Relation) BindDeferred(mk func(base provgraph.NodeID) provgraph.NodeID) *Relation {
+	d := &deferredNodes{base: r.Tuples, nodes: make([]provgraph.NodeID, len(r.Tuples)), mk: mk}
+	out := &Relation{Schema: r.Schema, index: r.index, Tuples: make([]AnnTuple, len(r.Tuples))}
+	for i, t := range r.Tuples {
+		d.nodes[i] = provgraph.InvalidNode
+		out.Tuples[i] = AnnTuple{Tuple: t.Tuple, Prov: provgraph.InvalidNode, Mult: t.Mult, slot: int32(i), deferred: d}
+	}
+	return out
+}
+
 // Clone returns a shallow copy of the relation (tuples shared).
 func (r *Relation) Clone() *Relation {
-	c := NewRelation(r.Schema)
-	c.Tuples = append([]AnnTuple(nil), r.Tuples...)
-	for k, v := range r.index {
-		c.index[k] = v
-	}
+	c := &Relation{Schema: r.Schema, Tuples: append([]AnnTuple(nil), r.Tuples...)}
+	c.reindex()
 	return c
+}
+
+// reindex rebuilds the tuple index of the current tuple order.
+func (r *Relation) reindex() {
+	r.index = keyIndex{}
+	for _, t := range r.Tuples {
+		r.index.add(t.Tuple.KeyHash())
+	}
 }
 
 // Equal reports bag equality with another relation (schema ignored).
@@ -258,16 +314,16 @@ func (ba *BagAnnotations) MergeInto(dst *BagAnnotations, remap func(provgraph.No
 }
 
 // RemapAnnTuples rewrites the provenance annotations of ts in place
-// through fn, covering both direct and memoized-lazy annotations. fn must
-// be idempotent: lazy cells can be shared between tuple copies.
+// through fn, covering both direct and memoized deferred annotations. fn
+// must be idempotent: deferred nodes are shared between tuple copies.
 func RemapAnnTuples(ts []AnnTuple, fn func(provgraph.NodeID) provgraph.NodeID) {
 	for i := range ts {
 		t := &ts[i]
 		if t.Prov != provgraph.InvalidNode {
 			t.Prov = fn(t.Prov)
 		}
-		if t.lazy != nil && t.lazy.resolved != provgraph.InvalidNode {
-			t.lazy.resolved = fn(t.lazy.resolved)
+		if d := t.deferred; d != nil && d.nodes[t.slot] != provgraph.InvalidNode {
+			d.nodes[t.slot] = fn(d.nodes[t.slot])
 		}
 	}
 }

@@ -65,21 +65,6 @@ func (t *Tuple) Project(idx ...int) *Tuple {
 	return &Tuple{Fields: fields}
 }
 
-// Hash returns a structural hash of the tuple.
-func (t *Tuple) Hash() uint64 {
-	h := NewHasher()
-	t.HashInto(&h)
-	return h.Sum64()
-}
-
-// HashInto folds the tuple into the hasher.
-func (t *Tuple) HashInto(h *Hasher) {
-	h.PutByte(0xA)
-	for _, v := range t.Fields {
-		v.HashInto(h)
-	}
-}
-
 // Key returns a canonical encoding of the tuple usable as a map key.
 func (t *Tuple) Key() string {
 	var sb strings.Builder
@@ -139,10 +124,17 @@ func (b *Bag) Clone() *Bag {
 }
 
 // canonical returns the tuples sorted by Compare (without mutating b).
+// Compare ties between tuples with different keys (Int(1) and Float(1.0)
+// fields) are broken by keyCompare, so Key is independent of tuple order.
 func (b *Bag) canonical() []*Tuple {
 	c := make([]*Tuple, len(b.Tuples))
 	copy(c, b.Tuples)
-	sort.Slice(c, func(i, j int) bool { return c[i].Compare(c[j]) < 0 })
+	sort.Slice(c, func(i, j int) bool {
+		if d := c[i].Compare(c[j]); d != 0 {
+			return d < 0
+		}
+		return c[i].keyCompare(c[j]) < 0
+	})
 	return c
 }
 
@@ -163,15 +155,6 @@ func (b *Bag) Compare(o *Bag) int {
 
 // Equal reports multiset equality (order-insensitive, multiplicity-aware).
 func (b *Bag) Equal(o *Bag) bool { return b.Compare(o) == 0 }
-
-// HashInto folds the canonical form of the bag into the hasher so equal
-// multisets hash identically regardless of insertion order.
-func (b *Bag) HashInto(h *Hasher) {
-	h.PutByte(0xB)
-	for _, t := range b.canonical() {
-		t.HashInto(h)
-	}
-}
 
 func (b *Bag) keyInto(sb *strings.Builder) {
 	sb.WriteByte('{')

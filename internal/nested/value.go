@@ -268,31 +268,6 @@ func (v Value) format(sb *strings.Builder) {
 	}
 }
 
-// HashInto folds the value into the given FNV-1a state, with type tags so
-// that values of different kinds never collide structurally.
-func (v Value) HashInto(h *Hasher) {
-	h.PutByte(byte(v.kind))
-	switch v.kind {
-	case KindBool, KindInt:
-		h.PutUint64(uint64(v.n))
-	case KindFloat:
-		// Normalize so Int/Float equal values hash identically is NOT
-		// required: hashing is used only with Compare-based equality on
-		// homogeneous columns. Hash the raw bits (normalizing -0).
-		f := v.f
-		if f == 0 {
-			f = 0
-		}
-		h.PutUint64(math.Float64bits(f))
-	case KindString:
-		h.PutString(v.s)
-	case KindTuple:
-		v.t.HashInto(h)
-	case KindBag:
-		v.b.HashInto(h)
-	}
-}
-
 // Key returns a canonical encoding of the value usable as a map key.
 func (v Value) Key() string {
 	var sb strings.Builder
@@ -340,35 +315,3 @@ func cmpInt64(a, b int64) int {
 		return 0
 	}
 }
-
-// Hasher is a minimal FNV-1a 64-bit hasher (stdlib hash/fnv allocates via
-// the hash.Hash interface; this stays on the stack).
-type Hasher struct{ state uint64 }
-
-// NewHasher returns a Hasher initialized with the FNV-1a offset basis.
-func NewHasher() Hasher { return Hasher{state: 1469598103934665603} }
-
-const fnvPrime = 1099511628211
-
-// PutByte folds one byte into the state.
-func (h *Hasher) PutByte(b byte) {
-	h.state ^= uint64(b)
-	h.state *= fnvPrime
-}
-
-// PutUint64 folds eight bytes into the state.
-func (h *Hasher) PutUint64(u uint64) {
-	for i := 0; i < 8; i++ {
-		h.PutByte(byte(u >> (8 * i)))
-	}
-}
-
-// PutString folds a string into the state.
-func (h *Hasher) PutString(s string) {
-	for i := 0; i < len(s); i++ {
-		h.PutByte(s[i])
-	}
-}
-
-// Sum64 returns the current hash state.
-func (h *Hasher) Sum64() uint64 { return h.state }

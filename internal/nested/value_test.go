@@ -216,25 +216,16 @@ func TestCompareIsTransitiveOnTriples(t *testing.T) {
 	}
 }
 
+// TestEqualValuesHaveEqualKeysAndHashes: KeyEqual is exactly canonical-key
+// equality, implies Compare-equality, and KeyEqual values hash alike.
 func TestEqualValuesHaveEqualKeysAndHashes(t *testing.T) {
 	f := func(a, b valueBox) bool {
-		eq := a.v.Equal(b.v)
-		keyEq := a.v.Key() == b.v.Key()
-		if eq != keyEq {
-			// Int/Float numeric equality is the one permitted divergence:
-			// Compare treats Int(1)==Float(1) but keys differ by design.
-			aNum, aOk := a.v.Numeric()
-			bNum, bOk := b.v.Numeric()
-			if eq && aOk && bOk && aNum == bNum && a.v.Kind() != b.v.Kind() {
-				return true
+		for _, w := range []Value{b.v, a.v.Clone()} {
+			keyEq := KeyEqual(a.v, w)
+			if keyEq != (a.v.Key() == w.Key()) {
+				return false
 			}
-			return false
-		}
-		if eq {
-			ha, hb := NewHasher(), NewHasher()
-			a.v.HashInto(&ha)
-			b.v.HashInto(&hb)
-			if a.v.Kind() == b.v.Kind() && ha.Sum64() != hb.Sum64() {
+			if keyEq && (!a.v.Equal(w) || a.v.KeyHash() != w.KeyHash()) {
 				return false
 			}
 		}
@@ -253,15 +244,14 @@ func TestCloneEqualsOriginalProperty(t *testing.T) {
 }
 
 func TestHasherDistinguishesSimpleValues(t *testing.T) {
-	vals := []Value{Null(), Bool(false), Bool(true), Int(0), Int(1), Float(1.5), Str(""), Str("a"), Str("b")}
+	vals := []Value{Null(), Bool(false), Bool(true), Int(0), Int(1), Float(0), Float(1), Float(1.5), Str(""), Str("a"), Str("b")}
 	seen := make(map[uint64]Value)
 	for _, v := range vals {
-		h := NewHasher()
-		v.HashInto(&h)
-		if prev, ok := seen[h.Sum64()]; ok {
+		h := v.KeyHash()
+		if prev, ok := seen[h]; ok {
 			t.Errorf("hash collision between %v and %v", prev, v)
 		}
-		seen[h.Sum64()] = v
+		seen[h] = v
 	}
 }
 

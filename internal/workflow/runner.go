@@ -452,30 +452,23 @@ func (r *Runner) runModuleNode(node *Node, produced map[string]map[string]*eval.
 	}
 
 	// Bind state, wrapping each tuple in an s-node (fine-grained only:
-	// coarse provenance does not expose module state). By default the
-	// s-node is deferred until the invocation's queries actually use the
-	// tuple, keeping the graph proportional to the touched state.
+	// coarse provenance does not expose module state, and plain and
+	// coarse state carries no annotations, so it is bound as is — the
+	// engine never mutates an input relation). By default the s-node is
+	// deferred until the invocation's queries actually use the tuple,
+	// keeping the graph proportional to the touched state.
 	entry := r.state[m.Name]
 	boundState := map[string]*eval.Relation{}
+	stateNode := func(base provgraph.NodeID) provgraph.NodeID { return b.StateTuple(inv, base) }
 	for _, rel := range sortedNames(m.State) {
-		stateRel := entry.rels[rel]
-		var bound *eval.Relation
+		bound := entry.rels[rel]
 		switch {
 		case fine && r.eagerState:
-			bound = stateRel.Rebind(func(t eval.AnnTuple) eval.AnnTuple {
-				return eval.AnnTuple{Tuple: t.Tuple, Prov: b.StateTuple(inv, t.Prov), Mult: t.Mult}
+			bound = bound.Rebind(func(t eval.AnnTuple) eval.AnnTuple {
+				return eval.AnnTuple{Tuple: t.Tuple, Prov: stateNode(t.Prov), Mult: t.Mult}
 			})
 		case fine:
-			bound = stateRel.Rebind(func(t eval.AnnTuple) eval.AnnTuple {
-				base := t.Prov
-				return eval.LazyAnnTuple(t.Tuple, t.Mult, func() provgraph.NodeID {
-					return b.StateTuple(inv, base)
-				})
-			})
-		default:
-			bound = stateRel.Rebind(func(t eval.AnnTuple) eval.AnnTuple {
-				return eval.AnnTuple{Tuple: t.Tuple, Prov: provgraph.InvalidNode, Mult: t.Mult}
-			})
+			bound = bound.BindDeferred(stateNode)
 		}
 		env.Set(rel, bound)
 		boundState[rel] = bound
