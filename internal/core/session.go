@@ -110,6 +110,7 @@ func (s *Session) ZoomOut(modules ...string) (*provgraph.ZoomRecord, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seen := make(map[string]bool, len(modules))
+	var invs []provgraph.InvID
 	for _, m := range modules {
 		if seen[m] {
 			return nil, fmt.Errorf("lipstick: module %q given twice", m)
@@ -118,11 +119,16 @@ func (s *Session) ZoomOut(modules ...string) (*provgraph.ZoomRecord, error) {
 		if s.zoomed[m] {
 			return nil, fmt.Errorf("lipstick: module %q is already zoomed out", m)
 		}
-		if len(s.base.Index().ModuleInvocations(m)) == 0 && len(s.overlay.InvocationsOf(m)) == 0 {
+		mi := s.base.Index().ModuleInvocations(m)
+		if len(mi) == 0 {
+			mi = s.overlay.InvocationsOf(m)
+		}
+		if len(mi) == 0 {
 			return nil, fmt.Errorf("lipstick: no invocations of module %q in the graph", m)
 		}
+		invs = append(invs, mi...)
 	}
-	rec := s.overlay.ZoomOut(modules...)
+	rec := s.overlay.ZoomOutInvocations(modules, invs)
 	s.zooms = append(s.zooms, rec)
 	for _, m := range modules {
 		s.zoomed[m] = true

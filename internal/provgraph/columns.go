@@ -265,24 +265,21 @@ func (a *adjHalf) each(id NodeID, fn func(NodeID) bool) {
 	}
 }
 
-// slice returns id's endpoints as one slice. The fast paths return a view
-// of existing storage (subslices are capacity-clipped so a caller's append
-// can never clobber a neighbor's edges); only base nodes with spilled
-// edges pay an allocation.
-func (a *adjHalf) slice(id NodeID) []NodeID {
+// raw returns id's endpoints in append order. The fast paths return a
+// capacity-clipped view of storage (a caller's append can never clobber a
+// neighbor's edges); only a base node with spilled edges has its two
+// parts joined in *buf.
+func (a *adjHalf) raw(id NodeID, buf *[]NodeID) []NodeID {
 	i := int(id)
 	if i < a.baseN {
 		lo, hi := a.offs[i], a.offs[i+1]
 		s := a.edges[lo:hi:hi]
-		if a.spill == nil {
-			return s
+		if a.spill != nil {
+			if sp := a.spill[id]; len(sp) > 0 {
+				return joinAdj(buf, s, sp)
+			}
 		}
-		sp := a.spill[id]
-		if len(sp) == 0 {
-			return s
-		}
-		out := make([]NodeID, 0, len(s)+len(sp))
-		return append(append(out, s...), sp...)
+		return s
 	}
 	t := a.tail.at(i - a.baseN)
 	return t[:len(t):len(t)]

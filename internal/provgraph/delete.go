@@ -2,45 +2,23 @@ package provgraph
 
 import (
 	"math"
+	"slices"
 	"strconv"
-	"sync"
 
 	"lipstick/internal/nested"
 	"lipstick/internal/semiring"
 )
-
-// delScratch is pooled working memory for deletion propagation. The
-// arrays are reused dirty: the setup pass assigns indeg/hadIn for every
-// live node before any read, and dead nodes are never consulted, so no
-// zeroing is needed between runs.
-type delScratch struct {
-	indeg []int32
-	hadIn []bool
-	queue []NodeID
-}
-
-var delPool = sync.Pool{New: func() any { return new(delScratch) }}
-
-func getDelScratch(total int) *delScratch {
-	s := delPool.Get().(*delScratch)
-	if len(s.indeg) < total {
-		s.indeg = make([]int32, total)
-		s.hadIn = make([]bool, total)
-	}
-	s.queue = s.queue[:0]
-	return s
-}
 
 // DeletionResult reports which nodes a deletion propagation removed.
 type DeletionResult struct {
 	// Removed lists the removed nodes in propagation order, starting with
 	// the explicitly deleted ones.
 	Removed []NodeID
-	removed map[NodeID]bool
 }
 
-// Deleted reports whether the node was removed by the propagation.
-func (r *DeletionResult) Deleted(id NodeID) bool { return r.removed[id] }
+// Deleted reports whether the node was removed by the propagation. It
+// scans Removed: the result carries no membership index.
+func (r *DeletionResult) Deleted(id NodeID) bool { return slices.Contains(r.Removed, id) }
 
 // Size returns the number of removed nodes.
 func (r *DeletionResult) Size() int { return len(r.Removed) }
@@ -61,64 +39,69 @@ func (o *Overlay) PropagateDeletion(ids ...NodeID) *DeletionResult {
 }
 
 func propagateDeletionOf(v view, ids ...NodeID) *DeletionResult {
-	res := &DeletionResult{removed: make(map[NodeID]bool)}
-	total := v.TotalNodes()
-	s := getDelScratch(total)
-	defer delPool.Put(s)
-	// remaining in-degree per node, counting only live edges. One hoisted
-	// closure serves every node — a per-node closure would allocate twice
-	// per node slot.
-	indeg, hadIn := s.indeg, s.hadIn
-	var d int32
-	countLive := func(src NodeID) bool {
-		if v.Alive(src) {
-			d++
-		}
-		return true
+	s := getVisit(v.TotalNodes())
+	defer putVisit(s)
+	propagateDeletion(v, s, ids...)
+	res := &DeletionResult{}
+	if len(s.queue) > 0 {
+		res.Removed = slices.Clone(s.queue)
 	}
-	for id := 0; id < total; id++ {
-		if !v.Alive(NodeID(id)) {
-			continue
-		}
-		d = 0
-		v.eachInRaw(NodeID(id), countLive)
-		indeg[id] = d
-		hadIn[id] = d > 0
-	}
+	return res
+}
+
+// propagateDeletion runs the propagation on s, leaving the removed nodes
+// in propagation order in s.queue. It touches only the cascade: a node's
+// live in-degree is counted when an edge from a removed node first
+// reaches it (mark[id] == epoch then means deg[id] is set; -1 marks a
+// removed node). The view does not change during a propagation, so the
+// lazy count equals an eager one taken up front.
+func propagateDeletion(v view, s *visitScratch, ids ...NodeID) {
+	s.deg = grown(s.deg, v.TotalNodes())
 	remove := func(id NodeID) {
-		if res.removed[id] || !v.Alive(id) {
-			return
-		}
-		res.removed[id] = true
-		res.Removed = append(res.Removed, id)
+		s.mark[id], s.deg[id] = s.epoch, -1
 		s.queue = append(s.queue, id)
 	}
 	for _, id := range ids {
-		remove(id)
+		if !s.removed(id) && v.Alive(id) {
+			remove(id)
+		}
 	}
 	for head := 0; head < len(s.queue); head++ {
-		cur := s.queue[head]
-		v.eachOutRaw(cur, func(dst NodeID) bool {
-			if !v.Alive(dst) || res.removed[dst] {
-				return true
+		for _, dst := range v.outRaw(s.queue[head], &s.adj) {
+			if !v.Alive(dst) {
+				continue
 			}
-			indeg[dst]--
-			op := v.Node(dst).Op
-			switch {
-			case indeg[dst] == 0 && hadIn[dst]:
-				remove(dst) // rule (1): all incoming edges deleted
-			case op == OpTimes || op == OpTensor || op == OpBB:
-				// Rule (2): · or ⊗ with a deleted incoming edge. Black-box
-				// nodes are included: a UDF's output jointly depends on all
-				// of its inputs (the coarse-grained assumption the paper
-				// applies to UDF portions of a module), so they behave as
-				// products under deletion.
+			if s.mark[dst] != s.epoch {
+				// First touch. The edge from the removed (live) source is
+				// among the live in-edges counted, so the count is >= 1 and
+				// reaching 0 below means every incoming edge was deleted.
+				var d int32
+				for _, src := range v.inRaw(dst, &s.adj2) {
+					if v.Alive(src) {
+						d++
+					}
+				}
+				s.mark[dst], s.deg[dst] = s.epoch, d
+			} else if s.deg[dst] < 0 {
+				continue // already removed
+			}
+			s.deg[dst]--
+			_, op := v.typeOp(dst)
+			// Rule (1): all incoming edges deleted. Rule (2): · or ⊗ with a
+			// deleted incoming edge. Black-box nodes are included: a UDF's
+			// output jointly depends on all of its inputs (the
+			// coarse-grained assumption the paper applies to UDF portions
+			// of a module), so they behave as products under deletion.
+			if s.deg[dst] == 0 || op == OpTimes || op == OpTensor || op == OpBB {
 				remove(dst)
 			}
-			return true
-		})
+		}
 	}
-	return res
+}
+
+// removed reports whether the propagation run on s removed id.
+func (s *visitScratch) removed(id NodeID) bool {
+	return s.mark[id] == s.epoch && s.deg[id] < 0
 }
 
 // Delete applies a deletion propagation to the graph in place, marking the
@@ -201,28 +184,29 @@ func recomputeAggOf(v view, id NodeID, op semiring.AggOp) (nested.Value, int, bo
 	sum, cnt := 0.0, 0
 	lo, hi := math.Inf(1), math.Inf(-1)
 	allInt := true
-	eachLiveIn(v, id, func(in NodeID) bool {
-		t := v.Node(in)
-		if t.Op != OpTensor {
-			return true
+	for _, in := range v.inRaw(id, nil) {
+		if !v.Alive(in) {
+			continue
+		}
+		if _, op := v.typeOp(in); op != OpTensor {
+			continue
 		}
 		// The tensor's constant in-neighbor holds the aggregated value.
 		var val nested.Value
 		found := false
-		eachLiveIn(v, in, func(tin NodeID) bool {
-			if v.Node(tin).Op == OpConst {
+		for _, tin := range v.inRaw(in, nil) {
+			if _, op := v.typeOp(tin); op == OpConst && v.Alive(tin) {
 				val = v.Node(tin).Value
 				found = true
-				return false
+				break
 			}
-			return true
-		})
+		}
 		if !found {
-			return true
+			continue
 		}
 		f, ok := val.Numeric()
 		if !ok {
-			return true
+			continue
 		}
 		if val.Kind() != nested.KindInt {
 			allInt = false
@@ -231,8 +215,7 @@ func recomputeAggOf(v view, id NodeID, op semiring.AggOp) (nested.Value, int, bo
 		sum += f
 		lo = math.Min(lo, f)
 		hi = math.Max(hi, f)
-		return true
-	})
+	}
 	if cnt == 0 {
 		switch op {
 		case semiring.AggSum:
@@ -294,14 +277,12 @@ func exprOf(v view, id NodeID, memo map[NodeID]semiring.Expr) semiring.Expr {
 	// Guard against (impossible) cycles while memoizing.
 	memo[id] = semiring.Zero{}
 	var children []semiring.Expr
-	eachLiveIn(v, id, func(in NodeID) bool {
+	for _, in := range v.inRaw(id, nil) {
 		// Value nodes do not contribute to the p-side expression.
-		if v.Node(in).Class == ClassV {
-			return true
+		if v.Alive(in) && v.Node(in).Class != ClassV {
+			children = append(children, exprOf(v, in, memo))
 		}
-		children = append(children, exprOf(v, in, memo))
-		return true
-	})
+	}
 	var e semiring.Expr
 	switch {
 	case n.Type == TypeBaseTuple || n.Type == TypeWorkflowInput:

@@ -41,11 +41,15 @@ func writeDOTOf(v view, w io.Writer, title string) error {
 		return err
 	}
 	nodesDo(v, func(n Node) bool {
-		eachLiveOut(v, n.ID, func(dst NodeID) bool {
-			_, err = fmt.Fprintf(w, "  n%d -> n%d;\n", n.ID, dst)
-			return err == nil
-		})
-		return err == nil
+		for _, dst := range v.outRaw(n.ID, nil) {
+			if !v.Alive(dst) {
+				continue
+			}
+			if _, err = fmt.Fprintf(w, "  n%d -> n%d;\n", n.ID, dst); err != nil {
+				return false
+			}
+		}
+		return true
 	})
 	if err != nil {
 		return err

@@ -1,0 +1,27 @@
+package provgraph
+
+// Test-only exports for the external differential test, which needs the
+// workload generators of package workflowgen (an import cycle from an
+// in-package test).
+
+// RefSubgraph is the reference subgraph kernel's node order.
+func RefSubgraph(v GraphView, id NodeID) []NodeID { return refSubgraphOf(v.(view), id) }
+
+// RefPropagateDeletion is the reference deletion kernel's removal order.
+func RefPropagateDeletion(v GraphView, ids ...NodeID) []NodeID {
+	return refPropagateDeletionOf(v.(view), ids...)
+}
+
+// RefIntermediateNodes is the reference Definition 4.1 kernel.
+func RefIntermediateNodes(v GraphView, modules map[string]bool) []NodeID {
+	return refIntermediateNodesOf(v.(view), modules)
+}
+
+// RefZoomOut applies the reference ZoomOut kernel to a *Graph or
+// *Overlay.
+func RefZoomOut(v GraphView, modules ...string) *ZoomRecord {
+	return refZoomOutOf(v.(mutableView), modules...)
+}
+
+// ZoomHidden exposes a record's hidden list in hiding order.
+func ZoomHidden(r *ZoomRecord) []NodeID { return r.hidden }

@@ -1,6 +1,7 @@
 package provgraph
 
 import (
+	"bytes"
 	"sort"
 
 	"lipstick/internal/nested"
@@ -211,12 +212,18 @@ func inCSRFromOut(outOffs []uint32, outEdges []NodeID, n int) ([]uint32, []NodeI
 }
 
 // FromFrozen rebuilds a Graph over a Frozen's arrays without copying any
-// per-node data: the columns, CSR edges, and symbol slab become the
-// graph's read-only base regions. Only the liveness bitset is copied (one
-// bit per node), since kill/revive are the common post-open mutations.
-// Invocation records and the constant-interning map materialize lazily on
-// first use; values resolve through fr.ValueAt. mapRef, if non-nil, is
-// pinned for the graph's lifetime (it keeps an mmap alive).
+// per-node data: the columns and CSR edges become the graph's read-only
+// base regions. Only the liveness bitset is copied (one bit per node),
+// since kill/revive are the common post-open mutations. Invocation
+// records and the constant-interning map materialize lazily on first use;
+// values resolve through fr.ValueAt. mapRef, if non-nil, is pinned for
+// the graph's lifetime (it keeps an mmap alive).
+//
+// With a mapRef the symbol slab is copied to the heap — one copy of the
+// distinct label bytes per open, none per label. Labels and module names
+// are strings over the slab, and strings escape into query results that
+// outlive the graph; the collector keeps a heap slab alive for them,
+// whereas the mapping is released once the graph is collected.
 func FromFrozen(fr *Frozen, mapRef any) *Graph {
 	g := newEmpty()
 	n := fr.NumNodes
@@ -229,6 +236,9 @@ func FromFrozen(fr *Frozen, mapRef any) *Graph {
 	g.valIx = thawChunked(fr.ValIx)
 	g.syms.baseOffs = fr.SymOffs
 	g.syms.baseSlab = fr.SymSlab
+	if mapRef != nil {
+		g.syms.baseSlab = bytes.Clone(fr.SymSlab)
+	}
 	g.alive = append(bitset(nil), fr.Alive...)
 	g.dead = fr.Dead
 	g.out = adjHalf{baseN: n, offs: fr.OutOffs, edges: fr.OutEdges}

@@ -17,6 +17,7 @@ package provgraph
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"lipstick/internal/nested"
 )
@@ -241,6 +242,13 @@ type Graph struct {
 	// column bases for the lifetime of the graph.
 	mapRef any
 
+	// version counts structural mutations (node and edge appends, kills,
+	// revives); the overlays' shared orphan set is stamped with it.
+	version uint64
+	// orphanBits is the orphan set of derived.go, built lazily for the
+	// overlays layered over this graph and shared by them.
+	orphanBits atomic.Pointer[orphanSet]
+
 	// events observes every mutation as a typed Event (see events.go);
 	// nil (the default) costs one branch per mutation. Clone does not
 	// copy it.
@@ -288,6 +296,7 @@ func (g *Graph) AddNode(n Node) NodeID {
 	g.in.addSlot()
 	g.alive.setGrow(g.n)
 	g.n++
+	g.version++
 	if g.events != nil {
 		g.emit(Event{Kind: EvAddNode, Node: n})
 	}
@@ -299,6 +308,7 @@ func (g *Graph) AddEdge(src, dst NodeID) {
 	g.out.add(src, dst)
 	g.in.add(dst, src)
 	g.numEdges++
+	g.version++
 	if g.events != nil {
 		g.emit(Event{Kind: EvAddEdge, Src: src, Dst: dst})
 	}
@@ -348,17 +358,6 @@ func (g *Graph) addAnchor(inv InvID, kind AnchorKind, id NodeID) {
 	if g.events != nil {
 		g.emit(Event{Kind: EvAnchor, Inv: inv, Anchor: kind, Src: id})
 	}
-}
-
-// eachOutRaw iterates the raw out-adjacency of id, dead endpoints
-// included (the view primitive generic algorithms filter through Alive).
-func (g *Graph) eachOutRaw(id NodeID, fn func(NodeID) bool) {
-	g.out.each(id, fn)
-}
-
-// eachInRaw iterates the raw in-adjacency of id.
-func (g *Graph) eachInRaw(id NodeID, fn func(NodeID) bool) {
-	g.in.each(id, fn)
 }
 
 // valueByIx resolves a value-store index.
@@ -420,10 +419,10 @@ func (g *Graph) NumEdges() int {
 }
 
 // Out returns the live out-neighbors of id.
-func (g *Graph) Out(id NodeID) []NodeID { return g.liveNeighbors(g.out.slice(id)) }
+func (g *Graph) Out(id NodeID) []NodeID { return g.liveNeighbors(g.out.raw(id, nil)) }
 
 // In returns the live in-neighbors of id.
-func (g *Graph) In(id NodeID) []NodeID { return g.liveNeighbors(g.in.slice(id)) }
+func (g *Graph) In(id NodeID) []NodeID { return g.liveNeighbors(g.in.raw(id, nil)) }
 
 func (g *Graph) liveNeighbors(adj []NodeID) []NodeID {
 	if g.dead == 0 {
@@ -464,6 +463,7 @@ func (g *Graph) kill(id NodeID) {
 	if g.alive.get(int(id)) {
 		g.alive.clear(int(id))
 		g.dead++
+		g.version++
 		if g.events != nil {
 			g.emit(Event{Kind: EvKill, Src: id})
 		}
@@ -475,6 +475,7 @@ func (g *Graph) revive(id NodeID) {
 	if !g.alive.get(int(id)) {
 		g.alive.set(int(id))
 		g.dead--
+		g.version++
 		if g.events != nil {
 			g.emit(Event{Kind: EvRevive, Src: id})
 		}

@@ -1,6 +1,8 @@
 package provgraph
 
 import (
+	"math/bits"
+
 	"lipstick/internal/nested"
 )
 
@@ -14,13 +16,16 @@ import (
 //   - edges appended to base nodes (the zoom wiring), and
 //   - value annotation changes (RecomputeAggregates after a deletion).
 //
-// Creating an overlay is O(1) and a mutated overlay costs O(changes)
-// memory, so thousands of concurrent what-if sessions can share one base
-// graph. Appended nodes take ids from TotalNodes() upward — exactly the
-// ids a Clone-then-mutate baseline would assign — so every query answered
-// through the view (find, subgraph, lineage, deletion propagation, DOT,
-// provenance expressions) is equal to the same query against a mutated
-// clone (asserted by the equivalence tests).
+// Creating an overlay is O(1). Liveness overrides live in a paged bitset
+// whose pages are allocated on first write, so a mutated overlay costs
+// O(changes) memory for its node, edge and value deltas plus one 1.5 KiB
+// page per 4,096-slot id range it has touched — and Alive, kill and
+// revive are bit operations. Thousands of concurrent what-if sessions
+// can share one base graph. Appended nodes take ids from TotalNodes()
+// upward — exactly the ids a Clone-then-mutate baseline would assign —
+// so every query answered through the view (find, subgraph, lineage,
+// deletion propagation, DOT, provenance expressions) is equal to the same
+// query against a mutated clone (asserted by the equivalence tests).
 //
 // The base graph is never written: concurrent readers of the base (and of
 // sibling overlays) stay race-free while this overlay mutates. One overlay
@@ -30,8 +35,10 @@ type Overlay struct {
 	base      *Graph
 	baseSlots int // == base.TotalNodes(); the base is immutable by contract
 
-	alive     map[NodeID]bool // liveness overrides for base and added nodes
-	liveDelta int             // live-node count delta vs. base (added nodes included)
+	pages     []*livePage // liveness overrides by id range; nil = untouched
+	overrides int         // overridden slots (set bits over all pages)
+	liveDelta int         // live-node count delta vs. base (added nodes included)
+	spare     []*livePage // pages released by Reset, reused before allocating
 
 	added    []Node     // appended nodes; ids start at baseSlots
 	addedOut [][]NodeID // adjacency of appended nodes
@@ -51,6 +58,102 @@ type Overlay struct {
 var _ GraphView = (*Overlay)(nil)
 var _ mutableView = (*Overlay)(nil)
 
+const (
+	livePageShift = 12 // node slots per page: 4096
+	livePageWords = 1 << (livePageShift - 6)
+)
+
+// livePage holds the liveness overrides of one aligned range of node
+// slots. set marks the slots the overlay has overridden (the Changes
+// count); live is the view's liveness of every slot in the range — base
+// liveness copied in when the page is allocated, appended slots born
+// live — so Alive reads one bit wherever a page exists. edges marks the
+// base slots with appended edges, so adjacency reads probe the edge-delta
+// maps only for those: a session keeps its zoom wiring after ZoomIn, and
+// without the bit every later traversal of the session would probe the
+// maps once per node it reads.
+type livePage struct {
+	set, live, edges [livePageWords]uint64
+}
+
+// slotBit returns the word index within a page and the bit mask of id.
+func slotBit(id NodeID) (int, uint64) {
+	return (int(id) >> 6) & (livePageWords - 1), 1 << (uint(id) & 63)
+}
+
+// baseMask returns the bits of liveness word w that cover base slots.
+func (o *Overlay) baseMask(w int) uint64 {
+	switch n := o.baseSlots - w*64; {
+	case n >= 64:
+		return ^uint64(0)
+	case n <= 0:
+		return 0
+	default:
+		return 1<<uint(n) - 1
+	}
+}
+
+// baseWord returns word w of the base's liveness bitset restricted to
+// the base's slots.
+func (o *Overlay) baseWord(w int) uint64 {
+	if w >= len(o.base.alive) {
+		return 0
+	}
+	return o.base.alive[w] & o.baseMask(w)
+}
+
+// page returns the override page covering id, allocating it on first
+// write.
+func (o *Overlay) page(id NodeID) *livePage {
+	p := int(id) >> livePageShift
+	for p >= len(o.pages) {
+		o.pages = append(o.pages, nil)
+	}
+	if pg := o.pages[p]; pg != nil {
+		return pg
+	}
+	var pg *livePage
+	if n := len(o.spare); n > 0 {
+		pg, o.spare = o.spare[n-1], o.spare[:n-1]
+	} else {
+		pg = new(livePage)
+	}
+	pg.set, pg.edges = [livePageWords]uint64{}, [livePageWords]uint64{}
+	for w := range pg.live {
+		// Slots past the base are appended nodes, born live.
+		gw := p*livePageWords + w
+		pg.live[w] = o.baseWord(gw) | ^o.baseMask(gw)
+	}
+	o.pages[p] = pg
+	return pg
+}
+
+// override records id's view liveness.
+func (o *Overlay) override(id NodeID, live bool) {
+	pg := o.page(id)
+	w, b := slotBit(id)
+	if pg.set[w]&b == 0 {
+		pg.set[w] |= b
+		o.overrides++
+	}
+	if live {
+		pg.live[w] |= b
+	} else {
+		pg.live[w] &^= b
+	}
+}
+
+// hasEdges reports whether AddEdge recorded an edge at base slot id.
+func (o *Overlay) hasEdges(id NodeID) bool {
+	if p := int(id) >> livePageShift; p < len(o.pages) {
+		if pg := o.pages[p]; pg != nil {
+			w, b := slotBit(id)
+			return pg.edges[w]&b != 0
+		}
+	}
+	return false
+}
+
 // NewOverlay returns an empty copy-on-write view over base. The caller
 // must treat base as immutable for the overlay's lifetime (the contract
 // SnapshotManager already imposes on shared cached processors).
@@ -69,7 +172,13 @@ func (o *Overlay) Base() *Graph { return o.base }
 func (o *Overlay) Reset(base *Graph) {
 	o.base = base
 	o.baseSlots = base.TotalNodes()
-	clear(o.alive)
+	for _, pg := range o.pages {
+		if pg != nil {
+			o.spare = append(o.spare, pg)
+		}
+	}
+	o.pages = o.pages[:0]
+	o.overrides = 0
 	o.liveDelta = 0
 	o.added = o.added[:0]
 	o.addedOut = o.addedOut[:0]
@@ -84,7 +193,7 @@ func (o *Overlay) Reset(base *Graph) {
 // appended nodes, appended edges, and value overrides) — the session's
 // memory cost in units of changes, not graph size.
 func (o *Overlay) Changes() int {
-	return len(o.alive) + len(o.added) + len(o.edgeLog) + len(o.values)
+	return o.overrides + len(o.added) + len(o.edgeLog) + len(o.values)
 }
 
 // TotalNodes returns the number of node slots in the view (base + added).
@@ -113,37 +222,40 @@ func (o *Overlay) Node(id NodeID) Node {
 
 // Alive reports whether the node is visible in the overlay view.
 func (o *Overlay) Alive(id NodeID) bool {
-	if v, ok := o.alive[id]; ok {
-		return v
+	if p := int(id) >> livePageShift; p < len(o.pages) {
+		if pg := o.pages[p]; pg != nil {
+			w, b := slotBit(id)
+			return pg.live[w]&b != 0
+		}
 	}
 	if int(id) < o.baseSlots {
-		return o.base.Alive(id)
+		return o.base.alive.get(int(id))
 	}
 	return true // appended nodes are born live
 }
 
 // kill marks a node dead in the view (the base is untouched).
 func (o *Overlay) kill(id NodeID) {
-	if !o.Alive(id) {
-		return
+	if o.Alive(id) {
+		o.override(id, false)
+		o.liveDelta--
 	}
-	if o.alive == nil {
-		o.alive = make(map[NodeID]bool)
-	}
-	o.alive[id] = false
-	o.liveDelta--
 }
 
 // revive marks a node live again in the view.
 func (o *Overlay) revive(id NodeID) {
-	if o.Alive(id) {
-		return
+	if !o.Alive(id) {
+		o.override(id, true)
+		o.liveDelta++
 	}
-	if o.alive == nil {
-		o.alive = make(map[NodeID]bool)
+}
+
+func (o *Overlay) typeOp(id NodeID) (Type, Op) {
+	if int(id) < o.baseSlots {
+		return o.base.typeOp(id)
 	}
-	o.alive[id] = true
-	o.liveDelta++
+	n := &o.added[int(id)-o.baseSlots]
+	return n.Type, n.Op
 }
 
 // setValue records a value override for the node.
@@ -177,6 +289,7 @@ func (o *Overlay) AddEdge(src, dst NodeID) {
 			o.extraOut = make(map[NodeID][]NodeID)
 		}
 		o.extraOut[src] = append(o.extraOut[src], dst)
+		o.markEdges(src)
 	} else {
 		i := int(src) - o.baseSlots
 		o.addedOut[i] = append(o.addedOut[i], dst)
@@ -186,6 +299,7 @@ func (o *Overlay) AddEdge(src, dst NodeID) {
 			o.extraIn = make(map[NodeID][]NodeID)
 		}
 		o.extraIn[dst] = append(o.extraIn[dst], src)
+		o.markEdges(dst)
 	} else {
 		i := int(dst) - o.baseSlots
 		o.addedIn[i] = append(o.addedIn[i], src)
@@ -193,59 +307,71 @@ func (o *Overlay) AddEdge(src, dst NodeID) {
 	o.edgeLog = append(o.edgeLog, [2]NodeID{src, dst})
 }
 
-// eachOutRaw iterates the raw out-adjacency: base edges first, then the
-// overlay's appended edges — the same order a mutated clone would hold.
-func (o *Overlay) eachOutRaw(id NodeID, fn func(NodeID) bool) {
-	if int(id) < o.baseSlots {
-		stopped := false
-		o.base.eachOutRaw(id, func(n NodeID) bool {
-			if !fn(n) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if stopped {
-			return
-		}
-		for _, n := range o.extraOut[id] {
-			if !fn(n) {
-				return
-			}
-		}
-		return
-	}
-	for _, n := range o.addedOut[int(id)-o.baseSlots] {
-		if !fn(n) {
-			return
-		}
-	}
+// markEdges notes that base slot id has appended edges.
+func (o *Overlay) markEdges(id NodeID) {
+	w, b := slotBit(id)
+	o.page(id).edges[w] |= b
 }
 
-// eachInRaw iterates the raw in-adjacency.
-func (o *Overlay) eachInRaw(id NodeID, fn func(NodeID) bool) {
-	if int(id) < o.baseSlots {
-		stopped := false
-		o.base.eachInRaw(id, func(n NodeID) bool {
-			if !fn(n) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if stopped {
-			return
-		}
-		for _, n := range o.extraIn[id] {
-			if !fn(n) {
-				return
-			}
-		}
-		return
+// outRaw returns the raw out-adjacency: base edges first, then the
+// overlay's appended edges — the same order a mutated clone would hold.
+func (o *Overlay) outRaw(id NodeID, buf *[]NodeID) []NodeID {
+	if int(id) >= o.baseSlots {
+		return o.addedOut[int(id)-o.baseSlots]
 	}
-	for _, n := range o.addedIn[int(id)-o.baseSlots] {
-		if !fn(n) {
-			return
+	adj := o.base.out.raw(id, buf)
+	if o.hasEdges(id) {
+		if extra := o.extraOut[id]; len(extra) > 0 {
+			return joinAdj(buf, adj, extra)
+		}
+	}
+	return adj
+}
+
+// inRaw returns the raw in-adjacency.
+func (o *Overlay) inRaw(id NodeID, buf *[]NodeID) []NodeID {
+	if int(id) >= o.baseSlots {
+		return o.addedIn[int(id)-o.baseSlots]
+	}
+	adj := o.base.in.raw(id, buf)
+	if o.hasEdges(id) {
+		if extra := o.extraIn[id]; len(extra) > 0 {
+			return joinAdj(buf, adj, extra)
+		}
+	}
+	return adj
+}
+
+// orphanCandidates marks a superset of the view's orphans: the base's
+// orphans (built once per base version and shared), the in-neighbors of
+// base nodes the view holds dead — any other orphan of the view had a
+// live out-neighbor in the base that the overlay killed — and the slots
+// the view holds live though the base does not, or that it appended.
+func (o *Overlay) orphanCandidates(set bitset) {
+	for i, w := range o.base.baseOrphans() {
+		set[i] |= w
+	}
+	for p, pg := range o.pages {
+		if pg == nil {
+			continue
+		}
+		for w := range pg.set {
+			gw := p*livePageWords + w
+			base := o.baseWord(gw)
+			for dead := pg.set[w] &^ pg.live[w] & base; dead != 0; dead &= dead - 1 {
+				id := NodeID(gw*64 + bits.TrailingZeros64(dead))
+				for _, in := range o.base.in.raw(id, nil) {
+					set.set(int(in))
+				}
+			}
+			if revived := pg.set[w] & pg.live[w] &^ base; revived != 0 {
+				set[gw] |= revived
+			}
+		}
+	}
+	for i := range o.added {
+		if n := &o.added[i]; n.Op == OpConst || n.Type == TypeBaseTuple {
+			set.set(o.baseSlots + i)
 		}
 	}
 }
@@ -272,7 +398,7 @@ func (o *Overlay) NumInvocations() int { return o.base.NumInvocations() }
 func (o *Overlay) Invocations(fn func(*Invocation) bool) { invocationsDo(o, fn) }
 
 // InvocationsOf returns the invocation ids of the given module name.
-func (o *Overlay) InvocationsOf(module string) []InvID { return invocationsOf(o, module) }
+func (o *Overlay) InvocationsOf(module string) []InvID { return o.base.InvocationsOf(module) }
 
 // ComputeStats walks the live view and tallies node classes and types.
 func (o *Overlay) ComputeStats() Stats { return computeStatsOf(o) }
@@ -283,11 +409,14 @@ func (o *Overlay) ComputeStats() Stats { return computeStatsOf(o) }
 // never touches the base. Mutations of the fork and the original do not
 // observe each other.
 func (o *Overlay) Fork() *Overlay {
-	c := &Overlay{base: o.base, baseSlots: o.baseSlots, liveDelta: o.liveDelta}
-	if o.alive != nil {
-		c.alive = make(map[NodeID]bool, len(o.alive))
-		for k, v := range o.alive {
-			c.alive[k] = v
+	c := &Overlay{base: o.base, baseSlots: o.baseSlots, overrides: o.overrides, liveDelta: o.liveDelta}
+	if len(o.pages) > 0 {
+		c.pages = make([]*livePage, len(o.pages))
+		for i, pg := range o.pages {
+			if pg != nil {
+				cp := *pg
+				c.pages[i] = &cp
+			}
 		}
 	}
 	c.added = append([]Node(nil), o.added...)
@@ -341,11 +470,20 @@ func (o *Overlay) Materialize() *Graph {
 	for id, v := range o.values {
 		c.setValue(id, v)
 	}
-	for id, live := range o.alive {
-		if live {
-			c.revive(id)
-		} else {
-			c.kill(id)
+	for p, pg := range o.pages {
+		if pg == nil {
+			continue
+		}
+		for w, set := range pg.set {
+			for ; set != 0; set &= set - 1 {
+				b := bits.TrailingZeros64(set)
+				id := NodeID((p*livePageWords+w)*64 + b)
+				if pg.live[w]&(1<<uint(b)) != 0 {
+					c.revive(id)
+				} else {
+					c.kill(id)
+				}
+			}
 		}
 	}
 	return c

@@ -9,8 +9,9 @@ import "unsafe"
 // per event. Symbol 0 is always the empty string.
 //
 // Like col, the table splits into a read-only base (the symbol section of
-// an opened snapshot, possibly mmap'd) and a heap-owned grow region for
-// strings interned afterwards. Lookups materialize a reverse map lazily,
+// an opened snapshot — copied to the heap when the snapshot is mmap'd, see
+// FromFrozen, because str's results escape) and a heap-owned grow region
+// for strings interned afterwards. Lookups materialize a reverse map lazily,
 // only when something actually interns — pure readers never build it.
 type symtab struct {
 	baseOffs []uint32 // read-only; len = base symbol count + 1

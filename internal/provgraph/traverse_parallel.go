@@ -41,15 +41,16 @@ func SetParallelFrontierThreshold(n int) int {
 	return old
 }
 
-// candBuf is one worker's pooled candidate buffer.
-type candBuf struct{ ids []NodeID }
+// candBuf is one worker's pooled candidate buffer, with the adjacency
+// buffer its view calls assemble split lists in.
+type candBuf struct{ ids, adj []NodeID }
 
 var candPool = sync.Pool{New: func() any { return new(candBuf) }}
 
 // expandFrontierParallel expands the pending segment s.queue[head:] in one
-// parallel batch, appending discoveries to s.queue and out. It returns the
-// updated result slice; the caller advances head past the segment.
-func expandFrontierParallel(v view, s *visitScratch, head int, each func(view, NodeID, func(NodeID) bool), out []NodeID) []NodeID {
+// parallel batch, appending discoveries to s.queue; the caller advances
+// head past the segment.
+func expandFrontierParallel(v view, s *visitScratch, head int, adj adjFunc) {
 	end := len(s.queue)
 	frontier := s.queue[head:end:end]
 
@@ -78,14 +79,13 @@ func expandFrontierParallel(v view, s *visitScratch, head int, each func(view, N
 		go func(part []NodeID, buf *candBuf) {
 			defer wg.Done()
 			for _, cur := range part {
-				each(v, cur, func(next NodeID) bool {
+				for _, next := range adj(v, cur, &buf.adj) {
 					// Read-only pre-filter; the serial merge re-checks, so
 					// cross-worker duplicates are harmless.
 					if v.Alive(next) && s.mark[next] != s.epoch {
 						buf.ids = append(buf.ids, next)
 					}
-					return true
-				})
+				}
 			}
 		}(frontier[lo:hi], buf)
 	}
@@ -96,11 +96,9 @@ func expandFrontierParallel(v view, s *visitScratch, head int, each func(view, N
 	for _, buf := range bufs {
 		for _, next := range buf.ids {
 			if s.visit(next) {
-				out = append(out, next)
 				s.queue = append(s.queue, next)
 			}
 		}
 		candPool.Put(buf)
 	}
-	return out
 }

@@ -2,6 +2,7 @@ package provgraph
 
 import (
 	"io"
+	"slices"
 
 	"lipstick/internal/nested"
 	"lipstick/internal/semiring"
@@ -42,17 +43,32 @@ type GraphView interface {
 }
 
 // view is the primitive read surface the generic algorithm implementations
-// run on. Raw adjacency iteration (dead endpoints included) keeps the
-// traversals allocation-free on both backings: *Graph iterates its slices,
-// *Overlay chains base adjacency with its recorded edge deltas.
+// run on. Raw adjacency (dead endpoints included) comes back as a slice,
+// so the kernels iterate it with a plain loop — no per-node callback
+// closure escapes through the interface — on both backings: *Graph
+// returns its storage, *Overlay chains base adjacency with its recorded
+// edge deltas.
 type view interface {
 	TotalNodes() int
 	Node(id NodeID) Node
 	Alive(id NodeID) bool
-	eachOutRaw(id NodeID, fn func(NodeID) bool)
-	eachInRaw(id NodeID, fn func(NodeID) bool)
+	// typeOp returns a node's type and op without assembling the Node
+	// (no label or value decode).
+	typeOp(id NodeID) (Type, Op)
+	// outRaw and inRaw return id's raw adjacency in insertion order. A
+	// list held contiguously is returned as a view of storage; a list
+	// split across storage regions is assembled in *buf (grown as needed;
+	// buf may be nil). Either way the result is read-only and valid until
+	// the next call sharing buf or the next mutation of the view.
+	outRaw(id NodeID, buf *[]NodeID) []NodeID
+	inRaw(id NodeID, buf *[]NodeID) []NodeID
 	NumInvocations() int
 	Invocation(id InvID) *Invocation
+	// orphanCandidates sets, in set, the bit of every node that is live,
+	// an OpConst or TypeBaseTuple node, and without a live out-neighbor —
+	// plus possibly others (callers re-check each candidate). set covers
+	// at least TotalNodes() bits.
+	orphanCandidates(set bitset)
 }
 
 // mutableView adds the mutations graph transformations perform; the
@@ -70,58 +86,52 @@ type mutableView interface {
 var _ GraphView = (*Graph)(nil)
 var _ mutableView = (*Graph)(nil)
 
-// eachLiveOut calls fn for every live out-neighbor of a live-or-dead id.
-func eachLiveOut(v view, id NodeID, fn func(NodeID) bool) {
-	v.eachOutRaw(id, func(n NodeID) bool {
-		if !v.Alive(n) {
-			return true
-		}
-		return fn(n)
-	})
-}
-
-// eachLiveIn calls fn for every live in-neighbor.
-func eachLiveIn(v view, id NodeID, fn func(NodeID) bool) {
-	v.eachInRaw(id, func(n NodeID) bool {
-		if !v.Alive(n) {
-			return true
-		}
-		return fn(n)
-	})
+// joinAdj assembles the two parts of a split adjacency list in *buf.
+// a may itself live in *buf (an inner view assembled it there); the
+// overlapping copy onto itself is safe.
+func joinAdj(buf *[]NodeID, a, b []NodeID) []NodeID {
+	var dst []NodeID
+	if buf != nil {
+		dst = (*buf)[:0]
+	}
+	dst = append(append(dst, a...), b...)
+	if buf != nil {
+		*buf = dst
+	}
+	return dst
 }
 
 // liveOut collects the live out-neighbors of id.
 func liveOut(v view, id NodeID) []NodeID {
 	var out []NodeID
-	eachLiveOut(v, id, func(n NodeID) bool {
-		out = append(out, n)
-		return true
-	})
+	for _, n := range v.outRaw(id, nil) {
+		if v.Alive(n) {
+			out = append(out, n)
+		}
+	}
 	return out
 }
 
 // liveIn collects the live in-neighbors of id.
 func liveIn(v view, id NodeID) []NodeID {
 	var out []NodeID
-	eachLiveIn(v, id, func(n NodeID) bool {
-		out = append(out, n)
-		return true
-	})
+	for _, n := range v.inRaw(id, nil) {
+		if v.Alive(n) {
+			out = append(out, n)
+		}
+	}
 	return out
 }
 
-// hasLiveOut reports whether id has at least one live out-neighbor without
-// materializing the neighbor list.
-func hasLiveOut(v view, id NodeID) bool {
-	found := false
-	v.eachOutRaw(id, func(n NodeID) bool {
+// hasLiveOut reports whether id has at least one live out-neighbor
+// without materializing the neighbor list.
+func hasLiveOut(v view, id NodeID, buf *[]NodeID) bool {
+	for _, n := range v.outRaw(id, buf) {
 		if v.Alive(n) {
-			found = true
-			return false
+			return true
 		}
-		return true
-	})
-	return found
+	}
+	return false
 }
 
 // nodesDo calls fn for every live node in id order.
@@ -139,15 +149,17 @@ func nodesDo(v view, fn func(Node) bool) {
 // numEdgesOf counts the edges between live nodes.
 func numEdgesOf(v view) int {
 	n := 0
+	var buf []NodeID
 	total := v.TotalNodes()
 	for id := 0; id < total; id++ {
 		if !v.Alive(NodeID(id)) {
 			continue
 		}
-		eachLiveOut(v, NodeID(id), func(NodeID) bool {
-			n++
-			return true
-		})
+		for _, dst := range v.outRaw(NodeID(id), &buf) {
+			if v.Alive(dst) {
+				n++
+			}
+		}
 	}
 	return n
 }
@@ -161,15 +173,15 @@ func invocationsDo(v view, fn func(*Invocation) bool) {
 	}
 }
 
-// invocationsOf returns the invocation ids of the given module name.
-func invocationsOf(v view, module string) []InvID {
+// modulesInvocations returns the invocations of the given modules in
+// ascending id order, with one pass over the invocation records.
+func modulesInvocations(v view, modules []string) []InvID {
 	var out []InvID
-	invocationsDo(v, func(inv *Invocation) bool {
-		if inv.Module == module {
-			out = append(out, inv.ID)
+	for i := 0; i < v.NumInvocations(); i++ {
+		if slices.Contains(modules, v.Invocation(InvID(i)).Module) {
+			out = append(out, InvID(i))
 		}
-		return true
-	})
+	}
 	return out
 }
 

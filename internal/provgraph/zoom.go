@@ -1,5 +1,10 @@
 package provgraph
 
+import (
+	"math/bits"
+	"slices"
+)
+
 // ZoomRecord remembers what a ZoomOut hid so that ZoomIn can restore it
 // exactly; ZoomIn(ZoomOut(G, M), M) = G (Section 4.1).
 type ZoomRecord struct {
@@ -22,52 +27,67 @@ func (r *ZoomRecord) ZoomNodes() []NodeID { return append([]NodeID(nil), r.zoomN
 // set: nodes reachable from a module-input or state node of such an
 // invocation along a directed path that contains no module-output node.
 func (g *Graph) IntermediateNodes(modules map[string]bool) []NodeID {
-	return intermediateNodesOf(g, modules)
+	return intermediateNodesOf(g, moduleSetInvocations(g, modules))
 }
 
 // IntermediateNodes answers Definition 4.1 in the overlay view.
 func (o *Overlay) IntermediateNodes(modules map[string]bool) []NodeID {
-	return intermediateNodesOf(o, modules)
+	return intermediateNodesOf(o, moduleSetInvocations(o, modules))
 }
 
-func intermediateNodesOf(v view, modules map[string]bool) []NodeID {
-	var starts []NodeID
-	invocationsDo(v, func(inv *Invocation) bool {
-		if modules[inv.Module] {
-			starts = append(starts, inv.Inputs...)
-			starts = append(starts, inv.States...)
-		}
-		return true
-	})
-	visited := make([]bool, v.TotalNodes())
-	queue := make([]NodeID, 0, len(starts))
-	for _, s := range starts {
-		if v.Alive(s) && !visited[s] {
-			visited[s] = true
-			queue = append(queue, s)
+func moduleSetInvocations(v view, modules map[string]bool) []InvID {
+	var names []string
+	for m, in := range modules {
+		if in {
+			names = append(names, m)
 		}
 	}
-	var intermediates []NodeID
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		v.eachOutRaw(cur, func(next NodeID) bool {
-			if visited[next] || !v.Alive(next) {
-				return true
+	return modulesInvocations(v, names)
+}
+
+// intermediateNodesOf answers Definition 4.1 for the given invocations
+// (ascending): a BFS from their inputs and states, in invocation order.
+func intermediateNodesOf(v view, invs []InvID) []NodeID {
+	s := getVisit(v.TotalNodes())
+	defer putVisit(s)
+	starts := intermediatesInto(v, s, invs)
+	if len(s.queue) == starts {
+		return nil
+	}
+	return slices.Clone(s.queue[starts:])
+}
+
+// intermediatesInto runs the Definition 4.1 BFS on s, leaving the
+// traversal's starts followed by the intermediate nodes, in discovery
+// order, in s.queue; it returns the number of starts.
+func intermediatesInto(v view, s *visitScratch, invs []InvID) int {
+	for _, i := range invs {
+		inv := v.Invocation(i)
+		for _, list := range [2][]NodeID{inv.Inputs, inv.States} {
+			for _, start := range list {
+				if v.Alive(start) && s.visit(start) {
+					s.queue = append(s.queue, start)
+				}
+			}
+		}
+	}
+	starts := len(s.queue)
+	for head := 0; head < len(s.queue); head++ {
+		for _, next := range v.outRaw(s.queue[head], &s.adj) {
+			if s.mark[next] == s.epoch || !v.Alive(next) {
+				continue
 			}
 			// Condition (2) of Definition 4.1: the path may not contain an
 			// output node (including the endpoint), so output nodes are
 			// neither collected nor traversed through.
-			if v.Node(next).Type == TypeModuleOutput {
-				return true
+			if ty, _ := v.typeOp(next); ty == TypeModuleOutput {
+				continue
 			}
-			visited[next] = true
-			intermediates = append(intermediates, next)
-			queue = append(queue, next)
-			return true
-		})
+			s.visit(next)
+			s.queue = append(s.queue, next)
+		}
 	}
-	return intermediates
+	return starts
 }
 
 // ZoomOut hides all intermediate computations and state of every invocation
@@ -78,52 +98,61 @@ func intermediateNodesOf(v view, modules map[string]bool) []NodeID {
 // Because invocations of the same module may share state, ZoomOut always
 // applies to all invocations of a module, across all executions represented
 // in the graph (Section 4.1).
-func (g *Graph) ZoomOut(modules ...string) *ZoomRecord { return zoomOutOf(g, modules...) }
+func (g *Graph) ZoomOut(modules ...string) *ZoomRecord {
+	return zoomOutOf(g, modules, modulesInvocations(g, modules))
+}
 
 // ZoomOut hides module internals in the overlay view, recording the kills
 // and the installed zoom nodes as deltas over the untouched base graph.
-func (o *Overlay) ZoomOut(modules ...string) *ZoomRecord { return zoomOutOf(o, modules...) }
+func (o *Overlay) ZoomOut(modules ...string) *ZoomRecord {
+	return zoomOutOf(o, modules, modulesInvocations(o, modules))
+}
 
-func zoomOutOf(mv mutableView, modules ...string) *ZoomRecord {
-	modSet := make(map[string]bool, len(modules))
-	for _, m := range modules {
-		modSet[m] = true
-	}
+// ZoomOutInvocations is ZoomOut with the modules' invocations resolved by
+// the caller, from a snapshot's postings index (store.Postings) instead
+// of a scan of every invocation record. invs must hold every invocation
+// of the modules and no other, in any order; duplicates are ignored.
+func (o *Overlay) ZoomOutInvocations(modules []string, invs []InvID) *ZoomRecord {
+	invs = slices.Clone(invs)
+	slices.Sort(invs)
+	return zoomOutOf(o, modules, slices.Compact(invs))
+}
+
+// zoomOutOf zooms out modules, whose invocations are invs (ascending).
+func zoomOutOf(mv mutableView, modules []string, invs []InvID) *ZoomRecord {
 	rec := &ZoomRecord{Modules: append([]string(nil), modules...)}
+	s := getVisit(mv.TotalNodes())
+	defer putVisit(s)
 
 	// Steps 1-3: find and remove intermediate computation nodes.
-	for _, id := range intermediateNodesOf(mv, modSet) {
+	starts := intermediatesInto(mv, s, invs)
+	hidden := append(s.ids[:0], s.queue[starts:]...)
+	for _, id := range hidden {
 		mv.kill(id)
-		rec.hidden = append(rec.hidden, id)
 	}
 
 	// Step 4: remove state nodes of the zoomed invocations, plus base
 	// tuple nodes that fed only those state nodes.
-	invocationsDo(mv, func(inv *Invocation) bool {
-		if !modSet[inv.Module] {
-			return true
-		}
-		for _, s := range inv.States {
-			if !mv.Alive(s) {
+	for _, i := range invs {
+		for _, st := range mv.Invocation(i).States {
+			if !mv.Alive(st) {
 				continue
 			}
-			baseCandidates := liveIn(mv, s)
-			mv.kill(s)
-			rec.hidden = append(rec.hidden, s)
-			for _, b := range baseCandidates {
-				if mv.Node(b).Type != TypeBaseTuple || !mv.Alive(b) {
+			mv.kill(st)
+			hidden = append(hidden, st)
+			for _, b := range mv.inRaw(st, &s.adj) {
+				if ty, _ := mv.typeOp(b); ty != TypeBaseTuple || !mv.Alive(b) {
 					continue
 				}
 				// Hide the base tuple only when nothing live still
 				// depends on it (state may be shared between modules).
-				if !hasLiveOut(mv, b) {
+				if !hasLiveOut(mv, b, &s.adj2) {
 					mv.kill(b)
-					rec.hidden = append(rec.hidden, b)
+					hidden = append(hidden, b)
 				}
 			}
 		}
-		return true
-	})
+	}
 
 	// Constant-value v-nodes have no in-edges, so Definition 4.1 never
 	// classifies them as intermediate; hide the ones the zoom orphaned so
@@ -131,25 +160,15 @@ func zoomOutOf(mv mutableView, modules ...string) *ZoomRecord {
 	// graph of Figure 2(b) has no v-nodes). Base tuples whose state nodes
 	// never materialized (lazy state, untouched tuples) are likewise
 	// orphans and disappear with their module's state.
-	total := mv.TotalNodes()
-	for id := 0; id < total; id++ {
-		if !mv.Alive(NodeID(id)) {
-			continue
-		}
-		n := mv.Node(NodeID(id))
-		orphanConst := n.Op == OpConst
-		orphanBase := n.Type == TypeBaseTuple
-		if (orphanConst || orphanBase) && !hasLiveOut(mv, NodeID(id)) {
-			mv.kill(NodeID(id))
-			rec.hidden = append(rec.hidden, NodeID(id))
-		}
+	hidden = sweepOrphans(mv, s, hidden)
+	if len(hidden) > 0 {
+		rec.hidden = slices.Clone(hidden)
 	}
+	s.ids = hidden[:0]
 
 	// Step 5: install a zoomed-module p-node per invocation.
-	invocationsDo(mv, func(inv *Invocation) bool {
-		if !modSet[inv.Module] {
-			return true
-		}
+	for _, i := range invs {
+		inv := mv.Invocation(i)
 		z := mv.AddNode(Node{Class: ClassP, Type: TypeZoom, Label: inv.Module, Inv: inv.ID})
 		rec.zoomNodes = append(rec.zoomNodes, z)
 		for _, in := range inv.Inputs {
@@ -162,9 +181,48 @@ func zoomOutOf(mv mutableView, modules ...string) *ZoomRecord {
 				mv.AddEdge(z, out)
 			}
 		}
-		return true
-	})
+	}
 	return rec
+}
+
+// sweepOrphans hides every live OpConst or TypeBaseTuple node without a
+// live out-neighbor, in id order, appending them to hidden. It visits the
+// view's orphan candidates only, not every slot. Hiding a node can orphan
+// an in-neighbor with a larger id, which a sweep in id order reaches
+// later, so such in-neighbors join the candidates as the sweep goes; one
+// with a smaller id has been passed, as it would be by a full sweep.
+func sweepOrphans(mv mutableView, s *visitScratch, hidden []NodeID) []NodeID {
+	words := (mv.TotalNodes() + 63) / 64
+	s.cand = grown(s.cand, words)
+	cand := s.cand[:words]
+	clear(cand)
+	mv.orphanCandidates(cand)
+	for w := range cand {
+		// Bits are cleared as they are taken; candidates added mid-word
+		// are picked up by re-reading the word.
+		for cand[w] != 0 {
+			b := bits.TrailingZeros64(cand[w])
+			cand[w] &^= 1 << uint(b)
+			id := NodeID(w*64 + b)
+			if !mv.Alive(id) {
+				continue
+			}
+			if ty, op := mv.typeOp(id); op != OpConst && ty != TypeBaseTuple {
+				continue
+			}
+			if hasLiveOut(mv, id, &s.adj) {
+				continue
+			}
+			mv.kill(id)
+			hidden = append(hidden, id)
+			for _, in := range mv.inRaw(id, &s.adj) {
+				if in > id {
+					cand.set(int(in))
+				}
+			}
+		}
+	}
+	return hidden
 }
 
 // ZoomIn restores the fine-grained view hidden by the given record: it

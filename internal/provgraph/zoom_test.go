@@ -1,6 +1,7 @@
 package provgraph
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -195,4 +196,38 @@ func containsID(ids []NodeID, want NodeID) bool {
 		}
 	}
 	return false
+}
+
+// TestZoomOrphanCascadeMatchesReference pins the id-order semantics of
+// ZoomOut's orphan sweep, which the candidate sweep must keep: hiding an
+// orphan orphans its in-neighbors, and the sweep hides those with larger
+// ids (it reaches them later) but not those it has already passed.
+func TestZoomOrphanCascadeMatchesReference(t *testing.T) {
+	b := NewBuilder()
+	inv := b.BeginInvocation("A", "a", 0)
+	b.ModuleOutput(inv, b.ModuleInput(inv, b.WorkflowInput("I")))
+	g := b.G
+	lo := b.BaseTuple("lo")
+	k := b.BaseTuple("k") // no out-edges: an orphan before any zoom
+	hi := b.BaseTuple("hi")
+	c := g.AddNode(Node{Class: ClassV, Type: TypeValue, Op: OpConst})
+	g.AddEdge(lo, k)
+	g.AddEdge(hi, k)
+	g.AddEdge(c, hi)
+
+	views := map[string]func() mutableView{
+		"graph":   func() mutableView { return g.Clone() },
+		"overlay": func() mutableView { return NewOverlay(g) },
+	}
+	for name, fresh := range views {
+		got, want := fresh(), fresh()
+		rec, ref := zoomOutOf(got, []string{"A"}, modulesInvocations(got, []string{"A"})), refZoomOutOf(want, "A")
+		if fmt.Sprint(rec.hidden) != fmt.Sprint(ref.hidden) {
+			t.Errorf("%s: hidden %v, reference %v", name, rec.hidden, ref.hidden)
+		}
+		if !got.Alive(lo) || got.Alive(k) || got.Alive(hi) || got.Alive(c) {
+			t.Errorf("%s: want lo live and k, hi, c hidden; alive = %v %v %v %v",
+				name, got.Alive(lo), got.Alive(k), got.Alive(hi), got.Alive(c))
+		}
+	}
 }

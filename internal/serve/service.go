@@ -203,18 +203,24 @@ func zoomOf(qp *core.QueryProcessor, modules ...string) (*ZoomResult, error) {
 	}
 	g := qp.Graph()
 	seen := make(map[string]bool, len(modules))
+	var invs []provgraph.InvID
 	for _, m := range modules {
 		if seen[m] {
 			return nil, badRequestf("zoom: module %q given twice", m)
 		}
 		seen[m] = true
-		if len(qp.Index().ModuleInvocations(m)) == 0 && len(g.InvocationsOf(m)) == 0 {
+		mi := qp.Index().ModuleInvocations(m)
+		if len(mi) == 0 {
+			mi = g.InvocationsOf(m)
+		}
+		if len(mi) == 0 {
 			return nil, badRequestf("zoom: no invocations of module %q in the graph", m)
 		}
+		invs = append(invs, mi...)
 	}
 	view := overlayPool.Get().(*provgraph.Overlay)
 	view.Reset(g)
-	rec := view.ZoomOut(modules...)
+	rec := view.ZoomOutInvocations(modules, invs)
 	res := &ZoomResult{
 		Modules:     modules,
 		NodesBefore: g.NumNodes(),
