@@ -307,9 +307,16 @@ func encodeBaseGraph(t *testing.T, qp *QueryProcessor) []byte {
 // readers query the shared base — and asserts the base graph is
 // byte-identical afterwards. Run with -race.
 func TestRegistryConcurrentSessionChurn(t *testing.T) {
+	const workers = 8
+	const iters = 20
+	// sessionCap admits every session the test ever creates (workers*iters
+	// = 160; at most 80 stay open, plus one in flight per worker), so the
+	// LRU cap can never evict a session a starved worker has yet to close.
+	// Eviction itself is asserted by TestRegistrySessionTTLAndLRUCap.
+	const sessionCap = workers * iters
 	dir := t.TempDir()
 	path := saveMini(t, dir, "mini.lpsk")
-	r := NewRegistry(nil, WithSessionLimit(64))
+	r := NewRegistry(nil, WithSessionLimit(sessionCap))
 	if err := r.Register("mini", path); err != nil {
 		t.Fatal(err)
 	}
@@ -323,8 +330,6 @@ func TestRegistryConcurrentSessionChurn(t *testing.T) {
 		t.Fatal("no base tuples")
 	}
 
-	const workers = 8
-	const iters = 20
 	var wg sync.WaitGroup
 	errc := make(chan error, workers*2)
 	for w := 0; w < workers; w++ {
