@@ -53,37 +53,6 @@ func BenchmarkFig5aDealershipTracking(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5aDealershipTrackingParallel is the tracked series under
-// the parallel invocation scheduler, at increasing worker-pool sizes
-// ("max" = GOMAXPROCS). The captured provenance graph is identical to the
-// sequential series' (see TestDealershipParallelDeterminism); on
-// multi-core hardware the wall-clock per op drops as the four dealer
-// invocations of each execution run concurrently. Compare against
-// BenchmarkFig5aDealershipTracking for the sequential baseline.
-func BenchmarkFig5aDealershipTrackingParallel(b *testing.B) {
-	for _, cfg := range []struct {
-		name    string
-		workers int
-	}{{"p2", 2}, {"p4", 4}, {"max", -1}} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				run, err := workflowgen.NewDealershipRun(workflowgen.DealershipParams{
-					NumCars: benchCars, NumExec: benchExecs, Seed: 1,
-					Gran: workflow.Fine, StopOnPurchase: false,
-					Parallelism: cfg.workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := run.ExecuteAll(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkFig5aDealershipNoTracking is Figure 5(a)'s baseline series.
 func BenchmarkFig5aDealershipNoTracking(b *testing.B) {
 	for i := 0; i < b.N; i++ {

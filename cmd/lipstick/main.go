@@ -7,7 +7,6 @@
 // Usage:
 //
 //	lipstick demo -o run.lpsk             # track a demo dealership run
-//	lipstick demo -o run.lpsk -p 4        # same, with a 4-worker pool
 //	lipstick track -remote http://host:8080 -name run1   # stream a run's
 //	                                      # provenance events to a server
 //	lipstick info run.lpsk                # graph statistics
@@ -122,26 +121,18 @@ func run(args []string) error {
 // demo tracks a small dealership run and saves the snapshot.
 func demo(args []string) error {
 	out := "run.lpsk"
-	parallel := 0
 	for len(args) > 0 {
 		switch {
 		case len(args) >= 2 && args[0] == "-o":
 			out = args[1]
 			args = args[2:]
-		case len(args) >= 2 && args[0] == "-p":
-			n, err := strconv.Atoi(args[1])
-			if err != nil {
-				return fmt.Errorf("demo: invalid -p value %q", args[1])
-			}
-			parallel = n
-			args = args[2:]
 		default:
-			return fmt.Errorf("usage: lipstick demo [-o file] [-p workers]")
+			return fmt.Errorf("usage: lipstick demo [-o file]")
 		}
 	}
 	run, err := workflowgen.RunDealership(workflowgen.DealershipParams{
 		NumCars: 240, NumExec: 10, Seed: 7,
-		Gran: workflow.Fine, StopOnPurchase: true, Parallelism: parallel,
+		Gran: workflow.Fine, StopOnPurchase: true,
 	})
 	if err != nil {
 		return err
@@ -161,9 +152,9 @@ func demo(args []string) error {
 // answers queries before the workflow finishes. An optional -o also
 // persists the classic batch snapshot locally.
 func track(args []string) error {
-	const usage = "usage: lipstick track -remote http://host:port [-name stream] [-o file] [-cars n] [-execs n] [-batch events] [-p workers]"
+	const usage = "usage: lipstick track -remote http://host:port [-name stream] [-o file] [-cars n] [-execs n] [-batch events]"
 	remote, name, out := "", "track", ""
-	cars, execs, batch, parallel := 240, 10, 0, 0
+	cars, execs, batch := 240, 10, 0
 	for len(args) >= 2 {
 		val := args[1]
 		switch args[0] {
@@ -191,12 +182,6 @@ func track(args []string) error {
 				return fmt.Errorf("track: invalid -batch value %q", val)
 			}
 			batch = n
-		case "-p":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return fmt.Errorf("track: invalid -p value %q", val)
-			}
-			parallel = n
 		default:
 			return fmt.Errorf("%s", usage)
 		}
@@ -208,7 +193,7 @@ func track(args []string) error {
 	client := serve.NewIngestClient(remote, name, batch)
 	run, err := workflowgen.RunDealership(workflowgen.DealershipParams{
 		NumCars: cars, NumExec: execs, Seed: 7,
-		Gran: workflow.Fine, StopOnPurchase: true, Parallelism: parallel,
+		Gran: workflow.Fine, StopOnPurchase: true,
 		EventSink: client.Record,
 	})
 	if err != nil {

@@ -25,7 +25,7 @@ func TestCLISmoke(t *testing.T) {
 	snap := filepath.Join(dir, "run.lpsk")
 	muteStdout(t)
 
-	if err := run([]string{"demo", "-o", snap, "-p", "4"}); err != nil {
+	if err := run([]string{"demo", "-o", snap}); err != nil {
 		t.Fatalf("demo: %v", err)
 	}
 	info, err := os.Stat(snap)
@@ -63,7 +63,6 @@ func TestCLIErrors(t *testing.T) {
 		{"bogus"},
 		{"info"},
 		{"demo", "-o"},
-		{"demo", "-p", "x"},
 		{"info", filepath.Join(t.TempDir(), "missing.lpsk")},
 		{"serve"},
 		{"serve", "-addr", ":0"},
@@ -73,6 +72,10 @@ func TestCLIErrors(t *testing.T) {
 		if err := run(cmd); err == nil {
 			t.Fatalf("%v: expected an error", cmd)
 		}
+	}
+	// An unknown demo flag is a usage error.
+	if err := run([]string{"demo", "-p", "4"}); err == nil || !strings.Contains(err.Error(), "usage: lipstick demo") {
+		t.Fatalf("demo -p: want a usage error, got %v", err)
 	}
 }
 

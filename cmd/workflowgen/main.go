@@ -37,8 +37,6 @@ func main() {
 	numCars := flag.Int("numcars", 0, "override the dealership inventory size")
 	seed := flag.Int64("seed", 0, "override the random seed")
 	trials := flag.Int("trials", 0, "override the number of trials per measurement")
-	parallel := flag.Int("parallel", 0,
-		"worker-pool size for module invocations in fig5a/fig5b (0 = sequential, -1 = GOMAXPROCS)")
 	jsonPath := flag.String("json", "",
 		"write the graphmem storage report (machine-readable JSON) to this file")
 	benchSmoke := flag.String("benchsmoke", "",
@@ -99,7 +97,6 @@ func main() {
 	if *trials > 0 {
 		scale.Trials = *trials
 	}
-	scale.Parallelism = *parallel
 
 	ids := workflowgen.FigureIDs
 	if *fig != "all" {

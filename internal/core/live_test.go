@@ -168,30 +168,6 @@ func TestLiveGraphMatchesBatchArctic(t *testing.T) {
 	assertLiveMatchesBatch(t, batch, events)
 }
 
-func TestLiveGraphMatchesBatchParallelCapture(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	// A parallel run's drained event stream must replay to the same graph
-	// a sequential run builds.
-	log := provgraph.NewEventLog()
-	run, err := workflowgen.RunDealership(workflowgen.DealershipParams{
-		NumCars: 120, NumExec: 3, Seed: 7,
-		Gran: workflow.Fine, StopOnPurchase: false, Parallelism: 4,
-		EventSink: log.Record,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sequential, _ := captureDealership(t, 120, 3)
-	replayed, err := provgraph.Replay(log.Drain())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sequential.StructurallyEqual(replayed) {
-		t.Fatal("parallel capture replay differs from sequential build")
-	}
-	_ = run
-}
-
 func TestLiveGraphDuplicateAndGapBatches(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	_, events := captureDealership(t, 60, 2)

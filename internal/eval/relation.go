@@ -242,26 +242,13 @@ func (r *Relation) String() string { return r.ToBag().String() }
 // identity and consulted when a later FOREACH aggregates or flattens the
 // bag. It must outlive a single program run — nested bags flow across
 // module boundaries — so the workflow runner owns one per workflow run.
-//
-// A table may be layered over a parent: lookups fall through to the
-// parent, writes stay local. The parallel workflow scheduler gives each
-// concurrent invocation an Overlay over the run's shared table, so
-// capture-time writes never race, and merges the layers back (remapping
-// placeholder provenance ids) at its drain barrier.
 type BagAnnotations struct {
-	m      map[*nested.Bag][]AnnTuple
-	parent *BagAnnotations
+	m map[*nested.Bag][]AnnTuple
 }
 
-// NewBagAnnotations returns an empty root annotation table.
+// NewBagAnnotations returns an empty annotation table.
 func NewBagAnnotations() *BagAnnotations {
 	return &BagAnnotations{m: make(map[*nested.Bag][]AnnTuple)}
-}
-
-// Overlay returns a child table: reads fall through to ba, writes stay in
-// the child until MergeInto folds them back.
-func (ba *BagAnnotations) Overlay() *BagAnnotations {
-	return &BagAnnotations{m: make(map[*nested.Bag][]AnnTuple), parent: ba}
 }
 
 // Annotate records the member annotations of a nested bag.
@@ -271,22 +258,12 @@ func (ba *BagAnnotations) Annotate(bag *nested.Bag, members []AnnTuple) {
 	}
 }
 
-// lookup resolves a bag through the layer chain.
-func (ba *BagAnnotations) lookup(bag *nested.Bag) ([]AnnTuple, bool) {
-	for cur := ba; cur != nil; cur = cur.parent {
-		if m, ok := cur.m[bag]; ok {
-			return m, true
-		}
-	}
-	return nil, false
-}
-
 // Members returns the annotations of a nested bag's tuples. For bags with
 // no recorded annotation (external data), every member falls back to the
 // owner tuple's provenance with multiplicity 1.
 func (ba *BagAnnotations) Members(bag *nested.Bag, owner AnnTuple) []AnnTuple {
 	if ba != nil {
-		if m, ok := ba.lookup(bag); ok {
+		if m, ok := ba.m[bag]; ok {
 			return m
 		}
 	}
@@ -295,45 +272,6 @@ func (ba *BagAnnotations) Members(bag *nested.Bag, owner AnnTuple) []AnnTuple {
 		members[i] = AnnTuple{Tuple: t, Prov: owner.Node(), Mult: 1}
 	}
 	return members
-}
-
-// Len returns the number of locally annotated bags (this layer only).
-func (ba *BagAnnotations) Len() int { return len(ba.m) }
-
-// MergeInto folds this layer's entries into dst, translating provenance
-// ids through remap (nil means identity). Entry sets of sibling overlays
-// are disjoint (each invocation annotates only bags it created), so merge
-// order across siblings does not matter.
-func (ba *BagAnnotations) MergeInto(dst *BagAnnotations, remap func(provgraph.NodeID) provgraph.NodeID) {
-	for bag, members := range ba.m {
-		if remap != nil {
-			RemapAnnTuples(members, remap)
-		}
-		dst.m[bag] = members
-	}
-}
-
-// RemapAnnTuples rewrites the provenance annotations of ts in place
-// through fn, covering both direct and memoized deferred annotations. fn
-// must be idempotent: deferred nodes are shared between tuple copies.
-func RemapAnnTuples(ts []AnnTuple, fn func(provgraph.NodeID) provgraph.NodeID) {
-	for i := range ts {
-		t := &ts[i]
-		if t.Prov != provgraph.InvalidNode {
-			t.Prov = fn(t.Prov)
-		}
-		if d := t.deferred; d != nil && d.nodes[t.slot] != provgraph.InvalidNode {
-			d.nodes[t.slot] = fn(d.nodes[t.slot])
-		}
-	}
-}
-
-// RemapProv rewrites every tuple annotation of the relation through fn
-// (see RemapAnnTuples). The parallel scheduler uses it to translate a
-// drained invocation's placeholder ids in its output and persisted state
-// relations.
-func (r *Relation) RemapProv(fn func(provgraph.NodeID) provgraph.NodeID) {
-	RemapAnnTuples(r.Tuples, fn)
 }
 
 // Env is the evaluation environment: named relations plus the shared

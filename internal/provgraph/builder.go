@@ -4,21 +4,6 @@ import (
 	"lipstick/internal/nested"
 )
 
-// graphSink is the mutation surface a Builder writes through. A Graph is
-// the direct sink; a Recorder buffers the same operations locally so that
-// concurrent module invocations can capture provenance without touching
-// the shared graph (see recorder.go). The interface is sealed by the
-// unexported setNodeInv method: only this package provides sinks.
-type graphSink interface {
-	AddNode(n Node) NodeID
-	AddEdge(src, dst NodeID)
-	AddInvocation(inv Invocation) InvID
-	Invocation(id InvID) *Invocation
-	ConstNode(v nested.Value) NodeID
-	setNodeInv(id NodeID, inv InvID)
-	addAnchor(inv InvID, kind AnchorKind, id NodeID)
-}
-
 // Builder applies the provenance-graph construction rules of Section 3 on
 // top of a Graph: workflow-level nodes (3.1) and the per-operator
 // fine-grained rules (3.2). The evaluation engine and the workflow runner
@@ -29,11 +14,8 @@ type graphSink interface {
 // for the same tuple); the builder represents the composite as a single
 // p-node, which is how the figures reference them (e.g. N41, N90).
 type Builder struct {
-	// G is the underlying graph for direct builders (NewBuilder). It is
-	// nil for capture builders returned by Recorder.Builder, whose ops are
-	// buffered and replayed at a scheduler barrier instead.
-	G    *Graph
-	sink graphSink
+	// G is the graph every construction rule writes to.
+	G *Graph
 	// SimplifiedAgg, when true, reproduces the figure's compressed
 	// aggregation drawing (edges from contributing tuples straight to the
 	// aggregate node, omitting tensor and constant v-nodes). The default
@@ -43,21 +25,18 @@ type Builder struct {
 
 // NewBuilder returns a builder over a fresh graph.
 func NewBuilder() *Builder {
-	g := New()
-	return &Builder{G: g, sink: g}
+	return &Builder{G: New()}
 }
 
-// AddEdge adds a raw derivation edge between existing nodes. Callers must
-// use this instead of reaching into b.G so that capture builders record
-// the edge.
-func (b *Builder) AddEdge(src, dst NodeID) { b.sink.AddEdge(src, dst) }
+// AddEdge adds a raw derivation edge between existing nodes.
+func (b *Builder) AddEdge(src, dst NodeID) { b.G.AddEdge(src, dst) }
 
 // ConstNode returns the interned constant-value v-node for v.
-func (b *Builder) ConstNode(v nested.Value) NodeID { return b.sink.ConstNode(v) }
+func (b *Builder) ConstNode(v nested.Value) NodeID { return b.G.ConstNode(v) }
 
 // WorkflowInput creates an "I" p-node for a workflow input tuple.
 func (b *Builder) WorkflowInput(token string) NodeID {
-	return b.sink.AddNode(Node{Class: ClassP, Type: TypeWorkflowInput, Label: token})
+	return b.G.AddNode(Node{Class: ClassP, Type: TypeWorkflowInput, Label: token})
 }
 
 // BeginInvocation creates the "m" node for one invocation of a module and
@@ -67,14 +46,14 @@ func (b *Builder) BeginInvocation(module, nodeName string, execution int) InvID 
 	// The m-node carries Inv = -1 until the invocation record exists and
 	// setNodeInv back-references it; an explicit -1 (instead of a transient
 	// 0) keeps every captured add-node event's Inv a valid reference.
-	m := b.sink.AddNode(Node{Class: ClassP, Type: TypeInvocation, Label: module, Inv: -1})
-	id := b.sink.AddInvocation(Invocation{
+	m := b.G.AddNode(Node{Class: ClassP, Type: TypeInvocation, Label: module, Inv: -1})
+	id := b.G.AddInvocation(Invocation{
 		Module:    module,
 		NodeName:  nodeName,
 		Execution: execution,
 		MNode:     m,
 	})
-	b.sink.setNodeInv(m, id)
+	b.G.setNodeInv(m, id)
 	return id
 }
 
@@ -82,11 +61,11 @@ func (b *Builder) BeginInvocation(module, nodeName string, execution int) InvID 
 // entering the invocation, with edges from the tuple's p-node and from the
 // invocation's m-node.
 func (b *Builder) ModuleInput(inv InvID, tupleProv NodeID) NodeID {
-	rec := b.sink.Invocation(inv)
-	id := b.sink.AddNode(Node{Class: ClassP, Type: TypeModuleInput, Op: OpTimes, Inv: inv})
-	b.sink.AddEdge(tupleProv, id)
-	b.sink.AddEdge(rec.MNode, id)
-	b.sink.addAnchor(inv, AnchorInput, id)
+	rec := b.G.Invocation(inv)
+	id := b.G.AddNode(Node{Class: ClassP, Type: TypeModuleInput, Op: OpTimes, Inv: inv})
+	b.G.AddEdge(tupleProv, id)
+	b.G.AddEdge(rec.MNode, id)
+	b.G.addAnchor(inv, AnchorInput, id)
 	return id
 }
 
@@ -95,31 +74,31 @@ func (b *Builder) ModuleInput(inv InvID, tupleProv NodeID) NodeID {
 // any computed value nodes that are part of the tuple (e.g. the calcBid
 // value N80 feeding output node N90 in Figure 2(c)).
 func (b *Builder) ModuleOutput(inv InvID, derivation NodeID, valueNodes ...NodeID) NodeID {
-	rec := b.sink.Invocation(inv)
-	id := b.sink.AddNode(Node{Class: ClassP, Type: TypeModuleOutput, Op: OpTimes, Inv: inv})
-	b.sink.AddEdge(derivation, id)
-	b.sink.AddEdge(rec.MNode, id)
+	rec := b.G.Invocation(inv)
+	id := b.G.AddNode(Node{Class: ClassP, Type: TypeModuleOutput, Op: OpTimes, Inv: inv})
+	b.G.AddEdge(derivation, id)
+	b.G.AddEdge(rec.MNode, id)
 	for _, v := range valueNodes {
-		b.sink.AddEdge(v, id)
+		b.G.AddEdge(v, id)
 	}
-	b.sink.addAnchor(inv, AnchorOutput, id)
+	b.G.addAnchor(inv, AnchorOutput, id)
 	return id
 }
 
 // BaseTuple creates the p-node carrying the identifier (provenance token)
 // of a state or source tuple.
 func (b *Builder) BaseTuple(token string) NodeID {
-	return b.sink.AddNode(Node{Class: ClassP, Type: TypeBaseTuple, Label: token})
+	return b.G.AddNode(Node{Class: ClassP, Type: TypeBaseTuple, Label: token})
 }
 
 // StateTuple creates an "s" node (·-labeled) for a state tuple used by the
 // invocation, with edges from the tuple's base p-node and from the m-node.
 func (b *Builder) StateTuple(inv InvID, base NodeID) NodeID {
-	rec := b.sink.Invocation(inv)
-	id := b.sink.AddNode(Node{Class: ClassP, Type: TypeState, Op: OpTimes, Inv: inv})
-	b.sink.AddEdge(base, id)
-	b.sink.AddEdge(rec.MNode, id)
-	b.sink.addAnchor(inv, AnchorState, id)
+	rec := b.G.Invocation(inv)
+	id := b.G.AddNode(Node{Class: ClassP, Type: TypeState, Op: OpTimes, Inv: inv})
+	b.G.AddEdge(base, id)
+	b.G.AddEdge(rec.MNode, id)
+	b.G.addAnchor(inv, AnchorState, id)
 	return id
 }
 
@@ -127,16 +106,16 @@ func (b *Builder) StateTuple(inv InvID, base NodeID) NodeID {
 // rectangles of Figure 2(b)); used when tracking coarse-grained provenance
 // directly, where a module's internals are never materialized.
 func (b *Builder) ZoomNode(inv InvID) NodeID {
-	rec := b.sink.Invocation(inv)
-	return b.sink.AddNode(Node{Class: ClassP, Type: TypeZoom, Label: rec.Module, Inv: inv})
+	rec := b.G.Invocation(inv)
+	return b.G.AddNode(Node{Class: ClassP, Type: TypeZoom, Label: rec.Module, Inv: inv})
 }
 
 // Project creates the FOREACH-projection node: a +-labeled p-node with
 // incoming edges from every contributing tuple's p-node.
 func (b *Builder) Project(sources ...NodeID) NodeID {
-	id := b.sink.AddNode(Node{Class: ClassP, Type: TypeOp, Op: OpPlus})
+	id := b.G.AddNode(Node{Class: ClassP, Type: TypeOp, Op: OpPlus})
 	for _, s := range sources {
-		b.sink.AddEdge(s, id)
+		b.G.AddEdge(s, id)
 	}
 	return id
 }
@@ -144,18 +123,18 @@ func (b *Builder) Project(sources ...NodeID) NodeID {
 // Join creates the JOIN node: a ·-labeled p-node with incoming edges from
 // the two joined tuples' p-nodes.
 func (b *Builder) Join(left, right NodeID) NodeID {
-	id := b.sink.AddNode(Node{Class: ClassP, Type: TypeOp, Op: OpTimes})
-	b.sink.AddEdge(left, id)
-	b.sink.AddEdge(right, id)
+	id := b.G.AddNode(Node{Class: ClassP, Type: TypeOp, Op: OpTimes})
+	b.G.AddEdge(left, id)
+	b.G.AddEdge(right, id)
 	return id
 }
 
 // Product creates a ·-labeled p-node over an arbitrary number of sources
 // (used by multi-way joins and FLATTEN's outer·inner combination).
 func (b *Builder) Product(sources ...NodeID) NodeID {
-	id := b.sink.AddNode(Node{Class: ClassP, Type: TypeOp, Op: OpTimes})
+	id := b.G.AddNode(Node{Class: ClassP, Type: TypeOp, Op: OpTimes})
 	for _, s := range sources {
-		b.sink.AddEdge(s, id)
+		b.G.AddEdge(s, id)
 	}
 	return id
 }
@@ -164,9 +143,9 @@ func (b *Builder) Product(sources ...NodeID) NodeID {
 // incoming edges from the p-nodes of the tuples in the group (the paper's
 // shorthand for attaching them to a + node and then a δ node).
 func (b *Builder) Group(members ...NodeID) NodeID {
-	id := b.sink.AddNode(Node{Class: ClassP, Type: TypeOp, Op: OpDelta})
+	id := b.G.AddNode(Node{Class: ClassP, Type: TypeOp, Op: OpDelta})
 	for _, m := range members {
-		b.sink.AddEdge(m, id)
+		b.G.AddEdge(m, id)
 	}
 	return id
 }
@@ -194,16 +173,16 @@ type AggContribution struct {
 // contribution's interned constant v-node and its tuple p-node.
 // result is the computed aggregate value stored on the op node.
 func (b *Builder) Aggregate(op string, contributions []AggContribution, result nested.Value) NodeID {
-	agg := b.sink.AddNode(Node{Class: ClassV, Type: TypeValue, Op: OpAgg, Label: op, Value: result})
+	agg := b.G.AddNode(Node{Class: ClassV, Type: TypeValue, Op: OpAgg, Label: op, Value: result})
 	for _, c := range contributions {
 		if b.SimplifiedAgg {
-			b.sink.AddEdge(c.TupleProv, agg)
+			b.G.AddEdge(c.TupleProv, agg)
 			continue
 		}
-		tensor := b.sink.AddNode(Node{Class: ClassV, Type: TypeValue, Op: OpTensor})
-		b.sink.AddEdge(b.sink.ConstNode(c.Value), tensor)
-		b.sink.AddEdge(c.TupleProv, tensor)
-		b.sink.AddEdge(tensor, agg)
+		tensor := b.G.AddNode(Node{Class: ClassV, Type: TypeValue, Op: OpTensor})
+		b.G.AddEdge(b.G.ConstNode(c.Value), tensor)
+		b.G.AddEdge(c.TupleProv, tensor)
+		b.G.AddEdge(tensor, agg)
 	}
 	return agg
 }
@@ -220,9 +199,9 @@ func (b *Builder) BlackBox(name string, asValue bool, result nested.Value, args 
 		class = ClassV
 		typ = TypeValue
 	}
-	id := b.sink.AddNode(Node{Class: class, Type: typ, Op: OpBB, Label: name, Value: result})
+	id := b.G.AddNode(Node{Class: class, Type: typ, Op: OpBB, Label: name, Value: result})
 	for _, a := range args {
-		b.sink.AddEdge(a, id)
+		b.G.AddEdge(a, id)
 	}
 	return id
 }

@@ -119,32 +119,6 @@ func TestReplayCoversTransformations(t *testing.T) {
 	graphsFullyEqual(t, f.g, replayed)
 }
 
-func TestReplayCapturedThroughRecorder(t *testing.T) {
-	// A recorder drain must emit the same event stream a direct build
-	// emits: capture one via a recorder, one directly, compare replays.
-	direct, directLog := captureFixture(t)
-
-	log := NewEventLog()
-	b := NewBuilder()
-	b.G.SetEventSink(log.Record)
-	rec := NewRecorder(b)
-	f2 := &dealershipFixture{b: rec.Builder()}
-	f2.g = b.G
-	rebuildFixtureInto(f2)
-	if _, err := rec.Drain(); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-
-	if directLog.Len() != log.Len() {
-		t.Fatalf("event counts differ: direct %d, recorded %d", directLog.Len(), log.Len())
-	}
-	replayed, err := Replay(log.Events())
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	graphsFullyEqual(t, direct.g, replayed)
-}
-
 func TestApplyRejectsCorruptEvents(t *testing.T) {
 	cases := []struct {
 		name string

@@ -289,8 +289,9 @@ func copyIDs(ids []NodeID) []NodeID {
 
 // ensureConstIndex builds the constant-interning map on first use by
 // scanning the OpConst nodes. Live nodes win over dead ones so ConstNode
-// re-interns correctly after deletions. Once-guarded for the concurrent
-// readers that consult constLookup during parallel capture.
+// re-interns correctly after deletions. Once-guarded, like the lazy
+// invocation materialization, so the build cannot race on a graph that
+// several goroutines share.
 func ensureConstIndex(g *Graph) {
 	g.constOnce.Do(func() {
 		m := make(map[string]NodeID)

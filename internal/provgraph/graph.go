@@ -314,7 +314,7 @@ func (g *Graph) AddEdge(src, dst NodeID) {
 	}
 }
 
-// setNodeInv attributes an existing node to an invocation (graphSink).
+// setNodeInv attributes an existing node to an invocation.
 func (g *Graph) setNodeInv(id NodeID, inv InvID) {
 	g.inv.set(int(id), inv)
 	if g.events != nil {
@@ -341,7 +341,7 @@ func (g *Graph) setValue(id NodeID, v nested.Value) {
 }
 
 // addAnchor appends a module input/output/state node to an invocation's
-// anchor list (graphSink). Anchors stream as events of their own, so an
+// anchor list. Anchors stream as events of their own, so an
 // invocation record can be rebuilt exactly from the event log without a
 // batch fixup pass.
 func (g *Graph) addAnchor(inv InvID, kind AnchorKind, id NodeID) {
@@ -540,22 +540,13 @@ func (g *Graph) InvocationsOf(module string) []InvID {
 // already").
 func (g *Graph) ConstNode(v nested.Value) NodeID {
 	key := v.Key()
-	if id, ok := g.constLookup(key); ok {
+	ensureConstIndex(g)
+	if id, ok := g.constIndex[key]; ok && g.alive.get(int(id)) {
 		return id
 	}
 	id := g.AddNode(Node{Class: ClassV, Type: TypeValue, Op: OpConst, Value: v})
 	g.constIndex[key] = id
 	return id
-}
-
-// constLookup returns the live interned constant node for a value key.
-// Recorders consult it read-only while capturing concurrently.
-func (g *Graph) constLookup(key string) (NodeID, bool) {
-	ensureConstIndex(g)
-	if id, ok := g.constIndex[key]; ok && g.alive.get(int(id)) {
-		return id, true
-	}
-	return InvalidNode, false
 }
 
 // Clone returns a deep copy of the graph (alive state included). Clones

@@ -46,39 +46,31 @@ func runSnapshot(r *workflow.Runner, execs []*workflow.Execution) *store.Snapsho
 	return snap
 }
 
-// equivalenceWorkloads runs the two paper workloads, sequentially and with
-// an 8-worker pool, and returns each run's snapshot.
+// equivalenceWorkloads runs the two paper workloads and returns each
+// run's snapshot.
 func equivalenceWorkloads(t *testing.T) map[string]*store.Snapshot {
 	t.Helper()
-	out := map[string]*store.Snapshot{}
-	for _, par := range []int{0, 8} {
-		name := "seq"
-		if par > 0 {
-			name = "par"
-		}
-		dr, err := workflowgen.RunDealership(workflowgen.DealershipParams{
-			NumCars: 120, NumExec: 3, Seed: 3,
-			Gran: workflow.Fine, Parallelism: par,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out["dealership-"+name] = runSnapshot(dr.Runner, dr.Executions)
-
-		ar, err := workflowgen.NewArcticRun(workflowgen.ArcticParams{
-			Stations: 4, Topology: workflowgen.Parallel,
-			Selectivity: workflowgen.SelMonth, NumExec: 2, Seed: 3,
-			Gran: workflow.Fine, HistoryYears: 2, Parallelism: par,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ar.ExecuteAll(); err != nil {
-			t.Fatal(err)
-		}
-		out["arctic-"+name] = runSnapshot(ar.Runner, ar.Executions)
+	dr, err := workflowgen.RunDealership(workflowgen.DealershipParams{
+		NumCars: 120, NumExec: 3, Seed: 3, Gran: workflow.Fine,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	ar, err := workflowgen.NewArcticRun(workflowgen.ArcticParams{
+		Stations: 4, Topology: workflowgen.Parallel,
+		Selectivity: workflowgen.SelMonth, NumExec: 2, Seed: 3,
+		Gran: workflow.Fine, HistoryYears: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ar.ExecuteAll(); err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*store.Snapshot{
+		"dealership-seq": runSnapshot(dr.Runner, dr.Executions),
+		"arctic-seq":     runSnapshot(ar.Runner, ar.Executions),
+	}
 }
 
 func jsonBytes(t *testing.T, v any) []byte {
@@ -93,8 +85,7 @@ func jsonBytes(t *testing.T, v any) []byte {
 // TestColumnarLegacyEndpointEquivalence is the tentpole's acceptance gate:
 // every query endpoint must answer byte-identically whether the snapshot
 // was decoded from the legacy v1 format or opened from a columnar v3 file
-// (memory-mapped where supported), on both paper workloads, built
-// sequentially and in parallel.
+// (memory-mapped where supported), on both paper workloads.
 func TestColumnarLegacyEndpointEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workload tracking is slow in -short mode")

@@ -2,7 +2,6 @@ package workflow
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"lipstick/internal/eval"
@@ -74,8 +73,8 @@ type stateEntry struct {
 
 // Runner executes a workflow repeatedly, threading module state between
 // executions (Definition 2.3's sequences) and building the provenance
-// graph as it goes. A Runner is not safe for concurrent use; the
-// parallelism option parallelizes the inside of a single Execute call.
+// graph as it goes. Module invocations run one at a time in topological
+// order. A Runner is not safe for concurrent use.
 type Runner struct {
 	W    *Workflow
 	Gran Granularity
@@ -84,13 +83,8 @@ type Runner struct {
 	bags    *eval.BagAnnotations
 	state   map[string]*stateEntry // by module name
 	topo    []string
-	preds   map[string][]string // node -> direct predecessors
 	inSet   map[string]bool
 	execs   int
-	// parallelism bounds the number of module invocations in flight within
-	// one execution; 1 (the default) is the fully sequential reference
-	// semantics.
-	parallelism int
 	// eagerState forces an "s" node per state tuple per invocation (the
 	// letter of Section 3.2); the default materializes state nodes lazily,
 	// only for tuples the invocation's queries actually use.
@@ -111,22 +105,8 @@ func WithEagerStateNodes() Option {
 	return func(r *Runner) { r.eagerState = true }
 }
 
-// WithParallelism dispatches independent module invocations of one
-// execution to a bounded worker pool of n goroutines. n <= 0 selects
-// GOMAXPROCS; n == 1 keeps the sequential reference path. Provenance
-// capture stays deterministic: concurrent invocations record into local
-// buffers (provgraph.Recorder) that are drained in the sequential
-// invocation order at scheduler barriers, so the resulting graph is
-// StructurallyEqual to — in fact, id-for-id identical with — a sequential
-// run's.
-func WithParallelism(n int) Option {
-	return func(r *Runner) { r.parallelism = ResolveParallelism(n) }
-}
-
 // WithEventSink streams provenance capture: every graph mutation the run
-// records is reported to fn as a typed provgraph.Event, in deterministic
-// order (parallel runs drain their capture buffers in sequential
-// invocation order, so the stream is identical to a sequential run's).
+// records is reported to fn as a typed provgraph.Event, in capture order.
 // Replaying the stream with provgraph.Replay — locally or on a lipstick
 // server via /v1/ingest — reconstructs the run's graph event-for-event.
 // fn is called synchronously from the executing goroutine; hand events to
@@ -134,16 +114,6 @@ func WithParallelism(n int) Option {
 // slow. No-op in Plain granularity.
 func WithEventSink(fn func(provgraph.Event)) Option {
 	return func(r *Runner) { r.eventSink = fn }
-}
-
-// ResolveParallelism applies WithParallelism's convention: n <= 0 means
-// GOMAXPROCS. Exposed so harnesses can report the worker count a runner
-// will actually use.
-func ResolveParallelism(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }
 
 // NewRunner validates the workflow and prepares a runner.
@@ -157,15 +127,10 @@ func NewRunner(w *Workflow, gran Granularity, opts ...Option) (*Runner, error) {
 	}
 	r := &Runner{
 		W: w, Gran: gran, topo: topo,
-		bags:        eval.NewBagAnnotations(),
-		state:       make(map[string]*stateEntry),
-		preds:       make(map[string][]string),
-		inSet:       make(map[string]bool),
-		parallelism: 1,
-		lastZoom:    make(map[string]provgraph.NodeID),
-	}
-	for _, e := range w.Edges() {
-		r.preds[e.To] = append(r.preds[e.To], e.From)
+		bags:     eval.NewBagAnnotations(),
+		state:    make(map[string]*stateEntry),
+		inSet:    make(map[string]bool),
+		lastZoom: make(map[string]provgraph.NodeID),
 	}
 	for _, n := range w.In {
 		r.inSet[n] = true
@@ -206,12 +171,6 @@ func (r *Runner) Graph() *provgraph.Graph {
 // Executions returns the number of executions run so far.
 func (r *Runner) Executions() int { return r.execs }
 
-// Parallelism returns the configured worker-pool bound.
-func (r *Runner) Parallelism() int { return r.parallelism }
-
-// BagAnnotations exposes the nested-bag annotation table (used by tests).
-func (r *Runner) BagAnnotations() *eval.BagAnnotations { return r.bags }
-
 // SetState initializes a module's state relation from a bag; each tuple
 // receives a base provenance node labeled "<prefix><i>" in tracked modes.
 // It replaces any existing content of that state relation.
@@ -250,90 +209,10 @@ func (r *Runner) State(module, rel string) (*eval.Relation, bool) {
 	return rel2, ok
 }
 
-// capture bundles everything one module invocation records while it runs:
-// the builder its provenance ops go to (possibly Recorder-backed), the
-// bag-annotation layer it writes, and the results the sequential path
-// applies immediately but the parallel scheduler defers to its drain
-// barrier (workflow-input nodes, the coarse zoom chain).
-type capture struct {
-	b    *provgraph.Builder
-	bags *eval.BagAnnotations
-	// inputNodes collects the "I" nodes an input node created, in bag
-	// order; commit appends them to the execution.
-	inputNodes []provgraph.NodeID
-	// prevZoom is the module's previous coarse zoom node, prefetched by
-	// the scheduler (reading lastZoom inside a worker would race).
-	prevZoom    provgraph.NodeID
-	hasPrevZoom bool
-	// zoom is the invocation's new coarse zoom node; commit chains it.
-	zoom    provgraph.NodeID
-	hasZoom bool
-}
-
-// newCapture prepares the invocation context for one node. b and bags
-// are the recording targets: the runner's own builder and root bag table
-// for direct (sequential) execution, or a Recorder-backed builder and an
-// overlay for a concurrent wave member. The coarse zoom chain is
-// prefetched here because the caller holds exclusive access to lastZoom;
-// workers must not read it.
-func (r *Runner) newCapture(node *Node, b *provgraph.Builder, bags *eval.BagAnnotations) *capture {
-	cap := &capture{b: b, bags: bags}
-	if r.Gran == Coarse && len(node.Module.State) > 0 {
-		cap.prevZoom, cap.hasPrevZoom = r.lastZoom[node.Module.Name]
-	}
-	return cap
-}
-
-// commit applies an invocation's deferred results: registers its outputs,
-// appends its workflow-input nodes, and advances the coarse zoom chain.
-// remap is non-nil when the invocation captured into a Recorder that was
-// just drained; it translates the capture's placeholder node ids.
-func (r *Runner) commit(name string, node *Node, cap *capture, out map[string]*eval.Relation,
-	remap *provgraph.Remap, exec *Execution, produced map[string]map[string]*eval.Relation) {
-	if remap != nil {
-		for _, rel := range out {
-			rel.RemapProv(remap.Node)
-		}
-		if entry := r.state[node.Module.Name]; entry != nil {
-			for _, rel := range entry.rels {
-				rel.RemapProv(remap.Node)
-			}
-		}
-		for i, id := range cap.inputNodes {
-			cap.inputNodes[i] = remap.Node(id)
-		}
-		if cap.hasZoom {
-			cap.zoom = remap.Node(cap.zoom)
-		}
-	}
-	if cap.bags != r.bags {
-		var fn func(provgraph.NodeID) provgraph.NodeID
-		if remap != nil {
-			fn = remap.Node
-		}
-		cap.bags.MergeInto(r.bags, fn)
-	}
-	exec.InputNodes = append(exec.InputNodes, cap.inputNodes...)
-	if cap.hasZoom {
-		r.lastZoom[node.Module.Name] = cap.zoom
-	}
-	produced[name] = out
-}
-
-// runNode dispatches one workflow node (input or module) under a capture.
-func (r *Runner) runNode(name string, inputs Inputs, produced map[string]map[string]*eval.Relation,
-	execIdx int, cap *capture) (map[string]*eval.Relation, error) {
-	node := r.W.Node(name)
-	if r.inSet[name] {
-		return r.runInputNode(node, inputs[name], execIdx, cap)
-	}
-	return r.runModuleNode(node, produced, execIdx, cap)
-}
-
 // Execute runs one workflow execution over the given inputs and returns
 // its outputs; module state is updated in place for the next execution.
-// After an error the runner's module state may be partially advanced (in
-// both sequential and parallel modes); discard the runner.
+// After an error the runner's module state may be partially advanced;
+// discard the runner.
 func (r *Runner) Execute(inputs Inputs) (*Execution, error) {
 	execIdx := r.execs
 	r.execs++
@@ -341,20 +220,19 @@ func (r *Runner) Execute(inputs Inputs) (*Execution, error) {
 	// produced[node][rel] is the annotated output of each node.
 	produced := make(map[string]map[string]*eval.Relation, len(r.topo))
 
-	if r.parallelism > 1 {
-		if err := r.executeParallel(inputs, execIdx, exec, produced); err != nil {
+	for _, name := range r.topo {
+		node := r.W.Node(name)
+		var out map[string]*eval.Relation
+		var err error
+		if r.inSet[name] {
+			out, err = r.runInputNode(node, inputs[name], exec)
+		} else {
+			out, err = r.runModuleNode(node, produced, execIdx)
+		}
+		if err != nil {
 			return nil, err
 		}
-	} else {
-		for _, nodeName := range r.topo {
-			node := r.W.Node(nodeName)
-			cap := r.newCapture(node, r.builder, r.bags)
-			out, err := r.runNode(nodeName, inputs, produced, execIdx, cap)
-			if err != nil {
-				return nil, err
-			}
-			r.commit(nodeName, node, cap, out, nil, exec, produced)
-		}
+		produced[name] = out
 	}
 	for _, outNode := range r.W.Out {
 		exec.Outputs[outNode] = produced[outNode]
@@ -377,7 +255,7 @@ func (r *Runner) ExecuteSequence(seq []Inputs) ([]*Execution, error) {
 
 // runInputNode turns provided workflow inputs into annotated relations;
 // every tuple gets a workflow-input ("I") node in tracked modes.
-func (r *Runner) runInputNode(node *Node, bags map[string]*nested.Bag, execIdx int, cap *capture) (map[string]*eval.Relation, error) {
+func (r *Runner) runInputNode(node *Node, bags map[string]*nested.Bag, exec *Execution) (map[string]*eval.Relation, error) {
 	m := node.Module
 	out := make(map[string]*eval.Relation, len(m.Out))
 	for _, rel := range sortedNames(m.Out) {
@@ -393,11 +271,11 @@ func (r *Runner) runInputNode(node *Node, bags map[string]*nested.Bag, execIdx i
 					return nil, fmt.Errorf("workflow: input %s.%s: %w", node.Name, rel, err)
 				}
 				prov := provgraph.InvalidNode
-				if cap.b != nil {
-					prov = cap.b.WorkflowInput(fmt.Sprintf("I%d.%s.%s.%d", execIdx, node.Name, rel, i))
-					cap.inputNodes = append(cap.inputNodes, prov)
+				if r.builder != nil {
+					prov = r.builder.WorkflowInput(fmt.Sprintf("I%d.%s.%s.%d", exec.Index, node.Name, rel, i))
+					exec.InputNodes = append(exec.InputNodes, prov)
 				}
-				res.Add(cap.b, eval.AnnTuple{Tuple: t, Prov: prov, Mult: 1})
+				res.Add(r.builder, eval.AnnTuple{Tuple: t, Prov: prov, Mult: 1})
 			}
 		}
 		out[rel] = res
@@ -408,16 +286,16 @@ func (r *Runner) runInputNode(node *Node, bags map[string]*nested.Bag, execIdx i
 // runModuleNode executes one module invocation: binds inputs (i-nodes) and
 // state (s-nodes), evaluates the program, persists new state (preserving
 // base nodes of unchanged tuples), and wraps outputs in o-nodes.
-func (r *Runner) runModuleNode(node *Node, produced map[string]map[string]*eval.Relation, execIdx int, cap *capture) (map[string]*eval.Relation, error) {
+func (r *Runner) runModuleNode(node *Node, produced map[string]map[string]*eval.Relation, execIdx int) (map[string]*eval.Relation, error) {
 	m := node.Module
-	b := cap.b
+	b := r.builder
 	fine := r.Gran == Fine
 	var inv provgraph.InvID
 	if b != nil {
 		inv = b.BeginInvocation(m.Name, node.Name, execIdx)
 	}
 
-	env := &eval.Env{Rels: make(map[string]*eval.Relation), Bags: cap.bags}
+	env := &eval.Env{Rels: make(map[string]*eval.Relation), Bags: r.bags}
 
 	// Bind inputs from incoming edges, wrapping each tuple in an i-node.
 	var inputNodes []provgraph.NodeID
@@ -526,10 +404,10 @@ func (r *Runner) runModuleNode(node *Node, produced map[string]map[string]*eval.
 			b.AddEdge(in, zoom)
 		}
 		if len(m.State) > 0 {
-			if cap.hasPrevZoom {
-				b.AddEdge(cap.prevZoom, zoom)
+			if prev, ok := r.lastZoom[m.Name]; ok {
+				b.AddEdge(prev, zoom)
 			}
-			cap.zoom, cap.hasZoom = zoom, true
+			r.lastZoom[m.Name] = zoom
 		}
 	}
 

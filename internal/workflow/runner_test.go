@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"lipstick/internal/nested"
@@ -509,5 +510,127 @@ func TestModuleCompileErrors(t *testing.T) {
 	}
 	if err := badPass.Compile(); err == nil {
 		t.Error("pass-through with unknown output accepted")
+	}
+}
+
+// sharedModuleWorkflow labels two independent nodes with the same module:
+// req -> {n1, n2} (both M_dealer1) -> {sink1, sink2}. The nodes share
+// module state even though they are data-independent.
+func sharedModuleWorkflow(t *testing.T) *Workflow {
+	t.Helper()
+	w := New()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	dealer := dealerModule(1)
+	sink := func(name string) *Module {
+		return &Module{
+			Name:    "M_" + name,
+			In:      nested.RelationSchemas{"Bids1": bidsSchema()},
+			Out:     nested.RelationSchemas{"Bids1": bidsSchema()},
+			Program: "",
+		}
+	}
+	must(w.AddNode("req", requestModule()))
+	must(w.AddNode("n1", dealer))
+	must(w.AddNode("n2", dealer))
+	must(w.AddNode("sink1", sink("sink1")))
+	must(w.AddNode("sink2", sink("sink2")))
+	must(w.AddEdge("req", "n1", "Requests"))
+	must(w.AddEdge("req", "n2", "Requests"))
+	must(w.AddEdge("n1", "sink1", "Bids1"))
+	must(w.AddEdge("n2", "sink2", "Bids1"))
+	w.In = []string{"req"}
+	w.Out = []string{"sink1", "sink2"}
+	return w
+}
+
+// TestSharedModuleThreadsState checks that two workflow nodes labeled with
+// the same module share its state within one execution: n2 runs on the
+// InventoryBids n1 just recorded, so every bid is recorded twice and keeps
+// the base node n1 derived for it.
+func TestSharedModuleThreadsState(t *testing.T) {
+	r, err := NewRunner(sharedModuleWorkflow(t), Fine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.SetState("M_dealer1", "Cars", carsBag([2]string{"C1", "Civic"}), "car"); err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < 2; e++ {
+		if _, err := r.Execute(Inputs{"req": {"Requests": requestBag("u1", fmt.Sprintf("B%d", e), "Civic")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n2Begins := map[int]provgraph.NodeID{}
+	r.Graph().Invocations(func(inv *provgraph.Invocation) bool {
+		if inv.NodeName == "n2" {
+			n2Begins[inv.Execution] = inv.MNode
+		}
+		return true
+	})
+	bids, _ := r.State("M_dealer1", "InventoryBids")
+	if bids.Len() != 2 {
+		t.Fatalf("InventoryBids = %s, want one bid per execution", bids)
+	}
+	for e := 0; e < 2; e++ {
+		// One Civic in stock: CalcBid prices every bid at 30000 - 1000.
+		want := nested.NewTuple(nested.Str(fmt.Sprintf("B%d", e)), nested.Str("Civic"), nested.Float(29000))
+		bid, ok := bids.Lookup(want)
+		if !ok || bid.Mult != 2 {
+			t.Fatalf("InventoryBids = %s, want %v recorded by n1 and again by n2", bids, want)
+		}
+		if bid.Prov >= n2Begins[e] {
+			t.Errorf("bid B%d: base node %d is not n1's (n2 began at node %d)", e, bid.Prov, n2Begins[e])
+		}
+	}
+}
+
+// TestExecuteErrorPropagates checks that a failing UDF's error comes out
+// of Execute naming the node and module it failed in.
+func TestExecuteErrorPropagates(t *testing.T) {
+	w := New()
+	boom := &pig.UDF{
+		Name:      "Boom",
+		OutSchema: requestsSchema(),
+		Fn: func([]nested.Value) (*nested.Bag, error) {
+			return nil, fmt.Errorf("synthetic failure")
+		},
+	}
+	reg := pig.NewRegistry()
+	reg.MustRegister(boom)
+	fail := &Module{
+		Name:     "M_fail",
+		In:       nested.RelationSchemas{"Requests": requestsSchema()},
+		Out:      nested.RelationSchemas{"Out": requestsSchema()},
+		Program:  "G = GROUP Requests BY 1;\nOut = FOREACH G GENERATE FLATTEN(Boom(Requests));",
+		Registry: reg,
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(w.AddNode("req", requestModule()))
+	must(w.AddNode("bad", fail))
+	must(w.AddEdge("req", "bad", "Requests"))
+	w.In = []string{"req"}
+	w.Out = []string{"bad"}
+	r, err := NewRunner(w, Fine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.Execute(Inputs{"req": {"Requests": requestBag("u1", "B0", "Civic")}})
+	if err == nil {
+		t.Fatal("Execute succeeded despite a failing UDF")
+	}
+	for _, want := range []string{"synthetic failure", "bad", "M_fail"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 }

@@ -155,10 +155,6 @@ type ArcticParams struct {
 	// HistoryYears limits each station's historical state (0 = the full
 	// 1961-2000 record of 480 observations), letting benchmarks scale.
 	HistoryYears int
-	// Parallelism bounds concurrent module invocations per execution:
-	// 0 keeps the sequential default, n > 1 enables the parallel
-	// scheduler, negative selects GOMAXPROCS (workflow.WithParallelism).
-	Parallelism int
 	// EventSink, when non-nil, streams every provenance-graph mutation of
 	// the run as a typed event (workflow.WithEventSink).
 	EventSink func(provgraph.Event)
@@ -293,9 +289,6 @@ func NewArcticRun(p ArcticParams) (*ArcticRun, error) {
 	w.Out = []string{"out"}
 
 	var opts []workflow.Option
-	if p.Parallelism != 0 {
-		opts = append(opts, workflow.WithParallelism(p.Parallelism))
-	}
 	if p.EventSink != nil {
 		opts = append(opts, workflow.WithEventSink(p.EventSink))
 	}

@@ -388,10 +388,6 @@ type DealershipParams struct {
 	Gran           workflow.Granularity
 	// EagerState creates state nodes for all state tuples per invocation.
 	EagerState bool
-	// Parallelism bounds concurrent module invocations per execution:
-	// 0 keeps the sequential default, n > 1 enables the parallel
-	// scheduler, negative selects GOMAXPROCS (workflow.WithParallelism).
-	Parallelism int
 	// EventSink, when non-nil, streams every provenance-graph mutation of
 	// the run as a typed event (workflow.WithEventSink) — including the
 	// state seeding performed at construction time.
@@ -434,9 +430,6 @@ func NewDealershipRun(p DealershipParams) (*DealershipRun, error) {
 	var opts []workflow.Option
 	if p.EagerState {
 		opts = append(opts, workflow.WithEagerStateNodes())
-	}
-	if p.Parallelism != 0 {
-		opts = append(opts, workflow.WithParallelism(p.Parallelism))
 	}
 	if p.EventSink != nil {
 		opts = append(opts, workflow.WithEventSink(p.EventSink))

@@ -28,10 +28,6 @@ type Scale struct {
 	Reducers           []int
 	Trials             int
 	Seed               int64
-	// Parallelism bounds concurrent module invocations per execution in
-	// the execution-time figures (5a/5b): 0 = sequential, n > 1 = worker
-	// pool of n, negative = GOMAXPROCS.
-	Parallelism int
 	// GraphMemNodes lists the synthetic graph sizes of the graphmem
 	// storage benchmark; empty selects a small smoke series.
 	GraphMemNodes []int
@@ -171,9 +167,6 @@ func Fig5a(s Scale) (*Figure, error) {
 		ID: "fig5a", Title: "Pig execution time, Car dealerships (local mode)",
 		XLabel: "number of executions", YLabel: "seconds per execution",
 	}
-	if s.Parallelism != 0 {
-		f.Note("parallelism: %d workers per execution", workflow.ResolveParallelism(s.Parallelism))
-	}
 	for _, numExec := range s.DealerExecs {
 		for _, gran := range []workflow.Granularity{workflow.Fine, workflow.Plain} {
 			series := "provenance"
@@ -184,7 +177,7 @@ func Fig5a(s Scale) (*Figure, error) {
 			d := timeIt(s.Trials, func() {
 				run, err := NewDealershipRun(DealershipParams{
 					NumCars: s.NumCars, NumExec: numExec, Seed: s.Seed,
-					Gran: gran, StopOnPurchase: false, Parallelism: s.Parallelism,
+					Gran: gran, StopOnPurchase: false,
 				})
 				if err != nil {
 					runErr = err
@@ -237,7 +230,6 @@ func Fig5b(s Scale) (*Figure, error) {
 						Stations: s.ArcticStations, Topology: cfg.topo, FanOut: cfg.fanOut,
 						Selectivity: SelMonth, NumExec: numExec, Seed: s.Seed,
 						Gran: gran, HistoryYears: s.ArcticHistoryYears,
-						Parallelism: s.Parallelism,
 					})
 					if err != nil {
 						runErr = err

@@ -26,13 +26,9 @@
 //	res := qp.WhatIfDelete(node)                     // deletion propagation
 //	ok := qp.DependsOn(bid, car)                     // dependency query
 //
-// Execution can be parallelized: NewTracker (and workflow.NewRunner)
-// accept WithParallelism(n), which dispatches independent module
-// invocations of each execution to a bounded worker pool (n <= 0 selects
-// GOMAXPROCS). Provenance capture stays deterministic — concurrent
-// invocations record into local buffers that are drained in sequential
-// invocation order, so the resulting graph is identical (id-for-id) to a
-// sequential run's.
+// Each execution runs its module invocations one at a time in topological
+// order, threading module state from one execution to the next
+// (Definition 2.3), so a run's graph and its node ids are deterministic.
 //
 // Queries are index-backed and servable: snapshots persist postings lists
 // (node type, op, label, module) next to the graph, so FindNodes
@@ -54,9 +50,9 @@
 // independent what-if branch.
 //
 // Capture streams: WithEventSink observes every provenance-graph mutation
-// of a run as a typed Event, in deterministic order (parallel runs
-// included). Replay reconstructs a graph event-for-event from the stream;
-// a LiveGraph applies events behind a single writer while serving every
+// of a run as a typed Event, in deterministic order. Replay reconstructs
+// a graph event-for-event from the stream; a LiveGraph applies events
+// behind a single writer while serving every
 // read query concurrently, with incrementally maintained postings so live
 // selection stays indexed; and an IngestClient ships batches to a running
 // `lipstick serve` (`POST /v1/ingest/{name}`), which answers all read
@@ -179,10 +175,6 @@ var (
 	// WithEagerStateNodes makes invocations wrap every state tuple
 	// eagerly (the letter of Section 3.2) instead of on first use.
 	WithEagerStateNodes = workflow.WithEagerStateNodes
-	// WithParallelism runs independent module invocations of each
-	// execution on a bounded worker pool (n <= 0 selects GOMAXPROCS)
-	// while keeping provenance capture deterministic.
-	WithParallelism = workflow.WithParallelism
 )
 
 // The Lipstick system (Section 5.1).
