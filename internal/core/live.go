@@ -283,6 +283,25 @@ func (e *SeqGapError) Error() string {
 	return fmt.Sprintf("lipstick: ingest gap on %q: expected sequence %d, batch starts at %d", e.Name, e.Expected, e.Got)
 }
 
+// EventError reports an ingested event the graph cannot apply: its batch
+// decoded, but the event does not continue the graph (a node id out of
+// sequence, an edge to a missing node, ...). The batch's events before it
+// were applied.
+type EventError struct {
+	Name string
+	// Seq is the event's stream sequence number.
+	Seq uint64
+	Err error
+}
+
+// Error implements error.
+func (e *EventError) Error() string {
+	return fmt.Sprintf("lipstick: ingest event %d of %s: %v", e.Seq, e.Name, e.Err)
+}
+
+// Unwrap returns the graph's reason for refusing the event.
+func (e *EventError) Unwrap() error { return e.Err }
+
 // IngestStatus reports the outcome of one Append.
 type IngestStatus struct {
 	// Seq is the live graph's last applied sequence after the batch.
@@ -409,7 +428,7 @@ func (l *LiveGraph) AppendAsync(firstSeq uint64, events []provgraph.Event) *Pend
 	l.mu.Lock()
 	for i := range fresh {
 		if err := l.applyLocked(fresh[i]); err != nil {
-			p.applyErr = fmt.Errorf("lipstick: ingest event %d of %s: %w", l.seq+uint64(applied)+1, l.name, err)
+			p.applyErr = &EventError{Name: l.name, Seq: l.seq + uint64(applied) + 1, Err: err}
 			break
 		}
 		applied++

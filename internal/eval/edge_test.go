@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lipstick/internal/nested"
@@ -97,10 +98,10 @@ func TestLazyAnnTupleMemoizes(t *testing.T) {
 		calls++
 		return b + 100
 	})
-	if calls != 0 || bound.Tuples[0].Prov != provgraph.InvalidNode {
+	if calls != 0 || bound.At(0).Prov != provgraph.InvalidNode {
 		t.Fatal("binding must not create nodes")
 	}
-	lt := bound.Tuples[0]
+	lt := bound.At(0)
 	cp := lt // value copy shares the memo
 	if lt.Node() != 103 || cp.Node() != 103 || lt.Node() != 103 {
 		t.Error("wrong node")
@@ -117,6 +118,32 @@ func TestLazyAnnTupleMemoizes(t *testing.T) {
 	plain := AnnTuple{Tuple: nested.NewTuple(nested.Int(1)), Prov: 9, Mult: 1}
 	if plain.Node() != 9 {
 		t.Error("non-deferred Node() should return Prov")
+	}
+}
+
+// TestAddOnViewPanics: a view shares its base's storage, so Add on one
+// panics, naming the kind of view, and leaves the base untouched.
+func TestAddOnViewPanics(t *testing.T) {
+	schema := nested.NewSchema(nested.Field{Name: "x", Type: nested.ScalarType(nested.KindInt)})
+	base := NewRelation(schema)
+	base.Add(nil, AnnTuple{Tuple: nested.NewTuple(nested.Int(1)), Prov: 3, Mult: 1})
+	views := map[string]*Relation{
+		"Rebind":       base.Rebind(func(t AnnTuple) AnnTuple { return t }),
+		"BindDeferred": base.BindDeferred(func(b provgraph.NodeID) provgraph.NodeID { return b }),
+	}
+	for kind, view := range views {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, kind+" view") {
+					t.Errorf("Add on a %s view: panic %q, want one naming the view", kind, msg)
+				}
+			}()
+			view.Add(nil, AnnTuple{Tuple: nested.NewTuple(nested.Int(2)), Prov: 4, Mult: 1})
+		}()
+	}
+	if base.Len() != 1 || base.Card() != 1 {
+		t.Errorf("base holds %d tuples (card %d) after Add on its views, want 1", base.Len(), base.Card())
 	}
 }
 

@@ -74,7 +74,8 @@ func (e *Engine) runFilter(o *pig.FilterOp, env *Env) (*Relation, error) {
 		return nil, err
 	}
 	out := NewRelation(o.In)
-	for _, t := range in.Tuples {
+	for i := range in.Len() {
+		t := in.At(i)
 		v, err := o.Cond.Eval(t.Tuple)
 		if err != nil {
 			return nil, err
@@ -100,7 +101,8 @@ func collectGroups(rels []*Relation, keys [][]pig.Expr) ([]*groupBucket, error) 
 	var table keyTable
 	for ri, rel := range rels {
 		k := newKeyer(keys[ri])
-		for _, t := range rel.Tuples {
+		for i := range rel.Len() {
+			t := rel.At(i)
 			kv, err := k.eval(t.Tuple)
 			if err != nil {
 				return nil, err
@@ -237,8 +239,8 @@ func (e *Engine) runUnion(o *pig.UnionOp, env *Env) (*Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, t := range in.Tuples {
-			res.Add(e.b, t)
+		for i := range in.Len() {
+			res.Add(e.b, in.At(i))
 		}
 	}
 	return res, nil
@@ -251,7 +253,8 @@ func (e *Engine) runDistinct(o *pig.DistinctOp, env *Env) (*Relation, error) {
 		return nil, err
 	}
 	res := NewRelation(o.In)
-	for _, t := range in.Tuples {
+	for i := range in.Len() {
+		t := in.At(i)
 		prov := t.Prov
 		if e.b != nil {
 			prov = e.b.Group(t.Node())
@@ -268,7 +271,10 @@ func (e *Engine) runOrder(o *pig.OrderOp, env *Env) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Relation{Schema: in.Schema, Tuples: append([]AnnTuple(nil), in.Tuples...)}
+	res := &Relation{Schema: in.Schema, Tuples: make([]AnnTuple, in.Len())}
+	for i := range res.Tuples {
+		res.Tuples[i] = in.At(i)
+	}
 	var evalErr error
 	sort.SliceStable(res.Tuples, func(i, j int) bool {
 		for k, key := range o.Keys {
@@ -308,7 +314,8 @@ func (e *Engine) runLimit(o *pig.LimitOp, env *Env) (*Relation, error) {
 	}
 	res := NewRelation(o.In)
 	remaining := o.N
-	for _, t := range in.Tuples {
+	for i := range in.Len() {
+		t := in.At(i)
 		if remaining <= 0 {
 			break
 		}

@@ -33,7 +33,8 @@ func (e *Engine) runForeach(o *pig.ForeachOp, env *Env) (*Relation, error) {
 	var derivs []*deriv
 	var distinct keyTable // result tuple -> position in derivs
 
-	for _, t := range in.Tuples {
+	for ti := range in.Len() {
+		t := in.At(ti)
 		fields := make([]nested.Value, 0, len(o.Items))
 		var valueNodes []provgraph.NodeID
 		for i := range o.Items {
@@ -293,7 +294,8 @@ type flatAlt struct {
 // black-box node.
 func (e *Engine) runForeachFlatten(o *pig.ForeachOp, in *Relation, env *Env) (*Relation, error) {
 	res := NewRelation(o.Out)
-	for _, t := range in.Tuples {
+	for ti := range in.Len() {
+		t := in.At(ti)
 		parts := make([]flatPart, len(o.Items))
 		for i := range o.Items {
 			item := &o.Items[i]

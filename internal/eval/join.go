@@ -1,17 +1,20 @@
 package eval
 
 import (
+	"cmp"
 	"slices"
 
+	"lipstick/internal/nested"
 	"lipstick/internal/pig"
 )
 
 // joinTable is an n-way equality join's hash table. It is built on the
 // smallest input only (the first of equal-sized ones); every other input
-// is probed against it once. Each tuple's key is evaluated exactly once,
-// and a probe miss costs a hash and a map lookup and allocates nothing.
-// A group is one build-side key; per input it chains the positions of the
-// matching tuples in input order.
+// is probed against it once, by a scan that evaluates each tuple's key
+// exactly once or, from an input's second probe by the same key list on,
+// by lookups in the input's probe index. A scan's miss costs a hash and a
+// map lookup and allocates nothing. A group is one build-side key; per
+// input it chains the positions of the matching tuples in input order.
 //
 // The output order is the one the provenance node ids depend on: groups in
 // the first input's first-seen key order, and within a group the cross
@@ -63,8 +66,22 @@ func buildJoinTable(rels []*Relation, keys [][]pig.Expr) (*joinTable, error) {
 		}
 		jt.link(g, build, pos)
 	}
+	indexed0 := false
 	for i, rel := range rels {
 		if i == build {
+			continue
+		}
+		x, err := rel.indexFor(keys[i])
+		if err != nil {
+			return nil, err
+		}
+		if x != nil {
+			for g, kv := range jt.keys.keys {
+				for pos := x.lookup(kv); pos >= 0; pos = x.next[pos] {
+					jt.link(int32(g), i, int(pos))
+				}
+			}
+			indexed0 = indexed0 || i == 0
 			continue
 		}
 		k := newKeyer(keys[i])
@@ -77,6 +94,13 @@ func buildJoinTable(rels []*Relation, keys [][]pig.Expr) (*joinTable, error) {
 				jt.link(g, i, pos)
 			}
 		}
+	}
+	if indexed0 {
+		// Lookups linked the first input's groups in build order; restore
+		// its first-seen order. A group's first link is its least position.
+		slices.SortFunc(jt.order, func(a, b int32) int {
+			return cmp.Compare(jt.links[jt.head[int(a)*n]].pos, jt.links[jt.head[int(b)*n]].pos)
+		})
 	}
 	return jt, nil
 }
@@ -111,7 +135,7 @@ func (jt *joinTable) emit(fn func(combo []AnnTuple)) {
 		copy(cur, heads)
 		for {
 			for i, l := range cur {
-				combo[i] = jt.rels[i].Tuples[jt.links[l].pos]
+				combo[i] = jt.rels[i].At(int(jt.links[l].pos))
 			}
 			fn(combo)
 			// Advance like an odometer: the last input varies fastest.
@@ -128,4 +152,91 @@ func (jt *joinTable) emit(fn func(combo []AnnTuple)) {
 			}
 		}
 	}
+}
+
+// probeCache holds a relation's probe indexes, one per compiled key list.
+// A relation and its views share one.
+type probeCache struct {
+	indexes []*probeIndex
+}
+
+// sharedProbes returns the relation's probe cache, creating it.
+func (r *Relation) sharedProbes() *probeCache {
+	if r.probes == nil {
+		r.probes = &probeCache{}
+	}
+	return r.probes
+}
+
+// probeIndex maps the keys one compiled key list gives a relation's
+// tuples to those tuples' positions, chained in relation order. It covers
+// the relation's first len(next) tuples.
+type probeIndex struct {
+	// k evaluates the key list. The list's slice identity names the
+	// index, which is stable because a module's plan is compiled once.
+	k      keyer
+	probes int // probes by the key list so far, indexed or not
+	keys   keyTable
+	first  []int32 // key id -> its first position
+	last   []int32 // key id -> its last position
+	next   []int32 // position -> the next position with the same key, or -1
+}
+
+// indexFor counts one probe of the relation by keys and, from the
+// second such probe on, returns the relation's index on them, extended
+// over every tuple. nil means scan: a first probe, or a view holding fewer
+// tuples than its base's index covers.
+func (r *Relation) indexFor(keys []pig.Expr) (*probeIndex, error) {
+	if len(keys) == 0 {
+		return nil, nil
+	}
+	pc := r.sharedProbes()
+	var x *probeIndex
+	for _, c := range pc.indexes {
+		if &c.k.exprs[0] == &keys[0] && len(c.k.exprs) == len(keys) {
+			x = c
+			break
+		}
+	}
+	if x == nil {
+		x = &probeIndex{k: newKeyer(keys)}
+		pc.indexes = append(pc.indexes, x)
+	}
+	x.probes++
+	if x.probes < 2 || r.Len() < len(x.next) {
+		return nil, nil
+	}
+	return x, x.extend(r.Tuples)
+}
+
+// extend indexes the tuples past the ones the index covers. After an error
+// the index covers the tuples before the failing one.
+func (x *probeIndex) extend(tuples []AnnTuple) error {
+	x.next = slices.Grow(x.next, len(tuples)-len(x.next))
+	for pos := int32(len(x.next)); int(pos) < len(tuples); pos++ {
+		kv, err := x.k.eval(tuples[pos].Tuple)
+		if err != nil {
+			return err
+		}
+		h := kv.KeyHash()
+		if id := x.keys.find(h, kv); id >= 0 {
+			x.next[x.last[id]] = pos
+			x.last[id] = pos
+		} else {
+			x.keys.add(h, x.k.own(kv))
+			x.first = append(x.first, pos)
+			x.last = append(x.last, pos)
+		}
+		x.next = append(x.next, -1)
+	}
+	return nil
+}
+
+// lookup returns the first position whose key equals k, or -1; follow the
+// chain with x.next.
+func (x *probeIndex) lookup(k nested.Value) int32 {
+	if id := x.keys.find(k.KeyHash(), k); id >= 0 {
+		return x.first[id]
+	}
+	return -1
 }

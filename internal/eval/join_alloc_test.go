@@ -43,10 +43,11 @@ func compileJoin(tb testing.TB, src string, schemas nested.RelationSchemas) *pig
 	return plan.Steps[0].Op.(*pig.JoinOp)
 }
 
-// TestJoinMissAllocsIndependentOfProbeSide pins the probe path's contract:
-// joining a large relation with a one-tuple relation it never matches
-// hashes only the one tuple, and probing the large side allocates nothing,
-// so the join allocates the same at 20 and at 2,000 tuples.
+// TestJoinMissAllocsIndependentOfProbeSide pins the repeated-probe path's
+// contract: once a large relation has been probed twice by a key list (the
+// second probe indexes it), joining it with a one-tuple relation it never
+// matches hashes only the one tuple and looks it up, so the join
+// allocates the same at 20 and at 2,000 tuples.
 func TestJoinMissAllocsIndependentOfProbeSide(t *testing.T) {
 	for _, src := range []string{
 		"J = JOIN Cars BY Model, Req BY Model;",
@@ -57,12 +58,15 @@ func TestJoinMissAllocsIndependentOfProbeSide(t *testing.T) {
 			env, schemas := carsEnv(nil, n, "nomodel")
 			op := compileJoin(t, src, schemas)
 			e := New(nil)
-			allocs = append(allocs, testing.AllocsPerRun(50, func() {
+			miss := func() {
 				res, err := e.runJoin(op, env)
 				if err != nil || res.Len() != 0 {
 					t.Fatalf("join = %v, %v; want empty", res, err)
 				}
-			}))
+			}
+			miss() // scans Cars
+			miss() // indexes Cars
+			allocs = append(allocs, testing.AllocsPerRun(50, miss))
 		}
 		if allocs[1] != allocs[0] {
 			t.Errorf("%s: %.1f allocs at 20 tuples, %.1f at 2000: the probe side allocates", src, allocs[0], allocs[1])
@@ -70,19 +74,47 @@ func TestJoinMissAllocsIndependentOfProbeSide(t *testing.T) {
 	}
 }
 
+// TestBindDeferredAllocsIndependentOfStateSize: binding state for an
+// invocation shares the state's tuples and indexes, so it allocates the
+// same at 20 and at 2,000 tuples, and so does making the first node.
+func TestBindDeferredAllocsIndependentOfStateSize(t *testing.T) {
+	mk := func(base provgraph.NodeID) provgraph.NodeID { return base + 1 }
+	var bind, touch []float64
+	for _, n := range []int{20, 2000} {
+		env, _ := carsEnv(nil, n, "nomodel")
+		cars := env.Rels["Cars"]
+		bind = append(bind, testing.AllocsPerRun(50, func() {
+			if v := cars.BindDeferred(mk); v.Len() != n {
+				t.Fatalf("view holds %d tuples, want %d", v.Len(), n)
+			}
+		}))
+		touch = append(touch, testing.AllocsPerRun(50, func() {
+			cars.BindDeferred(mk).At(n - 1).Node()
+		}))
+	}
+	if bind[1] != bind[0] || touch[1] != touch[0] {
+		t.Errorf("bind: %.1f allocs at 20 tuples, %.1f at 2000; bind and make a node: %.1f, %.1f",
+			bind[0], bind[1], touch[0], touch[1])
+	}
+}
+
 // BenchmarkJoin times the dealer module's joins over a 2,000-car state
 // relation: a request matching no model, one matching an eighth of the
-// cars, and (tracked) the same with the cars bound as deferred state.
+// cars, (tracked) the same with the cars bound as deferred state, and
+// (hit-repeat) the state probed twice per iteration, as the dealer module
+// does, each time through a fresh binding.
 func BenchmarkJoin(b *testing.B) {
 	const src = "J = JOIN Cars BY Model, Req BY Model;"
 	for _, bc := range []struct {
 		name    string
 		want    string
 		tracked bool
+		probes  int
 	}{
-		{"miss", "nomodel", false},
-		{"hit", "model3", false},
-		{"hit-tracked", "model3", true},
+		{"miss", "nomodel", false, 1},
+		{"hit", "model3", false, 1},
+		{"hit-tracked", "model3", true, 1},
+		{"hit-repeat", "model3", true, 2},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			var builder *provgraph.Builder
@@ -91,6 +123,7 @@ func BenchmarkJoin(b *testing.B) {
 			}
 			env, schemas := carsEnv(builder, 2000, bc.want)
 			op := compileJoin(b, src, schemas)
+			again := compileJoin(b, "P = JOIN Cars BY Model, Req BY Model;", schemas)
 			state := env.Rels["Cars"]
 			e := New(builder)
 			b.ReportAllocs()
@@ -101,7 +134,24 @@ func BenchmarkJoin(b *testing.B) {
 				if _, err := e.runJoin(op, env); err != nil {
 					b.Fatal(err)
 				}
+				if bc.probes == 2 {
+					if _, err := e.runJoin(again, env); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
 		})
+	}
+}
+
+// BenchmarkBindDeferred times one invocation's binding of a 2,000-tuple
+// state relation and the making of one of its nodes.
+func BenchmarkBindDeferred(b *testing.B) {
+	env, _ := carsEnv(nil, 2000, "nomodel")
+	cars := env.Rels["Cars"]
+	mk := func(base provgraph.NodeID) provgraph.NodeID { return base + 1 }
+	b.ReportAllocs()
+	for b.Loop() {
+		cars.BindDeferred(mk).At(1999).Node()
 	}
 }

@@ -60,7 +60,8 @@ func refCollectGroups(rels []*Relation, keys [][]pig.Expr) ([]*groupBucket, erro
 	var order []*groupBucket
 	index := map[string]*groupBucket{}
 	for ri, rel := range rels {
-		for _, t := range rel.Tuples {
+		for i := range rel.Len() {
+			t := rel.At(i)
 			kv, err := refEvalKey(keys[ri], t.Tuple)
 			if err != nil {
 				return nil, err
@@ -91,7 +92,8 @@ func refJoin(e *Engine, o *pig.JoinOp, env *Env) (*refRelation, error) {
 	maps := make([]map[string]*entry, len(rels))
 	for i, rel := range rels {
 		maps[i] = make(map[string]*entry, rel.Len())
-		for _, t := range rel.Tuples {
+		for pos := range rel.Len() {
+			t := rel.At(pos)
 			kv, err := refEvalKey(o.Keys[i], t.Tuple)
 			if err != nil {
 				return nil, err
@@ -108,8 +110,8 @@ func refJoin(e *Engine, o *pig.JoinOp, env *Env) (*refRelation, error) {
 	res := &refRelation{index: map[string]int{}}
 	var keyOrder []string
 	seen := map[string]bool{}
-	for _, t := range rels[0].Tuples {
-		kv, err := refEvalKey(o.Keys[0], t.Tuple)
+	for i := range rels[0].Len() {
+		kv, err := refEvalKey(o.Keys[0], rels[0].At(i).Tuple)
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +207,17 @@ func diffBag(r *rand.Rand) nested.Value {
 // relation is bound as workflow state is, so the join resolves its nodes.
 func diffRelation(r *rand.Rand, b *provgraph.Builder, name string, n int, deferred bool) *Relation {
 	rel := NewRelation(diffSchema())
-	for i := 0; i < n; i++ {
+	addDiffTuples(r, b, rel, name, 0, n)
+	if deferred && b != nil {
+		rel = bindProject(b, rel)
+	}
+	return rel
+}
+
+// addDiffTuples adds n generated tuples to rel, their base nodes (tracked)
+// labelled name<from>, name<from+1>, ....
+func addDiffTuples(r *rand.Rand, b *provgraph.Builder, rel *Relation, name string, from, n int) {
+	for i := from; i < from+n; i++ {
 		t := nested.NewTuple(diffKeys[r.Intn(len(diffKeys))], diffBag(r), nested.Int(int64(r.Intn(3))))
 		prov := provgraph.InvalidNode
 		if b != nil {
@@ -213,10 +225,17 @@ func diffRelation(r *rand.Rand, b *provgraph.Builder, name string, n int, deferr
 		}
 		rel.Add(b, AnnTuple{Tuple: t, Prov: prov, Mult: 1 + r.Intn(2)})
 	}
-	if deferred && b != nil {
-		rel = rel.BindDeferred(func(base provgraph.NodeID) provgraph.NodeID { return b.Project(base) })
-	}
-	return rel
+}
+
+// bindProject binds rel as workflow state is bound, each tuple's deferred
+// node a projection of its base (plain: the base itself).
+func bindProject(b *provgraph.Builder, rel *Relation) *Relation {
+	return rel.BindDeferred(func(base provgraph.NodeID) provgraph.NodeID {
+		if b == nil {
+			return base
+		}
+		return b.Project(base)
+	})
 }
 
 // diffRun is one side of a differential comparison: an environment
@@ -411,6 +430,127 @@ func TestRelationDedupeMatchesStringKeyedReference(t *testing.T) {
 		for _, at := range ref.tuples {
 			if found, ok := rel.Lookup(at.Tuple); !ok || found.Tuple != at.Tuple {
 				t.Fatalf("seed %d: Lookup(%v) missed", seed, at.Tuple)
+			}
+		}
+	}
+}
+
+// probeCase is one TestProbeIndexMatchesScan scenario: a join run three
+// times over the same relations. before, when set, runs on each side's
+// environment before every round, drawing from a generator seeded alike.
+type probeCase struct {
+	name     string
+	src      string
+	sizes    []int
+	deferred int // input bound as a BindDeferred view from the start, or -1
+	before   func(round int, env *Env, b *provgraph.Builder, r *rand.Rand)
+	// indexed names the inputs the last round must have answered from a
+	// probe index covering every tuple; stale, those it must have scanned
+	// because their base's index covers more tuples than they hold.
+	indexed, stale []string
+}
+
+// growA adds five tuples to input A before rounds 1 and 2.
+func growA(round int, env *Env, b *provgraph.Builder, r *rand.Rand) {
+	if round > 0 {
+		a := env.Rels["A"]
+		addDiffTuples(r, b, a, "A+", 10*round, 5)
+	}
+}
+
+// viewAfterIndexing rebinds A as a view before round 2, after rounds 0
+// and 1 indexed its base.
+func viewAfterIndexing(round int, env *Env, b *provgraph.Builder, _ *rand.Rand) {
+	if round == 2 {
+		env.Set("A", bindProject(b, env.Rels["A"]))
+	}
+}
+
+// staleView binds a view V of A, then grows A; rounds 0 and 1 index the
+// grown A, and round 2 probes V, which holds fewer tuples than the index
+// covers.
+func staleView(round int, env *Env, b *provgraph.Builder, r *rand.Rand) {
+	switch round {
+	case 0:
+		env.Set("V", bindProject(b, env.Rels["A"]))
+		addDiffTuples(r, b, env.Rels["A"], "A+", 0, 6)
+	case 2:
+		env.Set("A", env.Rels["V"])
+	}
+}
+
+var probeCases = []probeCase{
+	{name: "indexed first input", src: "J = JOIN A BY k, B BY k;", sizes: []int{24, 3}, deferred: 0, indexed: []string{"A"}},
+	{name: "indexed second input", src: "J = JOIN A BY k, B BY k;", sizes: []int{3, 24}, deferred: 1, indexed: []string{"B"}},
+	{name: "composite keys", src: "J = JOIN A BY (k, v), B BY (k, v);", sizes: []int{24, 4}, deferred: -1, indexed: []string{"A"}},
+	{name: "bag-valued composite keys", src: "J = JOIN A BY (b, k), B BY (b, k);", sizes: []int{5, 24}, deferred: 1, indexed: []string{"B"}},
+	{name: "3-way", src: "J = JOIN A BY k, B BY k, C BY k;", sizes: []int{15, 2, 12}, deferred: 2, indexed: []string{"A", "C"}},
+	{name: "3-way composite", src: "J = JOIN A BY (k, v), B BY (k, v), C BY (k, v);", sizes: []int{12, 14, 3}, deferred: -1, indexed: []string{"A", "B"}},
+	{name: "empty build side", src: "J = JOIN A BY k, B BY k;", sizes: []int{24, 0}, deferred: 0},
+	{name: "grown by Add between probes", src: "J = JOIN A BY k, B BY k;", sizes: []int{20, 3}, deferred: -1, before: growA, indexed: []string{"A"}},
+	{name: "view probed after its base was indexed", src: "J = JOIN A BY k, B BY k;", sizes: []int{20, 3}, deferred: -1, before: viewAfterIndexing, indexed: []string{"A"}},
+	{name: "stale view scans", src: "J = JOIN A BY k, B BY k;", sizes: []int{20, 3}, deferred: -1, before: staleView, stale: []string{"A"}},
+}
+
+// indexCovers reports whether rel has a probe index covering exactly
+// (covers) or more than (stale) its tuples.
+func indexCovers(rel *Relation, stale bool) bool {
+	if rel.probes == nil {
+		return false
+	}
+	for _, x := range rel.probes.indexes {
+		if len(x.next) == rel.Len() && !stale || len(x.next) > rel.Len() && stale {
+			return true
+		}
+	}
+	return false
+}
+
+// TestProbeIndexMatchesScan: running a join again over the same relations
+// — the second probe indexes the probed inputs, the third reuses the
+// index — produces, round for round, the string-keyed reference's tuples,
+// multiplicities and provenance ids, and the same event stream; the first
+// round is the scan path, so the indexed rounds match it too.
+func TestProbeIndexMatchesScan(t *testing.T) {
+	for ci, c := range probeCases {
+		plan := compileDiff(t, c.src, len(c.sizes))
+		op := plan.Steps[0].Op.(*pig.JoinOp)
+		for seed := int64(0); seed < 10; seed++ {
+			seed := int64(100*ci) + seed
+			for _, tracked := range []bool{false, true} {
+				got, want := newDiffRun(seed, tracked, c.sizes, c.deferred), newDiffRun(seed, tracked, c.sizes, c.deferred)
+				// Growth draws from its own stream: a generator seeded like
+				// newDiffRun's would redraw A's tuples, which merge.
+				gotRand, wantRand := rand.New(rand.NewSource(^seed)), rand.New(rand.NewSource(^seed))
+				for round := 0; round < 3; round++ {
+					if c.before != nil {
+						c.before(round, got.env, got.b, gotRand)
+						c.before(round, want.env, want.b, wantRand)
+					}
+					res, err := New(got.b).runJoin(op, got.env)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref, err := refJoin(New(want.b), op, want.env)
+					if err != nil {
+						t.Fatal(err)
+					}
+					what := fmt.Sprintf("%s: seed %d tracked %v round %d", c.name, seed, tracked, round)
+					sameAnnTuples(t, what, res.Tuples, ref.tuples)
+					if !reflect.DeepEqual(got.events, want.events) {
+						t.Fatalf("%s: event streams differ (%d vs %d events)", what, len(got.events), len(want.events))
+					}
+				}
+				for _, name := range c.indexed {
+					if !indexCovers(got.env.Rels[name], false) {
+						t.Fatalf("%s: seed %d: input %s was not answered from a covering index", c.name, seed, name)
+					}
+				}
+				for _, name := range c.stale {
+					if !indexCovers(got.env.Rels[name], true) {
+						t.Fatalf("%s: seed %d: input %s holds as many tuples as its base's index covers", c.name, seed, name)
+					}
+				}
 			}
 		}
 	}

@@ -37,6 +37,29 @@
 // built: keys in the first input's first-seen order, and per key the cross
 // product in input order, the first input varying slowest. When the
 // smallest input is empty the join is empty and no key is evaluated.
+//
+// A probed input that lives across joins — module state, bound afresh for
+// every invocation — keeps a probe index per compiled key list, shared by
+// the relation and its views. The second probe of a relation by the same
+// key list indexes it (key -> its tuple positions, in relation order), and
+// from then on the input's matches are index lookups of the build side's
+// keys, not a scan: a join against a dealer's Cars state costs its answer,
+// not the state's size. Temporaries are probed once, so they are never
+// indexed. An index extends itself over tuples appended since it was
+// built; a view holding fewer tuples than its base's index covers scans.
+// Either way the output is the scan's, tuple for tuple and node for node.
+// A join updates its inputs' probe indexes, so joins over one relation
+// must not run concurrently.
+//
+// # State binding
+//
+// The workflow runner binds module state once per invocation, and the
+// binding costs O(1), not O(state). BindDeferred returns a view that
+// shares its base's tuple slice, dedupe index and probe indexes; it holds
+// one memo of the invocation's state nodes, allocated when the first node
+// is made. Read a relation's tuples through At: for a view it fills in the
+// deferred annotation, whereas the shared Tuples slice holds the base's.
+// Views are read-only; Add on one panics.
 package eval
 
 import (
@@ -69,11 +92,17 @@ type AnnTuple struct {
 // every copy of the tuple resolves to the same node.
 type deferredNodes struct {
 	base  []AnnTuple
-	nodes []provgraph.NodeID // InvalidNode until made
+	nodes []provgraph.NodeID // nil until the first node is made; then InvalidNode until made
 	mk    func(base provgraph.NodeID) provgraph.NodeID
 }
 
 func (d *deferredNodes) node(slot int32) provgraph.NodeID {
+	if d.nodes == nil {
+		d.nodes = make([]provgraph.NodeID, len(d.base))
+		for i := range d.nodes {
+			d.nodes[i] = provgraph.InvalidNode
+		}
+	}
 	if d.nodes[slot] == provgraph.InvalidNode {
 		d.nodes[slot] = d.mk(d.base[slot].Prov)
 	}
@@ -91,8 +120,18 @@ func (t AnnTuple) Node() provgraph.NodeID {
 // Relation is a bag of tuples in support+multiplicity form.
 type Relation struct {
 	Schema *nested.Schema
+	// Tuples holds the distinct tuples in relation order. Read them with
+	// At: a BindDeferred view shares its base's slice, so its elements
+	// carry the base's annotations, not the view's.
 	Tuples []AnnTuple
 	index  keyIndex // tuple key hash -> position in Tuples
+	// view names how a read-only view was made ("" for an owned
+	// relation); Add panics on a view.
+	view string
+	// deferred annotates every tuple of a BindDeferred view.
+	deferred *deferredNodes
+	// probes holds the join probe indexes, shared with every view.
+	probes *probeCache
 }
 
 // NewRelation returns an empty relation with the given schema.
@@ -102,6 +141,15 @@ func NewRelation(schema *nested.Schema) *Relation {
 
 // Len returns the number of distinct tuples.
 func (r *Relation) Len() int { return len(r.Tuples) }
+
+// At returns tuple i with the relation's annotation of it.
+func (r *Relation) At(i int) AnnTuple {
+	t := r.Tuples[i]
+	if r.deferred != nil {
+		return AnnTuple{Tuple: t.Tuple, Prov: provgraph.InvalidNode, Mult: t.Mult, slot: int32(i), deferred: r.deferred}
+	}
+	return t
+}
 
 // Card returns the bag cardinality (sum of multiplicities).
 func (r *Relation) Card() int {
@@ -125,8 +173,12 @@ func (r *Relation) find(h uint64, t *nested.Tuple) int32 {
 
 // Add inserts a derivation of a tuple. Duplicate tuples merge: their
 // multiplicities add, and in tracked mode their provenance nodes merge
-// under a + node via the supplied builder (nil in plain mode).
+// under a + node via the supplied builder (nil in plain mode). Add panics
+// on a view: a view shares its base's storage.
 func (r *Relation) Add(b *provgraph.Builder, t AnnTuple) {
+	if r.view != "" {
+		panic(fmt.Sprintf("eval: Add on a read-only %s view of %s", r.view, r.Schema))
+	}
 	h := t.Tuple.KeyHash()
 	if pos := r.find(h, t.Tuple); pos >= 0 {
 		prev := &r.Tuples[pos]
@@ -147,7 +199,7 @@ func (r *Relation) Add(b *provgraph.Builder, t AnnTuple) {
 // Lookup returns the annotated tuple equal to t, if present.
 func (r *Relation) Lookup(t *nested.Tuple) (AnnTuple, bool) {
 	if pos := r.find(t.KeyHash(), t); pos >= 0 {
-		return r.Tuples[pos], true
+		return r.At(int(pos)), true
 	}
 	return AnnTuple{}, false
 }
@@ -173,39 +225,44 @@ func FromBag(schema *nested.Schema, bag *nested.Bag) *Relation {
 	return r
 }
 
-// Rebind returns a view of the relation with every annotation mapped
-// through fn, sharing the tuple index with the receiver. It exists for the
-// workflow runner's per-invocation input/state binding, which re-annotates
-// large unchanged relations: sharing the index avoids rehashing every
-// tuple. The returned relation must be treated as read-only (Add would
-// corrupt the shared index).
+// Rebind returns a read-only view of the relation with every annotation
+// mapped through fn, sharing the tuple index and probe indexes with the
+// receiver. It exists for the workflow runner's eager state binding, which
+// re-annotates large unchanged relations: sharing the indexes avoids
+// rehashing every tuple.
 func (r *Relation) Rebind(fn func(AnnTuple) AnnTuple) *Relation {
-	out := &Relation{Schema: r.Schema, index: r.index}
-	out.Tuples = make([]AnnTuple, len(r.Tuples))
-	for i, t := range r.Tuples {
-		out.Tuples[i] = fn(t)
+	out := &Relation{Schema: r.Schema, index: r.index, view: "Rebind", probes: r.sharedProbes()}
+	out.Tuples = make([]AnnTuple, r.Len())
+	for i := range out.Tuples {
+		out.Tuples[i] = fn(r.At(i))
 	}
 	return out
 }
 
-// BindDeferred returns a read-only view of the relation (sharing its
-// index, like Rebind) whose tuple i is annotated by mk(base), base being
-// the receiver's annotation of tuple i. mk runs on the tuple's first use
-// in a derivation, at most once per tuple however often it is copied.
-// The workflow runner binds module state with it, one mk per invocation.
+// BindDeferred returns a read-only view of the relation whose tuple i is
+// annotated by mk(base), base being the receiver's annotation of tuple i.
+// mk runs on the tuple's first use in a derivation, at most once per tuple
+// however often it is copied. The view shares the receiver's tuples, tuple
+// index and probe indexes, so binding costs the same at any size. The
+// workflow runner binds module state with it, one mk per invocation.
 func (r *Relation) BindDeferred(mk func(base provgraph.NodeID) provgraph.NodeID) *Relation {
-	d := &deferredNodes{base: r.Tuples, nodes: make([]provgraph.NodeID, len(r.Tuples)), mk: mk}
-	out := &Relation{Schema: r.Schema, index: r.index, Tuples: make([]AnnTuple, len(r.Tuples))}
-	for i, t := range r.Tuples {
-		d.nodes[i] = provgraph.InvalidNode
-		out.Tuples[i] = AnnTuple{Tuple: t.Tuple, Prov: provgraph.InvalidNode, Mult: t.Mult, slot: int32(i), deferred: d}
+	return &Relation{
+		Schema:   r.Schema,
+		Tuples:   r.Tuples,
+		index:    r.index,
+		view:     "BindDeferred",
+		deferred: &deferredNodes{base: r.Tuples, mk: mk},
+		probes:   r.sharedProbes(),
 	}
-	return out
 }
 
-// Clone returns a shallow copy of the relation (tuples shared).
+// Clone returns a shallow copy of the relation (tuples shared), owning its
+// annotations: a view's clone holds the view's.
 func (r *Relation) Clone() *Relation {
-	c := &Relation{Schema: r.Schema, Tuples: append([]AnnTuple(nil), r.Tuples...)}
+	c := &Relation{Schema: r.Schema, Tuples: make([]AnnTuple, r.Len())}
+	for i := range c.Tuples {
+		c.Tuples[i] = r.At(i)
+	}
 	c.reindex()
 	return c
 }

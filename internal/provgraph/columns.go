@@ -219,13 +219,24 @@ type adjHalf struct {
 	edges []NodeID // read-only, may alias mapped memory
 	spill map[NodeID][]NodeID
 	tail  chunked[[]NodeID]
+	// slab is the unclaimed rest of the array new tail lists take their
+	// first slots from. It belongs to this writer alone: published views
+	// and clones never carry it.
+	slab []NodeID
 }
+
+const (
+	adjSlabSize   = 8192 // endpoints per slab array
+	adjSlabWindow = 2    // slots a new list claims; most nodes have in-degree 2
+)
 
 // addSlot extends the adjacency to cover one appended node.
 func (a *adjHalf) addSlot() { a.tail.add(nil) }
 
-// add appends one edge endpoint to id's list. Appending to a list shared
-// with a published view is safe: within capacity the new endpoint lands at
+// add appends one edge endpoint to id's list. A tail list's first append
+// claims a capacity-clipped adjSlabWindow-slot window of a shared slab
+// instead of allocating. Appending to a list shared with a published view
+// is safe: within capacity (a window included) the new endpoint lands at
 // an index >= every view's recorded length, and past capacity the append
 // reallocates; either way readers only see their own prefix.
 func (a *adjHalf) add(id NodeID, to NodeID) {
@@ -237,6 +248,13 @@ func (a *adjHalf) add(id NodeID, to NodeID) {
 		return
 	}
 	p := a.tail.ptr(int(id) - a.baseN)
+	if cap(*p) == 0 {
+		if len(a.slab) < adjSlabWindow {
+			a.slab = make([]NodeID, adjSlabSize)
+		}
+		*p = a.slab[:0:adjSlabWindow]
+		a.slab = a.slab[adjSlabWindow:]
+	}
 	*p = append(*p, to)
 }
 

@@ -469,8 +469,8 @@ func (w *statusCaptureWriter) Write(p []byte) (int, error) {
 	return w.ResponseWriter.Write(p)
 }
 
-// statusFor maps service errors to HTTP statuses: argument problems are
-// 400s, unknown snapshot names / session ids / missing snapshot files
+// statusFor maps service errors to HTTP statuses: argument problems and
+// ingested events the graph cannot apply are 400s, unknown snapshot names / session ids / missing snapshot files
 // are 404s, ingest sequence gaps are 409s, a full ingest queue is a 429,
 // everything else (corrupt snapshot, I/O) a 500.
 func statusFor(err error) int {
@@ -478,6 +478,7 @@ func statusFor(err error) int {
 	var name *core.NameError
 	var nf *core.NotFoundError
 	var gap *core.SeqGapError
+	var badEvent *core.EventError
 	var over *core.OverloadedError
 	var fol *FollowerError
 	var fenced *FencedError
@@ -488,7 +489,7 @@ func statusFor(err error) int {
 		return http.StatusConflict
 	case errors.As(err, &bad):
 		return http.StatusBadRequest
-	case errors.As(err, &name):
+	case errors.As(err, &name), errors.As(err, &badEvent):
 		return http.StatusBadRequest
 	case errors.As(err, &nf):
 		return http.StatusNotFound

@@ -3,6 +3,7 @@ package workflow
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"lipstick/internal/eval"
 	"lipstick/internal/nested"
@@ -190,7 +191,7 @@ func (r *Runner) SetState(module, rel string, bag *nested.Bag, tokenPrefix strin
 		}
 		prov := provgraph.InvalidNode
 		if r.Gran == Fine {
-			prov = r.builder.BaseTuple(fmt.Sprintf("%s%d", tokenPrefix, i))
+			prov = r.builder.BaseTuple(tokenPrefix + strconv.Itoa(i))
 		}
 		fresh.Add(r.builder, eval.AnnTuple{Tuple: t, Prov: prov, Mult: 1})
 	}
@@ -266,13 +267,14 @@ func (r *Runner) runInputNode(node *Node, bags map[string]*nested.Bag, exec *Exe
 			bag = bags[rel]
 		}
 		if bag != nil {
+			prefix := "I" + strconv.Itoa(exec.Index) + "." + node.Name + "." + rel + "."
 			for i, t := range bag.Tuples {
 				if err := schema.Validate(t); err != nil {
 					return nil, fmt.Errorf("workflow: input %s.%s: %w", node.Name, rel, err)
 				}
 				prov := provgraph.InvalidNode
 				if r.builder != nil {
-					prov = r.builder.WorkflowInput(fmt.Sprintf("I%d.%s.%s.%d", exec.Index, node.Name, rel, i))
+					prov = r.builder.WorkflowInput(prefix + strconv.Itoa(i))
 					exec.InputNodes = append(exec.InputNodes, prov)
 				}
 				res.Add(r.builder, eval.AnnTuple{Tuple: t, Prov: prov, Mult: 1})
@@ -295,11 +297,11 @@ func (r *Runner) runModuleNode(node *Node, produced map[string]map[string]*eval.
 		inv = b.BeginInvocation(m.Name, node.Name, execIdx)
 	}
 
-	env := &eval.Env{Rels: make(map[string]*eval.Relation), Bags: r.bags}
+	env := &eval.Env{Rels: make(map[string]*eval.Relation, len(m.In)+len(m.State)+len(m.Plan().Steps)), Bags: r.bags}
 
 	// Bind inputs from incoming edges, wrapping each tuple in an i-node.
 	var inputNodes []provgraph.NodeID
-	for _, e := range r.W.Edges() {
+	for _, e := range r.W.edges {
 		if e.To != node.Name {
 			continue
 		}
@@ -310,7 +312,8 @@ func (r *Runner) runModuleNode(node *Node, produced map[string]map[string]*eval.
 				return nil, fmt.Errorf("workflow: node %s did not produce relation %q", e.From, rel)
 			}
 			bound := eval.NewRelation(m.In[rel])
-			for _, t := range srcRel.Tuples {
+			for i := range srcRel.Len() {
+				t := srcRel.At(i)
 				prov := provgraph.InvalidNode
 				if b != nil {
 					prov = b.ModuleInput(inv, t.Prov)
@@ -372,7 +375,8 @@ func (r *Runner) runModuleNode(node *Node, produced map[string]map[string]*eval.
 		}
 		old := entry.rels[rel]
 		fresh := eval.NewRelation(old.Schema)
-		for _, t := range cur.Tuples {
+		for i := range cur.Len() {
+			t := cur.At(i)
 			var base provgraph.NodeID
 			if prev, ok := old.Lookup(t.Tuple); ok {
 				// Unchanged tuple: keep its base node so provenance stays
@@ -419,7 +423,8 @@ func (r *Runner) runModuleNode(node *Node, produced map[string]map[string]*eval.
 			return nil, fmt.Errorf("workflow: node %s: output relation %q was not produced", node.Name, rel)
 		}
 		res := eval.NewRelation(m.Out[rel])
-		for _, t := range cur.Tuples {
+		for i := range cur.Len() {
+			t := cur.At(i)
 			prov := provgraph.InvalidNode
 			switch r.Gran {
 			case Fine:
