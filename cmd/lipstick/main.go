@@ -1072,6 +1072,9 @@ func query(cmd string, svc *serve.Service, path string, args []string) error {
 		fmt.Printf("node %d: %d ancestors; %d workflow input(s); %d state tuple(s); modules %v\n",
 			r.Node, r.AncestorCount, len(r.Inputs), len(r.StateTuples), r.Modules)
 		fmt.Printf("provenance: %s\n", r.Provenance)
+		if r.ProvenanceTruncated {
+			fmt.Printf("(provenance truncated at %d bytes)\n", len(r.Provenance))
+		}
 		return nil
 	case "find":
 		req, err := findArgs(args)

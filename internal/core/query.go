@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"lipstick/internal/provgraph"
 	"lipstick/internal/semiring"
@@ -135,26 +135,25 @@ func (qp *QueryProcessor) Lineage(id provgraph.NodeID) Lineage {
 	return lineageIn(qp.graph, id)
 }
 
-// lineageIn classifies a node's ancestry through any view.
+// lineageIn classifies a node's ancestry through any view. It reads each
+// ancestor's type column and, for invocation and zoom nodes only, its
+// label.
 func lineageIn(g provgraph.GraphView, id provgraph.NodeID) Lineage {
 	l := Lineage{Node: id}
-	moduleSet := map[string]bool{}
-	for _, anc := range g.Ancestors(id) {
-		n := g.Node(anc)
-		l.AncestorCount++
-		switch n.Type {
+	anc := g.Ancestors(id)
+	l.AncestorCount = len(anc)
+	for _, a := range anc {
+		switch g.TypeOf(a) {
 		case provgraph.TypeWorkflowInput:
-			l.Inputs = append(l.Inputs, anc)
+			l.Inputs = append(l.Inputs, a)
 		case provgraph.TypeBaseTuple:
-			l.StateTuples = append(l.StateTuples, anc)
+			l.StateTuples = append(l.StateTuples, a)
 		case provgraph.TypeInvocation, provgraph.TypeZoom:
-			moduleSet[n.Label] = true
+			l.Modules = append(l.Modules, g.LabelOf(a))
 		}
 	}
-	for m := range moduleSet {
-		l.Modules = append(l.Modules, m)
-	}
-	sort.Strings(l.Modules)
+	slices.Sort(l.Modules)
+	l.Modules = slices.Compact(l.Modules)
 	return l
 }
 
@@ -162,6 +161,13 @@ func lineageIn(g provgraph.GraphView, id provgraph.NodeID) Lineage {
 // (Section 2.3's polynomial reading of the graph).
 func (qp *QueryProcessor) Expr(id provgraph.NodeID) semiring.Expr {
 	return qp.graph.Expr(id)
+}
+
+// Provenance renders a node's provenance expression, Expr(id).String(),
+// straight from the graph, cut at provgraph.MaxExprBytes (truncated
+// reports the cut).
+func (qp *QueryProcessor) Provenance(id provgraph.NodeID) (expr string, truncated bool) {
+	return qp.graph.ExprString(id)
 }
 
 // Polynomial returns the canonical N[X] polynomial of a node's provenance.

@@ -238,7 +238,7 @@ func TestSessionEqualsCloneBaseline(t *testing.T) {
 		if fmt.Sprint(gl) != fmt.Sprint(wl) {
 			t.Errorf("lineage(%d): session %+v, baseline %+v", id, gl, wl)
 		}
-		if s.Provenance(nid) != baseline.Expr(nid).String() {
+		if p, truncated := s.Provenance(nid); p != baseline.Expr(nid).String() || truncated {
 			t.Errorf("provenance(%d) differs", id)
 		}
 	}

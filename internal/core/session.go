@@ -207,11 +207,12 @@ func (s *Session) Lineage(id provgraph.NodeID) Lineage {
 }
 
 // Provenance renders a node's semiring provenance expression in the
-// session view.
-func (s *Session) Provenance(id provgraph.NodeID) string {
+// session view, cut at provgraph.MaxExprBytes (truncated reports the
+// cut).
+func (s *Session) Provenance(id provgraph.NodeID) (expr string, truncated bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.overlay.Expr(id).String()
+	return s.overlay.ExprString(id)
 }
 
 // DependsOn answers the dependency query of Section 4.3 in the session

@@ -285,9 +285,7 @@ func exprOf(v view, id NodeID, memo map[NodeID]semiring.Expr) semiring.Expr {
 	}
 	var e semiring.Expr
 	switch {
-	case n.Type == TypeBaseTuple || n.Type == TypeWorkflowInput:
-		e = semiring.T(tokenName(n))
-	case n.Type == TypeInvocation || n.Type == TypeZoom:
+	case isTokenType(n.Type):
 		e = semiring.T(tokenName(n))
 	case n.Op == OpPlus:
 		e = semiring.Add(children...)

@@ -11,6 +11,16 @@ type orphanSet struct {
 
 func (g *Graph) typeOp(id NodeID) (Type, Op) { return g.typ.at(int(id)), g.op.at(int(id)) }
 
+func (g *Graph) classOf(id NodeID) Class { return g.class.at(int(id)) }
+
+// TypeOf returns a node's type from the type column, without assembling
+// the Node.
+func (g *Graph) TypeOf(id NodeID) Type { return g.typ.at(int(id)) }
+
+// LabelOf returns a node's label from the label column, without
+// assembling the Node (no value decode).
+func (g *Graph) LabelOf(id NodeID) string { return g.syms.str(g.label.at(int(id))) }
+
 func (g *Graph) outRaw(id NodeID, buf *[]NodeID) []NodeID { return g.out.raw(id, buf) }
 
 func (g *Graph) inRaw(id NodeID, buf *[]NodeID) []NodeID { return g.in.raw(id, buf) }

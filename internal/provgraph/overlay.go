@@ -258,6 +258,28 @@ func (o *Overlay) typeOp(id NodeID) (Type, Op) {
 	return n.Type, n.Op
 }
 
+func (o *Overlay) classOf(id NodeID) Class {
+	if int(id) < o.baseSlots {
+		return o.base.classOf(id)
+	}
+	return o.added[int(id)-o.baseSlots].Class
+}
+
+// TypeOf returns a node's type in the view without assembling the Node.
+func (o *Overlay) TypeOf(id NodeID) Type {
+	t, _ := o.typeOp(id)
+	return t
+}
+
+// LabelOf returns a node's label in the view without assembling the Node
+// (no value decode).
+func (o *Overlay) LabelOf(id NodeID) string {
+	if int(id) < o.baseSlots {
+		return o.base.LabelOf(id)
+	}
+	return o.added[int(id)-o.baseSlots].Label
+}
+
 // setValue records a value override for the node.
 func (o *Overlay) setValue(id NodeID, v nested.Value) {
 	if o.values == nil {

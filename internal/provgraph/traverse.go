@@ -15,11 +15,14 @@ import (
 // BFS queue, and adjacency buffers for the views' split lists. Deletion
 // propagation also keeps its lazily counted in-degrees in deg (valid
 // where mark[id] == epoch), and ZoomOut its orphan candidates in cand and
-// its hidden list in ids. Pooling keeps the query kernels from
-// allocating O(graph) scratch per call; allocations scale with the
-// result set only. The pool, not the view, owns the scratch: concurrent
-// readers traverse the same graph under a shared read lock, so per-view
-// scratch would race.
+// its hidden list in ids. ExprString numbers the nodes it reaches in deg
+// (valid where mark[id] == epoch), keeps their rendering state in expr,
+// the contributing children of its sums, products and δs in kids, and
+// renders into text. Pooling keeps the query kernels from allocating
+// O(graph) scratch per call; allocations scale with the result set only.
+// The pool, not the view, owns the scratch: concurrent readers traverse
+// the same graph under a shared read lock, so per-view scratch would
+// race.
 type visitScratch struct {
 	epoch     uint32
 	mark      []uint32
@@ -28,6 +31,9 @@ type visitScratch struct {
 	queue     []NodeID
 	ids       []NodeID
 	adj, adj2 []NodeID
+	expr      []exprSlot
+	kids      []int32
+	text      []byte
 }
 
 var visitPool = sync.Pool{New: func() any { return new(visitScratch) }}

@@ -2,7 +2,10 @@ package provgraph
 
 import (
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // pairGraph builds n disconnected a -> b pairs, returning the graph and
@@ -128,6 +131,99 @@ func TestTraversalAllocsDoNotScaleWithGraphSize(t *testing.T) {
 		bigBytes := bytesPerRun(1000, func() { q.run(bigG, bigOv, bigLeaf) })
 		if bigBytes != smallBytes {
 			t.Errorf("%s: %d bytes/op at 4000 slots vs %d at 100 — allocation scales with the graph", q.name, bigBytes, smallBytes)
+		}
+	}
+}
+
+// TestExprStringAllocs pins the renderer's allocation to its answer: one
+// allocation per render (the result string), and the same bytes on a 40x
+// larger graph, through the graph and through an overlay.
+func TestExprStringAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; the allocation profile is not representative")
+	}
+	smallG, _ := moduleGraph(100)
+	bigG, _ := moduleGraph(4000)
+	out := smallG.Invocation(0).Outputs[0]
+	if want := smallG.Expr(out).String(); len(want) < 2 {
+		t.Fatalf("module output renders as %q; the guard needs a non-trivial expression", want)
+	}
+	for _, v := range []struct {
+		name       string
+		small, big GraphView
+	}{
+		{"graph", smallG, bigG},
+		{"overlay", NewOverlay(smallG), NewOverlay(bigG)},
+	} {
+		render := func(g GraphView) func() { return func() { _, _ = g.ExprString(out) } }
+		render(v.small)()
+		render(v.big)()
+		for _, g := range []GraphView{v.small, v.big} {
+			if allocs := testing.AllocsPerRun(200, render(g)); allocs != 1 {
+				t.Errorf("%s: %.1f allocations per render at %d slots, want 1", v.name, allocs, g.TotalNodes())
+			}
+		}
+		smallBytes, bigBytes := bytesPerRun(1000, render(v.small)), bytesPerRun(1000, render(v.big))
+		if bigBytes != smallBytes {
+			t.Errorf("%s: %d bytes/render at 4000 slots vs %d at 100 — allocation scales with the graph", v.name, bigBytes, smallBytes)
+		}
+	}
+}
+
+// diamondChain builds depth shared diamonds over the token x0: each x_i
+// is x_{i-1}·a_i + x_{i-1}·b_i. The graph has 5·depth+1 nodes, while
+// x_depth's printed expression has more than 2^depth leaves.
+func diamondChain(depth int) (*Graph, NodeID) {
+	g := New()
+	x := g.AddNode(Node{Class: ClassP, Type: TypeWorkflowInput, Label: "x0"})
+	for i := 1; i <= depth; i++ {
+		sum := g.AddNode(Node{Class: ClassP, Type: TypeOp, Op: OpPlus})
+		for _, side := range []string{"a", "b"} {
+			tok := g.AddNode(Node{Class: ClassP, Type: TypeBaseTuple, Label: side + strconv.Itoa(i)})
+			prod := g.AddNode(Node{Class: ClassP, Type: TypeOp, Op: OpTimes})
+			g.AddEdge(x, prod)
+			g.AddEdge(tok, prod)
+			g.AddEdge(prod, sum)
+		}
+		x = sum
+	}
+	return g, x
+}
+
+// TestExprStringCap renders a node whose expression has ~2^60 leaves: the
+// renderer must stop at MaxExprBytes, on a rune boundary, and say so. A
+// shallow chain still renders whole and equal to the tree.
+func TestExprStringCap(t *testing.T) {
+	g, x := diamondChain(12)
+	if got, truncated := g.ExprString(x); got != g.Expr(x).String() || truncated {
+		t.Fatalf("depth 12: ExprString differs from the tree (truncated %v)", truncated)
+	}
+	g, x = diamondChain(60)
+	for _, v := range []GraphView{g, NewOverlay(g)} {
+		got, truncated := v.ExprString(x)
+		if !truncated || len(got) > MaxExprBytes || len(got) < MaxExprBytes-utf8.UTFMax || !utf8.ValidString(got) {
+			t.Fatalf("depth 60: %d bytes, truncated %v, valid UTF-8 %v; want a whole-rune cut at %d bytes",
+				len(got), truncated, utf8.ValidString(got), MaxExprBytes)
+		}
+		if !strings.HasPrefix(got, "((((((") {
+			t.Fatalf("depth 60: rendering starts %q", got[:16])
+		}
+	}
+}
+
+func TestWholeRunes(t *testing.T) {
+	dot := "·" // 2 bytes
+	delta := "δ("
+	for _, c := range []struct{ in, want string }{
+		{"a", "a"},
+		{"a" + dot, "a" + dot},
+		{"a" + dot[:1], "a"},
+		{"a" + delta[:1], "a"},
+		{"a" + "\xff", "a\xff"},
+		{"", ""},
+	} {
+		if got := string(wholeRunes([]byte(c.in))); got != c.want {
+			t.Errorf("wholeRunes(%q) = %q, want %q", c.in, got, c.want)
 		}
 	}
 }

@@ -15,6 +15,8 @@ import (
 type GraphView interface {
 	// Structure.
 	Node(id NodeID) Node
+	TypeOf(id NodeID) Type
+	LabelOf(id NodeID) string
 	Alive(id NodeID) bool
 	NumNodes() int
 	TotalNodes() int
@@ -36,6 +38,7 @@ type GraphView interface {
 	PropagateDeletion(ids ...NodeID) *DeletionResult
 	DependsOn(a, b NodeID) bool
 	Expr(id NodeID) semiring.Expr
+	ExprString(id NodeID) (expr string, truncated bool)
 
 	// Exports and summaries.
 	WriteDOT(w io.Writer, title string) error
@@ -55,6 +58,10 @@ type view interface {
 	// typeOp returns a node's type and op without assembling the Node
 	// (no label or value decode).
 	typeOp(id NodeID) (Type, Op)
+	// classOf returns a node's class, LabelOf its label, both without
+	// assembling the Node.
+	classOf(id NodeID) Class
+	LabelOf(id NodeID) string
 	// outRaw and inRaw return id's raw adjacency in insertion order. A
 	// list held contiguously is returned as a view of storage; a list
 	// split across storage regions is assembled in *buf (grown as needed;

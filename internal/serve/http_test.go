@@ -19,7 +19,7 @@ import (
 
 // saveSnapshot tracks a small two-module workflow (request -> stateful
 // match) and persists it, returning the snapshot path.
-func saveSnapshot(t *testing.T) string {
+func saveSnapshot(t testing.TB) string {
 	t.Helper()
 	str := nested.ScalarType(nested.KindString)
 	flt := nested.ScalarType(nested.KindFloat)

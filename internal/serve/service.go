@@ -306,7 +306,11 @@ type LineageResult struct {
 	Inputs        []provgraph.NodeID `json:"inputs"`
 	StateTuples   []provgraph.NodeID `json:"stateTuples"`
 	Modules       []string           `json:"modules"`
-	Provenance    string             `json:"provenance"`
+	// Provenance is the node's semiring expression, cut at
+	// provgraph.MaxExprBytes on a rune boundary; ProvenanceTruncated
+	// marks a cut answer.
+	Provenance          string `json:"provenance"`
+	ProvenanceTruncated bool   `json:"provenanceTruncated,omitempty"`
 }
 
 // Lineage returns the classified ancestry and the semiring provenance
@@ -325,10 +329,11 @@ func lineageOf(qp *core.QueryProcessor, node string) (*LineageResult, error) {
 		return nil, err
 	}
 	l := qp.Lineage(id)
+	expr, truncated := qp.Provenance(id)
 	return &LineageResult{
 		Node: id, AncestorCount: l.AncestorCount,
 		Inputs: l.Inputs, StateTuples: l.StateTuples, Modules: l.Modules,
-		Provenance: qp.Expr(id).String(),
+		Provenance: expr, ProvenanceTruncated: truncated,
 	}, nil
 }
 

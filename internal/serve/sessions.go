@@ -277,10 +277,11 @@ func (s *Service) SessionLineage(id, node string) (*LineageResult, error) {
 		return nil, err
 	}
 	l := sess.Lineage(nid)
+	expr, truncated := sess.Provenance(nid)
 	return &LineageResult{
 		Node: nid, AncestorCount: l.AncestorCount,
 		Inputs: l.Inputs, StateTuples: l.StateTuples, Modules: l.Modules,
-		Provenance: sess.Provenance(nid),
+		Provenance: expr, ProvenanceTruncated: truncated,
 	}, nil
 }
 
