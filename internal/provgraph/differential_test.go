@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"lipstick/internal/nested"
 	"lipstick/internal/provgraph"
 	"lipstick/internal/workflow"
 	"lipstick/internal/workflowgen"
@@ -15,12 +16,14 @@ import (
 // TestKernelsMatchReference is the byte-identity gate of the O(answer)
 // query kernels: subgraph node order, deletion removal order, the
 // Definition 4.1 node list and every observable of a ZoomOut/ZoomIn round
-// trip (record, stats, Changes, DOT, provenance expressions) must equal
-// the reference kernels the rewrite replaced (reference_test.go). It runs
-// over the dealership, Arctic and graphmem-synthetic workloads, a base
-// with dead nodes and spilled edges, on *Graph and on overlays — fresh,
-// dirtied by an applied delete, left zoomed out, and after a round trip —
-// with the parallel BFS frontier forced on and off.
+// trip (record, stats, NumNodes, Changes, DOT, provenance expressions)
+// must equal the reference kernels the rewrite replaced
+// (reference_test.go). It runs over the dealership, Arctic and
+// graphmem-synthetic workloads, a base with dead nodes and spilled edges,
+// and a base padded with flat orphans, on *Graph and on overlays — fresh,
+// dirtied by an applied delete, left zoomed out, after a round trip, and
+// in the states that must keep the sweep from hiding a flat orphan
+// unchecked — with the parallel BFS frontier forced on and off.
 func TestKernelsMatchReference(t *testing.T) {
 	for _, b := range diffBases(t) {
 		t.Run(b.name, func(t *testing.T) {
@@ -41,6 +44,14 @@ type diffBase struct {
 	g       *provgraph.Graph
 	modules []string
 	samples []provgraph.NodeID
+	// preps are overlay views only this base can build.
+	preps []overlayPrep
+}
+
+// overlayPrep names a way to dirty a fresh overlay before the checks.
+type overlayPrep struct {
+	name string
+	prep func(*provgraph.Overlay)
 }
 
 func diffBases(t *testing.T) []diffBase {
@@ -67,21 +78,76 @@ func diffBases(t *testing.T) []diffBase {
 	// spill), with an applied deletion and a module left zoomed out.
 	dirty := provgraph.FromFrozen(provgraph.Freeze(deal.Runner.Graph()), nil)
 	dirty.Delete(workflowgen.HighFanoutNodes(dirty, 3)[2])
-	dirty.ZoomOut("M_dealer2")
+	dirtyZoom := dirty.ZoomOut("M_dealer2")
+	// A flat orphan (a constant without in-edges) whose one out-neighbor
+	// the zoom hid. An overlay that zooms back in holds that base-dead
+	// slot live, so the constant is no orphan of the view: its sweeps must
+	// check every candidate.
+	c := dirty.AddNode(provgraph.Node{Class: provgraph.ClassV, Type: provgraph.TypeValue, Op: provgraph.OpConst})
+	dirty.AddEdge(c, provgraph.ZoomHidden(dirtyZoom)[0])
+
+	orphans, checked := orphanBase()
 
 	var out []diffBase
 	for _, b := range []struct {
-		name string
-		g    *provgraph.Graph
+		name  string
+		g     *provgraph.Graph
+		preps []overlayPrep
 	}{
-		{"dealership", deal.Runner.Graph()},
-		{"arctic", arctic.Runner.Graph()},
-		{"graphmem", synth},
-		{"dirty-base", dirty},
+		{"dealership", deal.Runner.Graph(), nil},
+		{"arctic", arctic.Runner.Graph(), nil},
+		{"graphmem", synth, nil},
+		{"dirty-base", dirty, []overlayPrep{
+			{"overlay-revived", func(ov *provgraph.Overlay) { ov.ZoomIn(dirtyZoom) }},
+		}},
+		{"orphans", orphans, []overlayPrep{
+			{"overlay-edged", func(ov *provgraph.Overlay) {
+				// A flat orphan with an appended out-edge to a live node,
+				// in a word of flat orphans at a page boundary; a checked
+				// candidate with an appended edge to the next flat orphan
+				// of its word; and a flat orphan the view holds dead.
+				ov.AddEdge(4095, 4094)
+				ov.AddEdge(checked, checked+1)
+				ov.Delete(64)
+			}},
+		}},
 	} {
-		out = append(out, diffBase{name: b.name, g: b.g, modules: diffModules(b.g), samples: diffSamples(b.g)})
+		out = append(out, diffBase{name: b.name, g: b.g, modules: diffModules(b.g), samples: diffSamples(b.g), preps: b.preps})
 	}
 	return out
+}
+
+// orphanBase builds two chained modules, A and B, padded to 8,300 slots
+// in which a quarter are flat orphans: base tuples and constants without
+// edges, at ids 8k-1 and 8k, so pairs straddle every word and page
+// boundary (63/64, 4095/4096). A's constant feeds A's join, so zooming A
+// out orphans it: a candidate the sweep must check, in word 0 beside
+// flat orphans. It returns the graph and the constant, whose id + 1 is a
+// flat orphan.
+func orphanBase() (*provgraph.Graph, provgraph.NodeID) {
+	b := provgraph.NewBuilder()
+	g := b.G
+	invA := b.BeginInvocation("A", "a", 0)
+	join := b.Join(b.ModuleInput(invA, b.WorkflowInput("I")), b.StateTuple(invA, b.BaseTuple("s")))
+	outA := b.ModuleOutput(invA, join)
+	invB := b.BeginInvocation("B", "b", 0)
+	b.ModuleOutput(invB, b.Project(b.ModuleInput(invB, outA)))
+	for g.TotalNodes()%8 != 6 {
+		g.AddNode(provgraph.Node{Class: provgraph.ClassP, Type: provgraph.TypeOp, Op: provgraph.OpPlus})
+	}
+	c := b.ConstNode(nested.Int(7))
+	b.AddEdge(c, join)
+	for id := g.TotalNodes(); id < 8300; id++ {
+		switch id % 8 {
+		case 7:
+			g.AddNode(provgraph.Node{Class: provgraph.ClassP, Type: provgraph.TypeBaseTuple, Label: fmt.Sprint("t", id)})
+		case 0:
+			g.AddNode(provgraph.Node{Class: provgraph.ClassV, Type: provgraph.TypeValue, Op: provgraph.OpConst, Value: nested.Int(int64(id))})
+		default:
+			g.AddNode(provgraph.Node{Class: provgraph.ClassP, Type: provgraph.TypeOp, Op: provgraph.OpPlus})
+		}
+	}
+	return g, c
 }
 
 // diffModules lists up to five module names in first-invocation order.
@@ -131,13 +197,18 @@ func diffViews(b diffBase) []diffView {
 	})
 	zoomed := overlay(func(ov *provgraph.Overlay) { ov.ZoomOut(b.modules[0]) })
 	roundTrip := overlay(func(ov *provgraph.Overlay) { ov.ZoomIn(ov.ZoomOut(b.modules[len(b.modules)-1])) })
-	return []diffView{
+	views := []diffView{
 		{"graph", b.g, func() provgraph.GraphView { return b.g.Clone() }},
 		{"overlay", provgraph.NewOverlay(b.g), overlay(func(*provgraph.Overlay) {})},
 		{"overlay-deleted", deleted(), deleted},
 		{"overlay-zoomed", zoomed(), zoomed},
 		{"overlay-roundtrip", roundTrip(), roundTrip},
 	}
+	for _, p := range b.preps {
+		fork := overlay(p.prep)
+		views = append(views, diffView{p.name, fork(), fork})
+	}
+	return views
 }
 
 func checkReads(t *testing.T, name string, v provgraph.GraphView, samples []provgraph.NodeID) {
@@ -223,6 +294,9 @@ func sameView(t *testing.T, what string, got, want provgraph.GraphView, samples 
 	t.Helper()
 	if gs, ws := got.ComputeStats(), want.ComputeStats(); !reflect.DeepEqual(gs, ws) {
 		t.Errorf("%s: stats %+v, reference %+v", what, gs, ws)
+	}
+	if g, w := got.NumNodes(), want.NumNodes(); g != w {
+		t.Errorf("%s: NumNodes() = %d, reference %d", what, g, w)
 	}
 	if gc, ok := got.(interface{ Changes() int }); ok {
 		if g, w := gc.Changes(), want.(interface{ Changes() int }).Changes(); g != w {

@@ -2,6 +2,7 @@ package provgraph
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"lipstick/internal/nested"
@@ -117,6 +118,31 @@ func TestReplayCoversTransformations(t *testing.T) {
 		t.Fatalf("replay: %v", err)
 	}
 	graphsFullyEqual(t, f.g, replayed)
+}
+
+// TestGraphZoomEventsPerNode: on a *Graph, ZoomOut's kills and ZoomIn's
+// revives stream as one event per node, in the order of the record's
+// hidden list (an overlay's sweep and ZoomIn work a word at a time).
+func TestGraphZoomEventsPerNode(t *testing.T) {
+	f, log := captureFixture(t)
+	eventsOf := func(kind EventKind) []NodeID {
+		var ids []NodeID
+		for _, ev := range log.Drain() {
+			if ev.Kind == kind {
+				ids = append(ids, ev.Src)
+			}
+		}
+		return ids
+	}
+	log.Drain()
+	rec := f.g.ZoomOut("M_dealer1")
+	if killed := eventsOf(EvKill); !slices.Equal(killed, rec.hidden) {
+		t.Errorf("ZoomOut kill events %v, hidden %v", killed, rec.hidden)
+	}
+	f.g.ZoomIn(rec)
+	if revived := eventsOf(EvRevive); !slices.Equal(revived, rec.hidden) {
+		t.Errorf("ZoomIn revive events %v, hidden %v", revived, rec.hidden)
+	}
 }
 
 func TestApplyRejectsCorruptEvents(t *testing.T) {

@@ -20,12 +20,15 @@ import (
 // whose pages are allocated on first write, so a mutated overlay costs
 // O(changes) memory for its node, edge and value deltas plus one 1.5 KiB
 // page per 4,096-slot id range it has touched — and Alive, kill and
-// revive are bit operations. Thousands of concurrent what-if sessions
-// can share one base graph. Appended nodes take ids from TotalNodes()
-// upward — exactly the ids a Clone-then-mutate baseline would assign —
-// so every query answered through the view (find, subgraph, lineage,
-// deletion propagation, DOT, provenance expressions) is equal to the same
-// query against a mutated clone (asserted by the equivalence tests).
+// revive are bit operations. killMask and reviveMask apply them to a
+// word of 64 slots at once: ZoomOut hides the base's flat orphans, and
+// ZoomIn revives each run of its hidden list that shares a word.
+// Thousands of concurrent what-if sessions can share one base graph.
+// Appended nodes take ids from TotalNodes() upward — exactly the ids a
+// Clone-then-mutate baseline would assign — so every query answered
+// through the view (find, subgraph, lineage, deletion propagation, DOT,
+// provenance expressions) is equal to the same query against a mutated
+// clone (asserted by the equivalence tests).
 //
 // The base graph is never written: concurrent readers of the base (and of
 // sibling overlays) stay race-free while this overlay mutates. One overlay
@@ -250,6 +253,28 @@ func (o *Overlay) revive(id NodeID) {
 	}
 }
 
+// killMask marks the live nodes of mask's bits in liveness word w dead,
+// with kill's accounting.
+func (o *Overlay) killMask(w int, mask uint64) {
+	pg, i := o.page(NodeID(w*64)), w&(livePageWords-1)
+	mask &= pg.live[i]
+	o.overrides += bits.OnesCount64(mask &^ pg.set[i])
+	o.liveDelta -= bits.OnesCount64(mask)
+	pg.set[i] |= mask
+	pg.live[i] &^= mask
+}
+
+// reviveMask marks the dead nodes of mask's bits in liveness word w live,
+// with revive's accounting.
+func (o *Overlay) reviveMask(w int, mask uint64) {
+	pg, i := o.page(NodeID(w*64)), w&(livePageWords-1)
+	mask &^= pg.live[i]
+	o.overrides += bits.OnesCount64(mask &^ pg.set[i])
+	o.liveDelta += bits.OnesCount64(mask)
+	pg.set[i] |= mask
+	pg.live[i] |= mask
+}
+
 func (o *Overlay) typeOp(id NodeID) (Type, Op) {
 	if int(id) < o.baseSlots {
 		return o.base.typeOp(id)
@@ -369,10 +394,18 @@ func (o *Overlay) inRaw(id NodeID, buf *[]NodeID) []NodeID {
 // base nodes the view holds dead — any other orphan of the view had a
 // live out-neighbor in the base that the overlay killed — and the slots
 // the view holds live though the base does not, or that it appended.
-func (o *Overlay) orphanCandidates(set bitset) {
-	for i, w := range o.base.baseOrphans() {
+//
+// The base's flat orphans the view holds live, without appended edges,
+// are sure: their base out-neighbors are dead in the base and stay dead
+// in the view, and no node has an edge to them. Once the view holds any
+// base-dead slot live, an out-neighbor may have come back, and none is.
+func (o *Overlay) orphanCandidates(set, sure bitset) {
+	orphans := o.base.baseOrphans()
+	for i, w := range orphans.bits {
 		set[i] |= w
 	}
+	copy(sure, orphans.flat)
+	revivedBase := false
 	for p, pg := range o.pages {
 		if pg == nil {
 			continue
@@ -388,12 +421,32 @@ func (o *Overlay) orphanCandidates(set bitset) {
 			}
 			if revived := pg.set[w] & pg.live[w] &^ base; revived != 0 {
 				set[gw] |= revived
+				revivedBase = revivedBase || revived&o.baseMask(gw) != 0
+			}
+			if gw < len(sure) {
+				sure[gw] &= pg.live[w] &^ pg.edges[w]
 			}
 		}
+	}
+	if revivedBase {
+		clear(sure)
 	}
 	for i := range o.added {
 		if n := &o.added[i]; n.Op == OpConst || n.Type == TypeBaseTuple {
 			set.set(o.baseSlots + i)
+		}
+	}
+	// The sweep skips dead candidates; dropping those the view holds dead
+	// lets it hide a word of sure ones whole. (Where no page exists, the
+	// base orphans are live and a dead in-neighbor is merely re-checked.)
+	for p, pg := range o.pages {
+		if pg == nil {
+			continue
+		}
+		for w, live := range pg.live {
+			if gw := p*livePageWords + w; gw < len(set) {
+				set[gw] &= live
+			}
 		}
 	}
 }

@@ -14,20 +14,21 @@ import (
 // the epoch resets the whole set without touching memory), a reusable
 // BFS queue, and adjacency buffers for the views' split lists. Deletion
 // propagation also keeps its lazily counted in-degrees in deg (valid
-// where mark[id] == epoch), and ZoomOut its orphan candidates in cand and
-// its hidden list in ids. ExprString numbers the nodes it reaches in deg
-// (valid where mark[id] == epoch), keeps their rendering state in expr,
-// the contributing children of its sums, products and δs in kids, and
-// renders into text. Pooling keeps the query kernels from allocating
-// O(graph) scratch per call; allocations scale with the result set only.
-// The pool, not the view, owns the scratch: concurrent readers traverse
-// the same graph under a shared read lock, so per-view scratch would
-// race.
+// where mark[id] == epoch), and ZoomOut its orphan candidates in cand
+// (the sure ones in sure) and its hidden list in ids. ExprString numbers
+// the nodes it reaches in deg (valid where mark[id] == epoch), keeps
+// their rendering state in expr, the contributing children of its sums,
+// products and δs in kids, and renders into text. Pooling keeps the
+// query kernels from allocating O(graph) scratch per call; allocations
+// scale with the result set only. The pool, not the view, owns the
+// scratch: concurrent readers traverse the same graph under a shared
+// read lock, so per-view scratch would race.
 type visitScratch struct {
 	epoch     uint32
 	mark      []uint32
 	deg       []int32
 	cand      bitset
+	sure      bitset
 	queue     []NodeID
 	ids       []NodeID
 	adj, adj2 []NodeID

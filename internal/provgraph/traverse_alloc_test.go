@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"unicode/utf8"
+
+	"lipstick/internal/nested"
 )
 
 // pairGraph builds n disconnected a -> b pairs, returning the graph and
@@ -47,6 +49,25 @@ func moduleGraph(n int) (*Graph, NodeID) {
 		}
 	}
 	return g, leaf
+}
+
+// orphanModuleGraph is moduleGraph with a quarter of its filler slots
+// isolated base tuples and constants: the pre-existing orphans that every
+// ZoomOut of a view hides. They sit at ids 8k-1 and 8k, so pairs of them
+// straddle every word and page boundary.
+func orphanModuleGraph(n int) *Graph {
+	g, _ := moduleGraph(0)
+	for id := g.TotalNodes(); id < n; id++ {
+		switch id % 8 {
+		case 7:
+			g.AddNode(Node{Class: ClassP, Type: TypeBaseTuple, Label: "t" + strconv.Itoa(id)})
+		case 0:
+			g.AddNode(Node{Class: ClassV, Type: TypeValue, Op: OpConst, Value: nested.Int(int64(id))})
+		default:
+			g.AddNode(Node{Class: ClassP, Type: TypeOp, Op: OpPlus})
+		}
+	}
+	return g
 }
 
 // bytesPerRun measures average heap bytes allocated per call to f. It
@@ -229,14 +250,22 @@ func TestWholeRunes(t *testing.T) {
 }
 
 // BenchmarkOverlayZoomRoundTrip zooms a one-invocation module out and back
-// in on a fresh session overlay over a 64k-slot base: the cost is the
-// module's, not the graph's.
+// in on a fresh session overlay over a 64k-slot base. Over plain filler
+// the cost is the module's, not the graph's; over orphan filler every
+// zoom also hides (and ZoomIn revives) the base's 16k flat orphans.
 func BenchmarkOverlayZoomRoundTrip(b *testing.B) {
-	g, _ := moduleGraph(1 << 16)
-	b.ReportAllocs()
-	for b.Loop() {
-		ov := NewOverlay(g)
-		ov.ZoomIn(ov.ZoomOut("M"))
+	plain, _ := moduleGraph(1 << 16)
+	for _, c := range []struct {
+		name string
+		g    *Graph
+	}{{"plain", plain}, {"orphans", orphanModuleGraph(1 << 16)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				ov := NewOverlay(c.g)
+				ov.ZoomIn(ov.ZoomOut("M"))
+			}
+		})
 	}
 }
 

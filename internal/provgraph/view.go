@@ -73,9 +73,12 @@ type view interface {
 	Invocation(id InvID) *Invocation
 	// orphanCandidates sets, in set, the bit of every node that is live,
 	// an OpConst or TypeBaseTuple node, and without a live out-neighbor —
-	// plus possibly others (callers re-check each candidate). set covers
-	// at least TotalNodes() bits.
-	orphanCandidates(set bitset)
+	// plus possibly others, which callers re-check. It sets, in sure, the
+	// candidates a sweep in id order may hide unchecked: live orphans with
+	// no in-neighbor, whose out-neighbors stay dead however the sweep
+	// proceeds. set and sure cover at least TotalNodes() bits; sure
+	// arrives cleared.
+	orphanCandidates(set, sure bitset)
 }
 
 // mutableView adds the mutations graph transformations perform; the
@@ -84,6 +87,9 @@ type mutableView interface {
 	view
 	kill(id NodeID)
 	revive(id NodeID)
+	// killMask kills the nodes of the set bits of liveness word w (ids
+	// w*64 to w*64+63).
+	killMask(w int, mask uint64)
 	AddNode(n Node) NodeID
 	AddEdge(src, dst NodeID)
 	setValue(id NodeID, v nested.Value)
@@ -131,10 +137,14 @@ func liveIn(v view, id NodeID) []NodeID {
 }
 
 // hasLiveOut reports whether id has at least one live out-neighbor
-// without materializing the neighbor list.
+// without materializing the neighbor list. It scans from the newest edge:
+// ZoomOut kills a base tuple's state nodes oldest first and asks after
+// each kill, which a scan from the oldest edge would answer in time
+// quadratic in the tuple's out-degree.
 func hasLiveOut(v view, id NodeID, buf *[]NodeID) bool {
-	for _, n := range v.outRaw(id, buf) {
-		if v.Alive(n) {
+	out := v.outRaw(id, buf)
+	for i := len(out) - 1; i >= 0; i-- {
+		if v.Alive(out[i]) {
 			return true
 		}
 	}

@@ -190,20 +190,37 @@ func zoomOutOf(mv mutableView, modules []string, invs []InvID) *ZoomRecord {
 // view's orphan candidates only, not every slot. Hiding a node can orphan
 // an in-neighbor with a larger id, which a sweep in id order reaches
 // later, so such in-neighbors join the candidates as the sweep goes; one
-// with a smaller id has been passed, as it would be by a full sweep.
+// with a smaller id has been passed, as it would be by a full sweep. A
+// sure candidate is hidden unchecked, and a word of them at once: hiding
+// it orphans no other node, so the order of its kill is unobservable
+// beyond its place in hidden.
 func sweepOrphans(mv mutableView, s *visitScratch, hidden []NodeID) []NodeID {
 	words := (mv.TotalNodes() + 63) / 64
-	s.cand = grown(s.cand, words)
-	cand := s.cand[:words]
+	s.cand, s.sure = grown(s.cand, words), grown(s.sure, words)
+	cand, sure := s.cand[:words], s.sure[:words]
 	clear(cand)
-	mv.orphanCandidates(cand)
+	clear(sure)
+	mv.orphanCandidates(cand, sure)
 	for w := range cand {
+		if c := cand[w]; c != 0 && c&^sure[w] == 0 {
+			mv.killMask(w, c)
+			for ; c != 0; c &= c - 1 {
+				hidden = append(hidden, NodeID(w*64+bits.TrailingZeros64(c)))
+			}
+			cand[w] = 0
+			continue
+		}
 		// Bits are cleared as they are taken; candidates added mid-word
 		// are picked up by re-reading the word.
 		for cand[w] != 0 {
 			b := bits.TrailingZeros64(cand[w])
 			cand[w] &^= 1 << uint(b)
 			id := NodeID(w*64 + b)
+			if sure[w]&(1<<uint(b)) != 0 {
+				mv.kill(id)
+				hidden = append(hidden, id)
+				continue
+			}
 			if !mv.Alive(id) {
 				continue
 			}
@@ -227,17 +244,30 @@ func sweepOrphans(mv mutableView, s *visitScratch, hidden []NodeID) []NodeID {
 
 // ZoomIn restores the fine-grained view hidden by the given record: it
 // revives the hidden nodes and removes the zoomed-module nodes.
-func (g *Graph) ZoomIn(rec *ZoomRecord) { zoomInOf(g, rec) }
-
-// ZoomIn restores the fine-grained view in the overlay.
-func (o *Overlay) ZoomIn(rec *ZoomRecord) { zoomInOf(o, rec) }
-
-func zoomInOf(mv mutableView, rec *ZoomRecord) {
+func (g *Graph) ZoomIn(rec *ZoomRecord) {
 	for _, id := range rec.zoomNodes {
-		mv.kill(id)
+		g.kill(id)
 	}
 	for _, id := range rec.hidden {
-		mv.revive(id)
+		g.revive(id)
+	}
+}
+
+// ZoomIn restores the fine-grained view in the overlay. It revives each
+// run of hidden ids that share a liveness word with one word operation;
+// the graph's ZoomIn revives node by node, one event each.
+func (o *Overlay) ZoomIn(rec *ZoomRecord) {
+	for _, id := range rec.zoomNodes {
+		o.kill(id)
+	}
+	hidden := rec.hidden
+	for i := 0; i < len(hidden); {
+		w := int(hidden[i]) >> 6
+		var mask uint64
+		for ; i < len(hidden) && int(hidden[i])>>6 == w; i++ {
+			mask |= 1 << (uint(hidden[i]) & 63)
+		}
+		o.reviveMask(w, mask)
 	}
 }
 
