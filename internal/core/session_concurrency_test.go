@@ -107,3 +107,66 @@ func TestSessionsShareMappedBaseConcurrently(t *testing.T) {
 		}
 	}
 }
+
+// TestMappedSnapshotConcurrentTraversals: two goroutines answer Subgraph
+// and Ancestors on one mapped snapshot graph at once, drawing their BFS
+// scratch from the same pool. Every answer must equal the sequential
+// answer taken first. Run with -race.
+func TestMappedSnapshotConcurrentTraversals(t *testing.T) {
+	run, err := workflowgen.RunDealership(workflowgen.DealershipParams{
+		NumCars: 200, NumExec: 4, Seed: 5, Gran: workflow.Fine,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "deal.lpsk")
+	if err := store.Save(path, &store.Snapshot{Graph: run.Runner.Graph()}); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRegistry(NewSnapshotManager(0), WithSessionTTL(0))
+	defer r.Close()
+	if err := r.Register("deal", path); err != nil {
+		t.Fatal(err)
+	}
+	qp, err := r.Open("deal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := qp.Graph()
+	targets := workflowgen.HighFanoutNodes(g, 4)
+	g.Nodes(func(n provgraph.Node) bool {
+		if n.Type == provgraph.TypeModuleOutput && n.ID%5 == 0 {
+			targets = append(targets, n.ID)
+		}
+		return len(targets) < 40
+	})
+	answers := func(id provgraph.NodeID) string {
+		return fmt.Sprint(g.Subgraph(id).Nodes, g.Ancestors(id))
+	}
+	want := make([]string, len(targets))
+	for i, id := range targets {
+		want[i] = answers(id)
+	}
+	const readers, rounds = 2, 10
+	var wg sync.WaitGroup
+	errs := make([]error, readers)
+	for k := 0; k < readers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds*len(targets); r++ {
+				i := (r + k*len(targets)/readers) % len(targets)
+				if got := answers(targets[i]); got != want[i] {
+					errs[k] = fmt.Errorf("reader %d: answers for %d differ from the sequential ones", k, targets[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+}

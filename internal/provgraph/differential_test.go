@@ -20,20 +20,18 @@ import (
 // must equal the reference kernels the rewrite replaced
 // (reference_test.go). It runs over the dealership, Arctic and
 // graphmem-synthetic workloads, a base with dead nodes and spilled edges,
-// and a base padded with flat orphans, on *Graph and on overlays — fresh,
-// dirtied by an applied delete, left zoomed out, after a round trip, and
-// in the states that must keep the sweep from hiding a flat orphan
-// unchecked — with the parallel BFS frontier forced on and off.
+// a live graph's published view, and a base padded with flat orphans, on
+// *Graph and on overlays — fresh, dirtied by an applied delete, left
+// zoomed out, after a round trip, and in the states that must keep the
+// sweep from hiding a flat orphan unchecked. The *Graph views take the
+// concrete BFS loop and the overlays the generic one, so Ancestors,
+// Descendants and Subgraph hold both to the reference.
 func TestKernelsMatchReference(t *testing.T) {
 	for _, b := range diffBases(t) {
 		t.Run(b.name, func(t *testing.T) {
-			for _, threshold := range []int{0, 1} {
-				old := provgraph.SetParallelFrontierThreshold(threshold)
-				for _, vw := range diffViews(b) {
-					checkReads(t, fmt.Sprintf("%s/t%d", vw.name, threshold), vw.v, b.samples)
-					checkZooms(t, fmt.Sprintf("%s/t%d", vw.name, threshold), vw, b)
-				}
-				provgraph.SetParallelFrontierThreshold(old)
+			for _, vw := range diffViews(b) {
+				checkReads(t, vw.name, vw.v, b.samples)
+				checkZooms(t, vw.name, vw, b)
 			}
 		})
 	}
@@ -86,6 +84,13 @@ func diffBases(t *testing.T) []diffBase {
 	c := dirty.AddNode(provgraph.Node{Class: provgraph.ClassV, Type: provgraph.TypeValue, Op: provgraph.OpConst})
 	dirty.AddEdge(c, provgraph.ZoomHidden(dirtyZoom)[0])
 
+	// A live graph's published view: no CSR base, adjacency in chunked
+	// tails, with dead nodes, and a writer that mutates after the publish.
+	live := deal.Runner.Graph().Clone()
+	live.Delete(workflowgen.HighFanoutNodes(live, 2)[1])
+	published := live.PublishView()
+	live.Delete(workflowgen.HighFanoutNodes(live, 1)[0])
+
 	orphans, checked := orphanBase()
 
 	var out []diffBase
@@ -100,6 +105,7 @@ func diffBases(t *testing.T) []diffBase {
 		{"dirty-base", dirty, []overlayPrep{
 			{"overlay-revived", func(ov *provgraph.Overlay) { ov.ZoomIn(dirtyZoom) }},
 		}},
+		{"published", published, nil},
 		{"orphans", orphans, []overlayPrep{
 			{"overlay-edged", func(ov *provgraph.Overlay) {
 				// A flat orphan with an appended out-edge to a live node,
@@ -214,6 +220,8 @@ func diffViews(b diffBase) []diffView {
 func checkReads(t *testing.T, name string, v provgraph.GraphView, samples []provgraph.NodeID) {
 	t.Helper()
 	for _, id := range samples {
+		sameIDs(t, fmt.Sprintf("%s: Ancestors(%d)", name, id), v.Ancestors(id), provgraph.RefAncestors(v, id))
+		sameIDs(t, fmt.Sprintf("%s: Descendants(%d)", name, id), v.Descendants(id), provgraph.RefDescendants(v, id))
 		sameIDs(t, fmt.Sprintf("%s: Subgraph(%d)", name, id), v.Subgraph(id).Nodes, provgraph.RefSubgraph(v, id))
 		want := provgraph.RefPropagateDeletion(v, id)
 		sameIDs(t, fmt.Sprintf("%s: PropagateDeletion(%d)", name, id), v.PropagateDeletion(id).Removed, want)

@@ -25,3 +25,9 @@ func RefZoomOut(v GraphView, modules ...string) *ZoomRecord {
 
 // ZoomHidden exposes a record's hidden list in hiding order.
 func ZoomHidden(r *ZoomRecord) []NodeID { return r.hidden }
+
+// RefAncestors is the reference BFS's ancestor order.
+func RefAncestors(v GraphView, id NodeID) []NodeID { return refBFS(v.(view), id, refEachIn) }
+
+// RefDescendants is the reference BFS's descendant order.
+func RefDescendants(v GraphView, id NodeID) []NodeID { return refBFS(v.(view), id, refEachOut) }

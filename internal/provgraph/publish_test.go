@@ -143,45 +143,42 @@ func TestPublishViewFromThawedSnapshot(t *testing.T) {
 	}
 }
 
-// TestParallelTraversalMatchesSequential forces the frontier-parallel path
-// (threshold 1) and asserts the traversal outputs are byte-identical to
-// the sequential path on a graph large enough for real fan-out.
-func TestParallelTraversalMatchesSequential(t *testing.T) {
-	g := randomDAG(t, 20000, 3, 5)
-	rng := rand.New(rand.NewSource(13))
-	probes := probeIDs(g, rng, 40)
-	probes = append(probes, 0, NodeID(g.TotalNodes()-1))
-
-	type answers struct {
-		anc, desc [][]NodeID
-		sub       [][]NodeID
-	}
-	collect := func() answers {
-		var a answers
-		for _, id := range probes {
-			a.anc = append(a.anc, g.Ancestors(id))
-			a.desc = append(a.desc, g.Descendants(id))
-			a.sub = append(a.sub, g.Subgraph(id).Nodes)
-		}
-		return a
-	}
-
-	old := SetParallelFrontierThreshold(0) // disable: pure sequential
-	seq := collect()
-	SetParallelFrontierThreshold(1) // force parallel on every step
-	par := collect()
-	SetParallelFrontierThreshold(old)
-
-	for i := range probes {
-		if !reflect.DeepEqual(seq.anc[i], par.anc[i]) {
-			t.Fatalf("ancestors(%d): parallel diverged from sequential", probes[i])
-		}
-		if !reflect.DeepEqual(seq.desc[i], par.desc[i]) {
-			t.Fatalf("descendants(%d): parallel diverged from sequential", probes[i])
-		}
-		if !reflect.DeepEqual(seq.sub[i], par.sub[i]) {
-			t.Fatalf("subgraph(%d): parallel diverged from sequential", probes[i])
-		}
+// TestPublishedViewTraversalMatchesOverlay: a published view takes the
+// *Graph BFS loop, a session overlay over it the generic one. On a
+// live-ingested graph large enough for frontiers of thousands and on a
+// thawed snapshot — both published with no CSR base, their adjacency in
+// chunked tails, with dead nodes, and with the writer mutating after the
+// publish — the two loops must answer Ancestors, Descendants and Subgraph
+// alike, element for element.
+func TestPublishedViewTraversalMatchesOverlay(t *testing.T) {
+	thawed := FromFrozen(Freeze(randomDAG(t, 5000, 2, 3)), nil)
+	thawed.PrepareForIngest()
+	mutateSome(thawed, rand.New(rand.NewSource(3)), 100)
+	for _, c := range []struct {
+		name string
+		g    *Graph
+	}{{"live", randomDAG(t, 20000, 3, 5)}, {"thawed", thawed}} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(13))
+			view := c.g.PublishView()
+			mutateSome(c.g, rng, 200)
+			if view.in.baseN != 0 || view.out.baseN != 0 || view.dead == 0 {
+				t.Fatalf("view has a CSR base (%d/%d slots) or no dead nodes (%d)", view.in.baseN, view.out.baseN, view.dead)
+			}
+			ov := NewOverlay(view)
+			probes := append(probeIDs(view, rng, 40), 0, NodeID(view.TotalNodes()-1))
+			for _, id := range probes {
+				if got, want := view.Ancestors(id), ov.Ancestors(id); !reflect.DeepEqual(got, want) {
+					t.Fatalf("ancestors(%d): view %d ids, overlay %d", id, len(got), len(want))
+				}
+				if got, want := view.Descendants(id), ov.Descendants(id); !reflect.DeepEqual(got, want) {
+					t.Fatalf("descendants(%d): view %d ids, overlay %d", id, len(got), len(want))
+				}
+				if got, want := view.Subgraph(id).Nodes, ov.Subgraph(id).Nodes; !reflect.DeepEqual(got, want) {
+					t.Fatalf("subgraph(%d): view %d ids, overlay %d", id, len(got), len(want))
+				}
+			}
+		})
 	}
 }
 

@@ -1,0 +1,53 @@
+package provgraph_test
+
+import (
+	"testing"
+
+	"lipstick/internal/provgraph"
+	"lipstick/internal/workflow"
+	"lipstick/internal/workflowgen"
+)
+
+// BenchmarkSubgraph answers subgraph queries over a fine-grained
+// dealership graph frozen and reloaded the way a snapshot open builds it
+// (CSR adjacency over read-only bases): on the graph itself, and through
+// a fresh session overlay over it. The targets are module outputs whose
+// subgraphs hold thousands of nodes, the shape that dominates a query
+// mix's subgraph cost.
+func BenchmarkSubgraph(b *testing.B) {
+	run, err := workflowgen.RunDealership(workflowgen.DealershipParams{
+		NumCars: 8000, NumExec: 20, Seed: 1, Gran: workflow.Fine,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := provgraph.FromFrozen(provgraph.Freeze(run.Runner.Graph()), nil)
+	var outputs, targets []provgraph.NodeID
+	g.Nodes(func(n provgraph.Node) bool {
+		if n.Type == provgraph.TypeModuleOutput {
+			outputs = append(outputs, n.ID)
+		}
+		return true
+	})
+	for i := 0; i < len(outputs); i += len(outputs)/32 + 1 {
+		if g.Subgraph(outputs[i]).Size() >= 2000 {
+			targets = append(targets, outputs[i])
+		}
+	}
+	if len(targets) < 8 {
+		b.Fatalf("%d of %d module outputs have a subgraph of 2000 nodes", len(targets), len(outputs))
+	}
+	for _, c := range []struct {
+		name string
+		v    provgraph.GraphView
+	}{{"graph", g}, {"overlay", provgraph.NewOverlay(g)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				c.v.Subgraph(targets[i%len(targets)])
+				i++
+			}
+		})
+	}
+}

@@ -7,22 +7,26 @@ import (
 
 // The traversal queries are implemented once, generically over the view
 // primitives, so a copy-on-write Overlay answers them identically to a
-// materialized Graph (see view.go).
+// materialized Graph (see view.go). The BFS behind Ancestors, Descendants
+// and Subgraph has a second, concrete loop for *Graph views, which reads
+// the CSR and liveness words without an interface call per edge; it keeps
+// the generic loop's marks and queue order, so both answer alike.
 
 // visitScratch is pooled per-traversal working memory: an epoch-stamped
 // visited set (mark[id] == epoch means visited this traversal — bumping
 // the epoch resets the whole set without touching memory), a reusable
-// BFS queue, and adjacency buffers for the views' split lists. Deletion
-// propagation also keeps its lazily counted in-degrees in deg (valid
-// where mark[id] == epoch), and ZoomOut its orphan candidates in cand
-// (the sure ones in sure) and its hidden list in ids. ExprString numbers
-// the nodes it reaches in deg (valid where mark[id] == epoch), keeps
-// their rendering state in expr, the contributing children of its sums,
-// products and δs in kids, and renders into text. Pooling keeps the
-// query kernels from allocating O(graph) scratch per call; allocations
-// scale with the result set only. The pool, not the view, owns the
-// scratch: concurrent readers traverse the same graph under a shared
-// read lock, so per-view scratch would race.
+// BFS queue, and adjacency buffers for the views' split lists. Both BFS
+// loops, the *Graph one and the generic one, run on the same mark and
+// queue. Deletion propagation also keeps its lazily counted in-degrees
+// in deg (valid where mark[id] == epoch), and ZoomOut its orphan
+// candidates in cand (the sure ones in sure) and its hidden list in ids.
+// ExprString numbers the nodes it reaches in deg (valid where mark[id] ==
+// epoch), keeps their rendering state in expr, the contributing children
+// of its sums, products and δs in kids, and renders into text. Pooling
+// keeps the query kernels from allocating O(graph) scratch per call;
+// allocations scale with the result set only. The pool, not the view,
+// owns the scratch: concurrent readers traverse the same graph under a
+// shared read lock, so per-view scratch would race.
 type visitScratch struct {
 	epoch     uint32
 	mark      []uint32
@@ -89,9 +93,7 @@ func (g *Graph) Ancestors(id NodeID) []NodeID { return ancestorsOf(g, id) }
 // Ancestors returns the live ancestors of id in the overlay view.
 func (o *Overlay) Ancestors(id NodeID) []NodeID { return ancestorsOf(o, id) }
 
-func ancestorsOf(v view, id NodeID) []NodeID {
-	return bfsOf(v, id, view.inRaw)
-}
+func ancestorsOf(v view, id NodeID) []NodeID { return bfsOf(v, id, up) }
 
 // Descendants returns the set of live nodes reachable from id (the data
 // derived from id), excluding id itself.
@@ -100,51 +102,105 @@ func (g *Graph) Descendants(id NodeID) []NodeID { return descendantsOf(g, id) }
 // Descendants returns the live descendants of id in the overlay view.
 func (o *Overlay) Descendants(id NodeID) []NodeID { return descendantsOf(o, id) }
 
-func descendantsOf(v view, id NodeID) []NodeID {
-	return bfsOf(v, id, view.outRaw)
+func descendantsOf(v view, id NodeID) []NodeID { return bfsOf(v, id, down) }
+
+// dir is one adjacency direction: up follows in-edges (to ancestors),
+// down follows out-edges (to descendants).
+type dir bool
+
+const (
+	up   dir = false
+	down dir = true
+)
+
+// adj returns id's raw adjacency in direction d (see view.inRaw).
+func adj(v view, d dir, id NodeID, buf *[]NodeID) []NodeID {
+	if d == up {
+		return v.inRaw(id, buf)
+	}
+	return v.outRaw(id, buf)
 }
 
-// adjFunc is one adjacency direction of a view (view.outRaw or
-// view.inRaw).
-type adjFunc func(v view, id NodeID, buf *[]NodeID) []NodeID
+// half returns the graph's adjacency in direction d.
+func (g *Graph) half(d dir) *adjHalf {
+	if d == up {
+		return &g.in
+	}
+	return &g.out
+}
 
-// bfsOf walks the given adjacency from id, returning visited live nodes in
-// BFS order (excluding the start node). Scratch comes from the pool, so
-// only the result slice is allocated.
-func bfsOf(v view, id NodeID, adj adjFunc) []NodeID {
+// bfsOf walks direction d from id, returning visited live nodes in BFS
+// order (excluding the start node). Scratch comes from the pool, so only
+// the result slice is allocated.
+func bfsOf(v view, id NodeID, d dir) []NodeID {
 	s := getVisit(v.TotalNodes())
 	defer putVisit(s)
-	bfsInto(v, s, id, adj)
+	bfsInto(v, s, id, d)
 	if len(s.queue) == 1 {
 		return nil
 	}
 	return slices.Clone(s.queue[1:])
 }
 
-// bfsInto runs the BFS on s (resetting its visited set), leaving id
-// followed by the visited live nodes, in BFS order, in s.queue. Once the
-// pending queue outgrows the parallel threshold, whole segments are
-// expanded by the frontier-parallel batch path (traverse_parallel.go),
-// whose merge keeps the order byte-identical to this sequential loop.
-func bfsInto(v view, s *visitScratch, id NodeID, adj adjFunc) {
-	s.reset()
-	s.queue = append(s.queue[:0], id)
-	s.visit(id)
-	for head := 0; head < len(s.queue); {
-		if len(s.queue)-head >= parallelFrontierThreshold {
-			end := len(s.queue)
-			expandFrontierParallel(v, s, head, adj)
-			head = end
-			continue
-		}
-		cur := s.queue[head]
-		head++
-		for _, next := range adj(v, cur, &s.adj) {
+// bfsInto visits id, then walks direction d from it, appending id (if
+// unseen) and the live nodes it reaches, in BFS order, to s.queue. Nodes
+// already visited in s are neither appended nor expanded. It expands one
+// level at a time, which keeps the order of a FIFO walk.
+func bfsInto(v view, s *visitScratch, id NodeID, d dir) {
+	head := len(s.queue)
+	if !s.visit(id) {
+		return
+	}
+	s.queue = append(s.queue, id)
+	for head < len(s.queue) {
+		end := len(s.queue)
+		expand(v, s, s.queue[head:end], d)
+		head = end
+	}
+}
+
+// expand appends to s.queue, in frontier and adjacency order, each live
+// neighbor in direction d of the frontier's nodes that s has not visited,
+// and marks it visited. It is one sequential loop per view type: on a
+// *Graph (a snapshot or a published view) it reads the CSR slices and
+// the liveness words inline; every other view goes through the view
+// primitives. Both keep the same marks and the same order.
+func expand(v view, s *visitScratch, frontier []NodeID, d dir) {
+	if g, ok := v.(*Graph); ok {
+		g.expand(s, frontier, g.half(d))
+		return
+	}
+	for _, cur := range frontier {
+		for _, next := range adj(v, d, cur, &s.adj) {
 			if v.Alive(next) && s.visit(next) {
 				s.queue = append(s.queue, next)
 			}
 		}
 	}
+}
+
+// expand is the *Graph loop of expand over adjacency a. A slot the CSR
+// base covers is read from offs/edges unless edges spilled since the
+// load; any other goes through adjHalf.raw. frontier may alias s.queue:
+// appends land past it.
+func (g *Graph) expand(s *visitScratch, frontier []NodeID, a *adjHalf) {
+	alive, mark, epoch, queue := g.alive, s.mark, s.epoch, s.queue
+	csr := a.spill == nil
+	for _, cur := range frontier {
+		var next []NodeID
+		if i := int(cur); i < a.baseN && csr {
+			next = a.edges[a.offs[i]:a.offs[i+1]]
+		} else {
+			next = a.raw(cur, &s.adj)
+		}
+		for _, n := range next {
+			if alive[n>>6]&(1<<(uint(n)&63)) != 0 && mark[n] != epoch {
+				mark[n] = epoch
+				queue = append(queue, n)
+			}
+		}
+	}
+	s.queue = queue
 }
 
 // DependsOn reports whether the existence of node a depends on node b
@@ -201,38 +257,28 @@ func subgraphOf(v view, id NodeID) *SubgraphResult {
 	walk := getVisit(total)
 	defer putVisit(walk)
 
-	// member.queue accumulates the answer in discovery order.
-	add := func(n NodeID) {
+	// member.queue accumulates the answer in discovery order. The root's
+	// ancestors and descendants are disjoint in a DAG, so the ancestor
+	// walk runs straight into it; the descendant walk runs in walk, whose
+	// marks must not hold the ancestors (see below).
+	bfsInto(v, member, id, up)
+	bfsInto(v, walk, id, down)
+	descendants := walk.queue[1:]
+	for _, n := range descendants {
 		if member.visit(n) {
 			member.queue = append(member.queue, n)
 		}
 	}
-	add(id)
-	bfsInto(v, walk, id, view.inRaw)
-	for _, n := range walk.queue[1:] {
-		add(n)
-	}
-	bfsInto(v, walk, id, view.outRaw)
-	descendants := walk.queue[1:]
-	for _, n := range descendants {
-		add(n)
-	}
-	// walk's marks (the root and its descendants) now serve as the set
-	// of parents already swept: a swept parent adds nothing new, and
-	// neither does one of these, since a visited node's live children are
-	// descendants, already members.
-	for _, d := range descendants {
-		for _, parent := range v.inRaw(d, &walk.adj) {
-			if !v.Alive(parent) || !walk.visit(parent) {
-				continue
-			}
-			for _, sib := range v.outRaw(parent, &walk.adj2) {
-				if v.Alive(sib) {
-					add(sib)
-				}
-			}
-		}
-	}
+	// walk's marks (the root and its descendants) serve as the set of
+	// parents already swept: a swept parent adds nothing new, and neither
+	// does one of these, since a visited node's live children are
+	// descendants, already members. Gathering the descendants' unswept
+	// parents first, in (descendant, parent) order, and then their
+	// children, keeps the (descendant, parent, child) order: which parents
+	// are swept does not depend on the members.
+	parents := len(walk.queue)
+	expand(v, walk, descendants, up)
+	expand(v, member, walk.queue[parents:], down)
 	return &SubgraphResult{Root: id, Nodes: slices.Clone(member.queue)}
 }
 

@@ -156,6 +156,53 @@ func TestTraversalAllocsDoNotScaleWithGraphSize(t *testing.T) {
 	}
 }
 
+// fanGraph builds n slots: a source feeding n-2 middle nodes that all
+// feed one sink. Descendants(source) and Ancestors(sink) hold the whole
+// graph, in one frontier n-2 nodes wide.
+func fanGraph(n int) (g *Graph, src, sink NodeID) {
+	g = New()
+	src = g.AddNode(Node{Class: ClassP, Type: TypeWorkflowInput, Label: "x"})
+	mids := make([]NodeID, n-2)
+	for i := range mids {
+		mids[i] = g.AddNode(Node{Class: ClassP, Type: TypeOp, Op: OpTimes})
+		g.AddEdge(src, mids[i])
+	}
+	sink = g.AddNode(Node{Class: ClassP, Type: TypeOp, Op: OpPlus})
+	for _, m := range mids {
+		g.AddEdge(m, sink)
+	}
+	return g, src, sink
+}
+
+// TestGraphTraversalAllocs pins the *Graph BFS to its answer: Ancestors
+// and Descendants allocate the result slice, Subgraph the result and its
+// node list, and nothing else — on 4k- and 64k-slot graphs, built and
+// reloaded from their frozen form, with answers spanning the graph.
+func TestGraphTraversalAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; the allocation profile is not representative")
+	}
+	for _, n := range []int{1 << 12, 1 << 16} {
+		built, src, sink := fanGraph(n)
+		for _, g := range []*Graph{built, FromFrozen(Freeze(built), nil)} {
+			for _, q := range []struct {
+				name string
+				run  func()
+			}{
+				{"Ancestors", func() { g.Ancestors(sink) }},
+				{"Descendants", func() { g.Descendants(src) }},
+				{"Subgraph(source)", func() { g.Subgraph(src) }},
+				{"Subgraph(sink)", func() { g.Subgraph(sink) }},
+			} {
+				q.run() // warm the pool
+				if allocs := testing.AllocsPerRun(20, q.run); allocs > 2 {
+					t.Errorf("%s at %d slots (CSR base %d): %.1f allocations, want at most 2", q.name, n, g.in.baseN, allocs)
+				}
+			}
+		}
+	}
+}
+
 // TestExprStringAllocs pins the renderer's allocation to its answer: one
 // allocation per render (the result string), and the same bytes on a 40x
 // larger graph, through the graph and through an overlay.

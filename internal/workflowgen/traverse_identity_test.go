@@ -2,30 +2,31 @@ package workflowgen
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"lipstick/internal/provgraph"
 	"lipstick/internal/workflow"
 )
 
-// TestParallelTraversalByteIdentity is the acceptance contract of the
-// frontier-parallel BFS kernels: over the three tracked workloads
-// (dealership, arctic, and the synthetic graphmem generator), Ancestors
-// and Descendants forced through the parallel frontier expansion return
-// the exact node-id sequence the sequential expansion returns — same
-// ids, same order, element for element — from a stride sample of start
-// nodes plus every workflow input and output.
+// TestParallelTraversalByteIdentity holds the two BFS loops to each
+// other: on a *Graph, Ancestors, Descendants and Subgraph take the
+// concrete loop over the graph's storage, and on a fresh overlay over the
+// same graph the generic loop over the view primitives. Run side by side
+// in two goroutines over the shared base, they must return the same
+// node-id sequences, element for element, from a stride sample of start
+// nodes plus every 17th workflow input and module output. The bases are
+// the three tracked workloads (dealership, arctic, and the synthetic
+// graphmem generator) and the storage shapes the concrete loop branches
+// on: edges spilled onto a reloaded snapshot's CSR slots, dead nodes, and
+// a live graph's published view, whose adjacency sits in chunked tails.
 func TestParallelTraversalByteIdentity(t *testing.T) {
-	graphs := map[string]*provgraph.Graph{}
-
 	deal, err := RunDealership(DealershipParams{
 		NumCars: 160, NumExec: 4, Seed: 11, Gran: workflow.Fine,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphs["dealership"] = deal.Runner.Graph()
-
 	arctic, err := NewArcticRun(ArcticParams{
 		Stations: 6, Topology: Dense, FanOut: 2, NumExec: 2,
 		Seed: 11, Gran: workflow.Fine, HistoryYears: 4,
@@ -33,30 +34,53 @@ func TestParallelTraversalByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphs["arctic"] = arctic.Runner.Graph()
-
 	synth, _ := SyntheticGraph(30_000, 7)
-	graphs["graphmem"] = synth
 
-	for name, g := range graphs {
-		t.Run(name, func(t *testing.T) {
-			starts := sampleStarts(g)
+	// Each high-fan-out node gains an edge to one of the last slots, so
+	// both adjacency directions spill on base-covered slots.
+	spilled := provgraph.FromFrozen(provgraph.Freeze(deal.Runner.Graph()), nil)
+	for i, hub := range HighFanoutNodes(spilled, 8) {
+		spilled.AddEdge(hub, provgraph.NodeID(spilled.TotalNodes()-1-i))
+	}
+	dead := deal.Runner.Graph().Clone()
+	dead.Delete(HighFanoutNodes(dead, 3)[2])
+	live := deal.Runner.Graph().Clone()
+	live.Delete(HighFanoutNodes(live, 1)[0])
+	published := live.PublishView()
+	live.Delete(HighFanoutNodes(live, 1)[0])
+
+	for _, c := range []struct {
+		name string
+		g    *provgraph.Graph
+	}{
+		{"dealership", deal.Runner.Graph()},
+		{"arctic", arctic.Runner.Graph()},
+		{"graphmem", synth},
+		{"spilled", spilled},
+		{"dead", dead},
+		{"published", published},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			starts := sampleStarts(c.g)
 			if len(starts) < 8 {
 				t.Fatalf("only %d start nodes sampled", len(starts))
 			}
-			for _, id := range starts {
-				old := provgraph.SetParallelFrontierThreshold(0) // sequential only
-				seqAnc := g.Ancestors(id)
-				seqDesc := g.Descendants(id)
-				provgraph.SetParallelFrontierThreshold(1) // parallel on every step
-				parAnc := g.Ancestors(id)
-				parDesc := g.Descendants(id)
-				provgraph.SetParallelFrontierThreshold(old)
-				if err := sameIDSeq(seqAnc, parAnc); err != nil {
-					t.Fatalf("Ancestors(%d): %v", id, err)
-				}
-				if err := sameIDSeq(seqDesc, parDesc); err != nil {
-					t.Fatalf("Descendants(%d): %v", id, err)
+			var answers [2][][]provgraph.NodeID
+			var wg sync.WaitGroup
+			for i, v := range []provgraph.GraphView{c.g, provgraph.NewOverlay(c.g)} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, id := range starts {
+						answers[i] = append(answers[i], v.Ancestors(id), v.Descendants(id), v.Subgraph(id).Nodes)
+					}
+				}()
+			}
+			wg.Wait()
+			for i, got := range answers[0] {
+				id, query := starts[i/3], [3]string{"Ancestors", "Descendants", "Subgraph"}[i%3]
+				if err := sameIDSeq(answers[1][i], got); err != nil {
+					t.Fatalf("%s(%d): graph vs overlay: %v", query, id, err)
 				}
 			}
 		})
