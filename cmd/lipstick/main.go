@@ -23,7 +23,7 @@
 //	lipstick serve -dir snapshots/        # registry of snapshots + sessions
 //	lipstick serve -live wal/             # durable streaming ingestion
 //	                                      # (group-committed WAL; tune with
-//	                                      # -gcdelay/-gcbytes/-queue/-nogroup;
+//	                                      # -gcdelay/-gcbytes/-queue;
 //	                                      # view publish cadence with
 //	                                      # -pubevery/-pubstale; -pprof addr
 //	                                      # opens a profiling side listener)
@@ -237,7 +237,7 @@ func dealershipSnapshot(run *workflowgen.DealershipRun) *store.Snapshot {
 // becomes the default for the flat /v1/* endpoints. The server drains
 // gracefully on SIGINT/SIGTERM.
 func serveCmd(args []string) error {
-	const usage = "usage: lipstick serve [-addr host:port] [-dir snapshots/] [-live waldir/] [-follow http://primary:port] [-chaos] [-gcdelay dur] [-gcbytes n] [-queue n] [-nogroup] [-pubevery n] [-pubstale dur] [-pprof host:port] [snapshot]"
+	const usage = "usage: lipstick serve [-addr host:port] [-dir snapshots/] [-live waldir/] [-follow http://primary:port] [-chaos] [-gcdelay dur] [-gcbytes n] [-queue n] [-pubevery n] [-pubstale dur] [-pprof host:port] [snapshot]"
 	addr := ":8080"
 	dir := ""
 	live := ""
@@ -250,7 +250,6 @@ func serveCmd(args []string) error {
 	queueDepth := 0               // 0 = core.DefaultIngestQueueDepth
 	pubEvery := -1                // -1 = core.DefaultPublishEvery
 	pubStale := time.Duration(-1) // -1 = unset (read-your-writes); "25ms" trades staleness for lock-free reads
-	group := true
 	for len(args) > 0 {
 		switch {
 		case len(args) >= 2 && args[0] == "-addr":
@@ -303,9 +302,6 @@ func serveCmd(args []string) error {
 			}
 			queueDepth = n
 			args = args[2:]
-		case args[0] == "-nogroup":
-			group = false
-			args = args[1:]
 		case args[0] == "-chaos":
 			chaos = true
 			args = args[1:]
@@ -323,12 +319,11 @@ func serveCmd(args []string) error {
 		return fmt.Errorf("serve: -follow requires -live — a follower's replica is its own durable WAL directory")
 	}
 	var regOpts []core.RegistryOption
-	// Admission control applies to every live graph; the group-commit WAL
-	// discipline is the durable default (-nogroup reverts to one fsync
-	// per batch).
-	liveOpts := []core.LiveOption{core.WithIngestQueueDepth(queueDepth)}
-	if group {
-		liveOpts = append(liveOpts, core.WithLogOptions(store.WithGroupCommit(gcDelay, gcBytes)))
+	// Admission control and the group-commit tuning apply to every live
+	// graph.
+	liveOpts := []core.LiveOption{
+		core.WithIngestQueueDepth(queueDepth),
+		core.WithLogOptions(store.WithGroupCommit(gcDelay, gcBytes)),
 	}
 	if pubEvery >= 0 {
 		liveOpts = append(liveOpts, core.WithPublishEvery(pubEvery))

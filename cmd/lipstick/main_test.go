@@ -14,7 +14,6 @@ import (
 
 	"lipstick/internal/core"
 	"lipstick/internal/serve"
-	"lipstick/internal/store"
 )
 
 // TestCLISmoke drives the quickstart flow end-to-end through the command
@@ -141,6 +140,7 @@ func TestServeLiveDirRecovers(t *testing.T) {
 	muteStdout(t)
 	boot := func() (*httptest.Server, *serve.Service) {
 		reg := core.NewRegistry(nil, core.WithLiveDir(filepath.Join(dir, "wal")))
+		t.Cleanup(func() { _ = reg.Close() }) // after the assertions, so the first boot still models a kill
 		svc := serve.NewRegistryService(reg)
 		if _, err := reg.RestoreLiveDir(); err != nil {
 			t.Fatal(err)
@@ -391,9 +391,8 @@ func muteStdout(t *testing.T) {
 // against an in-process durable server and checks it applies events.
 func TestLoadgenAgainstServer(t *testing.T) {
 	muteStdout(t)
-	reg := core.NewRegistry(nil,
-		core.WithLiveDir(filepath.Join(t.TempDir(), "wal")),
-		core.WithLiveOptions(core.WithLogOptions(store.WithGroupCommit(0, 0))))
+	reg := core.NewRegistry(nil, core.WithLiveDir(filepath.Join(t.TempDir(), "wal")))
+	defer reg.Close()
 	svc := serve.NewRegistryService(reg)
 	srv := httptest.NewServer(svc.Handler(""))
 	defer srv.Close()
@@ -427,6 +426,7 @@ func TestServeFlagParsing(t *testing.T) {
 		{"serve", "-gcdelay", "bogus", "x.lpsk"},
 		{"serve", "-gcbytes", "x", "y.lpsk"},
 		{"serve", "-queue", "x", "y.lpsk"},
+		{"serve", "-nogroup", "x.lpsk"},
 	} {
 		if err := run(cmd); err == nil {
 			t.Fatalf("%v: expected an error", cmd)

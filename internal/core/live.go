@@ -32,26 +32,17 @@ type LiveGraph struct {
 	name string
 
 	// writeMu serializes the staging half of ingestion (validate, apply,
-	// WAL submission order) plus Checkpoint and Close. In group-commit
-	// mode the durability wait happens OUTSIDE writeMu (Wait on the
-	// commit handle), so while one batch's fsync is in flight the next
-	// batches decode, validate, apply, and enqueue — the pipeline that
-	// lets one disk flush absorb many concurrent requests. WAL I/O never
-	// runs under mu, so readers wait on memory mutation, not the disk.
+	// WAL submission order) plus Checkpoint and Close. The durability
+	// wait happens OUTSIDE writeMu (Wait on the commit handle), so while
+	// one batch's fsync is in flight the next batches decode, validate,
+	// apply, and enqueue — the pipeline that lets one disk flush absorb
+	// many concurrent requests. WAL I/O never runs under mu, so readers
+	// wait on memory mutation, not the disk.
 	writeMu sync.Mutex
-	// log and group are fixed at construction; the log synchronizes its
-	// own I/O, so reading the pointer needs no lock.
-	log   *store.Log // nil for in-memory live graphs
-	group bool       // log runs in group-commit mode
-	// pending holds events applied to the in-memory graph but not yet
-	// durable in the log (a serial-mode WAL append failed). They are
-	// retried before any new events are logged — and before a duplicate
-	// retry batch is acknowledged — so the log's positional sequence
-	// numbering never diverges from the stream's and an acknowledged
-	// batch is durable. Group mode tracks the same obligation in
-	// inflight below.
-	pending   []provgraph.Event // guarded by writeMu
-	ckptEvery uint64            // guarded by writeMu
+	// log is fixed at construction; the log synchronizes its own I/O, so
+	// reading the pointer needs no lock.
+	log       *store.Log // nil for in-memory live graphs
+	ckptEvery uint64     // guarded by writeMu
 
 	// sem is the admission gate: one token per in-flight batch between
 	// AppendAsync and Wait. A full gate rejects with *OverloadedError
@@ -59,11 +50,13 @@ type LiveGraph struct {
 	sem     chan struct{}
 	queueHW atomic.Int64 // deepest the admission queue has been
 
-	// inflight (group mode) lists batches applied to the in-memory graph
-	// whose durability is not yet confirmed, in sequence order (entries
-	// are added under writeMu at submission). After a failed group
-	// commit the log rolls back and these are the events that must be
-	// re-logged before any new ones.
+	// inflight lists batches applied to the in-memory graph whose
+	// durability is not yet confirmed, in sequence order (entries are
+	// added under writeMu at submission). After a failed group commit the
+	// log rolls back and these are the events that must be re-logged —
+	// before any new ones, and before a duplicate retry batch is
+	// acknowledged — so the log's positional sequence numbering never
+	// diverges from the stream's and an acknowledged batch is durable.
 	inflightMu sync.Mutex
 	inflight   []pendingBatch // guarded by inflightMu
 
@@ -142,7 +135,7 @@ func WithCheckpointEvery(n uint64) LiveOption {
 }
 
 // WithLogOptions forwards options to the underlying write-ahead log
-// (segment size, fsync policy, group commit).
+// (segment size, fsync policy, group-commit tuning).
 func WithLogOptions(opts ...store.LogOption) LiveOption {
 	return func(c *liveConfig) { c.logOpts = append(c.logOpts, opts...) }
 }
@@ -221,7 +214,7 @@ func OpenLiveGraph(name, dir string, opts ...LiveOption) (*LiveGraph, error) {
 		return nil, err
 	}
 	l := &LiveGraph{
-		name: name, log: log, group: log.GroupCommit(),
+		name: name, log: log,
 		ckptEvery: cfg.ckptEvery, sem: admissionGate(cfg.queueDepth),
 		pubEvery: cfg.pubEvery, pubStale: cfg.pubStale,
 	}
@@ -342,8 +335,7 @@ type PendingAppend struct {
 // encoding happens before any lock is taken, and the fsync wait happens
 // in Wait, outside writeMu: while one batch's flush is in flight the
 // next requests stage and enqueue, so one group commit absorbs them all.
-// For in-memory and serial-WAL graphs the returned handle is already
-// resolved (those paths stay synchronous).
+// For in-memory graphs the returned handle is already resolved.
 func (l *LiveGraph) AppendAsync(firstSeq uint64, events []provgraph.Event) *PendingAppend {
 	p := &PendingAppend{l: l}
 	// Admission: shed load instead of queueing without bound.
@@ -366,10 +358,10 @@ func (l *LiveGraph) AppendAsync(firstSeq uint64, events []provgraph.Event) *Pend
 			return p
 		}
 	}
-	// Encode WAL records outside every lock (group mode): concurrent
-	// requests encode in parallel with each other and with the committer.
+	// Encode WAL records outside every lock: concurrent requests encode in
+	// parallel with each other and with the committer.
 	var recs *store.Records
-	if l.group {
+	if l.log != nil {
 		r, err := store.EncodeRecords(events)
 		if err != nil {
 			p.err = err
@@ -404,10 +396,9 @@ func (l *LiveGraph) AppendAsync(firstSeq uint64, events []provgraph.Event) *Pend
 	if skip >= len(events) {
 		// A fully duplicate batch is a retry of events that may not be
 		// durable yet; the acknowledgement promises durability, so earn
-		// it — serial mode flushed pending above, group mode orders a
-		// barrier behind every queued commit.
+		// it with a barrier behind every queued commit.
 		p.st = IngestStatus{Seq: l.seq, Duplicates: len(events)}
-		if l.group && l.log != nil {
+		if l.log != nil {
 			if c, err := l.log.Barrier(); err != nil {
 				p.err = err
 			} else {
@@ -450,25 +441,18 @@ func (l *LiveGraph) AppendAsync(firstSeq uint64, events []provgraph.Event) *Pend
 	statIngestEvents.Add(int64(applied))
 	p.st = IngestStatus{Seq: l.seq, Applied: applied, Duplicates: skip}
 	if l.log != nil && applied > 0 {
-		if l.group {
-			recs.Truncate(applied)
-			l.inflightMu.Lock()
-			l.inflight = append(l.inflight, pendingBatch{firstSeq: expected, events: fresh[:applied]})
-			l.inflightMu.Unlock()
-			c, err := l.log.AppendRecords(recs)
-			recs = nil // ownership transferred (recycled by the log)
-			if err != nil {
-				// Submission refused (failed/closed log): the events stay
-				// in inflight for the next flush; surface the failure.
-				p.err = err
-			} else {
-				p.commit = c
-			}
+		recs.Truncate(applied)
+		l.inflightMu.Lock()
+		l.inflight = append(l.inflight, pendingBatch{firstSeq: expected, events: fresh[:applied]})
+		l.inflightMu.Unlock()
+		c, err := l.log.AppendRecords(recs)
+		recs = nil // ownership transferred (recycled by the log)
+		if err != nil {
+			// Submission refused (failed/closed log): the events stay in
+			// inflight for the next flush; surface the failure.
+			p.err = err
 		} else {
-			l.pending = append(l.pending, fresh[:applied]...)
-			if err := l.drainPendingLocked(); err != nil {
-				p.err = err
-			}
+			p.commit = c
 		}
 	}
 	if p.err == nil && p.applyErr == nil &&
@@ -527,33 +511,13 @@ func (l *LiveGraph) pruneInflight() {
 	l.inflightMu.Unlock()
 }
 
-// drainPendingLocked (writeMu held, serial mode) writes the applied-but-
-// unlogged events to the WAL. store.Log.Append is all-or-nothing (a
-// failed append rolls the log back to its pre-batch state), so pending
-// either drains completely or stays queued for the next attempt —
-// positions in the log and stream sequences stay aligned across failures.
-func (l *LiveGraph) drainPendingLocked() error {
-	if l.log == nil || len(l.pending) == 0 {
-		return nil
-	}
-	if err := l.log.Append(l.pending); err != nil {
-		return err
-	}
-	l.pending = nil
-	return nil
-}
-
 // flushBacklogLocked (writeMu held) restores the durable log to the
-// stream's position: serial mode drains pending; group mode, after a
-// failed group commit rolled the log back, re-logs the inflight suffix
-// (inserted in order at submission, so the backlog is always contiguous)
-// and clears the log's sticky failure.
+// stream's position: after a failed group commit rolled the log back, it
+// re-logs the inflight suffix (inserted in order at submission, so the
+// backlog is always contiguous) and clears the log's sticky failure.
 func (l *LiveGraph) flushBacklogLocked() error {
 	if l.log == nil {
 		return nil
-	}
-	if !l.group {
-		return l.drainPendingLocked()
 	}
 	ferr := l.log.Failed()
 	if ferr == nil {
@@ -681,11 +645,11 @@ func (l *LiveGraph) Checkpoint() error {
 // applying events, so the graph is stable for serialization; concurrent
 // readers share it harmlessly.
 func (l *LiveGraph) checkpointLocked() error {
-	// The checkpoint is named by the log's own sequence; events the log
-	// has not absorbed yet must land there first or the snapshot would
-	// contain events past the recorded checkpoint sequence. (In group
-	// mode healthy queued commits need no flush — the checkpoint op
-	// queues behind them and covers them.)
+	// The checkpoint is named by the log's own sequence; events a failed
+	// commit rolled back must land there first or the snapshot would
+	// contain events past the recorded checkpoint sequence. (Healthy
+	// queued commits need no flush — the checkpoint op queues behind them
+	// and covers them.)
 	if err := l.flushBacklogLocked(); err != nil {
 		return fmt.Errorf("lipstick: checkpoint of %s: flushing unlogged events: %w", l.name, err)
 	}

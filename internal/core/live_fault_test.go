@@ -20,7 +20,7 @@ func TestLiveGraphRidesThroughInjectedFsyncFault(t *testing.T) {
 	defer faultinject.Reset()
 	batch, events := captureDealership(t, 40, 2)
 	dir := t.TempDir()
-	lg, err := OpenLiveGraph("d", dir, WithLogOptions(store.WithGroupCommit(0, 0), store.WithFsync(true)))
+	lg, err := OpenLiveGraph("d", dir, WithLogOptions(store.WithFsync(true)))
 	if err != nil {
 		t.Fatal(err)
 	}

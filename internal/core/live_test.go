@@ -199,88 +199,66 @@ func TestLiveGraphDuplicateAndGapBatches(t *testing.T) {
 	}
 }
 
-// commitModes runs a durable-graph test under both WAL disciplines:
-// fsync-per-append (serial) and group commit. Recovery semantics must be
-// identical — the on-disk format is shared.
-func commitModes(t *testing.T, fn func(t *testing.T, opts []LiveOption)) {
-	t.Helper()
-	for name, logOpts := range map[string][]store.LogOption{
-		"serial": nil,
-		"group":  {store.WithGroupCommit(0, 0)},
-	} {
-		t.Run(name, func(t *testing.T) {
-			fn(t, []LiveOption{WithLogOptions(append(logOpts, store.WithFsync(false))...)})
-		})
-	}
-}
-
 func TestLiveGraphCrashRecovery(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	batch, events := captureDealership(t, 120, 3)
-	commitModes(t, func(t *testing.T, opts []LiveOption) {
-		dir := t.TempDir()
-		mid := len(events) / 2
+	dir := t.TempDir()
+	mid := len(events) / 2
 
-		lg, err := OpenLiveGraph("d", dir, append(opts, WithLogOptions(store.WithSegmentLimit(64<<10)))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := lg.Append(1, events[:mid]); err != nil {
-			t.Fatal(err)
-		}
-		if err := lg.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := lg.Append(uint64(mid)+1, events[mid:]); err != nil {
-			t.Fatal(err)
-		}
-		// Simulated kill: every append above already waited for its
-		// commit, and the log has no clean-shutdown marker, so the disk
-		// state Close leaves behind is byte-identical to a kill here.
-		// (Recovery from a genuinely unclosed log is covered by the
-		// store-level WAL tests, which run without a committer.)
-		if err := lg.Close(); err != nil {
-			t.Fatal(err)
-		}
+	lg, err := OpenLiveGraph("d", dir, WithLogOptions(store.WithFsync(false), store.WithSegmentLimit(64<<10)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lg.Append(1, events[:mid]); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lg.Append(uint64(mid)+1, events[mid:]); err != nil {
+		t.Fatal(err)
+	}
+	// Simulated kill: every append above already waited for its commit,
+	// and the log has no clean-shutdown marker, so the disk state Close
+	// leaves behind is byte-identical to a kill here. (Recovery from a
+	// genuinely unclosed log is covered by the store-level WAL tests.)
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-		restored, err := OpenLiveGraph("d", dir)
-		if err != nil {
-			t.Fatalf("recovery: %v", err)
+	restored, err := OpenLiveGraph("d", dir)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	if restored.Seq() != uint64(len(events)) {
+		t.Fatalf("recovered seq %d, want %d (lost or duplicated events)", restored.Seq(), len(events))
+	}
+	if restored.CheckpointSeq() != uint64(mid) {
+		t.Fatalf("checkpoint seq %d, want %d", restored.CheckpointSeq(), mid)
+	}
+	if err := restored.Read(func(qp *QueryProcessor) error {
+		if !batch.StructurallyEqual(qp.Graph()) {
+			t.Fatal("recovered graph differs from batch build")
 		}
-		if restored.Seq() != uint64(len(events)) {
-			t.Fatalf("recovered seq %d, want %d (lost or duplicated events)", restored.Seq(), len(events))
-		}
-		if restored.CheckpointSeq() != uint64(mid) {
-			t.Fatalf("checkpoint seq %d, want %d", restored.CheckpointSeq(), mid)
-		}
-		if err := restored.Read(func(qp *QueryProcessor) error {
-			if !batch.StructurallyEqual(qp.Graph()) {
-				t.Fatal("recovered graph differs from batch build")
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		// A client retry of the final batch after restart must dedupe.
-		st, err := restored.Append(uint64(mid)+1, events[mid:])
-		if err != nil || st.Applied != 0 {
-			t.Fatalf("post-recovery retry applied %d events (err %v)", st.Applied, err)
-		}
-		if err := restored.Close(); err != nil {
-			t.Fatal(err)
-		}
-	})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// A client retry of the final batch after restart must dedupe.
+	st, err := restored.Append(uint64(mid)+1, events[mid:])
+	if err != nil || st.Applied != 0 {
+		t.Fatalf("post-recovery retry applied %d events (err %v)", st.Applied, err)
+	}
+	if err := restored.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestLiveGraphTornTailRecovery(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	batch, events := captureDealership(t, 60, 2)
-	commitModes(t, func(t *testing.T, opts []LiveOption) { testTornTailRecovery(t, opts, batch, events) })
-}
-
-func testTornTailRecovery(t *testing.T, opts []LiveOption, batch *provgraph.Graph, events []provgraph.Event) {
 	dir := t.TempDir()
-	lg, err := OpenLiveGraph("d", dir, opts...)
+	lg, err := OpenLiveGraph("d", dir, WithLogOptions(store.WithFsync(false)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,6 +286,11 @@ func testTornTailRecovery(t *testing.T, opts []LiveOption, batch *provgraph.Grap
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
+	defer func() {
+		if err := restored.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
 	lost := uint64(len(events)) - restored.Seq()
 	if lost == 0 {
 		t.Fatal("expected the torn record to be dropped")
@@ -544,15 +527,14 @@ func BenchmarkLiveIngest(b *testing.B) {
 	b.ReportMetric(float64(len(events)*b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkLiveIngestDurable measures durable ingest throughput under the
-// three WAL disciplines — fsync-per-append (the pre-group-commit
-// production discipline), fsync disabled (the log path without the disk
-// flush), and group commit with fsync ON — each with a single pipelined
-// writer and with 4 concurrent writers streaming one ordered stream
-// (claim + submit serialized, durability waits overlapping, as a
-// multi-connection sender would). The headline comparison is
-// group/w4 vs fsync/w4: how much durable throughput group commit
-// recovers once concurrent batches share each disk flush.
+// BenchmarkLiveIngestDurable measures durable ingest throughput through
+// the group committer under three settings — the library default (gather
+// delay 0) with fsync on, the same with fsync off (the log path without
+// the disk flush), and the DefaultGroupCommitDelay gather window that
+// `serve -live` uses, fsync on — each with a single pipelined writer and
+// with 4 concurrent writers streaming one ordered stream (claim + submit
+// serialized, durability waits overlapping, as a multi-connection sender
+// would).
 func BenchmarkLiveIngestDurable(b *testing.B) {
 	_, events := captureDealership(b, benchCars, benchExecs)
 	const chunk = 256
@@ -611,8 +593,8 @@ func BenchmarkLiveIngestDurable(b *testing.B) {
 		name string
 		opts []LiveOption
 	}{
-		{"fsync", nil},
-		{"nofsync", []LiveOption{WithLogOptions(store.WithFsync(false))}},
+		{"fsync", nil}, // delay 0
+		{"nofsync", []LiveOption{WithLogOptions(store.WithFsync(false))}}, // delay 0
 		{"group", []LiveOption{WithLogOptions(store.WithGroupCommit(-1, 0))}},
 	}
 	for _, m := range modes {
@@ -676,7 +658,7 @@ func TestLiveGraphGroupCommitPipelinedMatchesBatch(t *testing.T) {
 	// event exactly once.
 	batch, events := captureDealership(t, 120, 3)
 	dir := t.TempDir()
-	lg, err := OpenLiveGraph("d", dir, WithLogOptions(store.WithGroupCommit(0, 0)))
+	lg, err := OpenLiveGraph("d", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -756,7 +738,7 @@ func TestLiveGraphGroupCommitDuplicateAndGap(t *testing.T) {
 	// The idempotence contract (dup-skip, gap rejection) holds unchanged
 	// under group commit, including the durable ack of a full duplicate.
 	_, events := captureDealership(t, 60, 2)
-	lg, err := OpenLiveGraph("d", t.TempDir(), WithLogOptions(store.WithGroupCommit(0, 0), store.WithFsync(false)))
+	lg, err := OpenLiveGraph("d", t.TempDir(), WithLogOptions(store.WithFsync(false)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -286,7 +286,7 @@ func TestHTTPStatsIngestPipeline(t *testing.T) {
 	reg := core.NewRegistry(nil,
 		core.WithLiveDir(t.TempDir()),
 		core.WithLiveOptions(
-			core.WithLogOptions(store.WithGroupCommit(0, 0), store.WithFsync(false)),
+			core.WithLogOptions(store.WithFsync(false)),
 			core.WithIngestQueueDepth(4),
 		))
 	defer reg.Close()

@@ -17,23 +17,24 @@ import (
 	"lipstick/internal/provgraph"
 )
 
-// Group commit: the classic database fix for fsync-bound write paths.
-// Concurrent Appends encode their events into WAL record frames (outside
-// any log lock), enqueue them to a single committer goroutine, and block
-// on a per-batch Commit handle. The committer coalesces everything
-// pending — bounded by a gather delay and a byte budget — into one
-// segment write and one fsync, then fans the outcome back to each waiter.
-// One disk flush is thereby amortized over every batch that arrived while
-// the previous flush was in flight, and callers overlap their CPU work
-// (decode, validate, graph application) with the disk.
+// Group commit is the log's only write path. Concurrent Appends encode
+// their events into WAL record frames (outside any log lock), enqueue
+// them to the log's single committer goroutine, and block on a per-batch
+// Commit handle. The committer coalesces everything pending — bounded by
+// a gather delay (0 by default: commit as soon as the committer is free)
+// and a byte budget — into one segment write and one fsync, then fans the
+// outcome back to each waiter. One disk flush is thereby amortized over
+// every batch that arrived while the previous flush was in flight, and
+// callers overlap their CPU work (decode, validate, graph application)
+// with the disk. Rotations, checkpoints and Close run on the same
+// goroutine, in queue order.
 //
-// The on-disk format is exactly the serial log's: recovery, torn-tail
-// truncation, and checkpoint compaction are unchanged. A failed group
-// write rolls the segment back to its pre-group state (so no torn bytes
-// survive), fails every queued waiter, and leaves the log in a sticky
-// failed state until ResetFailed — the caller (core.LiveGraph) re-logs
-// the lost suffix before accepting new events, keeping WAL positions
-// aligned with stream sequences.
+// A failed group write rolls the segment back to its pre-group state (so
+// no torn bytes survive), fails every queued waiter, and leaves the log
+// in a sticky failed state until ResetFailed — the caller
+// (core.LiveGraph) re-logs the lost suffix before accepting new events,
+// keeping WAL positions aligned with stream sequences. The next commit
+// then starts a fresh segment.
 
 // ErrLogClosed reports an append to a closed log.
 var ErrLogClosed = errors.New("store: wal closed")
@@ -103,8 +104,7 @@ func (r *Records) Recycle() {
 var recordsPool = sync.Pool{New: func() any { return new(Records) }}
 
 // batchEncoder reuses the per-batch encode state: one scratch buffer and
-// one bufio.Writer for the whole batch (the serial path pays a fresh
-// 4 KiB bufio.Writer per event).
+// one bufio.Writer for the whole batch.
 type batchEncoder struct {
 	scratch bytes.Buffer
 	bw      *bufio.Writer
@@ -177,11 +177,8 @@ type GroupStats struct {
 	QueueHighWater int64
 }
 
-// GroupStats returns the committer's counters (zero in serial mode).
+// GroupStats returns the committer's counters.
 func (l *Log) GroupStats() GroupStats {
-	if l.gc == nil {
-		return GroupStats{}
-	}
 	return GroupStats{
 		Commits:        l.gc.commits.Load(),
 		Batches:        l.gc.batches.Load(),
@@ -190,11 +187,8 @@ func (l *Log) GroupStats() GroupStats {
 }
 
 // Failed returns the sticky error of a failed group commit, nil when the
-// log is healthy (or serial).
+// log is healthy.
 func (l *Log) Failed() error {
-	if l.gc == nil {
-		return nil
-	}
 	l.gc.mu.Lock()
 	defer l.gc.mu.Unlock()
 	return l.gc.failed
@@ -204,9 +198,6 @@ func (l *Log) Failed() error {
 // must first re-log every event acknowledged to it but lost by the failed
 // commits (LastSeq tells it where the durable prefix ends).
 func (l *Log) ResetFailed() {
-	if l.gc == nil {
-		return
-	}
 	l.gc.mu.Lock()
 	l.gc.failed = nil
 	l.gc.mu.Unlock()
@@ -214,12 +205,8 @@ func (l *Log) ResetFailed() {
 
 // AppendRecords enqueues a pre-encoded batch for group commit and returns
 // its Commit handle. The log takes ownership of recs (it is recycled when
-// the commit completes, or on a refused submit). Only valid in
-// group-commit mode.
+// the commit completes, or on a refused submit).
 func (l *Log) AppendRecords(recs *Records) (*Commit, error) {
-	if l.gc == nil {
-		return nil, errors.New("store: AppendRecords requires group-commit mode")
-	}
 	return l.gc.submit(commitOp{recs: recs})
 }
 
@@ -227,9 +214,6 @@ func (l *Log) AppendRecords(recs *Records) (*Commit, error) {
 // previously enqueued batch is durable. Used to honor the durability
 // promise of acknowledging a fully duplicate batch.
 func (l *Log) Barrier() (*Commit, error) {
-	if l.gc == nil {
-		return nil, errors.New("store: Barrier requires group-commit mode")
-	}
 	return l.gc.submit(commitOp{})
 }
 
@@ -244,9 +228,8 @@ func storeMax(gauge *atomic.Int64, v int64) {
 	}
 }
 
-// committer owns the log's file state in group-commit mode: every
-// segment write, rotation, checkpoint, and close runs on its goroutine,
-// in queue order.
+// committer owns the log's file state: every segment write, rotation,
+// checkpoint, and close runs on its goroutine, in queue order.
 type committer struct {
 	l *Log
 
@@ -423,9 +406,9 @@ write:
 	}
 
 	if err != nil {
-		// Roll back to the pre-group state, exactly like a failed serial
-		// Append: close the damaged segment, drop segments the group
-		// created, truncate the entry segment to its pre-group length.
+		// Roll back to the pre-group state: close the damaged segment, drop
+		// segments the group created, truncate the entry segment to its
+		// pre-group length.
 		// A simulated crash skips the disk rollback — the process would
 		// be dead before it ran — leaving the torn bytes for recovery.
 		if l.f != nil {

@@ -39,12 +39,9 @@ func (e *CompactedError) Error() string {
 // scan — EventsSince returns *CompactedError and the caller re-seeds
 // from the checkpoint.
 //
-// EventsSince is safe to call concurrently with a group-commit writer:
-// the log's sequence advances only after write+fsync there, so every
-// event at or below it is fully on disk. (A serial-mode log advances its
-// sequence before flushing, so a concurrent serial Append may expose a
-// not-yet-durable suffix; replication targets group-commit servers,
-// where the bound is exact.)
+// EventsSince is safe to call concurrently with the writer: the log's
+// sequence advances only after a commit's write+fsync, so every event at
+// or below it is fully on disk.
 func (l *Log) EventsSince(afterSeq uint64, max int) ([]provgraph.Event, error) {
 	durable := l.seq.Load()
 	if afterSeq >= durable {

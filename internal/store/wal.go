@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lipstick/internal/faultinject"
 	"lipstick/internal/provgraph"
 )
 
@@ -53,29 +52,29 @@ const (
 // DefaultSegmentLimit is the rotation threshold for WAL segments.
 const DefaultSegmentLimit = 8 << 20
 
-// Log is the writer half of a WAL directory. In its default (serial) mode
-// it is not safe for concurrent use; callers (core.LiveGraph) serialize
-// Append/Checkpoint. With WithGroupCommit, Append/AppendRecords/Checkpoint
-// /Close are safe for concurrent use: batches are enqueued to a committer
-// goroutine that coalesces everything pending into one write + fsync (see
-// groupcommit.go).
+// Log is the writer half of a WAL directory. Append, AppendRecords,
+// Barrier, Checkpoint and Close are safe for concurrent use: every batch
+// is enqueued to the log's committer goroutine, which coalesces
+// everything pending into one write + fsync and performs every rotation,
+// checkpoint and close in queue order (see groupcommit.go). A log owns
+// goroutines from OpenLog on; Close stops them.
 type Log struct {
 	dir      string
 	segLimit int64
 	fsync    bool
 
-	groupOn    bool
 	groupDelay time.Duration
 	groupBytes int
-	gc         *committer // non-nil iff group commit is enabled
+	gc         *committer
 
-	f       *os.File
-	bw      *bufio.Writer
-	path    string        // active segment path ("" when no segment is open)
-	size    int64         // logical bytes of the active segment; equals its disk size between commits
-	seq     atomic.Uint64 // last appended (or recovered) sequence number
+	seq     atomic.Uint64 // last durable (or recovered) sequence number
 	ckptSeq atomic.Uint64 // sequence covered by the newest checkpoint
-	scratch bytes.Buffer
+
+	// The active segment; only the committer goroutine touches these.
+	f    *os.File
+	bw   *bufio.Writer
+	path string // active segment path ("" when no segment is open)
+	size int64  // logical bytes of the active segment; equals its disk size between commits
 }
 
 // LogOption configures a Log.
@@ -91,7 +90,7 @@ func WithSegmentLimit(n int64) LogOption {
 	}
 }
 
-// WithFsync controls whether every Append fsyncs the segment (default
+// WithFsync controls whether every commit fsyncs the segment (default
 // true: an acknowledged batch survives a process kill and a power cut).
 // Disabling trades that durability for throughput; a kill then loses at
 // most the unsynced suffix, never consistency.
@@ -99,27 +98,25 @@ func WithFsync(on bool) LogOption {
 	return func(l *Log) { l.fsync = on }
 }
 
-// Group-commit defaults.
+// Group-commit tuning.
 const (
-	// DefaultGroupCommitDelay is the gather window a lone pending batch
-	// waits for company before the committer flushes it.
+	// DefaultGroupCommitDelay is the gather window WithGroupCommit selects
+	// for a negative maxDelay: how long a lone pending batch waits for
+	// company before the committer flushes it.
 	DefaultGroupCommitDelay = 200 * time.Microsecond
 	// DefaultGroupCommitBytes caps the payload of one coalesced commit.
 	DefaultGroupCommitBytes = 4 << 20
 )
 
-// WithGroupCommit switches the log to group-commit mode: concurrent
-// Appends enqueue encoded batches to a committer goroutine that coalesces
-// everything pending into a single write + fsync, amortizing the flush
-// across every waiter. maxDelay bounds how long a lone batch waits for
-// company (negative selects DefaultGroupCommitDelay; 0 commits as soon as
-// the committer is free, coalescing only what piled up naturally) and
+// WithGroupCommit tunes the committer. maxDelay bounds how long a lone
+// batch waits for company (negative selects DefaultGroupCommitDelay; 0,
+// the default without this option, commits as soon as the committer is
+// free, coalescing only what piled up during the previous commit) and
 // maxBytes caps one commit's payload (<= 0 selects
-// DefaultGroupCommitBytes). Recovery semantics are unchanged: the on-disk
-// format is identical and a commit is acknowledged only after its fsync.
+// DefaultGroupCommitBytes, also the default). Neither changes the on-disk
+// format, and a commit is acknowledged only after its fsync.
 func WithGroupCommit(maxDelay time.Duration, maxBytes int) LogOption {
 	return func(l *Log) {
-		l.groupOn = true
 		l.groupDelay = maxDelay
 		if maxDelay < 0 {
 			l.groupDelay = DefaultGroupCommitDelay
@@ -146,14 +143,19 @@ type Recovery struct {
 }
 
 // OpenLog opens (creating if needed) a WAL directory, recovers its state,
-// truncates any torn tail record, and returns a Log positioned to append
-// event LastSeq+1.
+// truncates any torn tail record, removes the temp files a crash left
+// behind, and starts the committer. The returned Log appends event
+// LastSeq+1 next, into a new segment wal-<LastSeq+1>: it never appends to
+// a segment an earlier Log wrote.
 func OpenLog(dir string, opts ...LogOption) (*Log, *Recovery, error) {
-	l := &Log{dir: dir, segLimit: DefaultSegmentLimit, fsync: true}
+	l := &Log{dir: dir, segLimit: DefaultSegmentLimit, fsync: true, groupBytes: DefaultGroupCommitBytes}
 	for _, opt := range opts {
 		opt(l)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, nil, err
+	}
+	if err := removeTempFiles(dir); err != nil {
 		return nil, nil, err
 	}
 	segs, ckpts, err := scanLogDir(dir)
@@ -207,156 +209,52 @@ func OpenLog(dir string, opts ...LogOption) (*Log, *Recovery, error) {
 		rec.Tail = append(rec.Tail, events...)
 	}
 	rec.LastSeq = l.seq.Load()
-	if l.groupOn {
-		l.gc = newCommitter(l)
-		go l.gc.run()
-		l.gc.prepareSpare()
-	}
+	l.gc = newCommitter(l)
+	go l.gc.run()
+	l.gc.prepareSpare()
 	return l, rec, nil
 }
 
-// Append logs events with sequences LastSeq+1..LastSeq+len(events),
-// flushing (and, unless disabled, fsyncing) before returning. A failed
-// Append rolls the on-disk state back to exactly what the last
-// successful Append left: LastSeq is unchanged, segments the failed
-// batch created are removed, and the previously active segment is
-// truncated to its pre-batch length — so no torn bytes survive and a
-// retry re-logs the batch at the same positions.
+// Append logs events with sequences LastSeq+1..LastSeq+len(events) and
+// returns once they are durable (written and, unless disabled, fsynced):
+// EncodeRecords, AppendRecords, then Wait. A failed append rolls the disk
+// back to what the last successful commit left — LastSeq is unchanged and
+// no torn bytes survive — and is sticky: the log refuses every append and
+// checkpoint until ResetFailed, so the caller re-logs what it lost first.
 func (l *Log) Append(events []provgraph.Event) error {
-	if l.gc != nil {
-		recs, err := EncodeRecords(events)
-		if err != nil {
-			return err
-		}
-		c, err := l.AppendRecords(recs)
-		if err != nil {
-			return err
-		}
-		return c.Wait()
-	}
-	entrySeq, entryPath, entrySize := l.seq.Load(), l.path, l.size
-	var created []string
-	err := l.appendAll(events, &created)
+	recs, err := EncodeRecords(events)
 	if err != nil {
-		if l.f != nil {
-			_ = l.f.Close() // append already failed; rollback proceeds regardless
-			l.f, l.bw = nil, nil
-		}
-		if faultinject.IsCrash(err) {
-			// A simulated crash: the process would be dead before any
-			// rollback ran, so leave the torn bytes on disk for recovery
-			// to truncate — the log object itself is abandoned.
-			l.seq.Store(entrySeq)
-			l.path, l.size = "", 0
-			return err
-		}
-		for _, p := range created {
-			os.Remove(p)
-		}
-		if entryPath != "" {
-			// Between Appends the disk length equals the logical size, so
-			// this cut removes every byte the failed batch may have
-			// flushed — including a torn partial record.
-			if terr := os.Truncate(entryPath, entrySize); terr != nil {
-				return fmt.Errorf("store: rolling back failed wal append: %w (after %w)", terr, err)
-			}
-		}
-		l.seq.Store(entrySeq)
-		l.path, l.size = "", 0
 		return err
 	}
-	return nil
+	c, err := l.AppendRecords(recs)
+	if err != nil {
+		return err
+	}
+	return c.Wait()
 }
 
-func (l *Log) appendAll(events []provgraph.Event, created *[]string) error {
-	_ = faultinject.Err("wal.slow") // delay-only point: the sleep is the fault
-	for i := range events {
-		next := l.seq.Load() + 1
-		if l.f == nil || l.size >= l.segLimit {
-			prev := l.path
-			if err := l.rotate(next); err != nil {
-				return err
-			}
-			if l.path != prev {
-				*created = append(*created, l.path)
-			}
-		}
-		l.scratch.Reset()
-		sw := newWriter(&l.scratch)
-		sw.event(&events[i])
-		if err := sw.flush(); err != nil {
-			return err
-		}
-		payload := l.scratch.Bytes()
-		var head [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(head[:], uint64(len(payload)))
-		if f := faultinject.Fire("wal.write"); f != nil {
-			if f.Torn && l.bw != nil {
-				// Flush a deliberately partial frame — header plus half the
-				// payload — so recovery sees a torn tail.
-				_, _ = l.bw.Write(head[:n])
-				_, _ = l.bw.Write(payload[:len(payload)/2])
-				_ = l.bw.Flush()
-			}
-			return f.Err
-		}
-		if _, err := l.bw.Write(head[:n]); err != nil {
-			return err
-		}
-		if _, err := l.bw.Write(payload); err != nil {
-			return err
-		}
-		var crc [4]byte
-		binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-		if _, err := l.bw.Write(crc[:]); err != nil {
-			return err
-		}
-		l.size += int64(n + len(payload) + 4)
-		l.seq.Store(next)
-	}
-	if l.bw != nil {
-		if err := l.bw.Flush(); err != nil {
-			return err
-		}
-	}
-	if l.fsync && l.f != nil {
-		if err := faultinject.Err("wal.fsync"); err != nil {
-			return err
-		}
-		return l.f.Sync()
-	}
-	return nil
-}
-
-// LastSeq returns the sequence of the last appended event. In group-commit
-// mode this is the last durable sequence: it advances only when a commit's
-// write (and fsync, per policy) has completed.
+// LastSeq returns the sequence of the last durable event: it advances only
+// when a commit's write (and fsync, per policy) has completed.
 func (l *Log) LastSeq() uint64 { return l.seq.Load() }
 
 // CheckpointSeq returns the sequence covered by the newest checkpoint.
 func (l *Log) CheckpointSeq() uint64 { return l.ckptSeq.Load() }
 
-// GroupCommit reports whether the log runs in group-commit mode.
-func (l *Log) GroupCommit() bool { return l.gc != nil }
-
 // Checkpoint atomically writes snap — which must equal replaying events
 // 1..LastSeq — as the new checkpoint, then deletes the segments and older
-// checkpoints it covers. In group-commit mode the checkpoint is queued
-// behind every pending commit and performed by the committer, so it
-// covers exactly the events enqueued before it.
+// checkpoints it covers. The checkpoint is queued behind every pending
+// commit and performed by the committer, so it covers exactly the events
+// enqueued before it.
 func (l *Log) Checkpoint(snap *Snapshot) error {
-	if l.gc != nil {
-		c, err := l.gc.submit(commitOp{snap: snap})
-		if err != nil {
-			return err
-		}
-		return c.Wait()
+	c, err := l.gc.submit(commitOp{snap: snap})
+	if err != nil {
+		return err
 	}
-	return l.checkpointNow(snap)
+	return c.Wait()
 }
 
-// checkpointNow writes and installs the checkpoint; serial callers own the
-// log, the committer goroutine calls it for queued checkpoint ops.
+// checkpointNow writes and installs the checkpoint; it runs on the
+// committer goroutine.
 func (l *Log) checkpointNow(snap *Snapshot) error {
 	seq := l.seq.Load()
 	final := filepath.Join(l.dir, ckptName(seq))
@@ -384,8 +282,8 @@ func (l *Log) checkpointNow(snap *Snapshot) error {
 		return err
 	}
 	// The checkpoint is durable; everything it covers is garbage. The
-	// current segment's events are all <= seq (Append and Checkpoint are
-	// serialized), so the whole segment set goes.
+	// current segment's events are all <= seq (the committer runs appends
+	// and checkpoints in queue order), so the whole segment set goes.
 	if l.f != nil {
 		// The durable checkpoint supersedes this whole segment set; the
 		// files are deleted below, so flush/close failures are moot.
@@ -412,83 +310,18 @@ func (l *Log) checkpointNow(snap *Snapshot) error {
 	return nil
 }
 
-// Close flushes and closes the active segment. In group-commit mode it
-// drains the committer (queued commits still complete) and stops it;
-// Close is idempotent.
+// Close drains the committer (queued commits still complete), flushes and
+// closes the active segment, and stops the log's goroutines. Close is
+// idempotent.
 func (l *Log) Close() error {
-	if l.gc != nil {
-		c, err := l.gc.submit(commitOp{close: true})
-		if err != nil {
-			if errors.Is(err, ErrLogClosed) {
-				return nil
-			}
-			return err
-		}
-		return c.Wait()
-	}
-	if l.f == nil {
-		return nil
-	}
-	if err := l.bw.Flush(); err != nil {
-		_ = l.f.Close() // the flush error wins
-		return err
-	}
-	if l.fsync {
-		if err := l.f.Sync(); err != nil {
-			_ = l.f.Close() // the sync error wins
-			return err
-		}
-	}
-	err := l.f.Close()
-	l.f, l.bw = nil, nil
-	return err
-}
-
-// rotate closes the active segment and starts wal-<firstSeq>.
-func (l *Log) rotate(firstSeq uint64) error {
-	if l.f != nil {
-		if err := l.bw.Flush(); err != nil {
-			return err
-		}
-		if l.fsync {
-			if err := l.f.Sync(); err != nil {
-				return err
-			}
-		}
-		if err := l.f.Close(); err != nil {
-			return err
-		}
-		l.f, l.bw = nil, nil
-	}
-	path := filepath.Join(l.dir, segName(firstSeq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	c, err := l.gc.submit(commitOp{close: true})
 	if err != nil {
+		if errors.Is(err, ErrLogClosed) {
+			return nil
+		}
 		return err
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		_ = f.Close() // segment is not adopted; the stat error wins
-		return err
-	}
-	l.f = f
-	l.bw = bufio.NewWriter(f)
-	l.path = path
-	l.size = fi.Size()
-	if l.size == 0 {
-		if _, err := l.bw.Write(walMagic); err != nil {
-			return err
-		}
-		if err := l.bw.WriteByte(walVersion); err != nil {
-			return err
-		}
-		var head [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(head[:], firstSeq)
-		if _, err := l.bw.Write(head[:n]); err != nil {
-			return err
-		}
-		l.size = int64(len(walMagic) + 1 + n)
-	}
-	return nil
+	return c.Wait()
 }
 
 // readSegment decodes a segment's records, skipping events at or below
@@ -583,7 +416,9 @@ func ckptName(seq uint64) string {
 }
 
 // scanLogDir lists segment first-sequences and checkpoint sequences, both
-// ascending. Leftover temp files from a crashed checkpoint are removed.
+// ascending. It only reads the directory: readers call it beside a live
+// committer, whose temp files (a checkpoint being written, the spare
+// segment) must survive the listing.
 func scanLogDir(dir string) (segs, ckpts []uint64, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -593,8 +428,6 @@ func scanLogDir(dir string) (segs, ckpts []uint64, err error) {
 		name := e.Name()
 		switch {
 		case e.IsDir():
-		case strings.HasSuffix(name, walTempSuffix):
-			os.Remove(filepath.Join(dir, name))
 		case strings.HasPrefix(name, walSegPrefix) && strings.HasSuffix(name, walSegSuffix):
 			if n, perr := parseSeq(name, walSegPrefix, walSegSuffix); perr == nil {
 				segs = append(segs, n)
@@ -608,6 +441,22 @@ func scanLogDir(dir string) (segs, ckpts []uint64, err error) {
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
 	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] < ckpts[j] })
 	return segs, ckpts, nil
+}
+
+// removeTempFiles deletes the temp files a crash left behind: a
+// checkpoint that was never renamed into place, an unused spare segment.
+// Only OpenLog calls it, before its committer starts.
+func removeTempFiles(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), walTempSuffix) {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
+	return nil
 }
 
 func parseSeq(name, prefix, suffix string) (uint64, error) {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,16 +33,38 @@ func chainEvents(n int) []provgraph.Event {
 	return events
 }
 
+// openLogT opens a log and closes it when the test ends (Close is
+// idempotent), so the committer never outlives the test. A test that
+// simulates a kill reopens the directory before this Close runs.
 func openLogT(t *testing.T, dir string, opts ...LogOption) (*Log, *Recovery) {
 	t.Helper()
 	l, rec, err := OpenLog(dir, opts...)
 	if err != nil {
 		t.Fatalf("OpenLog: %v", err)
 	}
+	t.Cleanup(func() { _ = l.Close() })
 	return l, rec
 }
 
+// writeSegment writes events as segment wal-<first>, framed the way the
+// committer frames them.
+func writeSegment(t *testing.T, dir string, first uint64, events []provgraph.Event) {
+	t.Helper()
+	recs, err := EncodeRecords(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recs.Recycle()
+	buf := append(append([]byte(nil), walMagic...), walVersion)
+	buf = binary.AppendUvarint(buf, first)
+	buf = append(buf, recs.buf...)
+	if err := os.WriteFile(filepath.Join(dir, segName(first)), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestWALAppendRecover(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
 	dir := t.TempDir()
 	events := chainEvents(100)
 	l, rec := openLogT(t, dir)
@@ -76,6 +99,7 @@ func TestWALAppendRecover(t *testing.T) {
 }
 
 func TestWALSegmentRotation(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
 	dir := t.TempDir()
 	l, _ := openLogT(t, dir, WithSegmentLimit(256), WithFsync(false))
 	events := chainEvents(200)
@@ -98,6 +122,7 @@ func TestWALSegmentRotation(t *testing.T) {
 }
 
 func TestWALCheckpointCompaction(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
 	dir := t.TempDir()
 	events := chainEvents(150)
 	l, _ := openLogT(t, dir, WithSegmentLimit(256), WithFsync(false))
@@ -149,6 +174,7 @@ func TestWALCheckpointCompaction(t *testing.T) {
 }
 
 func TestWALTornTailTruncated(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
 	dir := t.TempDir()
 	events := chainEvents(40)
 	l, _ := openLogT(t, dir, WithFsync(false))
@@ -187,6 +213,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 }
 
 func TestWALCorruptMiddleSegmentFails(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
 	dir := t.TempDir()
 	l, _ := openLogT(t, dir, WithSegmentLimit(128), WithFsync(false))
 	if err := l.Append(chainEvents(100)); err != nil {
@@ -221,6 +248,7 @@ func TestWALCorruptMiddleSegmentFails(t *testing.T) {
 // segments can carry overlapping sequences. Recovery must apply each
 // sequence exactly once.
 func TestWALOverlappingSegmentsDedupe(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
 	dir := t.TempDir()
 	events := chainEvents(25)
 	l, _ := openLogT(t, dir, WithFsync(false))
@@ -232,14 +260,7 @@ func TestWALOverlappingSegmentsDedupe(t *testing.T) {
 	}
 	// Craft the retry's fresh segment starting inside the first one:
 	// wal-16 carries sequences 16..25 while wal-1 carries 1..20.
-	l2 := &Log{dir: dir, segLimit: DefaultSegmentLimit}
-	l2.seq.Store(15)
-	if err := l2.Append(events[15:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := l2.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeSegment(t, dir, 16, events[15:])
 	segs, _, err := scanLogDir(dir)
 	if err != nil || len(segs) != 2 || segs[1] != 16 {
 		t.Fatalf("segments: %v (%v)", segs, err)
@@ -266,6 +287,7 @@ func TestWALOverlappingSegmentsDedupe(t *testing.T) {
 // creation: a next segment whose header never finished holds no records
 // and must not block recovery.
 func TestWALHeaderShortSegmentRecovers(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
 	dir := t.TempDir()
 	events := chainEvents(12)
 	l, _ := openLogT(t, dir, WithFsync(false))
@@ -293,16 +315,19 @@ func TestWALHeaderShortSegmentRecovers(t *testing.T) {
 }
 
 // TestWALAppendFailureRollsBack pins the failed-Append contract: LastSeq
-// is unchanged and the segment is abandoned, so the retry starts a fresh
-// segment at the same sequence.
+// is unchanged, the log is failed until ResetFailed, and the segment is
+// abandoned, so the retry starts a fresh segment at the same sequence.
 func TestWALAppendFailureRollsBack(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
 	dir := t.TempDir()
 	events := chainEvents(10)
 	l, _ := openLogT(t, dir, WithFsync(false))
 	if err := l.Append(events[:5]); err != nil {
 		t.Fatal(err)
 	}
-	// Force the active segment's file descriptor to fail writes.
+	// Force the active segment's file descriptor to fail writes. The
+	// committer is idle: it touched l.f before completing the commit the
+	// test waited for, and touches it again only for the next one.
 	if err := l.bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -315,12 +340,20 @@ func TestWALAppendFailureRollsBack(t *testing.T) {
 	if l.LastSeq() != 5 {
 		t.Fatalf("failed append moved LastSeq to %d, want 5", l.LastSeq())
 	}
+	if l.Failed() == nil {
+		t.Fatal("failed append did not stick")
+	}
+	l.ResetFailed()
 	// The retry succeeds on a fresh segment and recovery sees one copy.
 	if err := l.Append(events[5:]); err != nil {
 		t.Fatalf("retry: %v", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+	segs, _, err := scanLogDir(dir)
+	if err != nil || len(segs) != 2 || segs[0] != 1 || segs[1] != 6 {
+		t.Fatalf("segments %v (err %v), want the retry in a fresh wal-6", segs, err)
 	}
 	_, rec := openLogT(t, dir)
 	if rec.LastSeq != 10 || len(rec.Tail) != 10 {
@@ -332,12 +365,9 @@ func TestWALGroupCommitAppendRecover(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	dir := t.TempDir()
 	events := chainEvents(120)
-	l, rec := openLogT(t, dir, WithGroupCommit(0, 0))
+	l, rec := openLogT(t, dir)
 	if rec.LastSeq != 0 {
 		t.Fatalf("fresh log at seq %d", rec.LastSeq)
-	}
-	if !l.GroupCommit() {
-		t.Fatal("GroupCommit() = false with WithGroupCommit")
 	}
 	for i := 0; i < len(events); i += 30 {
 		if err := l.Append(events[i : i+30]); err != nil {
@@ -379,7 +409,7 @@ func TestWALGroupCommitConcurrentAppends(t *testing.T) {
 	// Concurrent writers share one committer; every batch must land
 	// exactly once, in some serialization of the submit order.
 	dir := t.TempDir()
-	l, _ := openLogT(t, dir, WithGroupCommit(0, 0))
+	l, _ := openLogT(t, dir)
 	const writers, perWriter = 8, 20
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -419,7 +449,7 @@ func TestWALGroupCommitRotationCheckpoint(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	dir := t.TempDir()
 	events := chainEvents(150)
-	l, _ := openLogT(t, dir, WithGroupCommit(0, 0), WithSegmentLimit(256), WithFsync(false))
+	l, _ := openLogT(t, dir, WithSegmentLimit(256), WithFsync(false))
 	if err := l.Append(events[:90]); err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +497,7 @@ func TestWALGroupCommitRotationCheckpoint(t *testing.T) {
 func TestWALGroupCommitBarrierAndClose(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	dir := t.TempDir()
-	l, _ := openLogT(t, dir, WithGroupCommit(0, 0))
+	l, _ := openLogT(t, dir)
 	if err := l.Append(chainEvents(5)); err != nil {
 		t.Fatal(err)
 	}
@@ -486,5 +516,52 @@ func TestWALGroupCommitBarrierAndClose(t *testing.T) {
 	}
 	if _, err := l.Barrier(); err == nil {
 		t.Fatal("barrier after Close succeeded")
+	}
+}
+
+// TestWALReadersKeepTempFiles pins that listing the directory has no side
+// effects: a reader (EventsSince) or a checkpoint running beside the
+// committer must not delete a temp file some other writer still owns.
+// Only OpenLog sweeps temp files, before its committer starts.
+func TestWALReadersKeepTempFiles(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	dir := t.TempDir()
+	events := chainEvents(20)
+	l, _ := openLogT(t, dir, WithFsync(false))
+	if err := l.Append(events[:10]); err != nil {
+		t.Fatal(err)
+	}
+	sentinel := filepath.Join(dir, ckptName(1000)+walTempSuffix)
+	if err := os.WriteFile(sentinel, []byte("half a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.EventsSince(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(sentinel); err != nil {
+		t.Fatalf("EventsSince removed a temp file: %v", err)
+	}
+	g, err := provgraph.Replay(events[:10])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Checkpoint(&Snapshot{Graph: g}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(sentinel); err != nil {
+		t.Fatalf("Checkpoint removed a temp file it did not write: %v", err)
+	}
+	if err := l.Append(events[10:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, rec := openLogT(t, dir)
+	if rec.CheckpointSeq != 10 || rec.LastSeq != 20 {
+		t.Fatalf("recovered ckpt=%d last=%d, want 10/20", rec.CheckpointSeq, rec.LastSeq)
+	}
+	if _, err := os.Stat(sentinel); !os.IsNotExist(err) {
+		t.Fatalf("OpenLog left a crashed writer's temp file behind (stat err %v)", err)
 	}
 }

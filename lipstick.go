@@ -317,10 +317,11 @@ var (
 	// batches; past the bound, appends are shed with *OverloadedError.
 	WithIngestQueueDepth = core.WithIngestQueueDepth
 	// WithLogOptions forwards WAL options (fsync policy, segment size,
-	// group commit) to a durable live graph.
+	// group-commit tuning) to a durable live graph.
 	WithLogOptions = core.WithLogOptions
-	// WithGroupCommit switches a WAL to group-commit mode: concurrent
-	// appends coalesce into one write + fsync.
+	// WithGroupCommit tunes the WAL's group committer, its only write
+	// path: how long a lone batch waits for company (default 0) and the
+	// byte cap of one coalesced write + fsync.
 	WithGroupCommit = store.WithGroupCommit
 	// WithFsync controls whether WAL commits fsync (default true).
 	WithFsync = store.WithFsync
