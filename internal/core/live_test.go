@@ -199,118 +199,142 @@ func TestLiveGraphDuplicateAndGapBatches(t *testing.T) {
 	}
 }
 
+// commitModes runs a durable-graph test under the two committer tunings,
+// with fsync off. The subtest names are the ones these tests have always
+// used: "serial" is the library default (gather delay 0, which replaced
+// the serial writer) and "group" the DefaultGroupCommitDelay gather
+// window that `serve -live` uses. Recovery must not depend on either.
+func commitModes(t *testing.T, fn func(t *testing.T, opts []LiveOption)) {
+	t.Helper()
+	for _, m := range []struct {
+		name string
+		opts []store.LogOption
+	}{
+		{"serial", nil},
+		{"group", []store.LogOption{store.WithGroupCommit(-1, 0)}},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			fn(t, []LiveOption{WithLogOptions(append(m.opts, store.WithFsync(false))...)})
+		})
+	}
+}
+
 func TestLiveGraphCrashRecovery(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	batch, events := captureDealership(t, 120, 3)
-	dir := t.TempDir()
-	mid := len(events) / 2
+	commitModes(t, func(t *testing.T, opts []LiveOption) {
+		dir := t.TempDir()
+		mid := len(events) / 2
 
-	lg, err := OpenLiveGraph("d", dir, WithLogOptions(store.WithFsync(false), store.WithSegmentLimit(64<<10)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lg.Append(1, events[:mid]); err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lg.Append(uint64(mid)+1, events[mid:]); err != nil {
-		t.Fatal(err)
-	}
-	// Simulated kill: every append above already waited for its commit,
-	// and the log has no clean-shutdown marker, so the disk state Close
-	// leaves behind is byte-identical to a kill here. (Recovery from a
-	// genuinely unclosed log is covered by the store-level WAL tests.)
-	if err := lg.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	restored, err := OpenLiveGraph("d", dir)
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
-	}
-	if restored.Seq() != uint64(len(events)) {
-		t.Fatalf("recovered seq %d, want %d (lost or duplicated events)", restored.Seq(), len(events))
-	}
-	if restored.CheckpointSeq() != uint64(mid) {
-		t.Fatalf("checkpoint seq %d, want %d", restored.CheckpointSeq(), mid)
-	}
-	if err := restored.Read(func(qp *QueryProcessor) error {
-		if !batch.StructurallyEqual(qp.Graph()) {
-			t.Fatal("recovered graph differs from batch build")
+		lg, err := OpenLiveGraph("d", dir, append(opts, WithLogOptions(store.WithSegmentLimit(64<<10)))...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// A client retry of the final batch after restart must dedupe.
-	st, err := restored.Append(uint64(mid)+1, events[mid:])
-	if err != nil || st.Applied != 0 {
-		t.Fatalf("post-recovery retry applied %d events (err %v)", st.Applied, err)
-	}
-	if err := restored.Close(); err != nil {
-		t.Fatal(err)
-	}
+		if _, err := lg.Append(1, events[:mid]); err != nil {
+			t.Fatal(err)
+		}
+		if err := lg.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lg.Append(uint64(mid)+1, events[mid:]); err != nil {
+			t.Fatal(err)
+		}
+		// Simulated kill: every append above already waited for its commit,
+		// and the log has no clean-shutdown marker, so the disk state Close
+		// leaves behind is byte-identical to a kill here. (Recovery from a
+		// genuinely unclosed log is covered by the store-level WAL tests.)
+		if err := lg.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		restored, err := OpenLiveGraph("d", dir)
+		if err != nil {
+			t.Fatalf("recovery: %v", err)
+		}
+		if restored.Seq() != uint64(len(events)) {
+			t.Fatalf("recovered seq %d, want %d (lost or duplicated events)", restored.Seq(), len(events))
+		}
+		if restored.CheckpointSeq() != uint64(mid) {
+			t.Fatalf("checkpoint seq %d, want %d", restored.CheckpointSeq(), mid)
+		}
+		if err := restored.Read(func(qp *QueryProcessor) error {
+			if !batch.StructurallyEqual(qp.Graph()) {
+				t.Fatal("recovered graph differs from batch build")
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// A client retry of the final batch after restart must dedupe.
+		st, err := restored.Append(uint64(mid)+1, events[mid:])
+		if err != nil || st.Applied != 0 {
+			t.Fatalf("post-recovery retry applied %d events (err %v)", st.Applied, err)
+		}
+		if err := restored.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestLiveGraphTornTailRecovery(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	batch, events := captureDealership(t, 60, 2)
-	dir := t.TempDir()
-	lg, err := OpenLiveGraph("d", dir, WithLogOptions(store.WithFsync(false)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lg.Append(1, events); err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the final record, as a kill mid-write would.
-	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.lpwal"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segments (%v)", err)
-	}
-	last := segs[len(segs)-1]
-	fi, err := os.Stat(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(last, fi.Size()-5); err != nil {
-		t.Fatal(err)
-	}
-
-	restored, err := OpenLiveGraph("d", dir)
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
-	}
-	defer func() {
-		if err := restored.Close(); err != nil {
+	commitModes(t, func(t *testing.T, opts []LiveOption) {
+		dir := t.TempDir()
+		lg, err := OpenLiveGraph("d", dir, opts...)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}()
-	lost := uint64(len(events)) - restored.Seq()
-	if lost == 0 {
-		t.Fatal("expected the torn record to be dropped")
-	}
-	// The sender's retry path: resend from its own position; overlap
-	// dedupes, the torn suffix is re-applied.
-	if _, err := restored.Append(uint64(len(events)-int(lost)-3), events[len(events)-int(lost)-4:]); err != nil {
-		t.Fatalf("repair append: %v", err)
-	}
-	if restored.Seq() != uint64(len(events)) {
-		t.Fatalf("repaired seq %d, want %d", restored.Seq(), len(events))
-	}
-	if err := restored.Read(func(qp *QueryProcessor) error {
-		if !batch.StructurallyEqual(qp.Graph()) {
-			t.Fatal("repaired graph differs from batch build")
+		if _, err := lg.Append(1, events); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+		if err := lg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Tear the final record, as a kill mid-write would.
+		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.lpwal"))
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("no segments (%v)", err)
+		}
+		last := segs[len(segs)-1]
+		fi, err := os.Stat(last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(last, fi.Size()-5); err != nil {
+			t.Fatal(err)
+		}
+
+		restored, err := OpenLiveGraph("d", dir)
+		if err != nil {
+			t.Fatalf("recovery: %v", err)
+		}
+		defer func() {
+			if err := restored.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		lost := uint64(len(events)) - restored.Seq()
+		if lost == 0 {
+			t.Fatal("expected the torn record to be dropped")
+		}
+		// The sender's retry path: resend from its own position; overlap
+		// dedupes, the torn suffix is re-applied.
+		if _, err := restored.Append(uint64(len(events)-int(lost)-3), events[len(events)-int(lost)-4:]); err != nil {
+			t.Fatalf("repair append: %v", err)
+		}
+		if restored.Seq() != uint64(len(events)) {
+			t.Fatalf("repaired seq %d, want %d", restored.Seq(), len(events))
+		}
+		if err := restored.Read(func(qp *QueryProcessor) error {
+			if !batch.StructurallyEqual(qp.Graph()) {
+				t.Fatal("repaired graph differs from batch build")
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestLiveGraphConcurrentIngestAndReads(t *testing.T) {

@@ -13,95 +13,121 @@ import (
 // errDiskFault is the injected failure the fsync tests look for.
 var errDiskFault = errors.New("injected disk fault")
 
+// logModes runs each fault scenario under the two committer tunings. The
+// names are the ones these suites have always used: "serial" is the
+// library default (gather delay 0: each batch commits as soon as the
+// committer is free, which is what replaced the serial writer), "group"
+// the DefaultGroupCommitDelay gather window that `serve -live` uses. Both
+// share the wal.write/wal.fsync/wal.slow failpoints.
+var logModes = []struct {
+	name string
+	opts []LogOption
+}{
+	{"serial", []LogOption{WithFsync(true)}},
+	{"group", []LogOption{WithFsync(true), WithGroupCommit(-1, 0)}},
+}
+
 func TestWALFsyncFaultRollsBackAndResumes(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	defer faultinject.Reset()
-	dir := t.TempDir()
-	events := chainEvents(10)
-	l, _ := openLogT(t, dir, WithFsync(true))
-	if err := l.Append(events[:5]); err != nil {
-		t.Fatal(err)
-	}
-	faultinject.Arm("wal.fsync", faultinject.Fault{Err: errDiskFault, Count: 1})
-	if err := l.Append(events[5:]); err == nil {
-		t.Fatal("append with a failing fsync succeeded")
-	}
-	if l.LastSeq() != 5 {
-		t.Fatalf("failed append moved LastSeq to %d, want 5", l.LastSeq())
-	}
-	// The failure is sticky: appends are refused until the caller re-logs
-	// lost events and calls ResetFailed.
-	if l.Failed() == nil {
-		t.Fatal("fsync fault did not stick")
-	}
-	if err := l.Append(events[5:]); err == nil || !strings.Contains(err.Error(), "wal is failed") {
-		t.Fatalf("append on failed log: %v, want the ResetFailed hint", err)
-	}
-	l.ResetFailed()
-	if l.Failed() != nil {
-		t.Fatal("ResetFailed left the log failed")
-	}
-	if err := l.Append(events[5:]); err != nil {
-		t.Fatalf("append after recovery: %v", err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, rec := openLogT(t, dir)
-	if rec.LastSeq != 10 || len(rec.Tail) != 10 {
-		t.Fatalf("recovered %d events to seq %d, want 10/10", len(rec.Tail), rec.LastSeq)
+	for _, mode := range logModes {
+		t.Run(mode.name, func(t *testing.T) {
+			defer faultinject.Reset()
+			dir := t.TempDir()
+			events := chainEvents(10)
+			l, _ := openLogT(t, dir, mode.opts...)
+			if err := l.Append(events[:5]); err != nil {
+				t.Fatal(err)
+			}
+			faultinject.Arm("wal.fsync", faultinject.Fault{Err: errDiskFault, Count: 1})
+			if err := l.Append(events[5:]); err == nil {
+				t.Fatal("append with a failing fsync succeeded")
+			}
+			if l.LastSeq() != 5 {
+				t.Fatalf("failed append moved LastSeq to %d, want 5", l.LastSeq())
+			}
+			// The failure is sticky: appends are refused until the caller
+			// re-logs lost events and calls ResetFailed.
+			if l.Failed() == nil {
+				t.Fatal("fsync fault did not stick")
+			}
+			if err := l.Append(events[5:]); err == nil || !strings.Contains(err.Error(), "wal is failed") {
+				t.Fatalf("append on failed log: %v, want the ResetFailed hint", err)
+			}
+			l.ResetFailed()
+			if l.Failed() != nil {
+				t.Fatal("ResetFailed left the log failed")
+			}
+			if err := l.Append(events[5:]); err != nil {
+				t.Fatalf("append after recovery: %v", err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, rec := openLogT(t, dir)
+			if rec.LastSeq != 10 || len(rec.Tail) != 10 {
+				t.Fatalf("recovered %d events to seq %d, want 10/10", len(rec.Tail), rec.LastSeq)
+			}
+		})
 	}
 }
 
 func TestWALTornWriteCrashLeavesRecoverableTail(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	defer faultinject.Reset()
-	dir := t.TempDir()
-	events := chainEvents(8)
-	l, _ := openLogT(t, dir, WithFsync(true))
-	if err := l.Append(events[:6]); err != nil {
-		t.Fatal(err)
-	}
-	// A torn write models dying mid-record: half a frame reaches the disk
-	// and no rollback runs. The injected error must say so.
-	faultinject.Arm("wal.write", faultinject.Fault{Torn: true, Count: 1})
-	err := l.Append(events[6:7])
-	if err == nil || !faultinject.IsCrash(err) {
-		t.Fatalf("torn append error = %v, want a simulated crash", err)
-	}
-	_ = l.Close() // the crashed process cannot close cleanly; stop goroutines only
+	for _, mode := range logModes {
+		t.Run(mode.name, func(t *testing.T) {
+			defer faultinject.Reset()
+			dir := t.TempDir()
+			events := chainEvents(8)
+			l, _ := openLogT(t, dir, mode.opts...)
+			if err := l.Append(events[:6]); err != nil {
+				t.Fatal(err)
+			}
+			// A torn write models dying mid-record: half a frame reaches the
+			// disk and no rollback runs. The injected error must say so.
+			faultinject.Arm("wal.write", faultinject.Fault{Torn: true, Count: 1})
+			err := l.Append(events[6:7])
+			if err == nil || !faultinject.IsCrash(err) {
+				t.Fatalf("torn append error = %v, want a simulated crash", err)
+			}
+			_ = l.Close() // the crashed process cannot close cleanly; stop goroutines only
 
-	l2, rec := openLogT(t, dir, WithFsync(true))
-	if rec.LastSeq != 6 || len(rec.Tail) != 6 {
-		t.Fatalf("recovered %d events to seq %d, want the acked prefix 6/6", len(rec.Tail), rec.LastSeq)
-	}
-	// The truncated log resumes exactly where durability ended.
-	if err := l2.Append(events[6:]); err != nil {
-		t.Fatalf("append after torn-tail recovery: %v", err)
-	}
-	if err := l2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, rec2 := openLogT(t, dir)
-	if rec2.LastSeq != 8 || len(rec2.Tail) != 8 {
-		t.Fatalf("final recovery %d/%d, want 8/8", len(rec2.Tail), rec2.LastSeq)
+			l2, rec := openLogT(t, dir, mode.opts...)
+			if rec.LastSeq != 6 || len(rec.Tail) != 6 {
+				t.Fatalf("recovered %d events to seq %d, want the acked prefix 6/6", len(rec.Tail), rec.LastSeq)
+			}
+			// The truncated log resumes exactly where durability ended.
+			if err := l2.Append(events[6:]); err != nil {
+				t.Fatalf("append after torn-tail recovery: %v", err)
+			}
+			if err := l2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, rec2 := openLogT(t, dir)
+			if rec2.LastSeq != 8 || len(rec2.Tail) != 8 {
+				t.Fatalf("final recovery %d/%d, want 8/8", len(rec2.Tail), rec2.LastSeq)
+			}
+		})
 	}
 }
 
 func TestWALSlowDiskFaultOnlyDelays(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	defer faultinject.Reset()
-	dir := t.TempDir()
-	events := chainEvents(4)
-	l, _ := openLogT(t, dir, WithFsync(true))
-	faultinject.Arm("wal.slow", faultinject.Fault{Delay: 2 * time.Millisecond, Count: 1}) // drag, no error
-	if err := l.Append(events); err != nil {
-		t.Fatalf("slow-disk append failed: %v", err)
-	}
-	if l.LastSeq() != 4 {
-		t.Fatalf("LastSeq = %d, want 4", l.LastSeq())
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+	for _, mode := range logModes {
+		t.Run(mode.name, func(t *testing.T) {
+			defer faultinject.Reset()
+			dir := t.TempDir()
+			events := chainEvents(4)
+			l, _ := openLogT(t, dir, mode.opts...)
+			faultinject.Arm("wal.slow", faultinject.Fault{Delay: 2 * time.Millisecond, Count: 1}) // drag, no error
+			if err := l.Append(events); err != nil {
+				t.Fatalf("slow-disk append failed: %v", err)
+			}
+			if l.LastSeq() != 4 {
+				t.Fatalf("LastSeq = %d, want 4", l.LastSeq())
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
