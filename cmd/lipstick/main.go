@@ -434,6 +434,7 @@ func serveCmd(args []string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		closeMgr()
+		_ = svc.Registry().Close() // the listen error is the one to report
 		return fmt.Errorf("serve: %w", err)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -441,6 +442,11 @@ func serveCmd(args []string) error {
 	fmt.Printf("lipstick: serving on http://%s\n", ln.Addr())
 	err = serveHTTP(ctx, ln, svc.Handler(snapshot))
 	closeMgr() // stop the tail loops before the process exits
+	// Flush and close every live graph's WAL after the drain, which also
+	// removes each stream's spare segment file.
+	if cerr := svc.Registry().Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("serve: %w", cerr)
+	}
 	return err
 }
 

@@ -1,14 +1,18 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"io/fs"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -301,6 +305,77 @@ func TestServeGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("server did not shut down")
+	}
+}
+
+// TestServeLiveShutdownRemovesTempFiles runs `lipstick serve -live`
+// itself, streams a run into it, and stops it with SIGTERM: the drain
+// must close the registry, so no live stream leaves a temp file (its
+// spare WAL segment) in the live directory.
+func TestServeLiveShutdownRemovesTempFiles(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("a process cannot send itself SIGTERM on windows")
+	}
+	live := filepath.Join(t.TempDir(), "wal")
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	addr := make(chan string, 1)
+	go func() {
+		defer r.Close()
+		sc := bufio.NewScanner(r)
+		for sc.Scan() {
+			if a, ok := strings.CutPrefix(sc.Text(), "lipstick: serving on "); ok {
+				addr <- a
+			}
+		}
+	}()
+	done := make(chan error, 1)
+	go func() { done <- run([]string{"serve", "-addr", "127.0.0.1:0", "-live", live}) }()
+	var url string
+	select {
+	case url = <-addr:
+	case err := <-done:
+		t.Fatalf("serve exited early: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("serve never came up")
+	}
+	if err := run([]string{"track", "-remote", url, "-name", "durable", "-cars", "40", "-execs", "1"}); err != nil {
+		t.Fatalf("track: %v", err)
+	}
+
+	self, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := self.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("serve returned %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("serve did not shut down")
+	}
+	w.Close()
+	var temps []string
+	err = filepath.WalkDir(live, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(path, ".tmp") {
+			temps = append(temps, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(temps) > 0 {
+		t.Errorf("a clean shutdown left temp files: %v", temps)
 	}
 }
 

@@ -136,7 +136,9 @@ func (s *Session) ZoomOut(modules ...string) (*provgraph.ZoomRecord, error) {
 	return rec, nil
 }
 
-// ZoomIn undoes the most recent ZoomOut (zooms nest like a stack).
+// ZoomIn undoes the most recent ZoomOut (zooms nest like a stack). If
+// nothing else changed the session since that ZoomOut, its overlay rolls
+// back to its exact state before it, delta count and slot count included.
 func (s *Session) ZoomIn() (*provgraph.ZoomRecord, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"lipstick/internal/provgraph"
 	"lipstick/internal/store"
@@ -90,6 +91,44 @@ func BenchmarkSessionFirstZoom(b *testing.B) {
 			}
 		})
 	}
+}
+
+// dealershipZoomModules are the dealership modules a session zooms.
+var dealershipZoomModules = []string{"M_agg", "M_dealer1", "M_dealer2", "M_dealer3", "M_dealer4"}
+
+// BenchmarkSessionZoomRoundTrip measures a session's zoom round trip:
+// create a session, zoom one module out and back in. cold runs each
+// round trip over a fresh copy of the base (copied off the clock), so
+// the zoom computes Definition 4.1 and fills the base's zoom memo; warm
+// replays the memoized plans, as sessions over a served snapshot do.
+func BenchmarkSessionZoomRoundTrip(b *testing.B) {
+	qp := benchProcessor(b)
+	roundTrip := func(b *testing.B, base *QueryProcessor, i int) {
+		s := newSession("bench", "bench", base, time.Now())
+		if _, err := s.ZoomOut(dealershipZoomModules[i%len(dealershipZoomModules)]); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.ZoomIn(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			base := NewQueryProcessor(&store.Snapshot{Graph: qp.Graph().Clone()})
+			b.StartTimer()
+			roundTrip(b, base, i)
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		for i := range dealershipZoomModules {
+			roundTrip(b, qp, i)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			roundTrip(b, qp, i)
+		}
+	})
 }
 
 // BenchmarkSessionApplyDelete measures an applied deletion propagation

@@ -18,7 +18,8 @@ import (
 // Definition 4.1 node list and every observable of a ZoomOut/ZoomIn round
 // trip (record, stats, NumNodes, Changes, DOT, provenance expressions)
 // must equal the reference kernels the rewrite replaced
-// (reference_test.go). It runs over the dealership, Arctic and
+// (reference_test.go), and the ZoomIn must restore the view taken before
+// the zoom. It runs over the dealership, Arctic and
 // graphmem-synthetic workloads, a base with dead nodes and spilled edges,
 // a live graph's published view, and a base padded with flat orphans, on
 // *Graph and on overlays — fresh, dirtied by an applied delete, left
@@ -250,7 +251,7 @@ func checkZooms(t *testing.T, name string, vw diffView, b diffBase) {
 		what := fmt.Sprintf("%s: zoom %v", name, mods)
 		sameIDs(t, what+" IntermediateNodes", intermediates(vw.v, set), provgraph.RefIntermediateNodes(vw.v, set))
 
-		got, want := vw.fork(), vw.fork()
+		got, want, before := vw.fork(), vw.fork(), vw.fork()
 		gotRec, wantRec := zoomOut(got, mods), provgraph.RefZoomOut(want, mods...)
 		if !slices.Equal(gotRec.Modules, wantRec.Modules) || gotRec.HiddenCount() != wantRec.HiddenCount() {
 			t.Errorf("%s: record %v/%d, reference %v/%d", what, gotRec.Modules, gotRec.HiddenCount(), wantRec.Modules, wantRec.HiddenCount())
@@ -263,9 +264,13 @@ func checkZooms(t *testing.T, name string, vw diffView, b diffBase) {
 		sameIDs(t, what+" ZoomNodes", gotRec.ZoomNodes(), wantRec.ZoomNodes())
 		sameView(t, what, got, want, b.samples)
 
+		// ZoomIn must restore the view as it was before the zoom, delta
+		// count included: an overlay rolls its newest zoom back.
 		zoomIn(got, gotRec)
-		zoomIn(want, wantRec)
-		sameView(t, what+" then ZoomIn", got, want, b.samples)
+		sameView(t, what+" then ZoomIn", got, before, b.samples)
+		// The override bits are restored too: zooming out again hides
+		// what the first zoom hid.
+		sameIDs(t, what+" then ZoomIn, ZoomOut hidden", provgraph.ZoomHidden(zoomOut(got, mods)), provgraph.ZoomHidden(wantRec))
 	}
 }
 

@@ -31,3 +31,13 @@ func RefAncestors(v GraphView, id NodeID) []NodeID { return refBFS(v.(view), id,
 
 // RefDescendants is the reference BFS's descendant order.
 func RefDescendants(v GraphView, id NodeID) []NodeID { return refBFS(v.(view), id, refEachOut) }
+
+// ColdZoomOut zooms an overlay with the Definition 4.1 kernel itself,
+// bypassing the base's zoom memo.
+func ColdZoomOut(ov *Overlay, modules []string, invs []InvID) *ZoomRecord {
+	return zoomOutOf(ov, modules, invs)
+}
+
+// ZoomMemoized reports whether g's zoom memo holds a plan for the
+// ascending invocation set invs at g's current version.
+func ZoomMemoized(g *Graph, invs []InvID) bool { return g.zoomPlan(invs) != nil }

@@ -243,11 +243,14 @@ type Graph struct {
 	mapRef any
 
 	// version counts structural mutations (node and edge appends, kills,
-	// revives); the overlays' shared orphan set is stamped with it.
+	// revives, invocation anchors); the overlays' shared orphan set and
+	// zoom memo are stamped with it.
 	version uint64
 	// orphanBits is the orphan set of derived.go, built lazily for the
-	// overlays layered over this graph and shared by them.
+	// overlays layered over this graph and shared by them; zoomPlans is
+	// their zoom memo.
 	orphanBits atomic.Pointer[orphanSet]
+	zoomPlans  atomic.Pointer[zoomPlans]
 
 	// events observes every mutation as a typed Event (see events.go);
 	// nil (the default) costs one branch per mutation. Clone does not
@@ -355,6 +358,7 @@ func (g *Graph) addAnchor(inv InvID, kind AnchorKind, id NodeID) {
 	case AnchorState:
 		rec.States = append(rec.States, id)
 	}
+	g.version++ // a zoom reads the anchors
 	if g.events != nil {
 		g.emit(Event{Kind: EvAnchor, Inv: inv, Anchor: kind, Src: id})
 	}

@@ -22,8 +22,11 @@ import (
 // page per 4,096-slot id range it has touched — and Alive, kill and
 // revive are bit operations. killMask and reviveMask apply them to a
 // word of 64 slots at once: ZoomOut hides the base's flat orphans, and
-// ZoomIn revives each run of its hidden list that shares a word.
-// Thousands of concurrent what-if sessions can share one base graph.
+// ZoomIn revives each run of its hidden list that shares a word. A
+// ZoomIn that undoes the overlay's newest zoom rolls every delta of that
+// zoom back, so a session's slot count and Changes() do not grow with
+// its zoom round trips. Thousands of concurrent what-if sessions can
+// share one base graph.
 // Appended nodes take ids from TotalNodes() upward — exactly the ids a
 // Clone-then-mutate baseline would assign — so every query answered
 // through the view (find, subgraph, lineage, deletion propagation, DOT,
@@ -56,6 +59,11 @@ type Overlay struct {
 	edgeLog [][2]NodeID
 
 	values map[NodeID]nested.Value // value overrides (aggregate recompute)
+
+	// top is the overlay's newest zoom while no other mutation has
+	// followed it; ZoomIn rolls such a zoom back. Every mutation clears
+	// it, and a rollback restores the zoom before.
+	top *ZoomRecord
 }
 
 var _ GraphView = (*Overlay)(nil)
@@ -72,9 +80,10 @@ const (
 // liveness copied in when the page is allocated, appended slots born
 // live — so Alive reads one bit wherever a page exists. edges marks the
 // base slots with appended edges, so adjacency reads probe the edge-delta
-// maps only for those: a session keeps its zoom wiring after ZoomIn, and
-// without the bit every later traversal of the session would probe the
-// maps once per node it reads.
+// maps only for those: a zoomed-out session wires its zoom nodes into
+// base nodes, and without the bit every traversal of the session would
+// probe the maps once per node it reads. A rollback clears the bit of a
+// slot whose last appended edge it removes.
 type livePage struct {
 	set, live, edges [livePageWords]uint64
 }
@@ -135,6 +144,7 @@ func (o *Overlay) page(id NodeID) *livePage {
 func (o *Overlay) override(id NodeID, live bool) {
 	pg := o.page(id)
 	w, b := slotBit(id)
+	o.top = nil
 	if pg.set[w]&b == 0 {
 		pg.set[w] |= b
 		o.overrides++
@@ -190,6 +200,7 @@ func (o *Overlay) Reset(base *Graph) {
 	clear(o.extraIn)
 	o.edgeLog = o.edgeLog[:0]
 	clear(o.values)
+	o.top = nil
 }
 
 // Changes returns the number of recorded deltas (liveness overrides,
@@ -258,6 +269,7 @@ func (o *Overlay) revive(id NodeID) {
 func (o *Overlay) killMask(w int, mask uint64) {
 	pg, i := o.page(NodeID(w*64)), w&(livePageWords-1)
 	mask &= pg.live[i]
+	o.top = nil
 	o.overrides += bits.OnesCount64(mask &^ pg.set[i])
 	o.liveDelta -= bits.OnesCount64(mask)
 	pg.set[i] |= mask
@@ -269,6 +281,7 @@ func (o *Overlay) killMask(w int, mask uint64) {
 func (o *Overlay) reviveMask(w int, mask uint64) {
 	pg, i := o.page(NodeID(w*64)), w&(livePageWords-1)
 	mask &^= pg.live[i]
+	o.top = nil
 	o.overrides += bits.OnesCount64(mask &^ pg.set[i])
 	o.liveDelta += bits.OnesCount64(mask)
 	pg.set[i] |= mask
@@ -311,6 +324,7 @@ func (o *Overlay) setValue(id NodeID, v nested.Value) {
 		o.values = make(map[NodeID]nested.Value)
 	}
 	o.values[id] = v
+	o.top = nil
 }
 
 // AddNode appends a node to the view and returns its id. Ids continue
@@ -321,10 +335,20 @@ func (o *Overlay) AddNode(n Node) NodeID {
 	n = normalizeInv(n)
 	n.ID = id
 	o.added = append(o.added, n)
-	o.addedOut = append(o.addedOut, nil)
-	o.addedIn = append(o.addedIn, nil)
+	o.addedOut = appendEmpty(o.addedOut)
+	o.addedIn = appendEmpty(o.addedIn)
 	o.liveDelta++
+	o.top = nil
 	return id
+}
+
+// appendEmpty appends an empty adjacency list to adj, reusing the storage
+// of a list that Reset or a rollback truncated away.
+func appendEmpty(adj [][]NodeID) [][]NodeID {
+	if n := len(adj); n < cap(adj) {
+		return append(adj, adj[:n+1][n][:0])
+	}
+	return append(adj, nil)
 }
 
 // AddEdge appends a directed edge to the view (dst is derived from src).
@@ -352,12 +376,76 @@ func (o *Overlay) AddEdge(src, dst NodeID) {
 		o.addedIn[i] = append(o.addedIn[i], src)
 	}
 	o.edgeLog = append(o.edgeLog, [2]NodeID{src, dst})
+	o.top = nil
 }
 
 // markEdges notes that base slot id has appended edges.
 func (o *Overlay) markEdges(id NodeID) {
 	w, b := slotBit(id)
 	o.page(id).edges[w] |= b
+}
+
+// rollback undoes the overlay's newest zoom, rec, which no mutation has
+// followed: it pops the zoom's edges and appended nodes, restores the
+// liveness and override bits of the nodes it hid, and the counters.
+func (o *Overlay) rollback(rec *ZoomRecord) {
+	u := rec.undo
+	for i := len(o.edgeLog) - 1; i >= u.edges; i-- {
+		src, dst := o.edgeLog[i][0], o.edgeLog[i][1]
+		o.popEdge(src, o.extraOut, o.addedOut, u.added)
+		o.popEdge(dst, o.extraIn, o.addedIn, u.added)
+	}
+	o.edgeLog = o.edgeLog[:u.edges]
+	o.added = o.added[:u.added]
+	o.addedOut = o.addedOut[:u.added]
+	o.addedIn = o.addedIn[:u.added]
+	for _, m := range u.masks {
+		pg, i := o.page(NodeID(m.w*64)), m.w&(livePageWords-1)
+		pg.live[i] |= m.bits
+		pg.set[i] &^= m.bits
+	}
+	for _, m := range u.kept {
+		o.page(NodeID(m.w * 64)).set[m.w&(livePageWords-1)] |= m.bits
+	}
+	o.liveDelta, o.overrides = u.liveDelta, u.overrides
+	o.top = u.prev
+}
+
+// popEdge removes the last edge appended at id to one direction of
+// adjacency: extra for a base slot, added for an appended one (nothing
+// for a slot the rollback truncates, at or past keep). A base slot left
+// with no appended edge in either direction loses its edges bit.
+func (o *Overlay) popEdge(id NodeID, extra map[NodeID][]NodeID, added [][]NodeID, keep int) {
+	if i := int(id) - o.baseSlots; i >= 0 {
+		if i < keep {
+			added[i] = added[i][:len(added[i])-1]
+		}
+		return
+	}
+	l := extra[id][:len(extra[id])-1]
+	extra[id] = l
+	if len(l) == 0 && len(o.extraOut[id])+len(o.extraIn[id]) == 0 {
+		w, b := slotBit(id)
+		o.page(id).edges[w] &^= b
+	}
+}
+
+// liveOverrides returns the overridden slots the view holds live, by
+// liveness word: the only slots a zoom can hide whose override bit it
+// finds already set.
+func (o *Overlay) liveOverrides() []wordMask {
+	var out []wordMask
+	for p, pg := range o.pages {
+		if pg == nil {
+			continue
+		}
+		for w := range pg.set {
+			if b := pg.set[w] & pg.live[w]; b != 0 {
+				out = append(out, wordMask{p*livePageWords + w, b})
+			}
+		}
+	}
+	return out
 }
 
 // outRaw returns the raw out-adjacency: base edges first, then the
@@ -484,7 +572,7 @@ func (o *Overlay) ComputeStats() Stats { return computeStatsOf(o) }
 // never touches the base. Mutations of the fork and the original do not
 // observe each other.
 func (o *Overlay) Fork() *Overlay {
-	c := &Overlay{base: o.base, baseSlots: o.baseSlots, overrides: o.overrides, liveDelta: o.liveDelta}
+	c := &Overlay{base: o.base, baseSlots: o.baseSlots, overrides: o.overrides, liveDelta: o.liveDelta, top: o.top}
 	if len(o.pages) > 0 {
 		c.pages = make([]*livePage, len(o.pages))
 		for i, pg := range o.pages {

@@ -59,8 +59,9 @@ func getVisit(total int) *visitScratch {
 func putVisit(s *visitScratch) { visitPool.Put(s) }
 
 // grown returns s if it covers n slots, else a zeroed replacement with
-// headroom: a session's slot count grows with every zoom it installs, and
-// an exact fit would reallocate on each call.
+// headroom: a session's slot count grows while it holds zooms out (a
+// ZoomIn of the newest zoom gives the slots back), and an exact fit would
+// reallocate on each call.
 func grown[T any](s []T, n int) []T {
 	if len(s) >= n {
 		return s

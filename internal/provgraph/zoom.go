@@ -6,14 +6,31 @@ import (
 )
 
 // ZoomRecord remembers what a ZoomOut hid so that ZoomIn can restore it
-// exactly; ZoomIn(ZoomOut(G, M), M) = G (Section 4.1).
+// exactly; ZoomIn(ZoomOut(G, M), M) = G (Section 4.1). A record is
+// immutable once returned, so forked sessions can share it.
 type ZoomRecord struct {
 	// Modules are the module names that were zoomed out.
 	Modules []string
-	// hidden are the intermediate, state and base-tuple nodes removed.
+	// hidden are the intermediate, state and base-tuple nodes removed, in
+	// hiding order; a memoized plan's list, shared read-only, on a hit.
 	hidden []NodeID
 	// zoomNodes are the zoomed-out module invocation nodes installed.
 	zoomNodes []NodeID
+	// undo is what an overlay's ZoomIn needs to roll the overlay back to
+	// its state before the zoom; nil on a graph's record.
+	undo *zoomUndo
+}
+
+// zoomUndo marks an overlay's state before a zoom: the lengths of its
+// appended nodes and edge log, its counters, and the zoom before it.
+// masks are the hidden ids by liveness word; kept are the overridden
+// slots the overlay held live before the zoom, the only hidden ids whose
+// override can predate it.
+type zoomUndo struct {
+	prev                 *ZoomRecord
+	added, edges         int
+	liveDelta, overrides int
+	masks, kept          []wordMask
 }
 
 // HiddenCount returns the number of nodes the zoom hid.
@@ -21,6 +38,9 @@ func (r *ZoomRecord) HiddenCount() int { return len(r.hidden) }
 
 // ZoomNodes returns the installed zoomed-module nodes.
 func (r *ZoomRecord) ZoomNodes() []NodeID { return append([]NodeID(nil), r.zoomNodes...) }
+
+// ZoomNodeCount returns the number of installed zoomed-module nodes.
+func (r *ZoomRecord) ZoomNodeCount() int { return len(r.zoomNodes) }
 
 // IntermediateNodes returns, per Definition 4.1, the nodes that are part of
 // the intermediate computation of some invocation of a module in the given
@@ -105,7 +125,7 @@ func (g *Graph) ZoomOut(modules ...string) *ZoomRecord {
 // ZoomOut hides module internals in the overlay view, recording the kills
 // and the installed zoom nodes as deltas over the untouched base graph.
 func (o *Overlay) ZoomOut(modules ...string) *ZoomRecord {
-	return zoomOutOf(o, modules, modulesInvocations(o, modules))
+	return o.zoomOut(modules, modulesInvocations(o, modules))
 }
 
 // ZoomOutInvocations is ZoomOut with the modules' invocations resolved by
@@ -115,7 +135,37 @@ func (o *Overlay) ZoomOut(modules ...string) *ZoomRecord {
 func (o *Overlay) ZoomOutInvocations(modules []string, invs []InvID) *ZoomRecord {
 	invs = slices.Clone(invs)
 	slices.Sort(invs)
-	return zoomOutOf(o, modules, slices.Compact(invs))
+	return o.zoomOut(modules, slices.Compact(invs))
+}
+
+// zoomOut zooms out modules, whose invocations are invs (ascending), and
+// marks the overlay's state before the zoom in the record. Over an
+// overlay without deltas, what the zoom hides depends on the base and invs
+// alone: it comes from the base's zoom memo, computed on the first such
+// zoom, and is hidden a liveness word at a time. Step 5 runs either way.
+func (o *Overlay) zoomOut(modules []string, invs []InvID) *ZoomRecord {
+	u := &zoomUndo{prev: o.top, added: len(o.added), edges: len(o.edgeLog), liveDelta: o.liveDelta, overrides: o.overrides}
+	var rec *ZoomRecord
+	if o.Changes() == 0 {
+		if p := o.base.zoomPlan(invs); p != nil {
+			rec = &ZoomRecord{Modules: append([]string(nil), modules...), hidden: p.hidden}
+			for _, m := range p.masks {
+				o.killMask(m.w, m.bits)
+			}
+			installZoomNodes(o, rec, invs)
+			u.masks = p.masks
+		} else {
+			rec = zoomOutOf(o, modules, invs)
+			u.masks = o.base.memoZoomPlan(invs, rec.hidden).masks
+		}
+	} else {
+		u.kept = o.liveOverrides()
+		rec = zoomOutOf(o, modules, invs)
+		u.masks = wordMasks(rec.hidden, o.TotalNodes())
+	}
+	rec.undo = u
+	o.top = rec
+	return rec
 }
 
 // zoomOutOf zooms out modules, whose invocations are invs (ascending).
@@ -166,7 +216,14 @@ func zoomOutOf(mv mutableView, modules []string, invs []InvID) *ZoomRecord {
 	}
 	s.ids = hidden[:0]
 
-	// Step 5: install a zoomed-module p-node per invocation.
+	installZoomNodes(mv, rec, invs)
+	return rec
+}
+
+// installZoomNodes is step 5: it installs a zoomed-module p-node per
+// invocation, wired from the invocation's live inputs to its live
+// outputs.
+func installZoomNodes(mv mutableView, rec *ZoomRecord, invs []InvID) {
 	for _, i := range invs {
 		inv := mv.Invocation(i)
 		z := mv.AddNode(Node{Class: ClassP, Type: TypeZoom, Label: inv.Module, Inv: inv.ID})
@@ -182,7 +239,6 @@ func zoomOutOf(mv mutableView, modules []string, invs []InvID) *ZoomRecord {
 			}
 		}
 	}
-	return rec
 }
 
 // sweepOrphans hides every live OpConst or TypeBaseTuple node without a
@@ -253,10 +309,18 @@ func (g *Graph) ZoomIn(rec *ZoomRecord) {
 	}
 }
 
-// ZoomIn restores the fine-grained view in the overlay. It revives each
-// run of hidden ids that share a liveness word with one word operation;
-// the graph's ZoomIn revives node by node, one event each.
+// ZoomIn restores the fine-grained view in the overlay. When the record
+// is the overlay's newest zoom and nothing changed the overlay since, it
+// rolls the overlay back to its exact state before that ZoomOut, so a
+// session's zoom round trips leave no residue. Otherwise it kills the
+// zoom nodes and revives each run of hidden ids that share a liveness
+// word with one word operation; the graph's ZoomIn revives node by node,
+// one event each.
 func (o *Overlay) ZoomIn(rec *ZoomRecord) {
+	if o.top == rec {
+		o.rollback(rec)
+		return
+	}
 	for _, id := range rec.zoomNodes {
 		o.kill(id)
 	}

@@ -226,7 +226,7 @@ func zoomOf(qp *core.QueryProcessor, modules ...string) (*ZoomResult, error) {
 		NodesBefore: g.NumNodes(),
 		NodesAfter:  view.NumNodes(),
 		HiddenNodes: rec.HiddenCount(),
-		ZoomNodes:   len(rec.ZoomNodes()),
+		ZoomNodes:   rec.ZoomNodeCount(),
 	}
 	overlayPool.Put(view)
 	return res, nil

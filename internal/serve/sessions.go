@@ -148,7 +148,7 @@ func (s *Service) SessionZoom(id string, req SessionZoomRequest) (*SessionZoomRe
 		Modules:     rec.Modules,
 		NodesAfter:  sess.NumNodes(),
 		HiddenNodes: rec.HiddenCount(),
-		ZoomNodes:   len(rec.ZoomNodes()),
+		ZoomNodes:   rec.ZoomNodeCount(),
 		ZoomedOut:   sess.ZoomedOut(),
 	}
 	if res.ZoomedOut == nil {
