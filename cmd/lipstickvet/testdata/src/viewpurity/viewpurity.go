@@ -44,6 +44,36 @@ func CompareAndPatch(v GraphView, g *Graph) {
 	}
 }
 
+// Overlay is the fixture's copy-on-write view.
+type Overlay struct{ changes int }
+
+// ZoomOutInvocations mutates the overlay.
+func (o *Overlay) ZoomOutInvocations(modules []string, invs []int) { o.changes++ }
+
+// RecomputeAggregates mutates the overlay.
+func (o *Overlay) RecomputeAggregates() { o.changes++ }
+
+// Reset mutates the overlay.
+func (o *Overlay) Reset(g *Graph) { o.changes = 0 }
+
+func (o *Overlay) killMask(w int, mask uint64)   { o.changes++ }
+func (o *Overlay) reviveMask(w int, mask uint64) { o.changes++ }
+func (o *Overlay) rollback()                     { o.changes-- }
+
+// NumNodes reads.
+func (o *Overlay) NumNodes() int { return o.changes }
+
+// ZoomAndRecompute takes a view but transforms an overlay through the
+// word-at-a-time and rollback paths the zoom kernel uses.
+func ZoomAndRecompute(v GraphView, o *Overlay, g *Graph) {
+	o.ZoomOutInvocations(nil, nil) // want `calls mutating Overlay\.ZoomOutInvocations`
+	o.killMask(0, 1)               // want `calls mutating Overlay\.killMask`
+	o.reviveMask(0, 1)             // want `calls mutating Overlay\.reviveMask`
+	o.RecomputeAggregates()        // want `calls mutating Overlay\.RecomputeAggregates`
+	o.rollback()                   // want `calls mutating Overlay\.rollback`
+	o.Reset(g)                     // want `calls mutating Overlay\.Reset`
+}
+
 // MutateElsewhere has no view parameter: out of scope for the rule.
 func MutateElsewhere(g *Graph) {
 	g.AddNode("free")

@@ -19,20 +19,26 @@ var viewpurityAnalyzer = &Analyzer{
 
 // graphMutators are the methods that mutate graph or overlay state.
 var graphMutators = map[string]bool{
-	"AddNode":       true,
-	"AddEdge":       true,
-	"AddInvocation": true,
-	"SetEventSink":  true,
-	"ConstNode":     true, // interns into the constant cache
-	"ZoomOut":       true,
-	"ZoomIn":        true,
-	"Delete":        true,
-	"kill":          true,
-	"revive":        true,
-	"setValue":      true,
-	"setNodeInv":    true,
-	"addAnchor":     true,
-	"emit":          true,
+	"AddNode":             true,
+	"AddEdge":             true,
+	"AddInvocation":       true,
+	"SetEventSink":        true,
+	"ConstNode":           true, // interns into the constant cache
+	"ZoomOut":             true,
+	"ZoomOutInvocations":  true,
+	"ZoomIn":              true,
+	"Delete":              true,
+	"RecomputeAggregates": true,
+	"Reset":               true,
+	"kill":                true,
+	"killMask":            true,
+	"revive":              true,
+	"reviveMask":          true,
+	"rollback":            true,
+	"setValue":            true,
+	"setNodeInv":          true,
+	"addAnchor":           true,
+	"emit":                true,
 }
 
 func runViewpurity(p *Pass) {

@@ -73,8 +73,7 @@ func main() {
 
 	// Zoom out the middle layer: its aggregations disappear, the boundary
 	// stays queryable.
-	clone := g.Clone()
-	rec := clone.ZoomOut("M_sta4", "M_sta5", "M_sta6")
+	rec := lipstick.NewOverlay(g).ZoomOut("M_sta4", "M_sta5", "M_sta6")
 	fmt.Printf("zooming out the middle layer hides %d nodes\n", rec.HiddenCount())
 
 	// Subgraph query from a high-fan-out node (Section 5.6).

@@ -96,7 +96,6 @@ func main() {
 	fmt.Printf("dependency profile: %s\n", m)
 
 	// Coarse view: zoom out the dealers; internals and state disappear.
-	clone := g.Clone()
-	rec := clone.ZoomOut("M_dealer1", "M_dealer2", "M_dealer3", "M_dealer4", "M_agg")
+	rec := lipstick.NewOverlay(g).ZoomOut("M_dealer1", "M_dealer2", "M_dealer3", "M_dealer4", "M_agg")
 	fmt.Printf("zooming out dealers+aggregator hides %d nodes\n", rec.HiddenCount())
 }

@@ -111,11 +111,15 @@ Totals = FOREACH G GENERATE SUM(Matches.Price) AS Total;
 	order := lineage.Inputs[0]
 	fmt.Printf("does the total depend on the order? %v\n", qp.DependsOn(totalNode, order))
 
-	// Zoom out the catalog module: the graph becomes coarse for it.
-	before := qp.Graph().NumNodes()
-	must(qp.ZoomOut("M_catalog"))
-	fmt.Printf("zoom-out hid %d nodes\n", before-qp.Graph().NumNodes())
-	must(qp.ZoomIn())
+	// Zoom out the catalog module in a session: its view becomes coarse
+	// for it, while the processor's graph stays as tracked.
+	sess := lipstick.NewSession(qp)
+	before := sess.NumNodes()
+	_, err = sess.ZoomOut("M_catalog")
+	must(err)
+	fmt.Printf("zoom-out hid %d nodes\n", before-sess.NumNodes())
+	_, err = sess.ZoomIn()
+	must(err)
 	fmt.Println("zoom-in restored the fine-grained view")
 }
 

@@ -98,9 +98,12 @@ NumCarsByModel = FOREACH CarsByModel GENERATE group AS Model, COUNT(Inventory) A
 		len(l.Inputs), len(l.StateTuples), l.Modules)
 	fmt.Printf("count depends on the request? %v\n", qp.DependsOn(countNode, l.Inputs[0]))
 
-	// What-if deletion (Figure 3): remove one Civic; the COUNT survives
-	// and is recomputed from 2 to 1.
-	res, recs := qp.ApplyDelete(l.StateTuples[0])
+	// What-if deletion (Figure 3): remove one Civic in a copy-on-write
+	// overlay of the graph; the COUNT survives and is recomputed from 2
+	// to 1.
+	ov := lipstick.NewOverlay(qp.Graph())
+	res := ov.Delete(l.StateTuples[0])
+	recs := ov.RecomputeAggregates()
 	fmt.Printf("deleting one Civic removed %d nodes; count deleted? %v\n",
 		res.Size(), res.Deleted(countNode))
 	for _, rec := range recs {
@@ -108,11 +111,12 @@ NumCarsByModel = FOREACH CarsByModel GENERATE group AS Model, COUNT(Inventory) A
 			rec.Op, rec.Before, rec.After, rec.Survivors)
 	}
 
-	// Exports: Graphviz DOT of the fine view, OPM of the coarse skeleton.
-	if err := qp.Graph().WriteDOT(os.Stdout, "whatif"); err != nil {
+	// Exports: Graphviz DOT of the fine view, OPM of the coarse skeleton,
+	// both after the deletion.
+	if err := ov.WriteDOT(os.Stdout, "whatif"); err != nil {
 		log.Fatal(err)
 	}
-	doc := opm.Export(qp.Graph())
+	doc := opm.Export(ov.Materialize())
 	fmt.Printf("OPM skeleton: %d artifacts, %d processes, %d edges\n",
 		len(doc.Artifacts), len(doc.Processes), len(doc.Edges))
 }

@@ -94,10 +94,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if !qp.DependsOn(node, itemA[0]) {
 		t.Error("the A match must depend on item A (its only derivation)")
 	}
-	if err := qp.ZoomOut("M_match"); err != nil {
+	sess := lipstick.NewSession(qp)
+	if _, err := sess.ZoomOut("M_match"); err != nil {
 		t.Fatal(err)
 	}
-	if err := qp.ZoomIn(); err != nil {
+	if _, err := sess.ZoomIn(); err != nil {
 		t.Fatal(err)
 	}
 	res := qp.WhatIfDelete(itemA[0])

@@ -34,12 +34,13 @@ func indexFilters() []NodeFilter {
 }
 
 // assertIndexMatchesScan checks every filter finds identical nodes via the
-// postings index and via the full scan.
-func assertIndexMatchesScan(t *testing.T, qp *QueryProcessor, stage string) {
+// postings index (find) and via the full scan of the view v it answers
+// over.
+func assertIndexMatchesScan(t *testing.T, find func(NodeFilter) []provgraph.NodeID, v provgraph.GraphView, stage string) {
 	t.Helper()
 	for _, f := range indexFilters() {
-		got := qp.FindNodes(f)
-		want := qp.findNodesScan(f)
+		got := find(f)
+		want := findNodesScanIn(v, f)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: FindNodes(%+v) = %v, scan = %v", stage, f, got, want)
 		}
@@ -47,36 +48,38 @@ func assertIndexMatchesScan(t *testing.T, qp *QueryProcessor, stage string) {
 }
 
 // TestFindNodesIndexedEqualsScan drives the indexed path through the full
-// query-time life cycle: fresh load, zoom-out (new nodes beyond index
-// coverage + dead intermediates), zoom-in, and destructive deletion.
+// query-time life cycle: fresh load, then a session's zoom-out (new nodes
+// beyond index coverage + dead intermediates), zoom-in, and applied
+// deletion.
 func TestFindNodesIndexedEqualsScan(t *testing.T) {
 	tr := trackMini(t)
 	qp := FromTracker(tr)
-	assertIndexMatchesScan(t, qp, "fresh")
+	assertIndexMatchesScan(t, qp.FindNodes, qp.Graph(), "fresh")
 
-	if err := qp.ZoomOut("M_match"); err != nil {
+	s := NewSession(qp)
+	if _, err := s.ZoomOut("M_match"); err != nil {
 		t.Fatal(err)
 	}
 	// Zoom nodes were appended after the index was built.
-	zoomNodes := qp.FindNodes(NodeFilter{Types: []provgraph.Type{provgraph.TypeZoom}})
+	zoomNodes := s.FindNodes(NodeFilter{Types: []provgraph.Type{provgraph.TypeZoom}})
 	if len(zoomNodes) == 0 {
 		t.Error("indexed FindNodes missed the freshly installed zoom nodes")
 	}
-	assertIndexMatchesScan(t, qp, "zoomed-out")
+	assertIndexMatchesScan(t, s.FindNodes, s.overlay, "zoomed-out")
 
-	if err := qp.ZoomIn(); err != nil {
+	if _, err := s.ZoomIn(); err != nil {
 		t.Fatal(err)
 	}
-	assertIndexMatchesScan(t, qp, "zoomed-in")
+	assertIndexMatchesScan(t, s.FindNodes, s.overlay, "zoomed-in")
 
-	items := qp.FindNodes(NodeFilter{Types: []provgraph.Type{provgraph.TypeBaseTuple}, Label: "item0"})
+	items := s.FindNodes(NodeFilter{Types: []provgraph.Type{provgraph.TypeBaseTuple}, Label: "item0"})
 	if len(items) != 1 {
 		t.Fatalf("item0 = %v", items)
 	}
-	if _, _ = qp.ApplyDelete(items[0]); len(qp.FindNodes(NodeFilter{Label: "item0"})) != 0 {
+	if _, _ = s.ApplyDelete(items[0]); len(s.FindNodes(NodeFilter{Label: "item0"})) != 0 {
 		t.Error("deleted node still found via the index")
 	}
-	assertIndexMatchesScan(t, qp, "after-delete")
+	assertIndexMatchesScan(t, s.FindNodes, s.overlay, "after-delete")
 }
 
 // TestIndexFromPersistedSnapshot checks a processor loaded from an
@@ -96,7 +99,7 @@ func TestIndexFromPersistedSnapshot(t *testing.T) {
 		t.Fatal("tracker wrote a snapshot without columnar postings")
 	}
 	qp := NewQueryProcessor(snap)
-	assertIndexMatchesScan(t, qp, "persisted")
+	assertIndexMatchesScan(t, qp.FindNodes, qp.Graph(), "persisted")
 	if got := qp.Index().Coverage(); got != snap.Graph.TotalNodes() {
 		t.Errorf("coverage = %d, want %d", got, snap.Graph.TotalNodes())
 	}

@@ -7,7 +7,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -97,9 +96,12 @@ func (t *Tracker) WriteSnapshot(w io.Writer) error {
 	return store.Write(w, t.Snapshot())
 }
 
-// QueryProcessor is the in-memory query sub-system over a provenance
-// graph: zoom (Section 4.1), deletion propagation (Section 4.2), and
-// subgraph/dependency queries (Sections 4.3, 5.1).
+// QueryProcessor is the in-memory, read-only query sub-system over a
+// provenance graph: node selection, what-if deletion propagation
+// (Section 4.2), and subgraph/dependency queries (Sections 4.3, 5.1).
+// It has no mutating method, so one processor can be shared by every
+// reader; zoom (Section 4.1) and applied deletions go through a Session,
+// a copy-on-write overlay over the processor's graph.
 type QueryProcessor struct {
 	graph *provgraph.Graph
 	index *Index
@@ -111,9 +113,6 @@ type QueryProcessor struct {
 	outputsFn   func() ([]store.RelationDump, error)
 	outputsOnce sync.Once
 	outputsErr  error
-
-	zooms  []*provgraph.ZoomRecord
-	zoomed map[string]bool
 }
 
 // Load opens a tracker snapshot from disk and builds the in-memory graph.
@@ -145,7 +144,6 @@ func NewQueryProcessor(snap *store.Snapshot) *QueryProcessor {
 		outputs:   snap.Outputs,
 		outputsFn: snap.LazyOutputs,
 		index:     newIndex(snap),
-		zoomed:    map[string]bool{},
 	}
 }
 
@@ -212,68 +210,6 @@ func (qp *QueryProcessor) FindOutputTuple(node, rel string, tuple *nested.Tuple)
 	return provgraph.InvalidNode, false
 }
 
-// ZoomOut hides the internals of the given modules (all their invocations,
-// per Section 4.1) and pushes the operation on the zoom stack.
-func (qp *QueryProcessor) ZoomOut(modules ...string) error {
-	for _, m := range modules {
-		if qp.zoomed[m] {
-			return fmt.Errorf("lipstick: module %q is already zoomed out", m)
-		}
-		if len(qp.graph.InvocationsOf(m)) == 0 {
-			return fmt.Errorf("lipstick: no invocations of module %q in the graph", m)
-		}
-	}
-	rec := qp.graph.ZoomOut(modules...)
-	qp.zooms = append(qp.zooms, rec)
-	for _, m := range modules {
-		qp.zoomed[m] = true
-	}
-	return nil
-}
-
-// ZoomIn undoes the most recent ZoomOut (zooms nest like a stack, which
-// guarantees ZoomIn restores exactly what the matching ZoomOut hid).
-func (qp *QueryProcessor) ZoomIn() error {
-	if len(qp.zooms) == 0 {
-		return fmt.Errorf("lipstick: nothing is zoomed out")
-	}
-	rec := qp.zooms[len(qp.zooms)-1]
-	qp.zooms = qp.zooms[:len(qp.zooms)-1]
-	qp.graph.ZoomIn(rec)
-	for _, m := range rec.Modules {
-		delete(qp.zoomed, m)
-	}
-	return nil
-}
-
-// ZoomedOut lists the currently zoomed-out modules (sorted).
-func (qp *QueryProcessor) ZoomedOut() []string {
-	out := make([]string, 0, len(qp.zoomed))
-	for m := range qp.zoomed {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// CoarseView zooms out every module, yielding the coarse-grained view of
-// Section 3.1.
-func (qp *QueryProcessor) CoarseView() error {
-	seen := map[string]bool{}
-	var modules []string
-	qp.graph.Invocations(func(inv *provgraph.Invocation) bool {
-		if !seen[inv.Module] && !qp.zoomed[inv.Module] {
-			seen[inv.Module] = true
-			modules = append(modules, inv.Module)
-		}
-		return true
-	})
-	if len(modules) == 0 {
-		return nil
-	}
-	return qp.ZoomOut(modules...)
-}
-
 // Subgraph answers the subgraph query of Section 5.1.
 func (qp *QueryProcessor) Subgraph(id provgraph.NodeID) *provgraph.SubgraphResult {
 	return qp.graph.Subgraph(id)
@@ -283,14 +219,6 @@ func (qp *QueryProcessor) Subgraph(id provgraph.NodeID) *provgraph.SubgraphResul
 // modifying the graph (Section 4.2's analysis reading).
 func (qp *QueryProcessor) WhatIfDelete(ids ...provgraph.NodeID) *provgraph.DeletionResult {
 	return qp.graph.PropagateDeletion(ids...)
-}
-
-// ApplyDelete propagates the deletion destructively and recomputes
-// affected aggregate values (Example 4.3).
-func (qp *QueryProcessor) ApplyDelete(ids ...provgraph.NodeID) (*provgraph.DeletionResult, []provgraph.RecomputedAggregate) {
-	res := qp.graph.Delete(ids...)
-	recs := qp.graph.RecomputeAggregates()
-	return res, recs
 }
 
 // DependsOn answers the dependency query of Section 4.3: does the

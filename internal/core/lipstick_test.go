@@ -165,9 +165,12 @@ func TestWhatIfVersusApplyDelete(t *testing.T) {
 	if qp.Graph().NumNodes() != before {
 		t.Error("WhatIfDelete must not modify the graph")
 	}
-	res, recs := qp.ApplyDelete(items[0])
+	res, recs := NewSession(qp).ApplyDelete(items[0])
 	if res.Size() != whatIf.Size() {
 		t.Error("ApplyDelete should remove what WhatIfDelete predicted")
+	}
+	if qp.Graph().NumNodes() != before {
+		t.Error("a session's ApplyDelete must not modify the processor's graph")
 	}
 	// The SUM over {10, 12} must be recomputed to 12 after deleting the
 	// 10-priced item (item0).
@@ -185,33 +188,36 @@ func TestWhatIfVersusApplyDelete(t *testing.T) {
 func TestZoomStack(t *testing.T) {
 	tr := trackMini(t)
 	qp := FromTracker(tr)
-	orig := qp.Graph().Clone()
+	s := NewSession(qp)
 
-	if err := qp.ZoomOut("M_match"); err != nil {
+	if _, err := s.ZoomOut("M_match"); err != nil {
 		t.Fatal(err)
 	}
-	if err := qp.ZoomOut("M_match"); err == nil {
+	if _, err := s.ZoomOut("M_match"); err == nil {
 		t.Error("double zoom-out of the same module accepted")
 	}
-	if err := qp.ZoomOut("M_nope"); err == nil {
+	if _, err := s.ZoomOut("M_nope"); err == nil {
 		t.Error("zooming unknown module accepted")
 	}
-	if got := qp.ZoomedOut(); len(got) != 1 || got[0] != "M_match" {
+	if _, err := s.ZoomOut(); err == nil {
+		t.Error("zoom-out of no module accepted")
+	}
+	if got := s.ZoomedOut(); len(got) != 1 || got[0] != "M_match" {
 		t.Errorf("ZoomedOut = %v", got)
 	}
-	if err := qp.ZoomOut("M_total"); err != nil {
+	if _, err := s.ZoomOut("M_total"); err != nil {
 		t.Fatal(err)
 	}
-	if err := qp.ZoomIn(); err != nil {
+	if _, err := s.ZoomIn(); err != nil {
 		t.Fatal(err)
 	}
-	if err := qp.ZoomIn(); err != nil {
+	if _, err := s.ZoomIn(); err != nil {
 		t.Fatal(err)
 	}
-	if err := qp.ZoomIn(); err == nil {
+	if _, err := s.ZoomIn(); err == nil {
 		t.Error("ZoomIn with empty stack accepted")
 	}
-	if !qp.Graph().StructurallyEqual(orig) {
+	if !provgraph.ViewsStructurallyEqual(sessionView(s), qp.Graph()) || s.Changes() != 0 {
 		t.Error("zoom stack did not restore the original graph")
 	}
 }
@@ -219,10 +225,11 @@ func TestZoomStack(t *testing.T) {
 func TestCoarseView(t *testing.T) {
 	tr := trackMini(t)
 	qp := FromTracker(tr)
-	if err := qp.CoarseView(); err != nil {
+	s := NewSession(qp)
+	if _, err := s.CoarseView(); err != nil {
 		t.Fatal(err)
 	}
-	qp.Graph().Nodes(func(n provgraph.Node) bool {
+	sessionView(s).Nodes(func(n provgraph.Node) bool {
 		switch n.Type {
 		case provgraph.TypeOp, provgraph.TypeState:
 			t.Errorf("coarse view contains %s node", n.Type)
@@ -231,13 +238,16 @@ func TestCoarseView(t *testing.T) {
 	})
 	// Coarse view: total now *does* depend on every item? No — items are
 	// hidden entirely; inputs remain.
-	if len(qp.FindNodes(NodeFilter{Types: []provgraph.Type{provgraph.TypeBaseTuple}})) != 0 {
+	if len(s.FindNodes(NodeFilter{Types: []provgraph.Type{provgraph.TypeBaseTuple}})) != 0 {
 		t.Error("coarse view should hide state base tuples")
 	}
-	if err := qp.ZoomIn(); err != nil {
+	if rec, err := s.CoarseView(); rec != nil || err != nil {
+		t.Errorf("CoarseView of a coarse view = %v, %v; want nil, nil", rec, err)
+	}
+	if _, err := s.ZoomIn(); err != nil {
 		t.Fatal(err)
 	}
-	if len(qp.ZoomedOut()) != 0 {
+	if len(s.ZoomedOut()) != 0 {
 		t.Error("zoom bookkeeping broken")
 	}
 }

@@ -195,7 +195,7 @@ func NewLiveGraph(name string, opts ...LiveOption) *LiveGraph {
 	}
 	l.g.PrepareForIngest()
 	l.ix = newLiveIndex(l.g, nil)
-	l.qp = &QueryProcessor{graph: l.g, index: &Index{data: l.ix}, zoomed: map[string]bool{}}
+	l.qp = &QueryProcessor{graph: l.g, index: &Index{data: l.ix}}
 	l.mu.Lock()
 	l.publishLocked()
 	l.mu.Unlock()
@@ -234,7 +234,7 @@ func OpenLiveGraph(name, dir string, opts ...LiveOption) (*LiveGraph, error) {
 	}
 	l.g.PrepareForIngest()
 	l.ix = newLiveIndex(l.g, base)
-	l.qp = &QueryProcessor{graph: l.g, index: &Index{data: l.ix}, zoomed: map[string]bool{}}
+	l.qp = &QueryProcessor{graph: l.g, index: &Index{data: l.ix}}
 	l.seq = rec.CheckpointSeq
 	l.lastCkpt = rec.CheckpointSeq
 	for i := range rec.Tail {
@@ -586,7 +586,8 @@ func (l *LiveGraph) applyLocked(ev provgraph.Event) error {
 // Read runs fn against the live graph's query processor under a read
 // lock: every read the processor supports (FindNodes, Subgraph, Lineage,
 // WhatIfDelete, Expr, exports, stats) is consistent with a fixed event
-// prefix, while ingestion continues the moment fn returns. Results must
+// prefix, while ingestion continues the moment fn returns. The processor
+// has no mutating method, so fn only reads under the lock. Results must
 // be materialized inside fn, not aliased past it.
 func (l *LiveGraph) Read(fn func(*QueryProcessor) error) error {
 	l.mu.RLock()
@@ -600,7 +601,7 @@ func (l *LiveGraph) Read(fn func(*QueryProcessor) error) error {
 // Store is the release edge readers pair their Load with.
 func (l *LiveGraph) publishLocked() {
 	vg := l.g.PublishView()
-	qp := &QueryProcessor{graph: vg, index: &Index{data: l.ix.publish()}, zoomed: map[string]bool{}}
+	qp := &QueryProcessor{graph: vg, index: &Index{data: l.ix.publish()}}
 	l.view.Store(&LiveView{Seq: l.seq, QP: qp, At: time.Now()})
 	l.sincePub = 0
 }

@@ -20,11 +20,10 @@ const DefaultSnapshotCacheSize = 8
 // picked up transparently.
 //
 // The manager is safe for concurrent use. A cached processor is shared
-// between every caller that Opens the same path: callers must restrict
-// themselves to its read-only operations (FindNodes, Lineage, Subgraph,
-// WhatIfDelete, DependsOn, Expr, ...). Callers that need to transform the
-// graph (ZoomOut, ApplyDelete) should work on a private processor from
-// Load, or on a Clone of the shared graph.
+// between every caller that Opens the same path; it has no mutating
+// method, and zooms and applied deletions go through a Session (NewSession
+// or Registry.CreateSession), whose copy-on-write overlay leaves the
+// shared graph untouched.
 type SnapshotManager struct {
 	mu       sync.Mutex
 	capacity int
@@ -127,8 +126,8 @@ var defaultManager = NewSnapshotManager(DefaultSnapshotCacheSize)
 
 // Open returns a cached query processor for the snapshot at path, loading
 // it at most once per file version (path + mtime + size) across the
-// process. The returned processor is shared — see SnapshotManager for the
-// read-only contract; use Load for a private, mutable instance.
+// process. The returned processor is shared; transform its graph through
+// a Session (see SnapshotManager).
 func Open(path string) (*QueryProcessor, error) {
 	return defaultManager.Open(path)
 }

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
+
+	"lipstick/internal/provgraph"
 )
 
 // saveMini persists a tracked mini-workflow snapshot and returns its path.
@@ -158,5 +161,58 @@ func TestSnapshotManagerConcurrent(t *testing.T) {
 		if got[i] != got[i%2] {
 			t.Errorf("path %d loaded more than once", i%2)
 		}
+	}
+}
+
+// TestSessionLeavesSharedProcessorUnchanged: a session over the
+// process-wide cached processor zooms out, zooms in and applies a delete
+// through its overlay. The shared graph keeps its counts, and a second
+// Open answers every subgraph and lineage query as before.
+func TestSessionLeavesSharedProcessorUnchanged(t *testing.T) {
+	path := saveMini(t, t.TempDir(), "shared.lpsk")
+	qp, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := func() [3]int {
+		g := qp.Graph()
+		return [3]int{g.TotalNodes(), g.NumNodes(), g.NumEdges()}
+	}
+	answers := func(qp *QueryProcessor) string {
+		var b []byte
+		g := qp.Graph()
+		for id := range provgraph.NodeID(g.TotalNodes()) {
+			if g.Alive(id) {
+				b = fmt.Appendf(b, "%d: %v %+v\n", id, qp.Subgraph(id).Nodes, qp.Lineage(id))
+			}
+		}
+		return string(b)
+	}
+	wantCounts, wantAnswers := counts(), answers(qp)
+
+	s := NewSession(qp)
+	if _, err := s.ZoomOut("M_match"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ZoomIn(); err != nil {
+		t.Fatal(err)
+	}
+	items := s.FindNodes(NodeFilter{Types: []provgraph.Type{provgraph.TypeBaseTuple}, Label: "item0"})
+	if len(items) != 1 {
+		t.Fatalf("item0 = %v", items)
+	}
+	if res, recs := s.ApplyDelete(items[0]); res.Size() == 0 || len(recs) == 0 {
+		t.Fatalf("ApplyDelete removed %d nodes and recomputed %d aggregates", res.Size(), len(recs))
+	}
+
+	if got := counts(); got != wantCounts {
+		t.Errorf("shared processor TotalNodes/NumNodes/NumEdges = %v, want %v", got, wantCounts)
+	}
+	again, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := answers(again); got != wantAnswers {
+		t.Error("a second Open answers subgraph or lineage queries differently after the session")
 	}
 }

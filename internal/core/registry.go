@@ -368,8 +368,7 @@ func (r *Registry) Lookup(name string) (string, error) {
 }
 
 // Open returns the shared cached processor for a registered snapshot.
-// Callers must stick to its read-only queries — mutations go through
-// sessions.
+// It answers read queries only; mutations go through sessions.
 func (r *Registry) Open(name string) (*QueryProcessor, error) {
 	path, err := r.Lookup(name)
 	if err != nil {

@@ -20,8 +20,9 @@ import (
 // same queries on a Clone-then-mutate baseline.
 //
 // A session is safe for concurrent use; a mutex serializes access to its
-// overlay. Sessions are created by a Registry and expire by TTL and LRU
-// cap — see Registry.CreateSession.
+// overlay. Registered sessions are created by a Registry and expire by
+// TTL and LRU cap — see Registry.CreateSession; NewSession opens a
+// private one over any processor.
 type Session struct {
 	id       string
 	snapshot string
@@ -47,6 +48,10 @@ func newSession(id, snapshot string, base *QueryProcessor, now time.Time) *Sessi
 	s.lastUsed.Store(now.UnixNano())
 	return s
 }
+
+// NewSession opens an unregistered session over qp: a private what-if
+// view with no id or snapshot name, which no registry expires.
+func NewSession(qp *QueryProcessor) *Session { return newSession("", "", qp, time.Now()) }
 
 // fork clones the session's copy-on-write state into a new session with
 // the given id: overlay deltas, zoom stack, and zoomed-module set are
@@ -109,6 +114,11 @@ func (s *Session) ZoomOut(modules ...string) (*provgraph.ZoomRecord, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.zoomOutLocked(modules)
+}
+
+// zoomOutLocked is ZoomOut with s.mu held.
+func (s *Session) zoomOutLocked(modules []string) (*provgraph.ZoomRecord, error) {
 	seen := make(map[string]bool, len(modules))
 	var invs []provgraph.InvID
 	for _, m := range modules {
@@ -134,6 +144,27 @@ func (s *Session) ZoomOut(modules ...string) (*provgraph.ZoomRecord, error) {
 		s.zoomed[m] = true
 	}
 	return rec, nil
+}
+
+// CoarseView zooms out every module not zoomed out yet, in one ZoomOut,
+// yielding the coarse-grained view of Section 3.1. It returns a nil
+// record when every module already is.
+func (s *Session) CoarseView() (*provgraph.ZoomRecord, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var modules []string
+	seen := map[string]bool{}
+	s.overlay.Invocations(func(inv *provgraph.Invocation) bool {
+		if !seen[inv.Module] && !s.zoomed[inv.Module] {
+			seen[inv.Module] = true
+			modules = append(modules, inv.Module)
+		}
+		return true
+	})
+	if len(modules) == 0 {
+		return nil, nil
+	}
+	return s.zoomOutLocked(modules)
 }
 
 // ZoomIn undoes the most recent ZoomOut (zooms nest like a stack). If

@@ -70,7 +70,8 @@ func BenchmarkSessionCreate(b *testing.B) {
 
 // BenchmarkSessionFirstZoom measures session-create plus the first
 // zoom-out — the interactive "open a what-if view" operation `lipstick
-// serve` performs — via the overlay vs. via Clone.
+// serve` performs. BenchmarkSessionCreate's clone rows are the cost of
+// the deep copy an overlay replaces.
 func BenchmarkSessionFirstZoom(b *testing.B) {
 	for _, cars := range sessionBenchSizes {
 		qp := sessionBenchProcessor(b, cars)
@@ -81,13 +82,6 @@ func BenchmarkSessionFirstZoom(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ov := provgraph.NewOverlay(g)
 				ov.ZoomOut("M_dealer1")
-			}
-		})
-		b.Run(fmt.Sprintf("clone/cars=%d", cars), func(b *testing.B) {
-			b.ReportMetric(nodes, "nodes")
-			for i := 0; i < b.N; i++ {
-				c := g.Clone()
-				c.ZoomOut("M_dealer1")
 			}
 		})
 	}
@@ -132,7 +126,7 @@ func BenchmarkSessionZoomRoundTrip(b *testing.B) {
 }
 
 // BenchmarkSessionApplyDelete measures an applied deletion propagation
-// with aggregate recomputation through a fresh session view vs. Clone.
+// with aggregate recomputation through a fresh session view.
 func BenchmarkSessionApplyDelete(b *testing.B) {
 	qp := sessionBenchProcessor(b, benchCars)
 	g := qp.Graph()
@@ -145,13 +139,6 @@ func BenchmarkSessionApplyDelete(b *testing.B) {
 			ov := provgraph.NewOverlay(g)
 			ov.Delete(targets[i%len(targets)])
 			ov.RecomputeAggregates()
-		}
-	})
-	b.Run("clone", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := g.Clone()
-			c.Delete(targets[i%len(targets)])
-			c.RecomputeAggregates()
 		}
 	})
 }

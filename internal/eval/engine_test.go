@@ -233,9 +233,9 @@ func TestDealerDeletionWhatIf(t *testing.T) {
 		t.Error("bid should depend on the request")
 	}
 	// COUNT recomputation after deleting C2 (Example 4.3).
-	g := b.G.Clone()
-	g.Delete(nodes["C2"])
-	recs := g.RecomputeAggregates()
+	ov := provgraph.NewOverlay(b.G)
+	ov.Delete(nodes["C2"])
+	recs := ov.RecomputeAggregates()
 	found := false
 	for _, rec := range recs {
 		if rec.Op == "COUNT" && rec.Before.Equal(nested.Int(2)) && rec.After.Equal(nested.Int(1)) {

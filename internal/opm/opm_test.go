@@ -93,8 +93,9 @@ func TestWriteDOT(t *testing.T) {
 
 func TestExportAfterDeletion(t *testing.T) {
 	g, out := buildChain()
-	g.Delete(out) // removes only the final output artifact
-	doc := Export(g)
+	ov := provgraph.NewOverlay(g)
+	ov.Delete(out) // removes only the final output artifact
+	doc := Export(ov.Materialize())
 	for _, e := range doc.Edges {
 		if e.Kind == "wasGeneratedBy" && e.From == "a5" {
 			t.Error("dead artifact exported")

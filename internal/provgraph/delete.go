@@ -104,18 +104,12 @@ func (s *visitScratch) removed(id NodeID) bool {
 	return s.mark[id] == s.epoch && s.deg[id] < 0
 }
 
-// Delete applies a deletion propagation to the graph in place, marking the
-// removed nodes dead, and returns the result.
-func (g *Graph) Delete(ids ...NodeID) *DeletionResult { return deleteOf(g, ids...) }
-
 // Delete applies a deletion propagation to the overlay, recording the
 // kills as deltas; the base graph is untouched.
-func (o *Overlay) Delete(ids ...NodeID) *DeletionResult { return deleteOf(o, ids...) }
-
-func deleteOf(mv mutableView, ids ...NodeID) *DeletionResult {
-	res := propagateDeletionOf(mv, ids...)
+func (o *Overlay) Delete(ids ...NodeID) *DeletionResult {
+	res := propagateDeletionOf(o, ids...)
 	for _, id := range res.Removed {
-		mv.kill(id)
+		o.kill(id)
 	}
 	return res
 }
@@ -137,28 +131,19 @@ type RecomputedAggregate struct {
 	Survivors int
 }
 
-// RecomputeAggregates re-evaluates every live aggregate v-node from its
-// surviving ⊗ in-neighbors and returns the nodes whose value changed.
-// It requires the full (non-simplified) aggregation construction, in which
+// RecomputeAggregates re-evaluates every live aggregate v-node of the
+// overlay view from its surviving ⊗ in-neighbors, records the changed
+// values as deltas, and returns the nodes whose value changed. It
+// requires the full (non-simplified) aggregation construction, in which
 // each ⊗ node has a constant-value in-neighbor.
-func (g *Graph) RecomputeAggregates() []RecomputedAggregate {
-	return recomputeAggregatesOf(g)
-}
-
-// RecomputeAggregates re-evaluates aggregates in the overlay view,
-// recording changed values as deltas.
 func (o *Overlay) RecomputeAggregates() []RecomputedAggregate {
-	return recomputeAggregatesOf(o)
-}
-
-func recomputeAggregatesOf(mv mutableView) []RecomputedAggregate {
 	var out []RecomputedAggregate
-	total := mv.TotalNodes()
+	total := o.TotalNodes()
 	for id := 0; id < total; id++ {
-		if !mv.Alive(NodeID(id)) {
+		if !o.Alive(NodeID(id)) {
 			continue
 		}
-		n := mv.Node(NodeID(id))
+		n := o.Node(NodeID(id))
 		if n.Op != OpAgg {
 			continue
 		}
@@ -166,14 +151,14 @@ func recomputeAggregatesOf(mv mutableView) []RecomputedAggregate {
 		if !ok {
 			continue
 		}
-		val, survivors, computed := recomputeAggOf(mv, NodeID(id), op)
+		val, survivors, computed := recomputeAggOf(o, NodeID(id), op)
 		rec := RecomputedAggregate{Node: NodeID(id), Op: n.Label, Before: n.Value, Survivors: survivors}
 		if computed {
 			rec.After = val
 		}
 		if !rec.After.Equal(rec.Before) {
 			out = append(out, rec)
-			mv.setValue(NodeID(id), rec.After)
+			o.setValue(NodeID(id), rec.After)
 		}
 	}
 	return out

@@ -14,7 +14,8 @@ import (
 // group, the bid and everything downstream survive.
 func TestDeleteCarC2(t *testing.T) {
 	f := buildDealershipFixture()
-	res := f.g.Delete(f.n01)
+	ov := NewOverlay(f.g)
+	res := ov.Delete(f.n01)
 
 	wantDead := []NodeID{f.n01, f.n42, f.n60}
 	for _, id := range wantDead {
@@ -31,15 +32,15 @@ func TestDeleteCarC2(t *testing.T) {
 	// The ⊗ contribution of C2's join to COUNT must be gone: COUNT now has
 	// exactly one live tensor in-neighbor.
 	tensors := 0
-	for _, in := range f.g.In(f.n70) {
-		if f.g.Node(in).Op == OpTensor {
+	for _, in := range ov.In(f.n70) {
+		if ov.Node(in).Op == OpTensor {
 			tensors++
 		}
 	}
 	if tensors != 1 {
 		t.Errorf("COUNT has %d surviving tensors, want 1", tensors)
 	}
-	if !f.g.IsAcyclic() {
+	if !ov.Materialize().IsAcyclic() {
 		t.Error("deletion broke acyclicity")
 	}
 }
@@ -49,9 +50,10 @@ func TestDeleteCarC2(t *testing.T) {
 // invocations, and constants.
 func TestDeleteRequest(t *testing.T) {
 	f := buildDealershipFixture()
-	res := f.g.Delete(f.n00)
+	ov := NewOverlay(f.g)
+	res := ov.Delete(f.n00)
 
-	f.g.Nodes(func(n Node) bool {
+	ov.Nodes(func(n Node) bool {
 		switch {
 		case n.Type == TypeInvocation, n.Type == TypeBaseTuple, n.Type == TypeState:
 			return true // expected survivors
@@ -122,7 +124,7 @@ func TestDeletionMonotone(t *testing.T) {
 // but keeps the request branch — δ keeps living on partial loss.
 func TestDeleteBothCars(t *testing.T) {
 	f := buildDealershipFixture()
-	res := f.g.Delete(f.n01, f.n02)
+	res := NewOverlay(f.g).Delete(f.n01, f.n02)
 	for _, id := range []NodeID{f.n60, f.n61, f.n70, f.n71, f.numCars} {
 		if !res.Deleted(id) {
 			t.Errorf("node %d should be deleted when both cars are gone", id)
@@ -140,8 +142,9 @@ func TestDeleteBothCars(t *testing.T) {
 // COUNT over {C2,C3} becomes 1 after C2 is deleted.
 func TestRecomputeAggregates(t *testing.T) {
 	f := buildDealershipFixture()
-	f.g.Delete(f.n01)
-	changed := f.g.RecomputeAggregates()
+	ov := NewOverlay(f.g)
+	ov.Delete(f.n01)
+	changed := ov.RecomputeAggregates()
 	var countRec *RecomputedAggregate
 	for i := range changed {
 		if changed[i].Node == f.n70 {
@@ -157,7 +160,7 @@ func TestRecomputeAggregates(t *testing.T) {
 	if countRec.Survivors != 1 {
 		t.Errorf("survivors = %d, want 1", countRec.Survivors)
 	}
-	if f.g.Node(f.n70).Value.Compare(nested.Int(1)) != 0 {
+	if ov.Node(f.n70).Value.Compare(nested.Int(1)) != 0 {
 		t.Error("recomputed value should be written to the node")
 	}
 }
@@ -166,8 +169,9 @@ func TestRecomputeAggregates(t *testing.T) {
 // competing bid.
 func TestRecomputeMin(t *testing.T) {
 	f := buildDealershipFixture()
-	f.g.Delete(f.n90) // dealer1's bid disappears
-	changed := f.g.RecomputeAggregates()
+	ov := NewOverlay(f.g)
+	ov.Delete(f.n90) // dealer1's bid disappears
+	changed := ov.RecomputeAggregates()
 	found := false
 	for _, rec := range changed {
 		if rec.Node == f.aggMin {
@@ -270,10 +274,11 @@ func TestDeletionMatchesSemiring(t *testing.T) {
 // further.
 func TestDeleteIsIdempotent(t *testing.T) {
 	f := buildDealershipFixture()
-	f.g.Delete(f.n01)
-	n := f.g.NumNodes()
-	res := f.g.Delete(f.n01)
-	if res.Size() != 0 || f.g.NumNodes() != n {
+	ov := NewOverlay(f.g)
+	ov.Delete(f.n01)
+	n := ov.NumNodes()
+	res := ov.Delete(f.n01)
+	if res.Size() != 0 || ov.NumNodes() != n {
 		t.Error("second deletion should be a no-op")
 	}
 }

@@ -1,9 +1,6 @@
 package provgraph
 
-import (
-	"math/bits"
-	"slices"
-)
+import "slices"
 
 // The Graph's view primitives, and the derived state it shares with the
 // overlays layered over it: the orphan candidates ZoomOut sweeps and the
@@ -34,14 +31,8 @@ func (g *Graph) outRaw(id NodeID, buf *[]NodeID) []NodeID { return g.out.raw(id,
 
 func (g *Graph) inRaw(id NodeID, buf *[]NodeID) []NodeID { return g.in.raw(id, buf) }
 
-// orphanCandidates marks the graph's orphans with one pass over the type
-// and op columns. A graph that ZoomOut mutates in place has changed by
-// the time it sweeps, so nothing is kept for the next call, and no
-// candidate is sure.
-func (g *Graph) orphanCandidates(set, _ bitset) { g.markOrphans(set, nil) }
-
-// markOrphans sets the graph's orphans in set and, if flat is non-nil,
-// those without in-edges in flat.
+// markOrphans sets the graph's orphans in set and those without in-edges
+// in flat.
 func (g *Graph) markOrphans(set, flat bitset) {
 	var buf []NodeID
 	for i := 0; i < g.n; i++ {
@@ -50,7 +41,7 @@ func (g *Graph) markOrphans(set, flat bitset) {
 		}
 		if !hasLiveOut(g, NodeID(i), &buf) {
 			set.set(i)
-			if flat != nil && len(g.in.raw(NodeID(i), &buf)) == 0 {
+			if len(g.in.raw(NodeID(i), &buf)) == 0 {
 				flat.set(i)
 			}
 		}
@@ -62,8 +53,8 @@ func (g *Graph) markOrphans(set, flat bitset) {
 // shared by every overlay (and concurrent reader) of the same base
 // through an atomic pointer. It is stamped with g.version because a graph
 // is immutable only while overlays are layered over it: a live graph
-// keeps ingesting, and QueryProcessor.ZoomOut mutates its graph in place,
-// between the overlays that serving paths layer over the same *Graph.
+// keeps ingesting between the overlays that serving paths layer over the
+// same *Graph.
 func (g *Graph) baseOrphans() *orphanSet {
 	if s := g.orphanBits.Load(); s != nil && s.version == g.version {
 		return s
@@ -72,14 +63,6 @@ func (g *Graph) baseOrphans() *orphanSet {
 	g.markOrphans(s.bits, s.flat)
 	g.orphanBits.Store(s)
 	return s
-}
-
-// killMask applies kill to the set bits of liveness word w in ascending
-// id order, emitting one event per node.
-func (g *Graph) killMask(w int, mask uint64) {
-	for ; mask != 0; mask &= mask - 1 {
-		g.kill(NodeID(w*64 + bits.TrailingZeros64(mask)))
-	}
 }
 
 // wordMask is one liveness word's worth of node ids: the set bits of
@@ -113,8 +96,7 @@ const maxZoomPlans = 16
 
 // zoomPlan returns the memoized plan for the ascending invocation set
 // invs, or nil. Like baseOrphans, the memo is stamped with g.version, so
-// a graph mutated in place since (a live graph's ingest,
-// QueryProcessor.ZoomOut) never answers from it.
+// a graph mutated since (a live graph's ingest) never answers from it.
 func (g *Graph) zoomPlan(invs []InvID) *zoomPlan {
 	ps := g.zoomPlans.Load()
 	if ps == nil || ps.version != g.version {

@@ -22,11 +22,12 @@ import (
 // the zoom. It runs over the dealership, Arctic and
 // graphmem-synthetic workloads, a base with dead nodes and spilled edges,
 // a live graph's published view, and a base padded with flat orphans, on
-// *Graph and on overlays — fresh, dirtied by an applied delete, left
-// zoomed out, after a round trip, and in the states that must keep the
-// sweep from hiding a flat orphan unchecked. The *Graph views take the
-// concrete BFS loop and the overlays the generic one, so Ancestors,
-// Descendants and Subgraph hold both to the reference.
+// *Graph (reads only: zooms go through overlays) and on overlays — fresh,
+// dirtied by an applied delete, left zoomed out, after a round trip, and
+// in the states that must keep the sweep from hiding a flat orphan
+// unchecked. The *Graph views take the concrete BFS loop and the overlays
+// the generic one, so Ancestors, Descendants and Subgraph hold both to
+// the reference.
 func TestKernelsMatchReference(t *testing.T) {
 	for _, b := range diffBases(t) {
 		t.Run(b.name, func(t *testing.T) {
@@ -76,8 +77,8 @@ func diffBases(t *testing.T) []diffBase {
 	// A base that is not pristine: frozen to CSR (so in-place edges
 	// spill), with an applied deletion and a module left zoomed out.
 	dirty := provgraph.FromFrozen(provgraph.Freeze(deal.Runner.Graph()), nil)
-	dirty.Delete(workflowgen.HighFanoutNodes(dirty, 3)[2])
-	dirtyZoom := dirty.ZoomOut("M_dealer2")
+	provgraph.RefDelete(dirty, workflowgen.HighFanoutNodes(dirty, 3)[2])
+	dirtyZoom := provgraph.RefZoomOut(dirty, "M_dealer2")
 	// A flat orphan (a constant without in-edges) whose one out-neighbor
 	// the zoom hid. An overlay that zooms back in holds that base-dead
 	// slot live, so the constant is no orphan of the view: its sweeps must
@@ -88,9 +89,9 @@ func diffBases(t *testing.T) []diffBase {
 	// A live graph's published view: no CSR base, adjacency in chunked
 	// tails, with dead nodes, and a writer that mutates after the publish.
 	live := deal.Runner.Graph().Clone()
-	live.Delete(workflowgen.HighFanoutNodes(live, 2)[1])
+	provgraph.RefDelete(live, workflowgen.HighFanoutNodes(live, 2)[1])
 	published := live.PublishView()
-	live.Delete(workflowgen.HighFanoutNodes(live, 1)[0])
+	provgraph.RefDelete(live, workflowgen.HighFanoutNodes(live, 1)[0])
 
 	orphans, checked := orphanBase()
 
@@ -186,7 +187,8 @@ func diffSamples(g *provgraph.Graph) []provgraph.NodeID {
 type diffView struct {
 	name string
 	v    provgraph.GraphView
-	// fork returns an independent copy to apply a zoom to.
+	// fork returns an independent copy of an overlay view to apply a zoom
+	// to; nil for the graph, which zooms only through overlays.
 	fork func() provgraph.GraphView
 }
 
@@ -205,7 +207,7 @@ func diffViews(b diffBase) []diffView {
 	zoomed := overlay(func(ov *provgraph.Overlay) { ov.ZoomOut(b.modules[0]) })
 	roundTrip := overlay(func(ov *provgraph.Overlay) { ov.ZoomIn(ov.ZoomOut(b.modules[len(b.modules)-1])) })
 	views := []diffView{
-		{"graph", b.g, func() provgraph.GraphView { return b.g.Clone() }},
+		{"graph", b.g, nil},
 		{"overlay", provgraph.NewOverlay(b.g), overlay(func(*provgraph.Overlay) {})},
 		{"overlay-deleted", deleted(), deleted},
 		{"overlay-zoomed", zoomed(), zoomed},
@@ -250,23 +252,24 @@ func checkZooms(t *testing.T, name string, vw diffView, b diffBase) {
 		}
 		what := fmt.Sprintf("%s: zoom %v", name, mods)
 		sameIDs(t, what+" IntermediateNodes", intermediates(vw.v, set), provgraph.RefIntermediateNodes(vw.v, set))
+		if _, ok := vw.v.(*provgraph.Overlay); !ok {
+			continue
+		}
 
-		got, want, before := vw.fork(), vw.fork(), vw.fork()
+		got, want, before := vw.fork().(*provgraph.Overlay), vw.fork(), vw.fork()
 		gotRec, wantRec := zoomOut(got, mods), provgraph.RefZoomOut(want, mods...)
 		if !slices.Equal(gotRec.Modules, wantRec.Modules) || gotRec.HiddenCount() != wantRec.HiddenCount() {
 			t.Errorf("%s: record %v/%d, reference %v/%d", what, gotRec.Modules, gotRec.HiddenCount(), wantRec.Modules, wantRec.HiddenCount())
 		}
 		sameIDs(t, what+" hidden", provgraph.ZoomHidden(gotRec), provgraph.ZoomHidden(wantRec))
-		if _, ok := vw.v.(*provgraph.Overlay); ok {
-			byName := vw.fork().(zoomer).ZoomOut(mods...)
-			sameIDs(t, what+" hidden by name", provgraph.ZoomHidden(byName), provgraph.ZoomHidden(wantRec))
-		}
+		byName := vw.fork().(*provgraph.Overlay).ZoomOut(mods...)
+		sameIDs(t, what+" hidden by name", provgraph.ZoomHidden(byName), provgraph.ZoomHidden(wantRec))
 		sameIDs(t, what+" ZoomNodes", gotRec.ZoomNodes(), wantRec.ZoomNodes())
 		sameView(t, what, got, want, b.samples)
 
 		// ZoomIn must restore the view as it was before the zoom, delta
 		// count included: an overlay rolls its newest zoom back.
-		zoomIn(got, gotRec)
+		got.ZoomIn(gotRec)
 		sameView(t, what+" then ZoomIn", got, before, b.samples)
 		// The override bits are restored too: zooming out again hides
 		// what the first zoom hid.
@@ -274,22 +277,10 @@ func checkZooms(t *testing.T, name string, vw diffView, b diffBase) {
 	}
 }
 
-// The GraphView interface carries no mutations; *Graph and *Overlay both
-// have them.
-type zoomer interface {
-	ZoomOut(modules ...string) *provgraph.ZoomRecord
-	ZoomIn(rec *provgraph.ZoomRecord)
-	IntermediateNodes(modules map[string]bool) []provgraph.NodeID
-}
-
-// zoomOut zooms overlays the way core.Session and serve do: with the
+// zoomOut zooms an overlay the way core.Session and serve do: with the
 // invocations resolved by the caller, here in reverse module order and
 // duplicated when a module is.
-func zoomOut(v provgraph.GraphView, mods []string) *provgraph.ZoomRecord {
-	ov, ok := v.(*provgraph.Overlay)
-	if !ok {
-		return v.(zoomer).ZoomOut(mods...)
-	}
+func zoomOut(ov *provgraph.Overlay, mods []string) *provgraph.ZoomRecord {
 	var invs []provgraph.InvID
 	for _, m := range slices.Backward(mods) {
 		invs = append(invs, ov.InvocationsOf(m)...)
@@ -297,10 +288,11 @@ func zoomOut(v provgraph.GraphView, mods []string) *provgraph.ZoomRecord {
 	return ov.ZoomOutInvocations(mods, invs)
 }
 
-func zoomIn(v provgraph.GraphView, rec *provgraph.ZoomRecord) { v.(zoomer).ZoomIn(rec) }
-
+// intermediates answers Definition 4.1, which GraphView does not carry.
 func intermediates(v provgraph.GraphView, set map[string]bool) []provgraph.NodeID {
-	return v.(zoomer).IntermediateNodes(set)
+	return v.(interface {
+		IntermediateNodes(modules map[string]bool) []provgraph.NodeID
+	}).IntermediateNodes(set)
 }
 
 func sameView(t *testing.T, what string, got, want provgraph.GraphView, samples []provgraph.NodeID) {

@@ -2,7 +2,6 @@ package provgraph
 
 import (
 	"reflect"
-	"slices"
 	"testing"
 
 	"lipstick/internal/nested"
@@ -104,44 +103,44 @@ func TestReplayRebuildsBuilderGraph(t *testing.T) {
 }
 
 func TestReplayCoversTransformations(t *testing.T) {
-	// Zoom, deletion, and aggregate recomputation on a sinked graph must
-	// stream as kill/revive/set-value events that replay exactly.
+	// A session's zoom, deletion and aggregate recomputation, materialized
+	// onto a sinked clone, must stream as add/kill/set-value events that
+	// replay, after the base's build, to the materialized view.
 	f, log := captureFixture(t)
-	rec := f.g.ZoomOut("M_dealer1")
-	f.g.ZoomIn(rec)
-	f.g.ZoomOut("M_dealer2")
-	f.g.Delete(f.n01)
-	f.g.RecomputeAggregates()
+	ov := NewOverlay(f.g)
+	ov.ZoomIn(ov.ZoomOut("M_dealer1"))
+	ov.ZoomOut("M_dealer2")
+	ov.Delete(f.n01)
+	if len(ov.RecomputeAggregates()) == 0 {
+		t.Fatal("deleting C2 recomputed no aggregate")
+	}
+	c := f.g.Clone()
+	c.SetEventSink(log.Record)
+	ov.applyTo(c)
 
-	replayed, err := Replay(log.Events())
+	events := log.Events()
+	kinds := map[EventKind]bool{}
+	for _, ev := range events {
+		kinds[ev.Kind] = true
+	}
+	for _, k := range []EventKind{EvKill, EvSetValue} {
+		if !kinds[k] {
+			t.Errorf("the stream holds no %v event", k)
+		}
+	}
+	replayed, err := Replay(events)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	graphsFullyEqual(t, f.g, replayed)
-}
+	graphsFullyEqual(t, ov.Materialize(), replayed)
 
-// TestGraphZoomEventsPerNode: on a *Graph, ZoomOut's kills and ZoomIn's
-// revives stream as one event per node, in the order of the record's
-// hidden list (an overlay's sweep and ZoomIn work a word at a time).
-func TestGraphZoomEventsPerNode(t *testing.T) {
-	f, log := captureFixture(t)
-	eventsOf := func(kind EventKind) []NodeID {
-		var ids []NodeID
-		for _, ev := range log.Drain() {
-			if ev.Kind == kind {
-				ids = append(ids, ev.Src)
-			}
-		}
-		return ids
+	// A revive replays too: no session revives a node its base holds
+	// dead, so the event comes from the stream alone.
+	if err := Apply(replayed, Event{Kind: EvRevive, Src: f.n01}); err != nil {
+		t.Fatal(err)
 	}
-	log.Drain()
-	rec := f.g.ZoomOut("M_dealer1")
-	if killed := eventsOf(EvKill); !slices.Equal(killed, rec.hidden) {
-		t.Errorf("ZoomOut kill events %v, hidden %v", killed, rec.hidden)
-	}
-	f.g.ZoomIn(rec)
-	if revived := eventsOf(EvRevive); !slices.Equal(revived, rec.hidden) {
-		t.Errorf("ZoomIn revive events %v, hidden %v", revived, rec.hidden)
+	if !replayed.Alive(f.n01) {
+		t.Error("EvRevive did not revive C2")
 	}
 }
 

@@ -12,9 +12,28 @@ func RefPropagateDeletion(v GraphView, ids ...NodeID) []NodeID {
 	return refPropagateDeletionOf(v.(view), ids...)
 }
 
+// RefDelete kills on g, in order, what the reference deletion kernel
+// removes, and returns it: the clone-then-mutate baseline of a delete.
+func RefDelete(g *Graph, ids ...NodeID) []NodeID {
+	removed := refPropagateDeletionOf(g, ids...)
+	for _, id := range removed {
+		g.kill(id)
+	}
+	return removed
+}
+
 // RefIntermediateNodes is the reference Definition 4.1 kernel.
 func RefIntermediateNodes(v GraphView, modules map[string]bool) []NodeID {
 	return refIntermediateNodesOf(v.(view), modules)
+}
+
+// mutableView is what the reference ZoomOut kernel mutates: a *Graph
+// clone in the clone-then-mutate baselines, or an *Overlay.
+type mutableView interface {
+	view
+	kill(id NodeID)
+	AddNode(n Node) NodeID
+	AddEdge(src, dst NodeID)
 }
 
 // RefZoomOut applies the reference ZoomOut kernel to a *Graph or

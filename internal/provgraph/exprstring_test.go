@@ -89,7 +89,7 @@ func randomExprGraph(seed int64) *provgraph.Graph {
 		}
 	}
 	for range 3 {
-		g.Delete(ids[rng.Intn(len(ids))])
+		provgraph.RefDelete(g, ids[rng.Intn(len(ids))])
 	}
 	return g
 }

@@ -111,7 +111,7 @@ func TestCloneIndependence(t *testing.T) {
 	if !f.g.StructurallyEqual(c) {
 		t.Fatal("clone should be structurally equal")
 	}
-	c.Delete(f.n00)
+	RefDelete(c, f.n00)
 	if f.g.NumNodes() != f.g.TotalNodes() {
 		t.Error("deleting in clone affected original")
 	}
@@ -141,9 +141,13 @@ func TestDOTOutput(t *testing.T) {
 		}
 	}
 	// Zoomed graph renders zoom nodes as rounded boxes.
-	f.g.ZoomOut("M_dealer1")
-	dot = f.g.DOT("coarse")
-	if !strings.Contains(dot, "style=rounded") {
+	ov := NewOverlay(f.g)
+	ov.ZoomOut("M_dealer1")
+	var coarse strings.Builder
+	if err := ov.WriteDOT(&coarse, "coarse"); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(coarse.String(), "style=rounded") {
 		t.Error("zoomed DOT should contain rounded zoom node")
 	}
 }

@@ -67,7 +67,6 @@ type Overlay struct {
 }
 
 var _ GraphView = (*Overlay)(nil)
-var _ mutableView = (*Overlay)(nil)
 
 const (
 	livePageShift = 12 // node slots per page: 4096
@@ -477,8 +476,13 @@ func (o *Overlay) inRaw(id NodeID, buf *[]NodeID) []NodeID {
 	return adj
 }
 
-// orphanCandidates marks a superset of the view's orphans: the base's
-// orphans (built once per base version and shared), the in-neighbors of
+// orphanCandidates sets, in set, a superset of the view's orphans — live
+// OpConst or TypeBaseTuple nodes without a live out-neighbor, which
+// callers re-check — and, in sure, the candidates a sweep in id order may
+// hide unchecked. set and sure cover at least TotalNodes() bits.
+//
+// The candidates are the base's orphans (built once per base version and
+// shared), the in-neighbors of
 // base nodes the view holds dead — any other orphan of the view had a
 // live out-neighbor in the base that the overlay killed — and the slots
 // the view holds live though the base does not, or that it appended.
@@ -624,6 +628,15 @@ func copyEdgeDeltas(m map[NodeID][]NodeID) map[NodeID][]NodeID {
 // operation overlays exist to avoid on the per-session hot path.
 func (o *Overlay) Materialize() *Graph {
 	c := o.base.Clone()
+	o.applyTo(c)
+	return c
+}
+
+// applyTo applies the overlay's deltas to c, a clone of its base: the
+// appended nodes, then the appended edges in insertion order, the value
+// overrides, and the liveness overrides. A sink on c observes them as
+// the events the transformations stand for.
+func (o *Overlay) applyTo(c *Graph) {
 	for i := range o.added {
 		c.AddNode(o.added[i])
 	}
@@ -649,5 +662,4 @@ func (o *Overlay) Materialize() *Graph {
 			}
 		}
 	}
-	return c
 }

@@ -3,11 +3,14 @@ package provgraph
 import (
 	"fmt"
 	"testing"
+
+	"lipstick/internal/nested"
 )
 
 // cloneBaseline applies the same mutation to a deep clone — the
-// equivalence baseline the overlay must match query-for-query.
-func cloneBaseline(g *Graph, mutate func(mv *Graph)) *Graph {
+// equivalence baseline the overlay must match query-for-query. The
+// mutations are the reference kernels: refZoomOutOf and RefDelete.
+func cloneBaseline(g *Graph, mutate func(c *Graph)) *Graph {
 	c := g.Clone()
 	mutate(c)
 	return c
@@ -68,7 +71,7 @@ func TestOverlayZoomEqualsCloneBaseline(t *testing.T) {
 
 	ov := NewOverlay(f.g)
 	ov.ZoomOut("M_dealer1")
-	want := cloneBaseline(f.g, func(c *Graph) { c.ZoomOut("M_dealer1") })
+	want := cloneBaseline(f.g, func(c *Graph) { refZoomOutOf(c, "M_dealer1") })
 	assertViewsMatch(t, ov, want)
 
 	if got := snapshotDOT(f.g); got != before {
@@ -85,7 +88,7 @@ func TestOverlayMultiModuleZoomAndZoomIn(t *testing.T) {
 
 	ov := NewOverlay(f.g)
 	rec := ov.ZoomOut("M_dealer1", "M_agg")
-	want := cloneBaseline(f.g, func(c *Graph) { c.ZoomOut("M_dealer1", "M_agg") })
+	want := cloneBaseline(f.g, func(c *Graph) { refZoomOutOf(c, "M_dealer1", "M_agg") })
 	assertViewsMatch(t, ov, want)
 
 	// ZoomIn through the overlay restores the base's live view exactly.
@@ -106,22 +109,17 @@ func TestOverlayDeleteEqualsCloneBaseline(t *testing.T) {
 	res := ov.Delete(f.n01)
 	recs := ov.RecomputeAggregates()
 
-	var wantRes *DeletionResult
-	var wantRecs []RecomputedAggregate
+	var wantRemoved []NodeID
 	want := cloneBaseline(f.g, func(c *Graph) {
-		wantRes = c.Delete(f.n01)
-		wantRecs = c.RecomputeAggregates()
+		wantRemoved = RefDelete(c, f.n01)
+		// Example 4.3: deleting C2 leaves COUNT one contribution.
+		c.setValue(f.n70, nested.Int(1))
 	})
-	if fmt.Sprint(res.Removed) != fmt.Sprint(wantRes.Removed) {
-		t.Fatalf("delete removed %v, clone removed %v", res.Removed, wantRes.Removed)
+	if fmt.Sprint(res.Removed) != fmt.Sprint(wantRemoved) {
+		t.Fatalf("delete removed %v, clone removed %v", res.Removed, wantRemoved)
 	}
-	if len(recs) != len(wantRecs) {
-		t.Fatalf("recomputed %d aggregates, clone %d", len(recs), len(wantRecs))
-	}
-	for i := range recs {
-		if recs[i].Node != wantRecs[i].Node || !recs[i].After.Equal(wantRecs[i].After) {
-			t.Errorf("recompute[%d]: overlay %+v, clone %+v", i, recs[i], wantRecs[i])
-		}
+	if len(recs) != 1 || recs[0].Node != f.n70 || !recs[0].After.Equal(nested.Int(1)) {
+		t.Fatalf("recomputed %+v, want only COUNT %d -> 1", recs, f.n70)
 	}
 	assertViewsMatch(t, ov, want)
 
@@ -145,8 +143,8 @@ func TestOverlayZoomThenDeleteComposition(t *testing.T) {
 	ov.ZoomOut("M_dealer2")
 	ov.Delete(f.n00) // the workflow input: removes almost everything
 	want := cloneBaseline(f.g, func(c *Graph) {
-		c.ZoomOut("M_dealer2")
-		c.Delete(f.n00)
+		refZoomOutOf(c, "M_dealer2")
+		RefDelete(c, f.n00)
 	})
 	assertViewsMatch(t, ov, want)
 	if got := snapshotDOT(f.g); got != before {

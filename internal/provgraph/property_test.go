@@ -61,7 +61,6 @@ func TestZoomRoundTripRandom(t *testing.T) {
 		if !g.IsAcyclic() {
 			t.Fatalf("seed %d: pipeline not acyclic", seed)
 		}
-		orig := g.Clone()
 		// Random non-empty subset of modules.
 		var subset []string
 		for _, n := range names {
@@ -72,12 +71,13 @@ func TestZoomRoundTripRandom(t *testing.T) {
 		if len(subset) == 0 {
 			subset = names[:1]
 		}
-		rec := g.ZoomOut(subset...)
-		if !g.IsAcyclic() {
+		ov := NewOverlay(g)
+		rec := ov.ZoomOut(subset...)
+		if !ov.Materialize().IsAcyclic() {
 			t.Fatalf("seed %d: zoomed graph cyclic", seed)
 		}
-		g.ZoomIn(rec)
-		if !g.StructurallyEqual(orig) {
+		ov.ZoomIn(rec)
+		if !ViewsStructurallyEqual(ov, g) {
 			t.Fatalf("seed %d: zoom round trip failed for subset %v", seed, subset)
 		}
 	}
@@ -109,9 +109,10 @@ func TestZoomPreservesBoundaryReachability(t *testing.T) {
 				reachable[pair{in, out}] = desc[out]
 			}
 		}
-		g.ZoomOut(names...)
+		ov := NewOverlay(g)
+		ov.ZoomOut(names...)
 		for _, in := range inputs {
-			desc := toSet(g.Descendants(in))
+			desc := toSet(ov.Descendants(in))
 			for _, out := range outputs {
 				if reachable[pair{in, out}] && !desc[out] {
 					t.Fatalf("seed %d: zoom broke reachability %d -> %d", seed, in, out)
@@ -125,10 +126,11 @@ func TestZoomPreservesBoundaryReachability(t *testing.T) {
 // module input kills the invocation's outputs (black-box semantics).
 func TestDeletionAfterZoomIsCoarse(t *testing.T) {
 	f := buildDealershipFixture()
-	f.g.CoarseGrained()
-	res := f.g.PropagateDeletion(f.n00)
+	ov := NewOverlay(f.g)
+	ov.ZoomOut("M_and", "M_dealer1", "M_dealer2", "M_agg")
+	res := ov.PropagateDeletion(f.n00)
 	// All module outputs die: everything flows from the single input.
-	f.g.Nodes(func(n Node) bool {
+	ov.Nodes(func(n Node) bool {
 		if n.Type == TypeModuleOutput && !res.Deleted(n.ID) {
 			t.Errorf("coarse deletion should remove output node %d", n.ID)
 		}

@@ -4,7 +4,6 @@ import (
 	"io"
 	"slices"
 
-	"lipstick/internal/nested"
 	"lipstick/internal/semiring"
 )
 
@@ -71,33 +70,10 @@ type view interface {
 	inRaw(id NodeID, buf *[]NodeID) []NodeID
 	NumInvocations() int
 	Invocation(id InvID) *Invocation
-	// orphanCandidates sets, in set, the bit of every node that is live,
-	// an OpConst or TypeBaseTuple node, and without a live out-neighbor —
-	// plus possibly others, which callers re-check. It sets, in sure, the
-	// candidates a sweep in id order may hide unchecked: live orphans with
-	// no in-neighbor, whose out-neighbors stay dead however the sweep
-	// proceeds. set and sure cover at least TotalNodes() bits; sure
-	// arrives cleared.
-	orphanCandidates(set, sure bitset)
-}
-
-// mutableView adds the mutations graph transformations perform; the
-// overlay records them as deltas, the graph applies them in place.
-type mutableView interface {
-	view
-	kill(id NodeID)
-	revive(id NodeID)
-	// killMask kills the nodes of the set bits of liveness word w (ids
-	// w*64 to w*64+63).
-	killMask(w int, mask uint64)
-	AddNode(n Node) NodeID
-	AddEdge(src, dst NodeID)
-	setValue(id NodeID, v nested.Value)
 }
 
 // Interface conformance (the overlay's is asserted in overlay.go).
 var _ GraphView = (*Graph)(nil)
-var _ mutableView = (*Graph)(nil)
 
 // joinAdj assembles the two parts of a split adjacency list in *buf.
 // a may itself live in *buf (an inner view assembled it there); the

@@ -16,8 +16,8 @@ type ZoomRecord struct {
 	hidden []NodeID
 	// zoomNodes are the zoomed-out module invocation nodes installed.
 	zoomNodes []NodeID
-	// undo is what an overlay's ZoomIn needs to roll the overlay back to
-	// its state before the zoom; nil on a graph's record.
+	// undo is what the overlay's ZoomIn needs to roll the overlay back to
+	// its state before the zoom.
 	undo *zoomUndo
 }
 
@@ -111,19 +111,15 @@ func intermediatesInto(v view, s *visitScratch, invs []InvID) int {
 }
 
 // ZoomOut hides all intermediate computations and state of every invocation
-// of the given modules, and installs one zoomed-module p-node per
-// invocation, wired from the invocation's inputs to its outputs. It returns
-// a record that ZoomIn accepts to restore the fine-grained view.
+// of the given modules in the overlay view, and installs one zoomed-module
+// p-node per invocation, wired from the invocation's inputs to its
+// outputs; the kills and the installed nodes are deltas over the
+// untouched base graph. It returns a record that ZoomIn accepts to
+// restore the fine-grained view.
 //
 // Because invocations of the same module may share state, ZoomOut always
 // applies to all invocations of a module, across all executions represented
 // in the graph (Section 4.1).
-func (g *Graph) ZoomOut(modules ...string) *ZoomRecord {
-	return zoomOutOf(g, modules, modulesInvocations(g, modules))
-}
-
-// ZoomOut hides module internals in the overlay view, recording the kills
-// and the installed zoom nodes as deltas over the untouched base graph.
 func (o *Overlay) ZoomOut(modules ...string) *ZoomRecord {
 	return o.zoomOut(modules, modulesInvocations(o, modules))
 }
@@ -169,35 +165,35 @@ func (o *Overlay) zoomOut(modules []string, invs []InvID) *ZoomRecord {
 }
 
 // zoomOutOf zooms out modules, whose invocations are invs (ascending).
-func zoomOutOf(mv mutableView, modules []string, invs []InvID) *ZoomRecord {
+func zoomOutOf(o *Overlay, modules []string, invs []InvID) *ZoomRecord {
 	rec := &ZoomRecord{Modules: append([]string(nil), modules...)}
-	s := getVisit(mv.TotalNodes())
+	s := getVisit(o.TotalNodes())
 	defer putVisit(s)
 
 	// Steps 1-3: find and remove intermediate computation nodes.
-	starts := intermediatesInto(mv, s, invs)
+	starts := intermediatesInto(o, s, invs)
 	hidden := append(s.ids[:0], s.queue[starts:]...)
 	for _, id := range hidden {
-		mv.kill(id)
+		o.kill(id)
 	}
 
 	// Step 4: remove state nodes of the zoomed invocations, plus base
 	// tuple nodes that fed only those state nodes.
 	for _, i := range invs {
-		for _, st := range mv.Invocation(i).States {
-			if !mv.Alive(st) {
+		for _, st := range o.Invocation(i).States {
+			if !o.Alive(st) {
 				continue
 			}
-			mv.kill(st)
+			o.kill(st)
 			hidden = append(hidden, st)
-			for _, b := range mv.inRaw(st, &s.adj) {
-				if ty, _ := mv.typeOp(b); ty != TypeBaseTuple || !mv.Alive(b) {
+			for _, b := range o.inRaw(st, &s.adj) {
+				if ty, _ := o.typeOp(b); ty != TypeBaseTuple || !o.Alive(b) {
 					continue
 				}
 				// Hide the base tuple only when nothing live still
 				// depends on it (state may be shared between modules).
-				if !hasLiveOut(mv, b, &s.adj2) {
-					mv.kill(b)
+				if !hasLiveOut(o, b, &s.adj2) {
+					o.kill(b)
 					hidden = append(hidden, b)
 				}
 			}
@@ -210,32 +206,32 @@ func zoomOutOf(mv mutableView, modules []string, invs []InvID) *ZoomRecord {
 	// graph of Figure 2(b) has no v-nodes). Base tuples whose state nodes
 	// never materialized (lazy state, untouched tuples) are likewise
 	// orphans and disappear with their module's state.
-	hidden = sweepOrphans(mv, s, hidden)
+	hidden = sweepOrphans(o, s, hidden)
 	if len(hidden) > 0 {
 		rec.hidden = slices.Clone(hidden)
 	}
 	s.ids = hidden[:0]
 
-	installZoomNodes(mv, rec, invs)
+	installZoomNodes(o, rec, invs)
 	return rec
 }
 
 // installZoomNodes is step 5: it installs a zoomed-module p-node per
 // invocation, wired from the invocation's live inputs to its live
 // outputs.
-func installZoomNodes(mv mutableView, rec *ZoomRecord, invs []InvID) {
+func installZoomNodes(o *Overlay, rec *ZoomRecord, invs []InvID) {
 	for _, i := range invs {
-		inv := mv.Invocation(i)
-		z := mv.AddNode(Node{Class: ClassP, Type: TypeZoom, Label: inv.Module, Inv: inv.ID})
+		inv := o.Invocation(i)
+		z := o.AddNode(Node{Class: ClassP, Type: TypeZoom, Label: inv.Module, Inv: inv.ID})
 		rec.zoomNodes = append(rec.zoomNodes, z)
 		for _, in := range inv.Inputs {
-			if mv.Alive(in) {
-				mv.AddEdge(in, z)
+			if o.Alive(in) {
+				o.AddEdge(in, z)
 			}
 		}
 		for _, out := range inv.Outputs {
-			if mv.Alive(out) {
-				mv.AddEdge(z, out)
+			if o.Alive(out) {
+				o.AddEdge(z, out)
 			}
 		}
 	}
@@ -250,16 +246,16 @@ func installZoomNodes(mv mutableView, rec *ZoomRecord, invs []InvID) {
 // sure candidate is hidden unchecked, and a word of them at once: hiding
 // it orphans no other node, so the order of its kill is unobservable
 // beyond its place in hidden.
-func sweepOrphans(mv mutableView, s *visitScratch, hidden []NodeID) []NodeID {
-	words := (mv.TotalNodes() + 63) / 64
+func sweepOrphans(o *Overlay, s *visitScratch, hidden []NodeID) []NodeID {
+	words := (o.TotalNodes() + 63) / 64
 	s.cand, s.sure = grown(s.cand, words), grown(s.sure, words)
 	cand, sure := s.cand[:words], s.sure[:words]
 	clear(cand)
 	clear(sure)
-	mv.orphanCandidates(cand, sure)
+	o.orphanCandidates(cand, sure)
 	for w := range cand {
 		if c := cand[w]; c != 0 && c&^sure[w] == 0 {
-			mv.killMask(w, c)
+			o.killMask(w, c)
 			for ; c != 0; c &= c - 1 {
 				hidden = append(hidden, NodeID(w*64+bits.TrailingZeros64(c)))
 			}
@@ -273,22 +269,22 @@ func sweepOrphans(mv mutableView, s *visitScratch, hidden []NodeID) []NodeID {
 			cand[w] &^= 1 << uint(b)
 			id := NodeID(w*64 + b)
 			if sure[w]&(1<<uint(b)) != 0 {
-				mv.kill(id)
+				o.kill(id)
 				hidden = append(hidden, id)
 				continue
 			}
-			if !mv.Alive(id) {
+			if !o.Alive(id) {
 				continue
 			}
-			if ty, op := mv.typeOp(id); op != OpConst && ty != TypeBaseTuple {
+			if ty, op := o.typeOp(id); op != OpConst && ty != TypeBaseTuple {
 				continue
 			}
-			if hasLiveOut(mv, id, &s.adj) {
+			if hasLiveOut(o, id, &s.adj) {
 				continue
 			}
-			mv.kill(id)
+			o.kill(id)
 			hidden = append(hidden, id)
-			for _, in := range mv.inRaw(id, &s.adj) {
+			for _, in := range o.inRaw(id, &s.adj) {
 				if in > id {
 					cand.set(int(in))
 				}
@@ -298,24 +294,12 @@ func sweepOrphans(mv mutableView, s *visitScratch, hidden []NodeID) []NodeID {
 	return hidden
 }
 
-// ZoomIn restores the fine-grained view hidden by the given record: it
-// revives the hidden nodes and removes the zoomed-module nodes.
-func (g *Graph) ZoomIn(rec *ZoomRecord) {
-	for _, id := range rec.zoomNodes {
-		g.kill(id)
-	}
-	for _, id := range rec.hidden {
-		g.revive(id)
-	}
-}
-
 // ZoomIn restores the fine-grained view in the overlay. When the record
 // is the overlay's newest zoom and nothing changed the overlay since, it
 // rolls the overlay back to its exact state before that ZoomOut, so a
 // session's zoom round trips leave no residue. Otherwise it kills the
 // zoom nodes and revives each run of hidden ids that share a liveness
-// word with one word operation; the graph's ZoomIn revives node by node,
-// one event each.
+// word with one word operation.
 func (o *Overlay) ZoomIn(rec *ZoomRecord) {
 	if o.top == rec {
 		o.rollback(rec)
@@ -333,20 +317,4 @@ func (o *Overlay) ZoomIn(rec *ZoomRecord) {
 		}
 		o.reviveMask(w, mask)
 	}
-}
-
-// CoarseGrained returns a zoom record hiding every module's internals:
-// applying ZoomOut to all modules yields exactly the coarse-grained
-// provenance graph of Section 3.1.
-func (g *Graph) CoarseGrained() *ZoomRecord {
-	seen := map[string]bool{}
-	var modules []string
-	g.Invocations(func(inv *Invocation) bool {
-		if !seen[inv.Module] {
-			seen[inv.Module] = true
-			modules = append(modules, inv.Module)
-		}
-		return true
-	})
-	return g.ZoomOut(modules...)
 }

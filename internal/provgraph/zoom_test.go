@@ -25,18 +25,18 @@ func TestIntermediateNodes(t *testing.T) {
 
 func TestZoomOutDealer1(t *testing.T) {
 	f := buildDealershipFixture()
-	orig := f.g.Clone()
-	rec := f.g.ZoomOut("M_dealer1")
+	ov := NewOverlay(f.g)
+	rec := ov.ZoomOut("M_dealer1")
 
 	// Internals, state nodes and exclusive base tuples are hidden.
 	for _, id := range []NodeID{f.n50, f.n60, f.n61, f.n70, f.n71, f.n75, f.n80, f.n42, f.n43, f.n01, f.n02} {
-		if f.g.Alive(id) {
+		if ov.Alive(id) {
 			t.Errorf("node %d should be hidden after ZoomOut", id)
 		}
 	}
 	// Module boundary nodes survive.
 	for _, id := range []NodeID{f.n41, f.n90, f.iAgg1, f.n110, f.oAgg} {
-		if !f.g.Alive(id) {
+		if !ov.Alive(id) {
 			t.Errorf("node %d should survive ZoomOut", id)
 		}
 	}
@@ -46,19 +46,19 @@ func TestZoomOutDealer1(t *testing.T) {
 		t.Fatalf("zoom nodes = %d, want 1", len(zs))
 	}
 	z := zs[0]
-	if got := f.g.Node(z); got.Type != TypeZoom || got.Label != "M_dealer1" {
+	if got := ov.Node(z); got.Type != TypeZoom || got.Label != "M_dealer1" {
 		t.Errorf("zoom node = %+v", got)
 	}
-	if !containsID(f.g.Out(f.n41), z) || !containsID(f.g.Out(z), f.n90) {
+	if !containsID(ov.Out(f.n41), z) || !containsID(ov.Out(z), f.n90) {
 		t.Error("zoom node must connect invocation input to output")
 	}
-	if !f.g.IsAcyclic() {
+	if !ov.Materialize().IsAcyclic() {
 		t.Error("zoomed graph must stay acyclic")
 	}
 
 	// ZoomIn restores the original structure exactly.
-	f.g.ZoomIn(rec)
-	if !f.g.StructurallyEqual(orig) {
+	ov.ZoomIn(rec)
+	if !ViewsStructurallyEqual(ov, f.g) {
 		t.Error("ZoomIn(ZoomOut(G,M),M) != G")
 	}
 }
@@ -67,12 +67,13 @@ func TestZoomOutDealer1(t *testing.T) {
 // keeps all of dealer1's internals.
 func TestZoomOutAggregate(t *testing.T) {
 	f := buildDealershipFixture()
-	f.g.ZoomOut("M_agg")
-	if f.g.Alive(f.n110) || f.g.Alive(f.aggMin) {
+	ov := NewOverlay(f.g)
+	ov.ZoomOut("M_agg")
+	if ov.Alive(f.n110) || ov.Alive(f.aggMin) {
 		t.Error("aggregator internals should be hidden")
 	}
 	for _, id := range []NodeID{f.n50, f.n60, f.n70, f.n80, f.n90, f.iAgg1, f.oAgg} {
-		if !f.g.Alive(id) {
+		if !ov.Alive(id) {
 			t.Errorf("node %d should survive aggregator zoom", id)
 		}
 	}
@@ -83,9 +84,9 @@ func TestZoomOutAggregate(t *testing.T) {
 // input/output, and zoom nodes remain.
 func TestCoarseGrained(t *testing.T) {
 	f := buildDealershipFixture()
-	orig := f.g.Clone()
-	rec := f.g.CoarseGrained()
-	f.g.Nodes(func(n Node) bool {
+	ov := NewOverlay(f.g)
+	rec := ov.ZoomOut("M_and", "M_dealer1", "M_dealer2", "M_agg")
+	ov.Nodes(func(n Node) bool {
 		switch n.Type {
 		case TypeWorkflowInput, TypeInvocation, TypeModuleInput, TypeModuleOutput, TypeZoom:
 			return true
@@ -99,13 +100,13 @@ func TestCoarseGrained(t *testing.T) {
 		t.Errorf("zoom nodes = %d, want 4", len(rec.ZoomNodes()))
 	}
 	// Output still depends on the input through the coarse graph.
-	anc := toSet(f.g.Ancestors(f.oAgg))
+	anc := toSet(ov.Ancestors(f.oAgg))
 	if !anc[f.n00] {
 		t.Error("coarse graph must preserve input->output reachability")
 	}
-	f.g.ZoomIn(rec)
-	if !f.g.StructurallyEqual(orig) {
-		t.Error("ZoomIn must undo CoarseGrained")
+	ov.ZoomIn(rec)
+	if !ViewsStructurallyEqual(ov, f.g) {
+		t.Error("ZoomIn must undo the coarse-grained zoom")
 	}
 }
 
@@ -113,21 +114,21 @@ func TestCoarseGrained(t *testing.T) {
 // reverse order restores the original graph.
 func TestZoomNesting(t *testing.T) {
 	f := buildDealershipFixture()
-	orig := f.g.Clone()
-	rec1 := f.g.ZoomOut("M_dealer1")
-	rec2 := f.g.ZoomOut("M_agg")
-	if f.g.Alive(f.n60) || f.g.Alive(f.n110) {
+	ov := NewOverlay(f.g)
+	rec1 := ov.ZoomOut("M_dealer1")
+	rec2 := ov.ZoomOut("M_agg")
+	if ov.Alive(f.n60) || ov.Alive(f.n110) {
 		t.Error("both modules should be zoomed out")
 	}
-	f.g.ZoomIn(rec2)
-	if !f.g.Alive(f.n110) {
+	ov.ZoomIn(rec2)
+	if !ov.Alive(f.n110) {
 		t.Error("aggregator should be restored")
 	}
-	if f.g.Alive(f.n60) {
+	if ov.Alive(f.n60) {
 		t.Error("dealer1 should remain zoomed")
 	}
-	f.g.ZoomIn(rec1)
-	if !f.g.StructurallyEqual(orig) {
+	ov.ZoomIn(rec1)
+	if !ViewsStructurallyEqual(ov, f.g) {
 		t.Error("nested zooms did not restore the original graph")
 	}
 }
@@ -149,15 +150,15 @@ func TestZoomOutSharedState(t *testing.T) {
 	joinB := b.Join(iB, sB)
 	b.ModuleOutput(invB, joinB)
 
-	g := b.G
-	g.ZoomOut("A")
-	if !g.Alive(base) {
+	ov := NewOverlay(b.G)
+	ov.ZoomOut("A")
+	if !ov.Alive(base) {
 		t.Error("shared base tuple must survive zooming out only module A")
 	}
-	if !g.Alive(sB) {
+	if !ov.Alive(sB) {
 		t.Error("B's state node must survive")
 	}
-	if g.Alive(sA) || g.Alive(joinA) {
+	if ov.Alive(sA) || ov.Alive(joinA) {
 		t.Error("A's state node and internals must be hidden")
 	}
 }
@@ -215,19 +216,15 @@ func TestZoomOrphanCascadeMatchesReference(t *testing.T) {
 	g.AddEdge(hi, k)
 	g.AddEdge(c, hi)
 
-	views := map[string]func() mutableView{
-		"graph":   func() mutableView { return g.Clone() },
-		"overlay": func() mutableView { return NewOverlay(g) },
+	got := NewOverlay(g)
+	rec := zoomOutOf(got, []string{"A"}, modulesInvocations(got, []string{"A"}))
+	for name, want := range map[string]mutableView{"graph": g.Clone(), "overlay": NewOverlay(g)} {
+		if ref := refZoomOutOf(want, "A"); fmt.Sprint(rec.hidden) != fmt.Sprint(ref.hidden) {
+			t.Errorf("reference on a %s: hidden %v, reference %v", name, rec.hidden, ref.hidden)
+		}
 	}
-	for name, fresh := range views {
-		got, want := fresh(), fresh()
-		rec, ref := zoomOutOf(got, []string{"A"}, modulesInvocations(got, []string{"A"})), refZoomOutOf(want, "A")
-		if fmt.Sprint(rec.hidden) != fmt.Sprint(ref.hidden) {
-			t.Errorf("%s: hidden %v, reference %v", name, rec.hidden, ref.hidden)
-		}
-		if !got.Alive(lo) || got.Alive(k) || got.Alive(hi) || got.Alive(c) {
-			t.Errorf("%s: want lo live and k, hi, c hidden; alive = %v %v %v %v",
-				name, got.Alive(lo), got.Alive(k), got.Alive(hi), got.Alive(c))
-		}
+	if !got.Alive(lo) || got.Alive(k) || got.Alive(hi) || got.Alive(c) {
+		t.Errorf("want lo live and k, hi, c hidden; alive = %v %v %v %v",
+			got.Alive(lo), got.Alive(k), got.Alive(hi), got.Alive(c))
 	}
 }

@@ -34,24 +34,13 @@ func TestZoomMemoMatchesKernel(t *testing.T) {
 }
 
 // TestZoomMemoInvalidation: the memo is stamped with the graph's
-// version, so a graph mutated in place after a plan was memoized — by a
-// ZoomOut on the graph itself, as QueryProcessor.ZoomOut does, or by a
-// live graph ingesting events — never answers from the stale plan.
+// version, so a live graph that ingests events after a plan was memoized
+// never answers from the stale plan.
 func TestZoomMemoInvalidation(t *testing.T) {
 	bases := diffBases(t)
 	b := bases[0]
 	mods := b.modules[:1]
-
-	g := b.g.Clone()
-	invs := sortedInvs(g, mods)
-	provgraph.NewOverlay(g).ZoomOutInvocations(mods, invs)
-	g.ZoomOut(mods...)
-	if provgraph.ZoomMemoized(g, invs) {
-		t.Fatal("graph zoomed in place: the stale plan is still served")
-	}
-	hit, cold := provgraph.NewOverlay(g), provgraph.NewOverlay(g)
-	checkMemoZoom(t, "after an in-place zoom", hit, hit.ZoomOutInvocations(mods, invs),
-		cold, provgraph.ColdZoomOut(cold, mods, invs), b.samples)
+	invs := sortedInvs(b.g, mods)
 
 	// A live graph ingests a new state tuple for an invocation of the
 	// zoomed module: the invocation set is unchanged, the zoom's answer
@@ -74,7 +63,7 @@ func TestZoomMemoInvalidation(t *testing.T) {
 	if provgraph.ZoomMemoized(live, invs) {
 		t.Fatal("live graph ingested: the stale plan is still served")
 	}
-	hit, cold = provgraph.NewOverlay(live), provgraph.NewOverlay(live)
+	hit, cold := provgraph.NewOverlay(live), provgraph.NewOverlay(live)
 	rec := hit.ZoomOutInvocations(mods, invs)
 	if !slices.Contains(provgraph.ZoomHidden(rec), provgraph.NodeID(base+1)) {
 		t.Error("after ingest: the zoom does not hide the new state node")

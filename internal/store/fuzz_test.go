@@ -23,8 +23,9 @@ func fuzzSnapshotSeed(t testing.TB, writeFn func(io.Writer, *Snapshot) error) []
 		{TupleProv: j, Value: nested.Int(4)},
 	}, nested.Int(4))
 	out := b.ModuleOutput(inv, j, agg)
-	b.G.Delete(base)
-	snap := &Snapshot{Graph: b.G, Outputs: []RelationDump{{
+	ov := provgraph.NewOverlay(b.G)
+	ov.Delete(base)
+	snap := &Snapshot{Graph: ov.Materialize(), Outputs: []RelationDump{{
 		Execution: 0, Node: "x", Relation: "R",
 		Tuples: []AnnotatedTuple{{Tuple: nested.NewTuple(nested.Int(1)), Prov: out, Mult: 1}},
 	}}}

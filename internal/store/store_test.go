@@ -94,8 +94,8 @@ var roundTripWriters = []struct {
 	{"v3-columnar", Write, false}, // v3 carries Postings instead of Index
 }
 
-// TestRoundTripWithDeadNodes kills nodes via destructive deletion
-// propagation, then round-trips through both format versions.
+// TestRoundTripWithDeadNodes kills nodes via deletion propagation,
+// materialized, then round-trips through every format version.
 func TestRoundTripWithDeadNodes(t *testing.T) {
 	for _, v := range roundTripWriters {
 		t.Run(v.name, func(t *testing.T) {
@@ -110,9 +110,11 @@ func TestRoundTripWithDeadNodes(t *testing.T) {
 			if len(base) == 0 {
 				t.Fatal("sample has no base tuples")
 			}
-			if res := snap.Graph.Delete(base...); res.Size() == 0 {
+			ov := provgraph.NewOverlay(snap.Graph)
+			if res := ov.Delete(base...); res.Size() == 0 {
 				t.Fatal("deletion removed nothing")
 			}
+			snap.Graph = ov.Materialize()
 			if len(snap.Graph.DeadNodes()) == 0 {
 				t.Fatal("no dead nodes after deletion")
 			}
@@ -148,10 +150,12 @@ func TestRoundTripWithZoomRecords(t *testing.T) {
 	for _, v := range roundTripWriters {
 		t.Run(v.name, func(t *testing.T) {
 			snap := buildSampleSnapshot()
-			rec := snap.Graph.ZoomOut("M_test")
+			ov := provgraph.NewOverlay(snap.Graph)
+			rec := ov.ZoomOut("M_test")
 			if rec.HiddenCount() == 0 || len(rec.ZoomNodes()) == 0 {
 				t.Fatal("zoom hid nothing")
 			}
+			snap.Graph = ov.Materialize()
 			var buf bytes.Buffer
 			if err := v.write(&buf, snap); err != nil {
 				t.Fatal(err)

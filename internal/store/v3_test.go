@@ -24,12 +24,14 @@ func mutilateSample(t *testing.T) *Snapshot {
 		}
 		return true
 	})
-	if res := snap.Graph.Delete(base...); res.Size() == 0 {
+	ov := provgraph.NewOverlay(snap.Graph)
+	if res := ov.Delete(base...); res.Size() == 0 {
 		t.Fatal("deletion removed nothing")
 	}
-	if rec := snap.Graph.ZoomOut("M_test"); rec.HiddenCount() == 0 {
+	if rec := ov.ZoomOut("M_test"); rec.HiddenCount() == 0 {
 		t.Fatal("zoom hid nothing")
 	}
+	snap.Graph = ov.Materialize()
 	return snap
 }
 
@@ -180,8 +182,9 @@ func TestLoadMappedEquivalence(t *testing.T) {
 }
 
 // TestMappedGraphCopyOnWrite: mutating a graph opened from a mapped file
-// (deletion propagation, appends, zoom) must never write through to the
-// file — a fresh open of the same path sees the original bytes.
+// (kills of a deletion propagation, appends, a zoom materialized onto a
+// clone) must never write through to the file — a fresh open of the same
+// path sees the original bytes.
 func TestMappedGraphCopyOnWrite(t *testing.T) {
 	snap := buildSampleSnapshot()
 	path := filepath.Join(t.TempDir(), "prov.lpsk")
@@ -206,14 +209,23 @@ func TestMappedGraphCopyOnWrite(t *testing.T) {
 	if anyLive == provgraph.InvalidNode {
 		t.Fatal("no base tuple in sample")
 	}
-	if res := g.Delete(anyLive); res.Size() == 0 {
+	res := g.PropagateDeletion(anyLive)
+	if res.Size() == 0 {
 		t.Fatal("deletion removed nothing")
+	}
+	for _, id := range res.Removed {
+		if err := provgraph.Apply(g, provgraph.Event{Kind: provgraph.EvKill, Src: id}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	fresh := g.AddNode(provgraph.Node{Type: provgraph.TypeBaseTuple, Class: provgraph.ClassP, Label: "cow-probe"})
 	g.AddEdge(fresh, provgraph.NodeID(0))
-	if rec := g.ZoomOut("M_test"); rec.HiddenCount() == 0 {
+	// A zoom materialized onto a clone that shares the mapped columns.
+	ov := provgraph.NewOverlay(g)
+	if rec := ov.ZoomOut("M_test"); rec.HiddenCount() == 0 {
 		t.Fatal("zoom hid nothing")
 	}
+	ov.Materialize()
 
 	reopened, err := LoadMapped(path)
 	if err != nil {

@@ -43,11 +43,11 @@ func TestParallelTraversalByteIdentity(t *testing.T) {
 		spilled.AddEdge(hub, provgraph.NodeID(spilled.TotalNodes()-1-i))
 	}
 	dead := deal.Runner.Graph().Clone()
-	dead.Delete(HighFanoutNodes(dead, 3)[2])
+	deleteInPlace(t, dead, HighFanoutNodes(dead, 3)[2])
 	live := deal.Runner.Graph().Clone()
-	live.Delete(HighFanoutNodes(live, 1)[0])
+	deleteInPlace(t, live, HighFanoutNodes(live, 1)[0])
 	published := live.PublishView()
-	live.Delete(HighFanoutNodes(live, 1)[0])
+	deleteInPlace(t, live, HighFanoutNodes(live, 1)[0])
 
 	for _, c := range []struct {
 		name string
@@ -127,4 +127,15 @@ func sameIDSeq(want, got []provgraph.NodeID) error {
 		}
 	}
 	return nil
+}
+
+// deleteInPlace applies the deletion of id to g as a live graph ingests
+// it: one kill event per node the propagation removes.
+func deleteInPlace(t *testing.T, g *provgraph.Graph, id provgraph.NodeID) {
+	t.Helper()
+	for _, n := range g.PropagateDeletion(id).Removed {
+		if err := provgraph.Apply(g, provgraph.Event{Kind: provgraph.EvKill, Src: n}); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

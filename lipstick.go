@@ -21,10 +21,12 @@
 //	exec, err := tr.Execute(lipstick.Inputs{"req": {"Requests": requests}})
 //	err = tr.Save("run.lpsk")                        // persist provenance
 //
-//	qp, err := lipstick.Load("run.lpsk")             // query processor
-//	qp.ZoomOut("M_dealer")
+//	qp, err := lipstick.Load("run.lpsk")             // read-only query processor
 //	res := qp.WhatIfDelete(node)                     // deletion propagation
 //	ok := qp.DependsOn(bid, car)                     // dependency query
+//	sess := lipstick.NewSession(qp)                  // copy-on-write what-if view
+//	rec, err := sess.ZoomOut("M_dealer")             // zoom (Section 4.1)
+//	del, aggs := sess.ApplyDelete(node)              // applied deletion + recompute
 //
 // Each execution runs its module invocations one at a time in topological
 // order, threading module state from one execution to the next
@@ -182,9 +184,10 @@ type (
 	// Tracker is the Provenance Tracker: executes workflows and persists
 	// provenance-annotated outputs plus the provenance graph.
 	Tracker = core.Tracker
-	// QueryProcessor answers zoom, deletion, subgraph, and dependency
-	// queries over a loaded provenance graph, selecting nodes through the
-	// snapshot's postings index.
+	// QueryProcessor answers read-only selection, what-if deletion,
+	// subgraph, and dependency queries over a loaded provenance graph,
+	// selecting nodes through the snapshot's postings index; a Session
+	// over it zooms and applies deletions.
 	QueryProcessor = core.QueryProcessor
 	// NodeFilter selects graph nodes by structural properties.
 	NodeFilter = core.NodeFilter
@@ -265,8 +268,7 @@ var (
 	Load = core.Load
 	// Open returns the process-wide cached query processor for a snapshot
 	// path, loading it at most once per file version. The instance is
-	// shared — callers must stick to read-only queries and use Load when
-	// they need to transform the graph.
+	// shared; transform its graph through a Session.
 	Open = core.Open
 	// NewSnapshotManager builds a private snapshot cache (capacity <= 0
 	// selects the default).
@@ -284,6 +286,10 @@ var (
 	WithSessionTTL = core.WithSessionTTL
 	// WithSessionLimit caps concurrently live sessions per registry.
 	WithSessionLimit = core.WithSessionLimit
+	// NewSession opens an unregistered what-if session over a query
+	// processor: zooms and applied deletions land in the session's
+	// copy-on-write overlay, never in the processor's graph.
+	NewSession = core.NewSession
 	// NewOverlay opens a copy-on-write view over an immutable base graph
 	// (sessions do this internally; exposed for library use).
 	NewOverlay = provgraph.NewOverlay
