@@ -30,18 +30,18 @@ func (r *DeletionResult) Size() int { return len(r.Removed) }
 // least one of its incoming edges was deleted. Nodes with no incoming
 // edges (tokens, invocation nodes, constants) are never removed by rule (1).
 func (g *Graph) PropagateDeletion(ids ...NodeID) *DeletionResult {
-	return propagateDeletionOf(g, ids...)
+	return propagateDeletionOf(g.reader(), ids...)
 }
 
 // PropagateDeletion computes the deletion effect in the overlay view.
 func (o *Overlay) PropagateDeletion(ids ...NodeID) *DeletionResult {
-	return propagateDeletionOf(o, ids...)
+	return propagateDeletionOf(o.reader(), ids...)
 }
 
-func propagateDeletionOf(v view, ids ...NodeID) *DeletionResult {
-	s := getVisit(v.TotalNodes())
+func propagateDeletionOf(r reader, ids ...NodeID) *DeletionResult {
+	s := getVisit(r.total())
 	defer putVisit(s)
-	propagateDeletion(v, s, ids...)
+	propagateDeletion(r, s, ids...)
 	res := &DeletionResult{}
 	if len(s.queue) > 0 {
 		res.Removed = slices.Clone(s.queue)
@@ -55,20 +55,20 @@ func propagateDeletionOf(v view, ids ...NodeID) *DeletionResult {
 // reaches it (mark[id] == epoch then means deg[id] is set; -1 marks a
 // removed node). The view does not change during a propagation, so the
 // lazy count equals an eager one taken up front.
-func propagateDeletion(v view, s *visitScratch, ids ...NodeID) {
-	s.deg = grown(s.deg, v.TotalNodes())
+func propagateDeletion(r reader, s *visitScratch, ids ...NodeID) {
+	s.deg = grown(s.deg, r.total())
 	remove := func(id NodeID) {
 		s.mark[id], s.deg[id] = s.epoch, -1
 		s.queue = append(s.queue, id)
 	}
 	for _, id := range ids {
-		if !s.removed(id) && v.Alive(id) {
+		if !s.removed(id) && r.alive(id) {
 			remove(id)
 		}
 	}
 	for head := 0; head < len(s.queue); head++ {
-		for _, dst := range v.outRaw(s.queue[head], &s.adj) {
-			if !v.Alive(dst) {
+		for _, dst := range r.adj(down, s.queue[head], &s.adj) {
+			if !r.alive(dst) {
 				continue
 			}
 			if s.mark[dst] != s.epoch {
@@ -76,8 +76,8 @@ func propagateDeletion(v view, s *visitScratch, ids ...NodeID) {
 				// among the live in-edges counted, so the count is >= 1 and
 				// reaching 0 below means every incoming edge was deleted.
 				var d int32
-				for _, src := range v.inRaw(dst, &s.adj2) {
-					if v.Alive(src) {
+				for _, src := range r.adj(up, dst, &s.adj2) {
+					if r.alive(src) {
 						d++
 					}
 				}
@@ -86,7 +86,7 @@ func propagateDeletion(v view, s *visitScratch, ids ...NodeID) {
 				continue // already removed
 			}
 			s.deg[dst]--
-			_, op := v.typeOp(dst)
+			_, op := r.typeOp(dst)
 			// Rule (1): all incoming edges deleted. Rule (2): · or ⊗ with a
 			// deleted incoming edge. Black-box nodes are included: a UDF's
 			// output jointly depends on all of its inputs (the
@@ -107,7 +107,7 @@ func (s *visitScratch) removed(id NodeID) bool {
 // Delete applies a deletion propagation to the overlay, recording the
 // kills as deltas; the base graph is untouched.
 func (o *Overlay) Delete(ids ...NodeID) *DeletionResult {
-	res := propagateDeletionOf(o, ids...)
+	res := propagateDeletionOf(o.reader(), ids...)
 	for _, id := range res.Removed {
 		o.kill(id)
 	}
@@ -151,7 +151,7 @@ func (o *Overlay) RecomputeAggregates() []RecomputedAggregate {
 		if !ok {
 			continue
 		}
-		val, survivors, computed := recomputeAggOf(o, NodeID(id), op)
+		val, survivors, computed := recomputeAggOf(o.reader(), NodeID(id), op)
 		rec := RecomputedAggregate{Node: NodeID(id), Op: n.Label, Before: n.Value, Survivors: survivors}
 		if computed {
 			rec.After = val
@@ -165,23 +165,23 @@ func (o *Overlay) RecomputeAggregates() []RecomputedAggregate {
 }
 
 // recomputeAggOf folds the surviving ⊗ children of an aggregate node.
-func recomputeAggOf(v view, id NodeID, op semiring.AggOp) (nested.Value, int, bool) {
+func recomputeAggOf(r reader, id NodeID, op semiring.AggOp) (nested.Value, int, bool) {
 	sum, cnt := 0.0, 0
 	lo, hi := math.Inf(1), math.Inf(-1)
 	allInt := true
-	for _, in := range v.inRaw(id, nil) {
-		if !v.Alive(in) {
+	for _, in := range r.adj(up, id, nil) {
+		if !r.alive(in) {
 			continue
 		}
-		if _, op := v.typeOp(in); op != OpTensor {
+		if _, op := r.typeOp(in); op != OpTensor {
 			continue
 		}
 		// The tensor's constant in-neighbor holds the aggregated value.
 		var val nested.Value
 		found := false
-		for _, tin := range v.inRaw(in, nil) {
-			if _, op := v.typeOp(tin); op == OpConst && v.Alive(tin) {
-				val = v.Node(tin).Value
+		for _, tin := range r.adj(up, in, nil) {
+			if _, op := r.typeOp(tin); op == OpConst && r.alive(tin) {
+				val = r.node(tin).Value
 				found = true
 				break
 			}
@@ -241,31 +241,30 @@ func recomputeAggOf(v view, id NodeID, op semiring.AggOp) (nested.Value, int, bo
 // module. The result ties the graph representation back to the semiring
 // formalism of Section 2.3 and is used for differential testing of
 // deletion propagation.
-func (g *Graph) Expr(id NodeID) semiring.Expr { return exprRoot(g, id) }
-
-// Expr reconstructs a node's provenance expression in the overlay view.
-func (o *Overlay) Expr(id NodeID) semiring.Expr { return exprRoot(o, id) }
-
-func exprRoot(v view, id NodeID) semiring.Expr {
-	memo := make(map[NodeID]semiring.Expr)
-	return exprOf(v, id, memo)
+func (g *Graph) Expr(id NodeID) semiring.Expr {
+	return exprOf(g.reader(), id, make(map[NodeID]semiring.Expr))
 }
 
-func exprOf(v view, id NodeID, memo map[NodeID]semiring.Expr) semiring.Expr {
+// Expr reconstructs a node's provenance expression in the overlay view.
+func (o *Overlay) Expr(id NodeID) semiring.Expr {
+	return exprOf(o.reader(), id, make(map[NodeID]semiring.Expr))
+}
+
+func exprOf(r reader, id NodeID, memo map[NodeID]semiring.Expr) semiring.Expr {
 	if e, ok := memo[id]; ok {
 		return e
 	}
-	if !v.Alive(id) {
+	if !r.alive(id) {
 		return semiring.Zero{}
 	}
-	n := v.Node(id)
+	n := r.node(id)
 	// Guard against (impossible) cycles while memoizing.
 	memo[id] = semiring.Zero{}
 	var children []semiring.Expr
-	for _, in := range v.inRaw(id, nil) {
+	for _, in := range r.adj(up, id, nil) {
 		// Value nodes do not contribute to the p-side expression.
-		if v.Alive(in) && v.Node(in).Class != ClassV {
-			children = append(children, exprOf(v, in, memo))
+		if r.alive(in) && r.class(in) != ClassV {
+			children = append(children, exprOf(r, in, memo))
 		}
 	}
 	var e semiring.Expr

@@ -91,6 +91,34 @@ func TestDependsOn(t *testing.T) {
 	}
 }
 
+// TestDependsOnOutOfRange asks the dependency query with an id outside
+// the view on either side: the answer is false, on a graph and on an
+// overlay that has appended nodes, never a panic.
+func TestDependsOnOutOfRange(t *testing.T) {
+	f := buildDealershipFixture()
+	ov := NewOverlay(f.g)
+	ov.ZoomOut("M_agg")
+	for _, v := range []GraphView{f.g, ov} {
+		total := NodeID(v.TotalNodes())
+		for _, c := range []struct {
+			a, b NodeID
+			want bool
+		}{
+			{f.n60, f.n01, true},
+			{-1, f.n01, false},
+			{total, f.n01, false},
+			{f.n60, -1, false},
+			{f.n60, total, false},
+			{f.n60, total + 100, false},
+			{total, total, false},
+		} {
+			if got := v.DependsOn(c.a, c.b); got != c.want {
+				t.Errorf("%T with %d slots: DependsOn(%d, %d) = %v, want %v", v, total, c.a, c.b, got, c.want)
+			}
+		}
+	}
+}
+
 // TestPropagateDeletionDoesNotMutate checks the pure analysis variant.
 func TestPropagateDeletionDoesNotMutate(t *testing.T) {
 	f := buildDealershipFixture()

@@ -2,9 +2,8 @@ package provgraph
 
 import "slices"
 
-// The Graph's view primitives, and the derived state it shares with the
-// overlays layered over it: the orphan candidates ZoomOut sweeps and the
-// memoized zoom plans.
+// The derived state a Graph shares with the overlays layered over it:
+// the orphan candidates ZoomOut sweeps and the memoized zoom plans.
 
 // orphanSet marks the graph's orphans at one structural version: live
 // OpConst or TypeBaseTuple nodes without a live out-neighbor. flat marks
@@ -15,31 +14,16 @@ type orphanSet struct {
 	bits, flat bitset
 }
 
-func (g *Graph) typeOp(id NodeID) (Type, Op) { return g.typ.at(int(id)), g.op.at(int(id)) }
-
-func (g *Graph) classOf(id NodeID) Class { return g.class.at(int(id)) }
-
-// TypeOf returns a node's type from the type column, without assembling
-// the Node.
-func (g *Graph) TypeOf(id NodeID) Type { return g.typ.at(int(id)) }
-
-// LabelOf returns a node's label from the label column, without
-// assembling the Node (no value decode).
-func (g *Graph) LabelOf(id NodeID) string { return g.syms.str(g.label.at(int(id))) }
-
-func (g *Graph) outRaw(id NodeID, buf *[]NodeID) []NodeID { return g.out.raw(id, buf) }
-
-func (g *Graph) inRaw(id NodeID, buf *[]NodeID) []NodeID { return g.in.raw(id, buf) }
-
 // markOrphans sets the graph's orphans in set and those without in-edges
 // in flat.
 func (g *Graph) markOrphans(set, flat bitset) {
 	var buf []NodeID
+	r := g.reader()
 	for i := 0; i < g.n; i++ {
 		if !g.alive.get(i) || (g.op.at(i) != OpConst && g.typ.at(i) != TypeBaseTuple) {
 			continue
 		}
-		if !hasLiveOut(g, NodeID(i), &buf) {
+		if !hasLiveOut(r, NodeID(i), &buf) {
 			set.set(i)
 			if len(g.in.raw(NodeID(i), &buf)) == 0 {
 				flat.set(i)

@@ -10,18 +10,18 @@ import (
 // paper's visual conventions: p-nodes are circles, v-nodes are squares,
 // module invocation nodes are labeled with the module name, and zoomed
 // module nodes are rounded rectangles.
-func (g *Graph) WriteDOT(w io.Writer, title string) error { return writeDOTOf(g, w, title) }
+func (g *Graph) WriteDOT(w io.Writer, title string) error { return g.reader().writeDOT(w, title) }
 
 // WriteDOT renders the overlay's live view (the session's what-if graph)
 // in Graphviz DOT format.
-func (o *Overlay) WriteDOT(w io.Writer, title string) error { return writeDOTOf(o, w, title) }
+func (o *Overlay) WriteDOT(w io.Writer, title string) error { return o.reader().writeDOT(w, title) }
 
-func writeDOTOf(v view, w io.Writer, title string) error {
+func (r reader) writeDOT(w io.Writer, title string) error {
 	if _, err := fmt.Fprintf(w, "digraph %q {\n  rankdir=BT;\n  node [fontsize=10];\n", title); err != nil {
 		return err
 	}
 	var err error
-	nodesDo(v, func(n Node) bool {
+	r.nodes(func(n Node) bool {
 		shape := "circle"
 		if n.Class == ClassV {
 			shape = "box"
@@ -40,9 +40,10 @@ func writeDOTOf(v view, w io.Writer, title string) error {
 	if err != nil {
 		return err
 	}
-	nodesDo(v, func(n Node) bool {
-		for _, dst := range v.outRaw(n.ID, nil) {
-			if !v.Alive(dst) {
+	var buf []NodeID
+	r.nodes(func(n Node) bool {
+		for _, dst := range r.adj(down, n.ID, &buf) {
+			if !r.alive(dst) {
 				continue
 			}
 			if _, err = fmt.Fprintf(w, "  n%d -> n%d;\n", n.ID, dst); err != nil {

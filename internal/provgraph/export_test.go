@@ -27,6 +27,44 @@ func RefIntermediateNodes(v GraphView, modules map[string]bool) []NodeID {
 	return refIntermediateNodesOf(v.(view), modules)
 }
 
+// view is the read surface the reference kernels of reference_test.go
+// run on, over a *Graph or an *Overlay.
+type view interface {
+	TotalNodes() int
+	Node(id NodeID) Node
+	Alive(id NodeID) bool
+	// outRaw and inRaw return id's raw adjacency (see reader.adj).
+	outRaw(id NodeID, buf *[]NodeID) []NodeID
+	inRaw(id NodeID, buf *[]NodeID) []NodeID
+	NumInvocations() int
+	Invocation(id InvID) *Invocation
+}
+
+func (g *Graph) outRaw(id NodeID, buf *[]NodeID) []NodeID   { return g.reader().adj(down, id, buf) }
+func (g *Graph) inRaw(id NodeID, buf *[]NodeID) []NodeID    { return g.reader().adj(up, id, buf) }
+func (o *Overlay) outRaw(id NodeID, buf *[]NodeID) []NodeID { return o.reader().adj(down, id, buf) }
+func (o *Overlay) inRaw(id NodeID, buf *[]NodeID) []NodeID  { return o.reader().adj(up, id, buf) }
+
+// liveIn collects the live in-neighbors of id.
+func liveIn(v view, id NodeID) []NodeID {
+	var out []NodeID
+	for _, n := range v.inRaw(id, nil) {
+		if v.Alive(n) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// invocationsDo calls fn for each invocation record of the view.
+func invocationsDo(v view, fn func(*Invocation) bool) {
+	for i := 0; i < v.NumInvocations(); i++ {
+		if !fn(v.Invocation(InvID(i))) {
+			return
+		}
+	}
+}
+
 // mutableView is what the reference ZoomOut kernel mutates: a *Graph
 // clone in the clone-then-mutate baselines, or an *Overlay.
 type mutableView interface {

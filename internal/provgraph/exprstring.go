@@ -16,11 +16,13 @@ const MaxExprBytes = 1 << 20
 // building the expression tree. The result is byte-identical to the
 // tree's rendering when that fits in MaxExprBytes; otherwise it is the
 // longest whole-rune prefix within the cap, and truncated is true.
-func (g *Graph) ExprString(id NodeID) (expr string, truncated bool) { return exprStringOf(g, id) }
+func (g *Graph) ExprString(id NodeID) (expr string, truncated bool) {
+	return exprStringOf(g.reader(), id)
+}
 
 // ExprString renders a node's provenance expression in the overlay view.
 func (o *Overlay) ExprString(id NodeID) (expr string, truncated bool) {
-	return exprStringOf(o, id)
+	return exprStringOf(o.reader(), id)
 }
 
 // exprKind is the shape of a node's expression, after the flattening
@@ -64,15 +66,15 @@ func isTokenType(t Type) bool {
 // per-slot column it needs besides the visited marks; the slots
 // themselves grow with the nodes reached. The only allocation is the
 // result string.
-func exprStringOf(v view, id NodeID) (string, bool) {
-	if !v.Alive(id) {
+func exprStringOf(r reader, id NodeID) (string, bool) {
+	if !r.alive(id) {
 		return "0", false
 	}
-	s := getVisit(v.TotalNodes())
+	s := getVisit(r.total())
 	defer putVisit(s)
-	s.deg = grown(s.deg, v.TotalNodes())
-	s.exprKinds(v, id)
-	w := exprWriter{v: v, s: s, buf: s.text[:0]}
+	s.deg = grown(s.deg, r.total())
+	s.exprKinds(r, id)
+	w := exprWriter{r: r, s: s, buf: s.text[:0]}
 	w.emit(s.expr[s.deg[id]].to)
 	s.text = w.buf
 	if !w.cut {
@@ -86,7 +88,7 @@ func exprStringOf(v view, id NodeID) (string, bool) {
 // left in its stack slot, pops once every child pushed above it is
 // classified. Value nodes and dead nodes do not contribute, and tokens
 // are not expanded.
-func (s *visitScratch) exprKinds(v view, root NodeID) {
+func (s *visitScratch) exprKinds(r reader, root NodeID) {
 	s.expr, s.kids = s.expr[:0], s.kids[:0]
 	stack := append(s.queue[:0], root)
 	for len(stack) > 0 {
@@ -94,7 +96,7 @@ func (s *visitScratch) exprKinds(v view, root NodeID) {
 		id := stack[top]
 		if id < 0 {
 			stack = stack[:top]
-			s.exprKind(v, s.deg[^id])
+			s.exprKind(r, s.deg[^id])
 			continue
 		}
 		if !s.visit(id) {
@@ -106,11 +108,11 @@ func (s *visitScratch) exprKinds(v view, root NodeID) {
 		s.deg[id] = slot
 		s.expr = append(s.expr, exprSlot{id: id, to: slot})
 		stack[top] = ^id
-		if t, _ := v.typeOp(id); isTokenType(t) {
+		if t, _ := r.typeOp(id); isTokenType(t) {
 			continue
 		}
-		for _, in := range v.inRaw(id, &s.adj) {
-			if v.Alive(in) && v.classOf(in) != ClassV && s.mark[in] != s.epoch {
+		for _, in := range r.adj(up, id, &s.adj) {
+			if r.alive(in) && r.class(in) != ClassV && s.mark[in] != s.epoch {
 				stack = append(stack, in)
 			}
 		}
@@ -123,17 +125,17 @@ func (s *visitScratch) exprKinds(v view, root NodeID) {
 // sum; any other node is the product of its children, 0 if one of them
 // is 0, dropping 1s. A sum or product of one child collapses to it, and
 // so does a δ of a δ.
-func (s *visitScratch) exprKind(v view, i int32) {
+func (s *visitScratch) exprKind(r reader, i int32) {
 	sl := &s.expr[i]
-	t, op := v.typeOp(sl.id)
+	t, op := r.typeOp(sl.id)
 	if isTokenType(t) {
 		sl.kind = exprToken
 		return
 	}
 	sumLike := op == OpPlus || op == OpDelta
 	lo := len(s.kids)
-	for _, in := range v.inRaw(sl.id, &s.adj) {
-		if !v.Alive(in) || v.classOf(in) == ClassV {
+	for _, in := range r.adj(up, sl.id, &s.adj) {
+		if !r.alive(in) || r.class(in) == ClassV {
 			continue
 		}
 		c := &s.expr[s.deg[in]]
@@ -170,9 +172,10 @@ func (s *visitScratch) exprKind(v view, i int32) {
 	}
 }
 
-// exprWriter emits classified nodes into buf, up to MaxExprBytes.
+// exprWriter emits the nodes exprKinds classified into buf, up to
+// MaxExprBytes, reading token labels through the same reader.
 type exprWriter struct {
-	v   view
+	r   reader
 	s   *visitScratch
 	buf []byte
 	cut bool // buf reached the cap with more to write
@@ -198,7 +201,7 @@ func (w *exprWriter) emit(i int32) {
 	case exprOne:
 		w.write("1")
 	case exprToken:
-		if l := w.v.LabelOf(sl.id); l != "" {
+		if l := w.r.label(sl.id); l != "" {
 			w.write(l)
 		} else {
 			var num [16]byte

@@ -395,6 +395,14 @@ func (g *Graph) Node(id NodeID) Node {
 	}
 }
 
+// TypeOf returns a node's type from the type column, without assembling
+// the Node.
+func (g *Graph) TypeOf(id NodeID) Type { return g.typ.at(int(id)) }
+
+// LabelOf returns a node's label from the label column, without
+// assembling the Node (no value decode).
+func (g *Graph) LabelOf(id NodeID) string { return g.syms.str(g.label.at(int(id))) }
+
 // Alive reports whether the node is visible (not removed by a
 // transformation).
 func (g *Graph) Alive(id NodeID) bool { return g.alive.get(int(id)) }
@@ -406,61 +414,17 @@ func (g *Graph) NumNodes() int { return g.n - g.dead }
 func (g *Graph) TotalNodes() int { return g.n }
 
 // NumEdges returns the number of live edges (both endpoints alive).
-func (g *Graph) NumEdges() int {
-	n := 0
-	for id := 0; id < g.n; id++ {
-		if !g.alive.get(id) {
-			continue
-		}
-		g.out.each(NodeID(id), func(dst NodeID) bool {
-			if g.alive.get(int(dst)) {
-				n++
-			}
-			return true
-		})
-	}
-	return n
-}
+func (g *Graph) NumEdges() int { return g.reader().numEdges() }
 
-// Out returns the live out-neighbors of id.
-func (g *Graph) Out(id NodeID) []NodeID { return g.liveNeighbors(g.out.raw(id, nil)) }
+// Out returns the live out-neighbors of id. The result is read-only: it
+// may be the graph's own storage.
+func (g *Graph) Out(id NodeID) []NodeID { return g.reader().live(down, id) }
 
-// In returns the live in-neighbors of id.
-func (g *Graph) In(id NodeID) []NodeID { return g.liveNeighbors(g.in.raw(id, nil)) }
-
-func (g *Graph) liveNeighbors(adj []NodeID) []NodeID {
-	if g.dead == 0 {
-		return adj
-	}
-	// Even on a kill-heavy graph most adjacency lists contain no dead
-	// endpoint; scan first and copy only from the first dead neighbor.
-	i := 0
-	for i < len(adj) && g.alive.get(int(adj[i])) {
-		i++
-	}
-	if i == len(adj) {
-		return adj
-	}
-	live := make([]NodeID, i, len(adj)-1)
-	copy(live, adj[:i])
-	for _, n := range adj[i+1:] {
-		if g.alive.get(int(n)) {
-			live = append(live, n)
-		}
-	}
-	return live
-}
+// In returns the live in-neighbors of id, read-only like Out's.
+func (g *Graph) In(id NodeID) []NodeID { return g.reader().live(up, id) }
 
 // Nodes calls fn for every live node; fn returning false stops iteration.
-func (g *Graph) Nodes(fn func(Node) bool) {
-	for id := 0; id < g.n; id++ {
-		if g.alive.get(id) {
-			if !fn(g.Node(NodeID(id))) {
-				return
-			}
-		}
-	}
-}
+func (g *Graph) Nodes(fn func(Node) bool) { g.reader().nodes(fn) }
 
 // kill marks a node dead.
 func (g *Graph) kill(id NodeID) {
@@ -721,20 +685,4 @@ type Stats struct {
 }
 
 // ComputeStats walks the live graph and tallies node classes and types.
-func (g *Graph) ComputeStats() Stats {
-	s := Stats{ByType: make(map[Type]int), Invocations: g.NumInvocations()}
-	for id := 0; id < g.n; id++ {
-		if !g.alive.get(id) {
-			continue
-		}
-		s.Nodes++
-		if g.class.at(id) == ClassP {
-			s.PNodes++
-		} else {
-			s.VNodes++
-		}
-		s.ByType[g.typ.at(id)]++
-	}
-	s.Edges = g.NumEdges()
-	return s
-}
+func (g *Graph) ComputeStats() Stats { return g.reader().stats() }

@@ -216,35 +216,19 @@ func (o *Overlay) TotalNodes() int { return o.baseSlots + len(o.added) }
 func (o *Overlay) NumNodes() int { return o.base.NumNodes() + o.liveDelta }
 
 // NumEdges counts the edges between live nodes in the view.
-func (o *Overlay) NumEdges() int { return numEdgesOf(o) }
+func (o *Overlay) NumEdges() int { return o.reader().numEdges() }
 
 // Node returns the node with the given id, with any overlay value
 // override applied.
-func (o *Overlay) Node(id NodeID) Node {
-	var n Node
-	if int(id) < o.baseSlots {
-		n = o.base.Node(id)
-	} else {
-		n = o.added[int(id)-o.baseSlots]
-	}
-	if v, ok := o.values[id]; ok {
-		n.Value = v
-	}
-	return n
-}
+func (o *Overlay) Node(id NodeID) Node { return o.reader().node(id) }
 
 // Alive reports whether the node is visible in the overlay view.
 func (o *Overlay) Alive(id NodeID) bool {
-	if p := int(id) >> livePageShift; p < len(o.pages) {
-		if pg := o.pages[p]; pg != nil {
-			w, b := slotBit(id)
-			return pg.live[w]&b != 0
-		}
+	if p := int(id) >> livePageShift; p < len(o.pages) && o.pages[p] != nil {
+		return o.pages[p].live[int(id)>>6&(livePageWords-1)]>>(uint(id)&63)&1 != 0
 	}
-	if int(id) < o.baseSlots {
-		return o.base.alive.get(int(id))
-	}
-	return true // appended nodes are born live
+	// Appended nodes are born live.
+	return int(id) >= o.baseSlots || o.base.alive.get(int(id))
 }
 
 // kill marks a node dead in the view (the base is untouched).
@@ -287,35 +271,15 @@ func (o *Overlay) reviveMask(w int, mask uint64) {
 	pg.live[i] |= mask
 }
 
-func (o *Overlay) typeOp(id NodeID) (Type, Op) {
-	if int(id) < o.baseSlots {
-		return o.base.typeOp(id)
-	}
-	n := &o.added[int(id)-o.baseSlots]
-	return n.Type, n.Op
-}
-
-func (o *Overlay) classOf(id NodeID) Class {
-	if int(id) < o.baseSlots {
-		return o.base.classOf(id)
-	}
-	return o.added[int(id)-o.baseSlots].Class
-}
-
 // TypeOf returns a node's type in the view without assembling the Node.
 func (o *Overlay) TypeOf(id NodeID) Type {
-	t, _ := o.typeOp(id)
+	t, _ := o.reader().typeOp(id)
 	return t
 }
 
 // LabelOf returns a node's label in the view without assembling the Node
 // (no value decode).
-func (o *Overlay) LabelOf(id NodeID) string {
-	if int(id) < o.baseSlots {
-		return o.base.LabelOf(id)
-	}
-	return o.added[int(id)-o.baseSlots].Label
-}
+func (o *Overlay) LabelOf(id NodeID) string { return o.reader().label(id) }
 
 // setValue records a value override for the node.
 func (o *Overlay) setValue(id NodeID, v nested.Value) {
@@ -447,33 +411,13 @@ func (o *Overlay) liveOverrides() []wordMask {
 	return out
 }
 
-// outRaw returns the raw out-adjacency: base edges first, then the
-// overlay's appended edges — the same order a mutated clone would hold.
-func (o *Overlay) outRaw(id NodeID, buf *[]NodeID) []NodeID {
-	if int(id) >= o.baseSlots {
-		return o.addedOut[int(id)-o.baseSlots]
+// deltaAdj returns the overlay's adjacency deltas in direction d: the
+// appended nodes' lists, and the edges appended to base nodes.
+func (o *Overlay) deltaAdj(d dir) ([][]NodeID, map[NodeID][]NodeID) {
+	if d == up {
+		return o.addedIn, o.extraIn
 	}
-	adj := o.base.out.raw(id, buf)
-	if o.hasEdges(id) {
-		if extra := o.extraOut[id]; len(extra) > 0 {
-			return joinAdj(buf, adj, extra)
-		}
-	}
-	return adj
-}
-
-// inRaw returns the raw in-adjacency.
-func (o *Overlay) inRaw(id NodeID, buf *[]NodeID) []NodeID {
-	if int(id) >= o.baseSlots {
-		return o.addedIn[int(id)-o.baseSlots]
-	}
-	adj := o.base.in.raw(id, buf)
-	if o.hasEdges(id) {
-		if extra := o.extraIn[id]; len(extra) > 0 {
-			return joinAdj(buf, adj, extra)
-		}
-	}
-	return adj
+	return o.addedOut, o.extraOut
 }
 
 // orphanCandidates sets, in set, a superset of the view's orphans — live
@@ -543,15 +487,16 @@ func (o *Overlay) orphanCandidates(set, sure bitset) {
 	}
 }
 
-// Out returns the live out-neighbors of id in the view.
-func (o *Overlay) Out(id NodeID) []NodeID { return liveOut(o, id) }
+// Out returns the live out-neighbors of id in the view, read-only like
+// Graph.Out's.
+func (o *Overlay) Out(id NodeID) []NodeID { return o.reader().live(down, id) }
 
-// In returns the live in-neighbors of id in the view.
-func (o *Overlay) In(id NodeID) []NodeID { return liveIn(o, id) }
+// In returns the live in-neighbors of id in the view, read-only.
+func (o *Overlay) In(id NodeID) []NodeID { return o.reader().live(up, id) }
 
 // Nodes calls fn for every live node in id order; fn returning false
 // stops iteration.
-func (o *Overlay) Nodes(fn func(Node) bool) { nodesDo(o, fn) }
+func (o *Overlay) Nodes(fn func(Node) bool) { o.reader().nodes(fn) }
 
 // Invocation returns the invocation record with the given id. Records
 // come from the base graph (sessions never add invocations) and must be
@@ -562,13 +507,13 @@ func (o *Overlay) Invocation(id InvID) *Invocation { return o.base.Invocation(id
 func (o *Overlay) NumInvocations() int { return o.base.NumInvocations() }
 
 // Invocations calls fn for each invocation record.
-func (o *Overlay) Invocations(fn func(*Invocation) bool) { invocationsDo(o, fn) }
+func (o *Overlay) Invocations(fn func(*Invocation) bool) { o.base.Invocations(fn) }
 
 // InvocationsOf returns the invocation ids of the given module name.
 func (o *Overlay) InvocationsOf(module string) []InvID { return o.base.InvocationsOf(module) }
 
 // ComputeStats walks the live view and tallies node classes and types.
-func (o *Overlay) ComputeStats() Stats { return computeStatsOf(o) }
+func (o *Overlay) ComputeStats() Stats { return o.reader().stats() }
 
 // Fork returns an independent copy of the overlay over the same base
 // graph: only the delta sets (liveness overrides, appended nodes and

@@ -10,10 +10,12 @@ import (
 
 // BenchmarkSubgraph answers subgraph queries over a fine-grained
 // dealership graph frozen and reloaded the way a snapshot open builds it
-// (CSR adjacency over read-only bases): on the graph itself, and through
-// a fresh session overlay over it. The targets are module outputs whose
-// subgraphs hold thousands of nodes, the shape that dominates a query
-// mix's subgraph cost.
+// (CSR adjacency over read-only bases): on the graph itself, through a
+// fresh session overlay over it, and through an overlay that has zoomed
+// out a dealership, so the walk reads liveness pages, adjacency with
+// appended edges and appended zoom nodes. The targets are module outputs
+// whose subgraphs hold thousands of nodes, the shape that dominates a
+// query mix's subgraph cost.
 func BenchmarkSubgraph(b *testing.B) {
 	run, err := workflowgen.RunDealership(workflowgen.DealershipParams{
 		NumCars: 8000, NumExec: 20, Seed: 1, Gran: workflow.Fine,
@@ -37,10 +39,12 @@ func BenchmarkSubgraph(b *testing.B) {
 	if len(targets) < 8 {
 		b.Fatalf("%d of %d module outputs have a subgraph of 2000 nodes", len(targets), len(outputs))
 	}
+	zoomed := provgraph.NewOverlay(g)
+	zoomed.ZoomOut("M_dealer1")
 	for _, c := range []struct {
 		name string
 		v    provgraph.GraphView
-	}{{"graph", g}, {"overlay", provgraph.NewOverlay(g)}} {
+	}{{"graph", g}, {"overlay", provgraph.NewOverlay(g)}, {"overlay-zoomed", zoomed}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			i := 0

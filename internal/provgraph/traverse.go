@@ -5,19 +5,17 @@ import (
 	"sync"
 )
 
-// The traversal queries are implemented once, generically over the view
-// primitives, so a copy-on-write Overlay answers them identically to a
-// materialized Graph (see view.go). The BFS behind Ancestors, Descendants
-// and Subgraph has a second, concrete loop for *Graph views, which reads
-// the CSR and liveness words without an interface call per edge; it keeps
-// the generic loop's marks and queue order, so both answer alike.
+// The traversal queries are implemented once, over the reader of
+// view.go, so a copy-on-write Overlay answers them identically to a
+// materialized Graph: one BFS loop (expand) serves Ancestors, Descendants
+// and Subgraph on both, reading the base's CSR and liveness words
+// directly wherever the overlay has no delta.
 
 // visitScratch is pooled per-traversal working memory: an epoch-stamped
 // visited set (mark[id] == epoch means visited this traversal — bumping
 // the epoch resets the whole set without touching memory), a reusable
-// BFS queue, and adjacency buffers for the views' split lists. Both BFS
-// loops, the *Graph one and the generic one, run on the same mark and
-// queue. Deletion propagation also keeps its lazily counted in-degrees
+// BFS queue, and adjacency buffers for the split lists reader.adj
+// assembles. Deletion propagation also keeps its lazily counted in-degrees
 // in deg (valid where mark[id] == epoch), and ZoomOut its orphan
 // candidates in cand (the sure ones in sure) and its hidden list in ids.
 // ExprString numbers the nodes it reaches in deg (valid where mark[id] ==
@@ -89,21 +87,17 @@ func (s *visitScratch) visit(id NodeID) bool {
 
 // Ancestors returns the set of live nodes from which id is reachable
 // (the data id depends on), excluding id itself.
-func (g *Graph) Ancestors(id NodeID) []NodeID { return ancestorsOf(g, id) }
+func (g *Graph) Ancestors(id NodeID) []NodeID { return bfsOf(g.reader(), id, up) }
 
 // Ancestors returns the live ancestors of id in the overlay view.
-func (o *Overlay) Ancestors(id NodeID) []NodeID { return ancestorsOf(o, id) }
-
-func ancestorsOf(v view, id NodeID) []NodeID { return bfsOf(v, id, up) }
+func (o *Overlay) Ancestors(id NodeID) []NodeID { return bfsOf(o.reader(), id, up) }
 
 // Descendants returns the set of live nodes reachable from id (the data
 // derived from id), excluding id itself.
-func (g *Graph) Descendants(id NodeID) []NodeID { return descendantsOf(g, id) }
+func (g *Graph) Descendants(id NodeID) []NodeID { return bfsOf(g.reader(), id, down) }
 
 // Descendants returns the live descendants of id in the overlay view.
-func (o *Overlay) Descendants(id NodeID) []NodeID { return descendantsOf(o, id) }
-
-func descendantsOf(v view, id NodeID) []NodeID { return bfsOf(v, id, down) }
+func (o *Overlay) Descendants(id NodeID) []NodeID { return bfsOf(o.reader(), id, down) }
 
 // dir is one adjacency direction: up follows in-edges (to ancestors),
 // down follows out-edges (to descendants).
@@ -113,14 +107,6 @@ const (
 	up   dir = false
 	down dir = true
 )
-
-// adj returns id's raw adjacency in direction d (see view.inRaw).
-func adj(v view, d dir, id NodeID, buf *[]NodeID) []NodeID {
-	if d == up {
-		return v.inRaw(id, buf)
-	}
-	return v.outRaw(id, buf)
-}
 
 // half returns the graph's adjacency in direction d.
 func (g *Graph) half(d dir) *adjHalf {
@@ -133,10 +119,10 @@ func (g *Graph) half(d dir) *adjHalf {
 // bfsOf walks direction d from id, returning visited live nodes in BFS
 // order (excluding the start node). Scratch comes from the pool, so only
 // the result slice is allocated.
-func bfsOf(v view, id NodeID, d dir) []NodeID {
-	s := getVisit(v.TotalNodes())
+func bfsOf(r reader, id NodeID, d dir) []NodeID {
+	s := getVisit(r.total())
 	defer putVisit(s)
-	bfsInto(v, s, id, d)
+	bfsInto(r, s, id, d)
 	if len(s.queue) == 1 {
 		return nil
 	}
@@ -145,60 +131,79 @@ func bfsOf(v view, id NodeID, d dir) []NodeID {
 
 // bfsInto visits id, then walks direction d from it, appending id (if
 // unseen) and the live nodes it reaches, in BFS order, to s.queue. Nodes
-// already visited in s are neither appended nor expanded. It expands one
-// level at a time, which keeps the order of a FIFO walk.
-func bfsInto(v view, s *visitScratch, id NodeID, d dir) {
+// already visited in s are neither appended nor expanded.
+func bfsInto(r reader, s *visitScratch, id NodeID, d dir) {
 	head := len(s.queue)
 	if !s.visit(id) {
 		return
 	}
 	s.queue = append(s.queue, id)
+	walk(r, s, head, d, false)
+}
+
+// walk expands s.queue[head:] in direction d until no unvisited live node
+// is left, appending what it reaches to s.queue. It expands one level at
+// a time, which keeps the order of a FIFO walk. With skipOutputs set,
+// module-output nodes are neither collected nor walked through.
+func walk(r reader, s *visitScratch, head int, d dir, skipOutputs bool) {
 	for head < len(s.queue) {
 		end := len(s.queue)
-		expand(v, s, s.queue[head:end], d)
+		expand(r, s, s.queue[head:end], d, skipOutputs)
 		head = end
 	}
 }
 
 // expand appends to s.queue, in frontier and adjacency order, each live
 // neighbor in direction d of the frontier's nodes that s has not visited,
-// and marks it visited. It is one sequential loop per view type: on a
-// *Graph (a snapshot or a published view) it reads the CSR slices and
-// the liveness words inline; every other view goes through the view
-// primitives. Both keep the same marks and the same order.
-func expand(v view, s *visitScratch, frontier []NodeID, d dir) {
-	if g, ok := v.(*Graph); ok {
-		g.expand(s, frontier, g.half(d))
-		return
+// and marks it visited (skipping module outputs if asked to; see walk).
+// A frontier node the base's CSR covers, without
+// edges appended by an overlay, is read from offs/edges unless edges
+// spilled since the load; any other goes through reader.adj. While the
+// view has no liveness page and no appended node (a *Graph, or an
+// overlay without deltas), liveness is the base's bitset alone; otherwise
+// it is Overlay.Alive. frontier may alias s.queue: appends land past it.
+func expand(r reader, s *visitScratch, frontier []NodeID, d dir, skipOutputs bool) {
+	a := r.g.half(d)
+	alive, mark, epoch, queue := r.g.alive, s.mark, s.epoch, s.queue
+	o := r.ov
+	if o != nil && len(o.pages) == 0 && len(o.added) == 0 {
+		o = nil
 	}
-	for _, cur := range frontier {
-		for _, next := range adj(v, d, cur, &s.adj) {
-			if v.Alive(next) && s.visit(next) {
-				s.queue = append(s.queue, next)
-			}
-		}
-	}
-}
-
-// expand is the *Graph loop of expand over adjacency a. A slot the CSR
-// base covers is read from offs/edges unless edges spilled since the
-// load; any other goes through adjHalf.raw. frontier may alias s.queue:
-// appends land past it.
-func (g *Graph) expand(s *visitScratch, frontier []NodeID, a *adjHalf) {
-	alive, mark, epoch, queue := g.alive, s.mark, s.epoch, s.queue
-	csr := a.spill == nil
+	bare, csr := o == nil && !skipOutputs, a.spill == nil
 	for _, cur := range frontier {
 		var next []NodeID
-		if i := int(cur); i < a.baseN && csr {
+		if i := int(cur); i < a.baseN && csr && (o == nil || !o.hasEdges(cur)) {
 			next = a.edges[a.offs[i]:a.offs[i+1]]
 		} else {
-			next = a.raw(cur, &s.adj)
+			next = r.adj(d, cur, &s.adj)
+		}
+		if bare {
+			for _, n := range next {
+				if alive[n>>6]&(1<<(uint(n)&63)) != 0 && mark[n] != epoch {
+					mark[n] = epoch
+					queue = append(queue, n)
+				}
+			}
+			continue
 		}
 		for _, n := range next {
-			if alive[n>>6]&(1<<(uint(n)&63)) != 0 && mark[n] != epoch {
-				mark[n] = epoch
-				queue = append(queue, n)
+			if mark[n] == epoch {
+				continue
 			}
+			if o == nil {
+				if alive[n>>6]&(1<<(uint(n)&63)) == 0 {
+					continue
+				}
+			} else if !o.Alive(n) {
+				continue
+			}
+			if skipOutputs {
+				if t, _ := r.typeOp(n); t == TypeModuleOutput {
+					continue
+				}
+			}
+			mark[n] = epoch
+			queue = append(queue, n)
 		}
 	}
 	s.queue = queue
@@ -206,18 +211,21 @@ func (g *Graph) expand(s *visitScratch, frontier []NodeID, a *adjHalf) {
 
 // DependsOn reports whether the existence of node a depends on node b
 // (Section 4.3): it propagates the deletion of b and checks whether a
-// survives.
-func (g *Graph) DependsOn(a, b NodeID) bool { return dependsOnIn(g, a, b) }
+// survives. It is false when either id is outside the graph.
+func (g *Graph) DependsOn(a, b NodeID) bool { return dependsOn(g.reader(), a, b) }
 
 // DependsOn answers the dependency query in the overlay view.
-func (o *Overlay) DependsOn(a, b NodeID) bool { return dependsOnIn(o, a, b) }
+func (o *Overlay) DependsOn(a, b NodeID) bool { return dependsOn(o.reader(), a, b) }
 
-func dependsOnIn(v view, a, b NodeID) bool {
-	total := v.TotalNodes()
+func dependsOn(r reader, a, b NodeID) bool {
+	total := r.total()
+	if a < 0 || int(a) >= total || b < 0 || int(b) >= total {
+		return false
+	}
 	s := getVisit(total)
 	defer putVisit(s)
-	propagateDeletion(v, s, b)
-	return a >= 0 && int(a) < total && s.removed(a)
+	propagateDeletion(r, s, b)
+	return s.removed(a)
 }
 
 // SubgraphResult is the output of a subgraph query.
@@ -240,10 +248,10 @@ func (r *SubgraphResult) Size() int { return len(r.Nodes) }
 // returns the subgraph induced by the node's ancestors, its descendants,
 // and all siblings of its descendants (nodes sharing an in-neighbor with a
 // descendant — the co-contributors needed to re-derive those descendants).
-func (g *Graph) Subgraph(id NodeID) *SubgraphResult { return subgraphOf(g, id) }
+func (g *Graph) Subgraph(id NodeID) *SubgraphResult { return subgraphOf(g.reader(), id) }
 
 // Subgraph answers the subgraph query in the overlay view.
-func (o *Overlay) Subgraph(id NodeID) *SubgraphResult { return subgraphOf(o, id) }
+func (o *Overlay) Subgraph(id NodeID) *SubgraphResult { return subgraphOf(o.reader(), id) }
 
 // subgraphOf discovers the root, then its ancestors in BFS order, then
 // its descendants in BFS order, then the siblings of each descendant in
@@ -251,8 +259,8 @@ func (o *Overlay) Subgraph(id NodeID) *SubgraphResult { return subgraphOf(o, id)
 // are swept at most once: the first sweep adds every live sibling, so a
 // later descendant of the same parent would add nothing, and skipping it
 // leaves the order unchanged.
-func subgraphOf(v view, id NodeID) *SubgraphResult {
-	total := v.TotalNodes()
+func subgraphOf(r reader, id NodeID) *SubgraphResult {
+	total := r.total()
 	member := getVisit(total)
 	defer putVisit(member)
 	walk := getVisit(total)
@@ -262,8 +270,8 @@ func subgraphOf(v view, id NodeID) *SubgraphResult {
 	// ancestors and descendants are disjoint in a DAG, so the ancestor
 	// walk runs straight into it; the descendant walk runs in walk, whose
 	// marks must not hold the ancestors (see below).
-	bfsInto(v, member, id, up)
-	bfsInto(v, walk, id, down)
+	bfsInto(r, member, id, up)
+	bfsInto(r, walk, id, down)
 	descendants := walk.queue[1:]
 	for _, n := range descendants {
 		if member.visit(n) {
@@ -278,8 +286,8 @@ func subgraphOf(v view, id NodeID) *SubgraphResult {
 	// children, keeps the (descendant, parent, child) order: which parents
 	// are swept does not depend on the members.
 	parents := len(walk.queue)
-	expand(v, walk, descendants, up)
-	expand(v, member, walk.queue[parents:], down)
+	expand(r, walk, descendants, up, false)
+	expand(r, member, walk.queue[parents:], down, false)
 	return &SubgraphResult{Root: id, Nodes: slices.Clone(member.queue)}
 }
 
@@ -308,24 +316,24 @@ func (g *Graph) Sinks() []NodeID {
 
 // IsAcyclic verifies the live view is a DAG (an invariant of every
 // construction in this package).
-func (g *Graph) IsAcyclic() bool { return isAcyclicOf(g) }
+func (g *Graph) IsAcyclic() bool { return g.reader().isAcyclic() }
 
 // IsAcyclic verifies the overlay's live view is a DAG.
-func (o *Overlay) IsAcyclic() bool { return isAcyclicOf(o) }
+func (o *Overlay) IsAcyclic() bool { return o.reader().isAcyclic() }
 
-func isAcyclicOf(v view) bool {
-	total := v.TotalNodes()
+func (r reader) isAcyclic() bool {
+	total := r.total()
 	indeg := make([]int, total)
 	liveCount := 0
 	queue := make([]NodeID, 0, total)
 	var buf []NodeID
 	for id := 0; id < total; id++ {
-		if !v.Alive(NodeID(id)) {
+		if !r.alive(NodeID(id)) {
 			continue
 		}
 		liveCount++
-		for _, in := range v.inRaw(NodeID(id), &buf) {
-			if v.Alive(in) {
+		for _, in := range r.adj(up, NodeID(id), &buf) {
+			if r.alive(in) {
 				indeg[id]++
 			}
 		}
@@ -338,8 +346,8 @@ func isAcyclicOf(v view) bool {
 		cur := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		seen++
-		for _, next := range v.outRaw(cur, &buf) {
-			if !v.Alive(next) {
+		for _, next := range r.adj(down, cur, &buf) {
+			if !r.alive(next) {
 				continue
 			}
 			indeg[next]--

@@ -2,6 +2,7 @@ package provgraph
 
 import (
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
@@ -174,10 +175,28 @@ func fanGraph(n int) (g *Graph, src, sink NodeID) {
 	return g, src, sink
 }
 
-// TestGraphTraversalAllocs pins the *Graph BFS to its answer: Ancestors
-// and Descendants allocate the result slice, Subgraph the result and its
+// warmAllocsPerRun is testing.AllocsPerRun after three warm-up runs on
+// the one P it measures on, with the collector off. Query scratch comes
+// from a sync.Pool, which caches per P and is emptied by a GC; Subgraph
+// takes two scratches whose roles swap from call to call. Warmed on
+// another P, or emptied mid-measurement, the pool would hand out scratch
+// that has not grown to the query yet, and the measurement would charge
+// that growth to the query.
+func warmAllocsPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for range 3 {
+		f()
+	}
+	return testing.AllocsPerRun(runs, f)
+}
+
+// TestGraphTraversalAllocs pins the BFS to its answer: Ancestors and
+// Descendants allocate the result slice, Subgraph the result and its
 // node list, and nothing else — on 4k- and 64k-slot graphs, built and
-// reloaded from their frozen form, with answers spanning the graph.
+// reloaded from their frozen form, with answers spanning the graph, read
+// as the graph itself, through a fresh overlay, and through an overlay
+// with an applied delete (liveness pages).
 func TestGraphTraversalAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; the allocation profile is not representative")
@@ -185,18 +204,27 @@ func TestGraphTraversalAllocs(t *testing.T) {
 	for _, n := range []int{1 << 12, 1 << 16} {
 		built, src, sink := fanGraph(n)
 		for _, g := range []*Graph{built, FromFrozen(Freeze(built), nil)} {
-			for _, q := range []struct {
+			deleted := NewOverlay(g)
+			if res := deleted.Delete(src + 1); res.Size() != 1 {
+				t.Fatalf("deleting a middle node removed %d nodes, want 1", res.Size())
+			}
+			for _, v := range []struct {
 				name string
-				run  func()
-			}{
-				{"Ancestors", func() { g.Ancestors(sink) }},
-				{"Descendants", func() { g.Descendants(src) }},
-				{"Subgraph(source)", func() { g.Subgraph(src) }},
-				{"Subgraph(sink)", func() { g.Subgraph(sink) }},
-			} {
-				q.run() // warm the pool
-				if allocs := testing.AllocsPerRun(20, q.run); allocs > 2 {
-					t.Errorf("%s at %d slots (CSR base %d): %.1f allocations, want at most 2", q.name, n, g.in.baseN, allocs)
+				v    GraphView
+			}{{"graph", g}, {"overlay", NewOverlay(g)}, {"deleted overlay", deleted}} {
+				for _, q := range []struct {
+					name string
+					run  func()
+				}{
+					{"Ancestors", func() { v.v.Ancestors(sink) }},
+					{"Descendants", func() { v.v.Descendants(src) }},
+					{"Subgraph(source)", func() { v.v.Subgraph(src) }},
+					{"Subgraph(sink)", func() { v.v.Subgraph(sink) }},
+				} {
+					if allocs := warmAllocsPerRun(20, q.run); allocs > 2 {
+						t.Errorf("%s on the %s at %d slots (CSR base %d): %.1f allocations, want at most 2",
+							q.name, v.name, n, g.in.baseN, allocs)
+					}
 				}
 			}
 		}
@@ -299,18 +327,25 @@ func TestWholeRunes(t *testing.T) {
 // BenchmarkOverlayZoomRoundTrip zooms a one-invocation module out and back
 // in on a fresh session overlay over a 64k-slot base. Over plain filler
 // the cost is the module's, not the graph's; over orphan filler every
-// zoom also hides (and ZoomIn revives) the base's 16k flat orphans.
+// zoom also hides (and ZoomIn revives) the base's 16k flat orphans. Both
+// replay the base's memoized plan; cold runs the Definition 4.1 kernel
+// that a memo miss runs, over plain filler.
 func BenchmarkOverlayZoomRoundTrip(b *testing.B) {
 	plain, _ := moduleGraph(1 << 16)
+	memo := func(ov *Overlay) *ZoomRecord { return ov.ZoomOut("M") }
+	cold := func(ov *Overlay) *ZoomRecord {
+		return zoomOutOf(ov, []string{"M"}, modulesInvocations(ov.base, []string{"M"}))
+	}
 	for _, c := range []struct {
 		name string
 		g    *Graph
-	}{{"plain", plain}, {"orphans", orphanModuleGraph(1 << 16)}} {
+		zoom func(*Overlay) *ZoomRecord
+	}{{"plain", plain, memo}, {"orphans", orphanModuleGraph(1 << 16), memo}, {"cold", plain, cold}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				ov := NewOverlay(c.g)
-				ov.ZoomIn(ov.ZoomOut("M"))
+				ov.ZoomIn(c.zoom(ov))
 			}
 		})
 	}

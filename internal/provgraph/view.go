@@ -10,7 +10,8 @@ import (
 // GraphView is the read surface shared by *Graph and *Overlay: everything
 // the query layer needs to answer zoom, deletion, subgraph, lineage, and
 // export queries without knowing whether it is looking at a materialized
-// graph or a copy-on-write session view layered over one.
+// graph or a copy-on-write session view layered over one. Both answer
+// through the same kernels, which read the graph through a reader.
 type GraphView interface {
 	// Structure.
 	Node(id NodeID) Node
@@ -44,39 +45,135 @@ type GraphView interface {
 	ComputeStats() Stats
 }
 
-// view is the primitive read surface the generic algorithm implementations
-// run on. Raw adjacency (dead endpoints included) comes back as a slice,
-// so the kernels iterate it with a plain loop — no per-node callback
-// closure escapes through the interface — on both backings: *Graph
-// returns its storage, *Overlay chains base adjacency with its recorded
-// edge deltas.
-type view interface {
-	TotalNodes() int
-	Node(id NodeID) Node
-	Alive(id NodeID) bool
-	// typeOp returns a node's type and op without assembling the Node
-	// (no label or value decode).
-	typeOp(id NodeID) (Type, Op)
-	// classOf returns a node's class, LabelOf its label, both without
-	// assembling the Node.
-	classOf(id NodeID) Class
-	LabelOf(id NodeID) string
-	// outRaw and inRaw return id's raw adjacency in insertion order. A
-	// list held contiguously is returned as a view of storage; a list
-	// split across storage regions is assembled in *buf (grown as needed;
-	// buf may be nil). Either way the result is read-only and valid until
-	// the next call sharing buf or the next mutation of the view.
-	outRaw(id NodeID, buf *[]NodeID) []NodeID
-	inRaw(id NodeID, buf *[]NodeID) []NodeID
-	NumInvocations() int
-	Invocation(id InvID) *Invocation
-}
-
 // Interface conformance (the overlay's is asserted in overlay.go).
 var _ GraphView = (*Graph)(nil)
 
+// reader is the one read surface every query kernel runs on: a base
+// *Graph and, for an overlay, the overlay's delta over it (ov is nil for
+// a *Graph). Liveness is the touched page's live word, or else the base's
+// alive word; adjacency is the base's CSR or append list, joined with the
+// overlay's appended edges where the page's edges bit is set, and the
+// overlay's own list for an id past the base; type, op, class and label
+// come from the base columns, or from the overlay's appended nodes. It is
+// a concrete value, so a kernel reads an edge without an interface call.
+type reader struct {
+	g  *Graph
+	ov *Overlay
+}
+
+func (g *Graph) reader() reader { return reader{g: g} }
+
+func (o *Overlay) reader() reader { return reader{g: o.base, ov: o} }
+
+// total returns the number of node slots in the view.
+func (r reader) total() int {
+	if r.ov != nil {
+		return r.ov.TotalNodes()
+	}
+	return r.g.n
+}
+
+// appended returns the overlay's appended node at id, or nil for a base slot.
+func (r reader) appended(id NodeID) *Node {
+	if r.ov != nil {
+		if i := int(id) - r.ov.baseSlots; i >= 0 {
+			return &r.ov.added[i]
+		}
+	}
+	return nil
+}
+
+func (r reader) alive(id NodeID) bool {
+	if r.ov != nil {
+		return r.ov.Alive(id)
+	}
+	return r.g.alive.get(int(id))
+}
+
+// typeOp returns a node's type and op without assembling the Node (no
+// label or value decode).
+func (r reader) typeOp(id NodeID) (Type, Op) {
+	if n := r.appended(id); n != nil {
+		return n.Type, n.Op
+	}
+	return r.g.typ.at(int(id)), r.g.op.at(int(id))
+}
+
+func (r reader) class(id NodeID) Class {
+	if n := r.appended(id); n != nil {
+		return n.Class
+	}
+	return r.g.class.at(int(id))
+}
+
+func (r reader) label(id NodeID) string {
+	if n := r.appended(id); n != nil {
+		return n.Label
+	}
+	return r.g.LabelOf(id)
+}
+
+// node assembles a node, with any overlay value override applied.
+func (r reader) node(id NodeID) Node {
+	var n Node
+	if a := r.appended(id); a != nil {
+		n = *a
+	} else {
+		n = r.g.Node(id)
+	}
+	if r.ov != nil {
+		if v, ok := r.ov.values[id]; ok {
+			n.Value = v
+		}
+	}
+	return n
+}
+
+// adj returns id's raw adjacency in direction d (dead endpoints included)
+// in insertion order: the base's list, then the overlay's appended edges,
+// the order a mutated clone would hold. A list held contiguously is
+// returned as a capacity-clipped view of storage; one split across
+// storage regions is assembled in *buf (grown as needed; buf may be nil).
+// Either way the result is read-only and valid until the next call
+// sharing buf or the next mutation of the view.
+func (r reader) adj(d dir, id NodeID, buf *[]NodeID) []NodeID {
+	h := r.g.half(d)
+	if o := r.ov; o != nil {
+		added, extra := o.deltaAdj(d)
+		if i := int(id) - o.baseSlots; i >= 0 {
+			l := added[i]
+			return l[:len(l):len(l)]
+		}
+		if o.hasEdges(id) && len(extra[id]) > 0 {
+			return joinAdj(buf, h.raw(id, buf), extra[id])
+		}
+	}
+	return h.raw(id, buf)
+}
+
+// live returns id's live neighbors in direction d: the raw list itself
+// when every endpoint is live (read-only), else a copy without the dead.
+func (r reader) live(d dir, id NodeID) []NodeID {
+	adj := r.adj(d, id, nil)
+	i := 0
+	for i < len(adj) && r.alive(adj[i]) {
+		i++
+	}
+	if i == len(adj) {
+		return adj
+	}
+	live := make([]NodeID, i, len(adj)-1)
+	copy(live, adj[:i])
+	for _, n := range adj[i+1:] {
+		if r.alive(n) {
+			live = append(live, n)
+		}
+	}
+	return live
+}
+
 // joinAdj assembles the two parts of a split adjacency list in *buf.
-// a may itself live in *buf (an inner view assembled it there); the
+// a may itself live in *buf (the base assembled it there); the
 // overlapping copy onto itself is safe.
 func joinAdj(buf *[]NodeID, a, b []NodeID) []NodeID {
 	var dst []NodeID
@@ -90,66 +187,43 @@ func joinAdj(buf *[]NodeID, a, b []NodeID) []NodeID {
 	return dst
 }
 
-// liveOut collects the live out-neighbors of id.
-func liveOut(v view, id NodeID) []NodeID {
-	var out []NodeID
-	for _, n := range v.outRaw(id, nil) {
-		if v.Alive(n) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// liveIn collects the live in-neighbors of id.
-func liveIn(v view, id NodeID) []NodeID {
-	var out []NodeID
-	for _, n := range v.inRaw(id, nil) {
-		if v.Alive(n) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // hasLiveOut reports whether id has at least one live out-neighbor
 // without materializing the neighbor list. It scans from the newest edge:
 // ZoomOut kills a base tuple's state nodes oldest first and asks after
 // each kill, which a scan from the oldest edge would answer in time
 // quadratic in the tuple's out-degree.
-func hasLiveOut(v view, id NodeID, buf *[]NodeID) bool {
-	out := v.outRaw(id, buf)
+func hasLiveOut(r reader, id NodeID, buf *[]NodeID) bool {
+	out := r.adj(down, id, buf)
 	for i := len(out) - 1; i >= 0; i-- {
-		if v.Alive(out[i]) {
+		if r.alive(out[i]) {
 			return true
 		}
 	}
 	return false
 }
 
-// nodesDo calls fn for every live node in id order.
-func nodesDo(v view, fn func(Node) bool) {
-	total := v.TotalNodes()
+// nodes calls fn for every live node in id order; fn returning false
+// stops iteration.
+func (r reader) nodes(fn func(Node) bool) {
+	total := r.total()
 	for id := 0; id < total; id++ {
-		if v.Alive(NodeID(id)) {
-			if !fn(v.Node(NodeID(id))) {
-				return
-			}
+		if r.alive(NodeID(id)) && !fn(r.node(NodeID(id))) {
+			return
 		}
 	}
 }
 
-// numEdgesOf counts the edges between live nodes.
-func numEdgesOf(v view) int {
+// numEdges counts the edges between live nodes.
+func (r reader) numEdges() int {
 	n := 0
 	var buf []NodeID
-	total := v.TotalNodes()
+	total := r.total()
 	for id := 0; id < total; id++ {
-		if !v.Alive(NodeID(id)) {
+		if !r.alive(NodeID(id)) {
 			continue
 		}
-		for _, dst := range v.outRaw(NodeID(id), &buf) {
-			if v.Alive(dst) {
+		for _, dst := range r.adj(down, NodeID(id), &buf) {
+			if r.alive(dst) {
 				n++
 			}
 		}
@@ -157,42 +231,37 @@ func numEdgesOf(v view) int {
 	return n
 }
 
-// invocationsDo calls fn for each invocation record of the view.
-func invocationsDo(v view, fn func(*Invocation) bool) {
-	for i := 0; i < v.NumInvocations(); i++ {
-		if !fn(v.Invocation(InvID(i))) {
-			return
+// stats walks the live view and tallies node classes and types.
+func (r reader) stats() Stats {
+	s := Stats{ByType: make(map[Type]int), Invocations: r.g.NumInvocations()}
+	total := r.total()
+	for id := 0; id < total; id++ {
+		if !r.alive(NodeID(id)) {
+			continue
 		}
-	}
-}
-
-// modulesInvocations returns the invocations of the given modules in
-// ascending id order, with one pass over the invocation records.
-func modulesInvocations(v view, modules []string) []InvID {
-	var out []InvID
-	for i := 0; i < v.NumInvocations(); i++ {
-		if slices.Contains(modules, v.Invocation(InvID(i)).Module) {
-			out = append(out, InvID(i))
-		}
-	}
-	return out
-}
-
-// computeStatsOf walks the live view and tallies node classes and types.
-func computeStatsOf(v view) Stats {
-	s := Stats{ByType: make(map[Type]int), Invocations: v.NumInvocations()}
-	nodesDo(v, func(n Node) bool {
 		s.Nodes++
-		if n.Class == ClassP {
+		if r.class(NodeID(id)) == ClassP {
 			s.PNodes++
 		} else {
 			s.VNodes++
 		}
-		s.ByType[n.Type]++
-		return true
-	})
-	s.Edges = numEdgesOf(v)
+		t, _ := r.typeOp(NodeID(id))
+		s.ByType[t]++
+	}
+	s.Edges = r.numEdges()
 	return s
+}
+
+// modulesInvocations returns the invocations of the given modules in
+// ascending id order, with one pass over the invocation records.
+func modulesInvocations(g *Graph, modules []string) []InvID {
+	var out []InvID
+	for i := 0; i < g.NumInvocations(); i++ {
+		if slices.Contains(modules, g.Invocation(InvID(i)).Module) {
+			out = append(out, InvID(i))
+		}
+	}
+	return out
 }
 
 // ViewsStructurallyEqual reports whether two views have the same live

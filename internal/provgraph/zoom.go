@@ -47,30 +47,30 @@ func (r *ZoomRecord) ZoomNodeCount() int { return len(r.zoomNodes) }
 // set: nodes reachable from a module-input or state node of such an
 // invocation along a directed path that contains no module-output node.
 func (g *Graph) IntermediateNodes(modules map[string]bool) []NodeID {
-	return intermediateNodesOf(g, moduleSetInvocations(g, modules))
+	return intermediateNodesOf(g.reader(), moduleSetInvocations(g, modules))
 }
 
 // IntermediateNodes answers Definition 4.1 in the overlay view.
 func (o *Overlay) IntermediateNodes(modules map[string]bool) []NodeID {
-	return intermediateNodesOf(o, moduleSetInvocations(o, modules))
+	return intermediateNodesOf(o.reader(), moduleSetInvocations(o.base, modules))
 }
 
-func moduleSetInvocations(v view, modules map[string]bool) []InvID {
+func moduleSetInvocations(g *Graph, modules map[string]bool) []InvID {
 	var names []string
 	for m, in := range modules {
 		if in {
 			names = append(names, m)
 		}
 	}
-	return modulesInvocations(v, names)
+	return modulesInvocations(g, names)
 }
 
 // intermediateNodesOf answers Definition 4.1 for the given invocations
 // (ascending): a BFS from their inputs and states, in invocation order.
-func intermediateNodesOf(v view, invs []InvID) []NodeID {
-	s := getVisit(v.TotalNodes())
+func intermediateNodesOf(r reader, invs []InvID) []NodeID {
+	s := getVisit(r.total())
 	defer putVisit(s)
-	starts := intermediatesInto(v, s, invs)
+	starts := intermediatesInto(r, s, invs)
 	if len(s.queue) == starts {
 		return nil
 	}
@@ -80,33 +80,22 @@ func intermediateNodesOf(v view, invs []InvID) []NodeID {
 // intermediatesInto runs the Definition 4.1 BFS on s, leaving the
 // traversal's starts followed by the intermediate nodes, in discovery
 // order, in s.queue; it returns the number of starts.
-func intermediatesInto(v view, s *visitScratch, invs []InvID) int {
+func intermediatesInto(r reader, s *visitScratch, invs []InvID) int {
 	for _, i := range invs {
-		inv := v.Invocation(i)
+		inv := r.g.Invocation(i)
 		for _, list := range [2][]NodeID{inv.Inputs, inv.States} {
 			for _, start := range list {
-				if v.Alive(start) && s.visit(start) {
+				if r.alive(start) && s.visit(start) {
 					s.queue = append(s.queue, start)
 				}
 			}
 		}
 	}
 	starts := len(s.queue)
-	for head := 0; head < len(s.queue); head++ {
-		for _, next := range v.outRaw(s.queue[head], &s.adj) {
-			if s.mark[next] == s.epoch || !v.Alive(next) {
-				continue
-			}
-			// Condition (2) of Definition 4.1: the path may not contain an
-			// output node (including the endpoint), so output nodes are
-			// neither collected nor traversed through.
-			if ty, _ := v.typeOp(next); ty == TypeModuleOutput {
-				continue
-			}
-			s.visit(next)
-			s.queue = append(s.queue, next)
-		}
-	}
+	// Condition (2) of Definition 4.1: the path may not contain an output
+	// node (including the endpoint), so output nodes are neither collected
+	// nor walked through.
+	walk(r, s, 0, down, true)
 	return starts
 }
 
@@ -121,7 +110,7 @@ func intermediatesInto(v view, s *visitScratch, invs []InvID) int {
 // applies to all invocations of a module, across all executions represented
 // in the graph (Section 4.1).
 func (o *Overlay) ZoomOut(modules ...string) *ZoomRecord {
-	return o.zoomOut(modules, modulesInvocations(o, modules))
+	return o.zoomOut(modules, modulesInvocations(o.base, modules))
 }
 
 // ZoomOutInvocations is ZoomOut with the modules' invocations resolved by
@@ -167,11 +156,12 @@ func (o *Overlay) zoomOut(modules []string, invs []InvID) *ZoomRecord {
 // zoomOutOf zooms out modules, whose invocations are invs (ascending).
 func zoomOutOf(o *Overlay, modules []string, invs []InvID) *ZoomRecord {
 	rec := &ZoomRecord{Modules: append([]string(nil), modules...)}
-	s := getVisit(o.TotalNodes())
+	r := o.reader()
+	s := getVisit(r.total())
 	defer putVisit(s)
 
 	// Steps 1-3: find and remove intermediate computation nodes.
-	starts := intermediatesInto(o, s, invs)
+	starts := intermediatesInto(r, s, invs)
 	hidden := append(s.ids[:0], s.queue[starts:]...)
 	for _, id := range hidden {
 		o.kill(id)
@@ -186,13 +176,13 @@ func zoomOutOf(o *Overlay, modules []string, invs []InvID) *ZoomRecord {
 			}
 			o.kill(st)
 			hidden = append(hidden, st)
-			for _, b := range o.inRaw(st, &s.adj) {
-				if ty, _ := o.typeOp(b); ty != TypeBaseTuple || !o.Alive(b) {
+			for _, b := range r.adj(up, st, &s.adj) {
+				if ty, _ := r.typeOp(b); ty != TypeBaseTuple || !o.Alive(b) {
 					continue
 				}
 				// Hide the base tuple only when nothing live still
 				// depends on it (state may be shared between modules).
-				if !hasLiveOut(o, b, &s.adj2) {
+				if !hasLiveOut(r, b, &s.adj2) {
 					o.kill(b)
 					hidden = append(hidden, b)
 				}
@@ -247,6 +237,7 @@ func installZoomNodes(o *Overlay, rec *ZoomRecord, invs []InvID) {
 // it orphans no other node, so the order of its kill is unobservable
 // beyond its place in hidden.
 func sweepOrphans(o *Overlay, s *visitScratch, hidden []NodeID) []NodeID {
+	r := o.reader()
 	words := (o.TotalNodes() + 63) / 64
 	s.cand, s.sure = grown(s.cand, words), grown(s.sure, words)
 	cand, sure := s.cand[:words], s.sure[:words]
@@ -276,15 +267,15 @@ func sweepOrphans(o *Overlay, s *visitScratch, hidden []NodeID) []NodeID {
 			if !o.Alive(id) {
 				continue
 			}
-			if ty, op := o.typeOp(id); op != OpConst && ty != TypeBaseTuple {
+			if ty, op := r.typeOp(id); op != OpConst && ty != TypeBaseTuple {
 				continue
 			}
-			if hasLiveOut(o, id, &s.adj) {
+			if hasLiveOut(r, id, &s.adj) {
 				continue
 			}
 			o.kill(id)
 			hidden = append(hidden, id)
-			for _, in := range o.inRaw(id, &s.adj) {
+			for _, in := range r.adj(up, id, &s.adj) {
 				if in > id {
 					cand.set(int(in))
 				}

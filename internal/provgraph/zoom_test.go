@@ -217,7 +217,7 @@ func TestZoomOrphanCascadeMatchesReference(t *testing.T) {
 	g.AddEdge(c, hi)
 
 	got := NewOverlay(g)
-	rec := zoomOutOf(got, []string{"A"}, modulesInvocations(got, []string{"A"}))
+	rec := zoomOutOf(got, []string{"A"}, modulesInvocations(g, []string{"A"}))
 	for name, want := range map[string]mutableView{"graph": g.Clone(), "overlay": NewOverlay(g)} {
 		if ref := refZoomOutOf(want, "A"); fmt.Sprint(rec.hidden) != fmt.Sprint(ref.hidden) {
 			t.Errorf("reference on a %s: hidden %v, reference %v", name, rec.hidden, ref.hidden)
