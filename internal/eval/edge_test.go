@@ -121,6 +121,26 @@ func TestLazyAnnTupleMemoizes(t *testing.T) {
 	}
 }
 
+// TestViewLookupAfterBaseGrew: a view shares its base's lazily built
+// tuple index, so once the base has grown the index covers tuples the
+// view does not hold; the view's Lookup must not find them.
+func TestViewLookupAfterBaseGrew(t *testing.T) {
+	schema := nested.NewSchema(nested.Field{Name: "x", Type: nested.ScalarType(nested.KindInt)})
+	base := NewRelation(schema)
+	base.AddDistinct(AnnTuple{Tuple: nested.NewTuple(nested.Int(1)), Prov: 3, Mult: 1})
+	view := base.BindDeferred(func(b provgraph.NodeID) provgraph.NodeID { return b + 100 })
+	base.Add(nil, AnnTuple{Tuple: nested.NewTuple(nested.Int(2)), Prov: 4, Mult: 1})
+	if got, ok := view.Lookup(nested.NewTuple(nested.Int(2))); ok {
+		t.Errorf("view found %v, which its base gained after the view was made", got)
+	}
+	if got, ok := view.Lookup(nested.NewTuple(nested.Int(1))); !ok || got.Node() != 103 {
+		t.Errorf("view lookup = %+v, %v; want the tuple annotated 103", got, ok)
+	}
+	if base.Len() != 2 {
+		t.Errorf("base holds %d tuples, want 2", base.Len())
+	}
+}
+
 // TestAddOnViewPanics: a view shares its base's storage, so Add on one
 // panics, naming the kind of view, and leaves the base untouched.
 func TestAddOnViewPanics(t *testing.T) {

@@ -14,6 +14,13 @@ import (
 // mode and receives the provenance-graph nodes of Section 3.2.
 type Engine struct {
 	b *provgraph.Builder
+	// contribs is evalAggItem's contribution buffer, reused for every
+	// group: Aggregate reads the contributions and keeps none.
+	contribs []provgraph.AggContribution
+	// addAll sends every output through Relation.Add, distinct ones
+	// included; tests set it to get the reference the distinct appends
+	// are compared against.
+	addAll bool
 }
 
 // New returns an engine. b may be nil for plain (untracked) evaluation.
@@ -155,7 +162,7 @@ func (e *Engine) runCogroup(o *pig.CogroupOp, env *Env) (*Relation, error) {
 // buildGrouped materializes group tuples (key, bag1, ..., bagN) with δ
 // provenance nodes and nested-bag annotations.
 func (e *Engine) buildGrouped(out *nested.Schema, buckets []*groupBucket, env *Env) *Relation {
-	res := NewRelation(out)
+	res := &Relation{Schema: out, Tuples: make([]AnnTuple, 0, len(buckets))}
 	for _, bkt := range buckets {
 		fields := make([]nested.Value, 1, 1+len(bkt.members))
 		fields[0] = bkt.key
@@ -177,9 +184,20 @@ func (e *Engine) buildGrouped(out *nested.Schema, buckets []*groupBucket, env *E
 		if e.b != nil {
 			prov = e.b.Group(provMembers...)
 		}
-		res.Add(e.b, AnnTuple{Tuple: nested.NewTuple(fields...), Prov: prov, Mult: 1})
+		// One tuple per distinct key: the tuples are distinct.
+		e.addDistinct(res, AnnTuple{Tuple: nested.NewTuple(fields...), Prov: prov, Mult: 1})
 	}
 	return res
+}
+
+// addDistinct appends an output tuple that is distinct by construction
+// (see Relation.AddDistinct).
+func (e *Engine) addDistinct(res *Relation, t AnnTuple) {
+	if e.addAll {
+		res.Add(e.b, t)
+		return
+	}
+	res.AddDistinct(t)
 }
 
 // runJoin implements the n-way equality join: one ·-annotated derivation
@@ -198,18 +216,28 @@ func (e *Engine) runJoin(o *pig.JoinOp, env *Env) (*Relation, error) {
 	if err != nil || jt == nil {
 		return res, err
 	}
-	jt.emit(func(combo []AnnTuple) { e.addJoined(res, combo) })
+	distinct := true
+	jt.emit(func(combo []AnnTuple) { distinct = e.addJoined(res, rels, combo, distinct) })
 	return res, nil
 }
 
 // addJoined adds one combination of matching tuples (one per input, in
 // input order) to the join result. Deferred annotations resolve in input
 // order, as the provenance node ids depend on it.
-func (e *Engine) addJoined(res *Relation, combo []AnnTuple) {
+//
+// Combinations of distinct input tuples concatenate to distinct tuples as
+// long as every part has its input schema's arity, so while distinct holds
+// the result is appended unhashed. The first combination with a part of
+// another arity could coincide with an earlier one, and so could any
+// later one with it; from there on every combination goes through Add,
+// which indexes what was appended before. addJoined returns distinct for
+// the next combination.
+func (e *Engine) addJoined(res *Relation, rels []*Relation, combo []AnnTuple, distinct bool) bool {
 	arity, mult := 0, 1
-	for _, t := range combo {
+	for i, t := range combo {
 		arity += len(t.Tuple.Fields)
 		mult *= t.Mult
+		distinct = distinct && rels[i].Schema != nil && len(t.Tuple.Fields) == rels[i].Schema.Arity()
 	}
 	fields := make([]nested.Value, 0, arity)
 	for _, t := range combo {
@@ -227,7 +255,13 @@ func (e *Engine) addJoined(res *Relation, combo []AnnTuple) {
 			prov = e.b.Product(provs...)
 		}
 	}
-	res.Add(e.b, AnnTuple{Tuple: nested.NewTuple(fields...), Prov: prov, Mult: mult})
+	t := AnnTuple{Tuple: nested.NewTuple(fields...), Prov: prov, Mult: mult}
+	if distinct {
+		e.addDistinct(res, t)
+	} else {
+		res.Add(e.b, t)
+	}
+	return distinct
 }
 
 // runUnion merges inputs; equal tuples appearing in several inputs add
@@ -301,7 +335,6 @@ func (e *Engine) runOrder(o *pig.OrderOp, env *Env) (*Relation, error) {
 	if evalErr != nil {
 		return nil, evalErr
 	}
-	res.reindex()
 	return res, nil
 }
 

@@ -133,7 +133,7 @@ func (e *Engine) evalAggItem(item *pig.Item, owner AnnTuple, env *Env) (nested.V
 	sum, count := 0.0, 0
 	lo, hi := 0.0, 0.0
 	first := true
-	var contribs []provgraph.AggContribution
+	contribs := e.contribs[:0]
 	for _, m := range members {
 		var raw nested.Value
 		if item.InnerIdx >= 0 {
@@ -170,6 +170,7 @@ func (e *Engine) evalAggItem(item *pig.Item, owner AnnTuple, env *Env) (nested.V
 	if e.b != nil {
 		node = e.b.Aggregate(item.AggOp.String(), contribs, value)
 	}
+	e.contribs = contribs
 	return value, node, nil
 }
 

@@ -154,20 +154,6 @@ func (jt *joinTable) emit(fn func(combo []AnnTuple)) {
 	}
 }
 
-// probeCache holds a relation's probe indexes, one per compiled key list.
-// A relation and its views share one.
-type probeCache struct {
-	indexes []*probeIndex
-}
-
-// sharedProbes returns the relation's probe cache, creating it.
-func (r *Relation) sharedProbes() *probeCache {
-	if r.probes == nil {
-		r.probes = &probeCache{}
-	}
-	return r.probes
-}
-
 // probeIndex maps the keys one compiled key list gives a relation's
 // tuples to those tuples' positions, chained in relation order. It covers
 // the relation's first len(next) tuples.
@@ -190,9 +176,9 @@ func (r *Relation) indexFor(keys []pig.Expr) (*probeIndex, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	pc := r.sharedProbes()
+	pc := r.shared()
 	var x *probeIndex
-	for _, c := range pc.indexes {
+	for _, c := range pc.probes {
 		if &c.k.exprs[0] == &keys[0] && len(c.k.exprs) == len(keys) {
 			x = c
 			break
@@ -200,7 +186,7 @@ func (r *Relation) indexFor(keys []pig.Expr) (*probeIndex, error) {
 	}
 	if x == nil {
 		x = &probeIndex{k: newKeyer(keys)}
-		pc.indexes = append(pc.indexes, x)
+		pc.probes = append(pc.probes, x)
 	}
 	x.probes++
 	if x.probes < 2 || r.Len() < len(x.next) {

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"lipstick/internal/nested"
@@ -96,6 +97,56 @@ func TestBindDeferredAllocsIndependentOfStateSize(t *testing.T) {
 		t.Errorf("bind: %.1f allocs at 20 tuples, %.1f at 2000; bind and make a node: %.1f, %.1f",
 			bind[0], bind[1], touch[0], touch[1])
 	}
+}
+
+// TestTrackedJoinBytesIndependentOfUntouchedState pins deferred state
+// binding to O(touched state): a tracked join that touches one state
+// tuple, through a fresh binding each time as the workflow runner binds
+// state per invocation, allocates as many bytes beside 20,000 cars as
+// beside 2,000.
+func TestTrackedJoinBytesIndependentOfUntouchedState(t *testing.T) {
+	const src = "J = JOIN Cars BY CarId, Req BY Model;"
+	var perJoin []uint64
+	for _, n := range []int{2000, 20000} {
+		env, schemas := carsEnv(nil, n, "C7")
+		op := compileJoin(t, src, schemas)
+		state := env.Rels["Cars"]
+		e := New(nil)
+		for range 2 { // the second probe indexes Cars
+			if _, err := e.runJoin(op, env); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b := provgraph.NewBuilder()
+		e = New(b)
+		req := NewRelation(schemas["Req"])
+		req.Add(b, AnnTuple{Tuple: env.Rels["Req"].Tuples[0].Tuple, Prov: b.BaseTuple("req"), Mult: 1})
+		env.Set("Req", req)
+		join := func() {
+			env.Set("Cars", state.BindDeferred(func(provgraph.NodeID) provgraph.NodeID { return b.BaseTuple("s") }))
+			if res, err := e.runJoin(op, env); err != nil || res.Len() != 1 {
+				t.Fatalf("join = %v, %v; want one tuple", res, err)
+			}
+		}
+		perJoin = append(perJoin, bytesPerRun(200, join))
+	}
+	if perJoin[1] > perJoin[0]+64 {
+		t.Errorf("a tracked join touching one state tuple allocates %d B beside 2,000 cars and %d B beside 20,000", perJoin[0], perJoin[1])
+	}
+}
+
+// bytesPerRun returns the bytes f allocates per call, averaged over runs
+// calls after a warm-up call, measured like testing.AllocsPerRun.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // BenchmarkJoin times the dealer module's joins over a 2,000-car state

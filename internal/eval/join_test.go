@@ -495,10 +495,10 @@ var probeCases = []probeCase{
 // indexCovers reports whether rel has a probe index covering exactly
 // (covers) or more than (stale) its tuples.
 func indexCovers(rel *Relation, stale bool) bool {
-	if rel.probes == nil {
+	if rel.indexes == nil {
 		return false
 	}
-	for _, x := range rel.probes.indexes {
+	for _, x := range rel.indexes.probes {
 		if len(x.next) == rel.Len() && !stale || len(x.next) > rel.Len() && stale {
 			return true
 		}

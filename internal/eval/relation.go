@@ -51,15 +51,28 @@
 // A join updates its inputs' probe indexes, so joins over one relation
 // must not run concurrently.
 //
+// # Distinct appends
+//
+// A relation's tuple index (key hash -> position) is built lazily: the
+// first find or Lookup indexes every tuple, and later ones extend it over
+// the tuples appended since. Add consults it, because Add must merge a
+// duplicate. Outputs that are distinct by construction skip it: GROUP and
+// COGROUP emit one tuple per distinct key, JOIN one per combination of
+// distinct input tuples (as long as every part has its input schema's
+// arity, so that no two concatenations can coincide), and the workflow
+// runner's input binding and output wrapping copy a relation that is
+// already distinct. They append with AddDistinct and hash nothing; a
+// relation nobody looks up is never indexed.
+//
 // # State binding
 //
 // The workflow runner binds module state once per invocation, and the
 // binding costs O(1), not O(state). BindDeferred returns a view that
-// shares its base's tuple slice, dedupe index and probe indexes; it holds
-// one memo of the invocation's state nodes, allocated when the first node
-// is made. Read a relation's tuples through At: for a view it fills in the
-// deferred annotation, whereas the shared Tuples slice holds the base's.
-// Views are read-only; Add on one panics.
+// shares its base's tuple slice, tuple index and probe indexes; it holds
+// one memo of the invocation's state nodes, which grows with the nodes
+// made, not with the state. Read a relation's tuples through At: for a
+// view it fills in the deferred annotation, whereas the shared Tuples
+// slice holds the base's. Views are read-only; Add on one panics.
 package eval
 
 import (
@@ -89,24 +102,25 @@ type AnnTuple struct {
 
 // deferredNodes is one invocation's binding of one state relation: slot
 // i's node is mk(base[i].Prov), made on first use and memoized here, so
-// every copy of the tuple resolves to the same node.
+// every copy of the tuple resolves to the same node. The memo holds the
+// slots touched so far, so an invocation pays for the state it touches,
+// not for the whole relation.
 type deferredNodes struct {
 	base  []AnnTuple
-	nodes []provgraph.NodeID // nil until the first node is made; then InvalidNode until made
+	nodes map[int32]provgraph.NodeID // slot -> its node; nil until the first node is made
 	mk    func(base provgraph.NodeID) provgraph.NodeID
 }
 
 func (d *deferredNodes) node(slot int32) provgraph.NodeID {
+	if id, ok := d.nodes[slot]; ok {
+		return id
+	}
 	if d.nodes == nil {
-		d.nodes = make([]provgraph.NodeID, len(d.base))
-		for i := range d.nodes {
-			d.nodes[i] = provgraph.InvalidNode
-		}
+		d.nodes = make(map[int32]provgraph.NodeID)
 	}
-	if d.nodes[slot] == provgraph.InvalidNode {
-		d.nodes[slot] = d.mk(d.base[slot].Prov)
-	}
-	return d.nodes[slot]
+	id := d.mk(d.base[slot].Prov)
+	d.nodes[slot] = id
+	return id
 }
 
 // Node returns the tuple's provenance node, materializing it if deferred.
@@ -124,14 +138,33 @@ type Relation struct {
 	// At: a BindDeferred view shares its base's slice, so its elements
 	// carry the base's annotations, not the view's.
 	Tuples []AnnTuple
-	index  keyIndex // tuple key hash -> position in Tuples
 	// view names how a read-only view was made ("" for an owned
 	// relation); Add panics on a view.
 	view string
 	// deferred annotates every tuple of a BindDeferred view.
 	deferred *deferredNodes
-	// probes holds the join probe indexes, shared with every view.
-	probes *probeCache
+	// indexes holds the lazily built tuple index and join probe indexes;
+	// nil until the first is needed, then shared with every view.
+	indexes *relIndexes
+}
+
+// relIndexes are a relation's lazily built indexes. A relation and its
+// views share one: a view holds its base's tuples, or (Rebind) the same
+// tuples in the same order.
+type relIndexes struct {
+	// tuples maps a tuple's key hash to its position. It covers the first
+	// len(tuples.next) tuples; find extends it over the rest.
+	tuples keyIndex
+	// probes holds the join probe indexes, one per compiled key list.
+	probes []*probeIndex
+}
+
+// shared returns the relation's indexes, creating them.
+func (r *Relation) shared() *relIndexes {
+	if r.indexes == nil {
+		r.indexes = &relIndexes{}
+	}
+	return r.indexes
 }
 
 // NewRelation returns an empty relation with the given schema.
@@ -161,10 +194,16 @@ func (r *Relation) Card() int {
 }
 
 // find returns the position of the tuple equal to t (whose KeyHash is h),
-// or -1.
+// or -1, first extending the tuple index over every tuple. A position past
+// the relation's own tuples belongs to tuples its base gained after the
+// view was made, and is skipped.
 func (r *Relation) find(h uint64, t *nested.Tuple) int32 {
-	for pos := r.index.first(h); pos >= 0; pos = r.index.next[pos] {
-		if r.Tuples[pos].Tuple.KeyEqual(t) {
+	x := &r.shared().tuples
+	for pos := len(x.next); pos < len(r.Tuples); pos++ {
+		x.add(r.Tuples[pos].Tuple.KeyHash())
+	}
+	for pos := x.first(h); pos >= 0; pos = x.next[pos] {
+		if int(pos) < len(r.Tuples) && r.Tuples[pos].Tuple.KeyEqual(t) {
 			return pos
 		}
 	}
@@ -176,9 +215,7 @@ func (r *Relation) find(h uint64, t *nested.Tuple) int32 {
 // under a + node via the supplied builder (nil in plain mode). Add panics
 // on a view: a view shares its base's storage.
 func (r *Relation) Add(b *provgraph.Builder, t AnnTuple) {
-	if r.view != "" {
-		panic(fmt.Sprintf("eval: Add on a read-only %s view of %s", r.view, r.Schema))
-	}
+	r.mustOwn("Add")
 	h := t.Tuple.KeyHash()
 	if pos := r.find(h, t.Tuple); pos >= 0 {
 		prev := &r.Tuples[pos]
@@ -192,8 +229,26 @@ func (r *Relation) Add(b *provgraph.Builder, t AnnTuple) {
 		}
 		return
 	}
-	r.index.add(h)
+	r.indexes.tuples.add(h)
 	r.Tuples = append(r.Tuples, t)
+}
+
+// AddDistinct appends a tuple the caller knows is not in the relation:
+// no tuple already there, nor any appended later, is KeyEqual to it. It
+// hashes nothing; the tuple index takes the tuple in when a later find
+// needs it. A duplicate appended this way is not merged and breaks the
+// relation's invariant. AddDistinct panics on a view.
+func (r *Relation) AddDistinct(t AnnTuple) {
+	r.mustOwn("AddDistinct")
+	r.Tuples = append(r.Tuples, t)
+}
+
+// mustOwn panics if the relation is a read-only view: a view shares its
+// base's storage.
+func (r *Relation) mustOwn(op string) {
+	if r.view != "" {
+		panic(fmt.Sprintf("eval: %s on a read-only %s view of %s", op, r.view, r.Schema))
+	}
 }
 
 // Lookup returns the annotated tuple equal to t, if present.
@@ -227,11 +282,12 @@ func FromBag(schema *nested.Schema, bag *nested.Bag) *Relation {
 
 // Rebind returns a read-only view of the relation with every annotation
 // mapped through fn, sharing the tuple index and probe indexes with the
-// receiver. It exists for the workflow runner's eager state binding, which
-// re-annotates large unchanged relations: sharing the indexes avoids
-// rehashing every tuple.
+// receiver by pointer. It exists for the workflow runner's eager state
+// binding, which re-annotates large unchanged relations: whichever of the
+// base and its views first looks a tuple up indexes the tuples once for
+// all of them.
 func (r *Relation) Rebind(fn func(AnnTuple) AnnTuple) *Relation {
-	out := &Relation{Schema: r.Schema, index: r.index, view: "Rebind", probes: r.sharedProbes()}
+	out := &Relation{Schema: r.Schema, view: "Rebind", indexes: r.shared()}
 	out.Tuples = make([]AnnTuple, r.Len())
 	for i := range out.Tuples {
 		out.Tuples[i] = fn(r.At(i))
@@ -249,10 +305,9 @@ func (r *Relation) BindDeferred(mk func(base provgraph.NodeID) provgraph.NodeID)
 	return &Relation{
 		Schema:   r.Schema,
 		Tuples:   r.Tuples,
-		index:    r.index,
 		view:     "BindDeferred",
 		deferred: &deferredNodes{base: r.Tuples, mk: mk},
-		probes:   r.sharedProbes(),
+		indexes:  r.shared(),
 	}
 }
 
@@ -263,16 +318,7 @@ func (r *Relation) Clone() *Relation {
 	for i := range c.Tuples {
 		c.Tuples[i] = r.At(i)
 	}
-	c.reindex()
 	return c
-}
-
-// reindex rebuilds the tuple index of the current tuple order.
-func (r *Relation) reindex() {
-	r.index = keyIndex{}
-	for _, t := range r.Tuples {
-		r.index.add(t.Tuple.KeyHash())
-	}
 }
 
 // Equal reports bag equality with another relation (schema ignored).

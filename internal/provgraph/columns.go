@@ -1,5 +1,7 @@
 package provgraph
 
+import "math/bits"
+
 // Struct-of-arrays storage primitives. Graph state lives in dense typed
 // columns instead of a []Node of pointer-heavy structs. Two storage shapes
 // exist:
@@ -10,16 +12,22 @@ package provgraph
 //     op, label).
 //   - chunked: a fixed-size-block column with per-block copy-on-write.
 //     Used for attributes that CAN be overwritten below the append
-//     watermark (inv, valIx, invocation records, adjacency lists): an
+//     watermark (inv, valIx, invocation records, adjacency spans): an
 //     epoch-published view shares the block table, and the writer's next
 //     in-place write to a shared block copies just that block (~chunkSize
 //     slots), never the whole column. This is what makes publishing a
 //     point-in-time view O(blocks) instead of O(nodes).
 //
+// Adjacency (adjHalf) adds a third shape: a chunked column of
+// pointer-free span words over append-only endpoint pages, so appending
+// an edge allocates nothing but the occasional page and takes no GC
+// write barrier.
+//
 // Either way, a graph opened from an mmap'd snapshot never writes through
 // the mapping: flat bases copy-on-write wholesale (legacy set paths are
-// gone), and thawed chunked blocks alias the mapping with a stale epoch so
-// the first write copies the block to the heap.
+// gone), thawed chunked blocks alias the mapping with a stale epoch so
+// the first write copies the block to the heap, and a thawed CSR's lists
+// move to heap pages on their first append.
 
 const (
 	chunkShift = 9
@@ -204,41 +212,122 @@ func (b *bitset) setGrow(i int) {
 }
 
 // adjHalf is one direction of adjacency: a frozen CSR base (offs/edges)
-// covering the first baseN node slots, chunked per-node append lists for
-// slots added after the base was built, and a rare spill map for edges
-// added to base-covered nodes post-load.
+// covering the first baseN node slots, a span column for the slots added
+// after the base was built, and a rare spill map for edges added to
+// base-covered nodes post-load.
+//
+// The tail holds no pointers. Each slot is one adjSpan word locating its
+// list in the half's endpoint pages, append-only arrays addressed as one
+// 32-bit space (see adjSpan). A list has a power-of-two capacity of at
+// least adjMinCap; the append that finds it full copies it to a fresh
+// region of twice the size and moves the span, leaving the old region to
+// the views that may still read it. The GC never scans the span column
+// or the pages, and writing a span takes no write barrier.
 //
 // Graphs that publish views mid-ingest call thaw() first, which folds the
-// CSR base and spill into the chunked tail (each slot aliasing a clipped
-// CSR subslice), leaving baseN == 0 — after that, every mutation goes
-// through the chunked column's copy-on-write and the publish protocol
-// covers adjacency exactly like any other column.
+// CSR base and spill into the tail, leaving baseN == 0: each CSR list
+// becomes a frozen span aliasing the CSR (registered as pages of its own;
+// no edge is copied or written), which relocates on its first append.
+// After that every mutation goes through the span column's copy-on-write,
+// and the publish protocol covers adjacency exactly like any other column.
 type adjHalf struct {
 	baseN int
 	offs  []uint32 // len baseN+1; read-only, may alias mapped memory
 	edges []NodeID // read-only, may alias mapped memory
 	spill map[NodeID][]NodeID
-	tail  chunked[[]NodeID]
-	// slab is the unclaimed rest of the array new tail lists take their
-	// first slots from. It belongs to this writer alone: published views
-	// and clones never carry it.
-	slab []NodeID
+	tail  chunked[adjSpan]
+	// pages[p] starts at address p<<adjPageShift and runs to the end of
+	// the array it lies in, which may span several page entries (a list
+	// larger than a page, a thawed CSR). An endpoint a published view's
+	// span covers is never overwritten.
+	pages [][]NodeID
+	// frozenLo and frozenHi bound the addresses of a thawed CSR, whose
+	// lists have no spare capacity and are never written.
+	frozenLo, frozenHi uint32
+	// next and end bound the free rest of the last small-list page. They
+	// belong to this writer alone: published views never allocate, and
+	// clones start a page of their own.
+	next, end uint32
 }
 
+// adjSpan locates one tail list: the address of its first endpoint in
+// the high 32 bits, its length in the low 32 bits. A list's capacity
+// follows from its length (adjCap), or is its length for a frozen list.
+type adjSpan uint64
+
+func makeSpan(addr, n uint32) adjSpan { return adjSpan(addr)<<32 | adjSpan(n) }
+
+func (s adjSpan) addr() uint32 { return uint32(s >> 32) }
+
+func (s adjSpan) len() uint32 { return uint32(s) }
+
 const (
-	adjSlabSize   = 8192 // endpoints per slab array
-	adjSlabWindow = 2    // slots a new list claims; most nodes have in-degree 2
+	adjPageShift = 13 // endpoints per page: 8192
+	adjPageSize  = 1 << adjPageShift
+	adjPageMask  = adjPageSize - 1
+	adjMinCap    = 2 // a new list's capacity; most nodes have in-degree 2
 )
 
-// addSlot extends the adjacency to cover one appended node.
-func (a *adjHalf) addSlot() { a.tail.add(nil) }
+// adjCap is the capacity of a non-frozen list of n > 0 endpoints: the
+// least power of two >= n, and at least adjMinCap.
+func adjCap(n uint32) uint32 {
+	return max(adjMinCap, uint32(1)<<bits.Len32(n-1))
+}
 
-// add appends one edge endpoint to id's list. A tail list's first append
-// claims a capacity-clipped adjSlabWindow-slot window of a shared slab
-// instead of allocating. Appending to a list shared with a published view
-// is safe: within capacity (a window included) the new endpoint lands at
-// an index >= every view's recorded length, and past capacity the append
-// reallocates; either way readers only see their own prefix.
+// at returns the endpoint storage from address addr on, up to the end of
+// its array.
+func (a *adjHalf) at(addr uint32) []NodeID {
+	return a.pages[addr>>adjPageShift][addr&adjPageMask:]
+}
+
+// list returns the endpoints s locates, capacity-clipped so a caller's
+// append can never clobber a neighbor's.
+func (a *adjHalf) list(s adjSpan) []NodeID {
+	n := s.len()
+	if n == 0 {
+		return nil
+	}
+	return a.at(s.addr())[:n:n]
+}
+
+// alloc reserves n endpoints (a power of two) and returns their address.
+// A list of up to a page goes into the current small-list page, or a new
+// one; a larger one gets an array of its own, registered as n/adjPageSize
+// page entries.
+func (a *adjHalf) alloc(n uint32) uint32 {
+	if n > adjPageSize {
+		return a.addPages(make([]NodeID, n))
+	}
+	if a.end-a.next < n {
+		a.next = a.addPages(make([]NodeID, adjPageSize))
+		a.end = a.next + adjPageSize
+	}
+	addr := a.next
+	a.next += n
+	return addr
+}
+
+// addPages registers arr as page entries starting at a fresh page and
+// returns its first address.
+func (a *adjHalf) addPages(arr []NodeID) uint32 {
+	first := len(a.pages)
+	if uint64(first)<<adjPageShift+uint64(len(arr)) >= 1<<32 {
+		panic("provgraph: adjacency endpoint address space exhausted")
+	}
+	for lo := 0; lo < len(arr); lo += adjPageSize {
+		a.pages = append(a.pages, arr[lo:])
+	}
+	return uint32(first) << adjPageShift
+}
+
+// addSlot extends the adjacency to cover one appended node.
+func (a *adjHalf) addSlot() { a.tail.add(0) }
+
+// add appends one edge endpoint to id's list. Appending to a list shared
+// with a published view is safe: within capacity the new endpoint lands
+// past every view's recorded length, and a full or frozen list moves to a
+// fresh region (a new span word, written copy-on-write); either way
+// readers only see their own prefix.
 func (a *adjHalf) add(id NodeID, to NodeID) {
 	if int(id) < a.baseN {
 		if a.spill == nil {
@@ -248,35 +337,22 @@ func (a *adjHalf) add(id NodeID, to NodeID) {
 		return
 	}
 	p := a.tail.ptr(int(id) - a.baseN)
-	if cap(*p) == 0 {
-		if len(a.slab) < adjSlabWindow {
-			a.slab = make([]NodeID, adjSlabSize)
+	addr, n := p.addr(), p.len()
+	full := n == 0 || n >= adjMinCap && n&(n-1) == 0 // a power of two: at capacity
+	if full || addr >= a.frozenLo && addr < a.frozenHi {
+		na := a.alloc(adjCap(n + 1))
+		if n > 0 {
+			copy(a.at(na), a.at(addr)[:n])
 		}
-		*p = a.slab[:0:adjSlabWindow]
-		a.slab = a.slab[adjSlabWindow:]
+		addr = na
 	}
-	*p = append(*p, to)
+	a.at(addr)[n] = to
+	*p = makeSpan(addr, n+1)
 }
 
 // each iterates id's endpoints in append order.
 func (a *adjHalf) each(id NodeID, fn func(NodeID) bool) {
-	i := int(id)
-	if i < a.baseN {
-		for _, n := range a.edges[a.offs[i]:a.offs[i+1]] {
-			if !fn(n) {
-				return
-			}
-		}
-		if a.spill != nil {
-			for _, n := range a.spill[id] {
-				if !fn(n) {
-					return
-				}
-			}
-		}
-		return
-	}
-	for _, n := range a.tail.at(i - a.baseN) {
+	for _, n := range a.raw(id, nil) {
 		if !fn(n) {
 			return
 		}
@@ -299,8 +375,7 @@ func (a *adjHalf) raw(id NodeID, buf *[]NodeID) []NodeID {
 		}
 		return s
 	}
-	t := a.tail.at(i - a.baseN)
-	return t[:len(t):len(t)]
+	return a.list(a.tail.at(i - a.baseN))
 }
 
 // count returns id's endpoint count.
@@ -313,28 +388,35 @@ func (a *adjHalf) count(id NodeID) int {
 		}
 		return n
 	}
-	return len(a.tail.at(i - a.baseN))
+	return int(a.tail.at(i - a.baseN).len())
 }
 
-// thaw folds the CSR base and spill map into the chunked tail so the whole
-// adjacency is covered by the copy-on-write publish protocol. Slots
-// without spilled edges alias capacity-clipped CSR subslices (no edge data
-// is copied; an append reallocates the one list it touches), so thawing a
-// mapped graph stays O(nodes) in block headers, not O(edges).
+// thaw folds the CSR base and spill map into the tail so the whole
+// adjacency is covered by the copy-on-write publish protocol. The CSR is
+// registered as frozen pages and each slot without spilled edges becomes
+// a frozen span over its CSR list: no edge data is copied or written, so
+// thawing a mapped graph costs O(nodes) span words, not O(edges). A slot
+// with spilled edges gets its two parts copied into one list.
 func (a *adjHalf) thaw() {
 	if a.baseN == 0 {
 		return
 	}
 	old := a.tail
-	a.tail = chunked[[]NodeID]{epoch: 1}
+	a.tail = chunked[adjSpan]{epoch: 1}
+	if len(a.edges) > 0 {
+		a.frozenLo = a.addPages(a.edges)
+		a.frozenHi = a.frozenLo + uint32(len(a.edges))
+	}
 	for i := 0; i < a.baseN; i++ {
 		lo, hi := a.offs[i], a.offs[i+1]
-		s := a.edges[lo:hi:hi]
+		span := makeSpan(a.frozenLo+lo, hi-lo)
 		if sp := a.spill[NodeID(i)]; len(sp) > 0 {
-			merged := make([]NodeID, 0, len(s)+len(sp))
-			s = append(append(merged, s...), sp...)
+			n := hi - lo + uint32(len(sp))
+			addr := a.alloc(adjCap(n))
+			copy(a.at(addr)[copy(a.at(addr), a.edges[lo:hi]):], sp)
+			span = makeSpan(addr, n)
 		}
-		a.tail.add(s)
+		a.tail.add(span)
 	}
 	for i := 0; i < old.len(); i++ {
 		a.tail.add(old.at(i))
@@ -344,9 +426,15 @@ func (a *adjHalf) thaw() {
 
 // publish returns a read-only copy for a published view. The caller must
 // have thawed first if the graph ingests concurrently with readers (the
-// spill map cannot be shared with readers while the writer inserts).
+// spill map cannot be shared with readers while the writer inserts). The
+// page table is length-clipped: the writer's later pages land past it.
 func (a *adjHalf) publish() adjHalf {
-	p := adjHalf{baseN: a.baseN, offs: a.offs, edges: a.edges, tail: a.tail.publish()}
+	p := adjHalf{
+		baseN: a.baseN, offs: a.offs, edges: a.edges,
+		tail:     a.tail.publish(),
+		pages:    a.pages[:len(a.pages):len(a.pages)],
+		frozenLo: a.frozenLo, frozenHi: a.frozenHi,
+	}
 	if a.spill != nil {
 		p.spill = make(map[NodeID][]NodeID, len(a.spill))
 		for id, l := range a.spill {
@@ -356,20 +444,33 @@ func (a *adjHalf) publish() adjHalf {
 	return p
 }
 
-// cloneShared shares the immutable CSR base and deep-copies the mutable
-// spill and tail lists (two independent writers must not share the
-// append-able inner arrays).
+// cloneShared shares the immutable CSR base and the frozen pages, and
+// copies the mutable spill and tail lists into pages of the clone's own
+// (two independent writers must not share append-able storage).
 func (a *adjHalf) cloneShared() adjHalf {
-	c := adjHalf{baseN: a.baseN, offs: a.offs, edges: a.edges}
+	c := adjHalf{baseN: a.baseN, offs: a.offs, edges: a.edges, frozenLo: a.frozenLo, frozenHi: a.frozenHi}
 	if a.spill != nil {
 		c.spill = make(map[NodeID][]NodeID, len(a.spill))
 		for id, l := range a.spill {
 			c.spill[id] = append([]NodeID(nil), l...)
 		}
 	}
-	c.tail = chunked[[]NodeID]{epoch: 1}
+	if a.frozenHi > a.frozenLo {
+		// The clone shares the frozen page entries. It leaves the others
+		// below them empty: they hold only lists the loop below copies.
+		lo, hi := a.frozenLo>>adjPageShift, (a.frozenHi-1)>>adjPageShift+1
+		c.pages = make([][]NodeID, hi)
+		copy(c.pages[lo:], a.pages[lo:hi])
+	}
+	c.tail = chunked[adjSpan]{epoch: 1}
 	for i := 0; i < a.tail.len(); i++ {
-		c.tail.add(append([]NodeID(nil), a.tail.at(i)...))
+		s := a.tail.at(i)
+		if n := s.len(); n > 0 && (s.addr() < a.frozenLo || s.addr() >= a.frozenHi) {
+			addr := c.alloc(adjCap(n))
+			copy(c.at(addr), a.list(s))
+			s = makeSpan(addr, n)
+		}
+		c.tail.add(s)
 	}
 	return c
 }

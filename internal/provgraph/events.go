@@ -144,7 +144,7 @@ func Apply(g *Graph, ev Event) error {
 		id := g.AddNode(n)
 		g.inv.set(int(id), n.Inv) // AddNode normalizes; restore verbatim
 		if n.Op == OpConst {
-			internConst(g, id, n.Value.Key())
+			internConst(g, id, constKeyOf(n.Value))
 		}
 	case EvAddEdge:
 		if err := checkNode(ev.Src); err != nil {

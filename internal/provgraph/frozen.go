@@ -294,12 +294,12 @@ func copyIDs(ids []NodeID) []NodeID {
 // several goroutines share.
 func ensureConstIndex(g *Graph) {
 	g.constOnce.Do(func() {
-		m := make(map[string]NodeID)
+		m := make(map[constKey]NodeID)
 		for i := 0; i < g.n; i++ {
 			if g.op.at(i) != OpConst {
 				continue
 			}
-			key := g.nodeValue(i).Key()
+			key := constKeyOf(g.nodeValue(i))
 			if old, ok := m[key]; !ok || !g.alive.get(int(old)) {
 				m[key] = NodeID(i)
 			}
@@ -310,7 +310,7 @@ func ensureConstIndex(g *Graph) {
 
 // internConst records an OpConst node in the interning map (first id
 // wins, matching ConstNode's create-if-absent behavior).
-func internConst(g *Graph, id NodeID, key string) {
+func internConst(g *Graph, id NodeID, key constKey) {
 	ensureConstIndex(g)
 	if _, ok := g.constIndex[key]; !ok {
 		g.constIndex[key] = id

@@ -16,6 +16,8 @@ package provgraph
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -235,7 +237,7 @@ type Graph struct {
 
 	// constIndex interns constant value v-nodes; built lazily (constOnce)
 	// from the OpConst nodes on first lookup.
-	constIndex map[string]NodeID
+	constIndex map[constKey]NodeID
 	constOnce  *sync.Once
 
 	// mapRef pins the memory mapping (if any) backing the read-only
@@ -507,7 +509,7 @@ func (g *Graph) InvocationsOf(module string) []InvID {
 // on first use (the paper: "if a node for this value does not exist
 // already").
 func (g *Graph) ConstNode(v nested.Value) NodeID {
-	key := v.Key()
+	key := constKeyOf(v)
 	ensureConstIndex(g)
 	if id, ok := g.constIndex[key]; ok && g.alive.get(int(id)) {
 		return id
@@ -515,6 +517,35 @@ func (g *Graph) ConstNode(v nested.Value) NodeID {
 	id := g.AddNode(Node{Class: ClassV, Type: TypeValue, Op: OpConst, Value: v})
 	g.constIndex[key] = id
 	return id
+}
+
+// constKey is a constant's interning key, with the equality of
+// nested.Value.Key without rendering a scalar: kinds exact, booleans and
+// integers by value, floats by their bits, strings by value. Nested
+// values (tuples and bags) are keyed by their rendered Key.
+type constKey struct {
+	kind nested.Kind
+	bits uint64
+	s    string
+}
+
+func constKeyOf(v nested.Value) constKey {
+	k := constKey{kind: v.Kind()}
+	switch k.kind {
+	case nested.KindBool:
+		if v.AsBool() {
+			k.bits = 1
+		}
+	case nested.KindInt:
+		k.bits = uint64(v.AsInt())
+	case nested.KindFloat:
+		k.bits = math.Float64bits(v.AsFloat())
+	case nested.KindString:
+		k.s = v.AsString()
+	case nested.KindTuple, nested.KindBag:
+		k.s = v.Key()
+	}
+	return k
 }
 
 // Clone returns a deep copy of the graph (alive state included). Clones
@@ -556,11 +587,7 @@ func (g *Graph) Clone() *Graph {
 		c.invocations.add(inv)
 	}
 	if g.constIndex != nil {
-		m := make(map[string]NodeID, len(g.constIndex))
-		for k, v := range g.constIndex {
-			m[k] = v
-		}
-		c.constIndex = m
+		c.constIndex = maps.Clone(g.constIndex)
 		c.constOnce.Do(func() {}) // consume: the copied map is authoritative
 	}
 	return c

@@ -95,6 +95,9 @@ type Runner struct {
 	eventSink func(provgraph.Event)
 	// lastZoom chains coarse-grained invocations of stateful modules.
 	lastZoom map[string]provgraph.NodeID
+	// engine evaluates the module programs. One serves every invocation,
+	// so its reusable buffers do too.
+	engine *eval.Engine
 }
 
 // Option configures a Runner.
@@ -300,6 +303,8 @@ func (r *Runner) runModuleNode(node *Node, produced map[string]map[string]*eval.
 	env := &eval.Env{Rels: make(map[string]*eval.Relation, len(m.In)+len(m.State)+len(m.Plan().Steps)), Bags: r.bags}
 
 	// Bind inputs from incoming edges, wrapping each tuple in an i-node.
+	// A relation's tuples are distinct, so are their copies: they are
+	// appended unhashed.
 	var inputNodes []provgraph.NodeID
 	for _, e := range r.W.edges {
 		if e.To != node.Name {
@@ -311,7 +316,7 @@ func (r *Runner) runModuleNode(node *Node, produced map[string]map[string]*eval.
 			if !ok {
 				return nil, fmt.Errorf("workflow: node %s did not produce relation %q", e.From, rel)
 			}
-			bound := eval.NewRelation(m.In[rel])
+			bound := &eval.Relation{Schema: m.In[rel], Tuples: make([]eval.AnnTuple, 0, srcRel.Len())}
 			for i := range srcRel.Len() {
 				t := srcRel.At(i)
 				prov := provgraph.InvalidNode
@@ -319,7 +324,7 @@ func (r *Runner) runModuleNode(node *Node, produced map[string]map[string]*eval.
 					prov = b.ModuleInput(inv, t.Prov)
 					inputNodes = append(inputNodes, prov)
 				}
-				bound.Add(b, eval.AnnTuple{Tuple: t.Tuple, Prov: prov, Mult: t.Mult})
+				bound.AddDistinct(eval.AnnTuple{Tuple: t.Tuple, Prov: prov, Mult: t.Mult})
 			}
 			env.Set(rel, bound)
 		}
@@ -358,8 +363,10 @@ func (r *Runner) runModuleNode(node *Node, produced map[string]map[string]*eval.
 	// Evaluate the module program. Fine mode tracks per-operator
 	// provenance; plain and coarse modes run the untracked engine.
 	if m.Program != "" {
-		engine := eval.New(pickBuilder(fine, b))
-		if err := engine.Run(m.Plan(), env); err != nil {
+		if r.engine == nil || r.engine.Tracked() != fine {
+			r.engine = eval.New(pickBuilder(fine, b))
+		}
+		if err := r.engine.Run(m.Plan(), env); err != nil {
 			return nil, fmt.Errorf("workflow: node %s (%s): %w", node.Name, m.Name, err)
 		}
 	}
@@ -415,14 +422,14 @@ func (r *Runner) runModuleNode(node *Node, produced map[string]map[string]*eval.
 		}
 	}
 
-	// Wrap outputs in o-nodes.
+	// Wrap outputs in o-nodes, appending the distinct tuples unhashed.
 	out := make(map[string]*eval.Relation, len(m.Out))
 	for _, rel := range sortedNames(m.Out) {
 		cur, ok := env.Rels[rel]
 		if !ok {
 			return nil, fmt.Errorf("workflow: node %s: output relation %q was not produced", node.Name, rel)
 		}
-		res := eval.NewRelation(m.Out[rel])
+		res := &eval.Relation{Schema: m.Out[rel], Tuples: make([]eval.AnnTuple, 0, cur.Len())}
 		for i := range cur.Len() {
 			t := cur.At(i)
 			prov := provgraph.InvalidNode
@@ -432,7 +439,7 @@ func (r *Runner) runModuleNode(node *Node, produced map[string]map[string]*eval.
 			case Coarse:
 				prov = b.ModuleOutput(inv, zoom)
 			}
-			res.Add(b, eval.AnnTuple{Tuple: t.Tuple, Prov: prov, Mult: t.Mult})
+			res.AddDistinct(eval.AnnTuple{Tuple: t.Tuple, Prov: prov, Mult: t.Mult})
 		}
 		out[rel] = res
 	}
