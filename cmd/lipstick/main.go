@@ -24,9 +24,8 @@
 //	lipstick serve -live wal/             # durable streaming ingestion
 //	                                      # (group-committed WAL; tune with
 //	                                      # -gcdelay/-gcbytes/-queue;
-//	                                      # view publish cadence with
-//	                                      # -pubevery/-pubstale; -pprof addr
-//	                                      # opens a profiling side listener)
+//	                                      # -pprof addr opens a profiling
+//	                                      # side listener)
 //	lipstick serve -live wal/ -chaos      # + /v1/chaos fault-injection and
 //	                                      # kill endpoints (tests/CI only)
 //	lipstick serve -live wal2/ -addr :8081 -follow http://primary:8080
@@ -237,7 +236,7 @@ func dealershipSnapshot(run *workflowgen.DealershipRun) *store.Snapshot {
 // becomes the default for the flat /v1/* endpoints. The server drains
 // gracefully on SIGINT/SIGTERM.
 func serveCmd(args []string) error {
-	const usage = "usage: lipstick serve [-addr host:port] [-dir snapshots/] [-live waldir/] [-follow http://primary:port] [-chaos] [-gcdelay dur] [-gcbytes n] [-queue n] [-pubevery n] [-pubstale dur] [-pprof host:port] [snapshot]"
+	const usage = "usage: lipstick serve [-addr host:port] [-dir snapshots/] [-live waldir/] [-follow http://primary:port] [-chaos] [-gcdelay dur] [-gcbytes n] [-queue n] [-pprof host:port] [snapshot]"
 	addr := ":8080"
 	dir := ""
 	live := ""
@@ -247,9 +246,7 @@ func serveCmd(args []string) error {
 	chaos := false
 	gcDelay := store.DefaultGroupCommitDelay
 	gcBytes := store.DefaultGroupCommitBytes
-	queueDepth := 0               // 0 = core.DefaultIngestQueueDepth
-	pubEvery := -1                // -1 = core.DefaultPublishEvery
-	pubStale := time.Duration(-1) // -1 = unset (read-your-writes); "25ms" trades staleness for lock-free reads
+	queueDepth := 0 // 0 = core.DefaultIngestQueueDepth
 	for len(args) > 0 {
 		switch {
 		case len(args) >= 2 && args[0] == "-addr":
@@ -257,20 +254,6 @@ func serveCmd(args []string) error {
 			args = args[2:]
 		case len(args) >= 2 && args[0] == "-pprof":
 			pprofAddr = args[1]
-			args = args[2:]
-		case len(args) >= 2 && args[0] == "-pubevery":
-			n, err := strconv.Atoi(args[1])
-			if err != nil {
-				return fmt.Errorf("serve: invalid -pubevery value %q", args[1])
-			}
-			pubEvery = n
-			args = args[2:]
-		case len(args) >= 2 && args[0] == "-pubstale":
-			d, err := time.ParseDuration(args[1])
-			if err != nil {
-				return fmt.Errorf("serve: invalid -pubstale value %q", args[1])
-			}
-			pubStale = d
 			args = args[2:]
 		case len(args) >= 2 && args[0] == "-dir":
 			dir = args[1]
@@ -324,12 +307,6 @@ func serveCmd(args []string) error {
 	liveOpts := []core.LiveOption{
 		core.WithIngestQueueDepth(queueDepth),
 		core.WithLogOptions(store.WithGroupCommit(gcDelay, gcBytes)),
-	}
-	if pubEvery >= 0 {
-		liveOpts = append(liveOpts, core.WithPublishEvery(pubEvery))
-	}
-	if pubStale >= 0 {
-		liveOpts = append(liveOpts, core.WithPublishMaxStale(pubStale))
 	}
 	regOpts = append(regOpts, core.WithLiveOptions(liveOpts...))
 	if live != "" {

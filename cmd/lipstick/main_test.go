@@ -495,16 +495,26 @@ func TestLoadgenAgainstServer(t *testing.T) {
 	}
 }
 
-// TestServeFlagParsing covers the new ingest-pipeline knobs.
+// TestServeFlagParsing covers the ingest-pipeline knobs and the flags
+// that no longer exist: a live graph has one read path and one freshness
+// rule, so the publish-cadence and staleness flags are unknown.
 func TestServeFlagParsing(t *testing.T) {
 	for _, cmd := range [][]string{
 		{"serve", "-gcdelay", "bogus", "x.lpsk"},
 		{"serve", "-gcbytes", "x", "y.lpsk"},
 		{"serve", "-queue", "x", "y.lpsk"},
-		{"serve", "-nogroup", "x.lpsk"},
 	} {
 		if err := run(cmd); err == nil {
 			t.Fatalf("%v: expected an error", cmd)
+		}
+	}
+	for _, cmd := range [][]string{
+		{"serve", "-nogroup", "x.lpsk"},
+		{"serve", "-pubevery", "64", "x.lpsk"},
+		{"serve", "-pubstale", "25ms", "x.lpsk"},
+	} {
+		if err := run(cmd); err == nil || !strings.HasPrefix(err.Error(), "usage: lipstick serve") {
+			t.Fatalf("%v: want the unknown-flag usage error, got %v", cmd, err)
 		}
 	}
 }

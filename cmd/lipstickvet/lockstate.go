@@ -270,7 +270,7 @@ func (s *scanner) expr(e ast.Expr, h lockSet, write bool) {
 		s.expr(t.X, h, false)
 	case *ast.FuncLit:
 		// Closures in this codebase run synchronously (sort.Slice bodies,
-		// LiveGraph.Read callbacks), so they observe the caller's locks.
+		// query callbacks), so they observe the caller's locks.
 		// Goroutine closures are handled (with an empty set) in GoStmt.
 		s.stmts(t.Body.List, h.clone())
 	}

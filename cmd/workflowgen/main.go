@@ -26,7 +26,6 @@ import (
 	"lipstick/internal/serve"
 	"lipstick/internal/workflow"
 	"lipstick/internal/workflowgen"
-	"lipstick/internal/workflowgen/queryscale"
 	"lipstick/internal/workflowgen/scaleout"
 )
 
@@ -107,9 +106,7 @@ func main() {
 		start := time.Now()
 		var figure *workflowgen.Figure
 		var err error
-		if id == "queryscale" {
-			figure, err = runQueryScale(*jsonPath)
-		} else if id == "scaleout" {
+		if id == "scaleout" {
 			figure, err = runScaleout(*jsonPath)
 		} else if id == "graphmem" && *jsonPath != "" {
 			var report *workflowgen.GraphMemReport
@@ -143,59 +140,10 @@ func writeGraphMemReport(path string, report *workflowgen.GraphMemReport) error 
 	return f.Close()
 }
 
-// queryScaleReaders is the reader-count series BENCH_queryscale.json
-// records, and queryScalePerPoint the wall-time budget of each
-// (mode, readers) run.
-var queryScaleReaders = []int{1, 2, 4, 8}
-
-const queryScalePerPoint = 1500 * time.Millisecond
-
-// runQueryScale measures the mixed read/write scaling series (locked vs
-// epoch-published read path under concurrent durable ingest) and renders
-// it as a figure, optionally persisting the machine-readable report.
-func runQueryScale(jsonPath string) (*workflowgen.Figure, error) {
-	report, err := queryscale.Series(queryScaleReaders, queryScalePerPoint)
-	if err != nil {
-		return nil, err
-	}
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := report.WriteJSON(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
-	}
-	fig := &workflowgen.Figure{
-		ID: "queryscale", Title: "Mid-ingest read scaling: locked vs epoch-published read path",
-		XLabel: "concurrent readers", YLabel: "reads/s, ratios",
-	}
-	for _, p := range report.Points {
-		x := float64(p.Readers)
-		fig.Add("locked reads/s", x, p.LockedReadsPerSec)
-		fig.Add("published reads/s", x, p.PublishedReadsPerSec)
-		fig.Add("speedup (x)", x, p.Speedup())
-		fig.Add("p99 ratio (pub/locked)", x, p.P99Ratio())
-		fig.Add("ingest ratio (pub/locked)", x, p.IngestRatio())
-	}
-	if n := len(report.Points); n > 0 {
-		last := report.Points[n-1]
-		fig.Note("at %d readers: %.2fx read speedup, published ingest %.0f ev/s (%.2fx locked mode's)",
-			last.Readers, last.Speedup(), last.PublishedIngestPerSec, last.IngestRatio())
-	}
-	return fig, nil
-}
-
 // runBenchSmoke dispatches on the baseline report's "kind" field: absent
-// or "graphmem" re-measures the storage smoke point; "queryscale"
-// re-measures the read-scaling ratios at the baseline's largest reader
-// count; "scaleout" re-measures the shard/replica topology speedups. All
-// gates compare only hardware-portable metrics, with 20% tolerance.
+// or "graphmem" re-measures the storage smoke point; "scaleout"
+// re-measures the shard/replica topology speedups. Both gates compare
+// only hardware-portable metrics, with 20% tolerance.
 func runBenchSmoke(baselinePath string) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -207,10 +155,7 @@ func runBenchSmoke(baselinePath string) error {
 	if err := json.Unmarshal(data, &sniff); err != nil {
 		return fmt.Errorf("%s: %v", baselinePath, err)
 	}
-	switch sniff.Kind {
-	case queryscale.ReportKind:
-		return runQueryScaleSmoke(baselinePath)
-	case scaleout.ReportKind:
+	if sniff.Kind == scaleout.ReportKind {
 		return runScaleoutSmoke(baselinePath)
 	}
 	return runGraphMemSmoke(baselinePath)
@@ -270,37 +215,6 @@ func runScaleoutSmoke(baselinePath string) error {
 	}
 	fmt.Printf("bench-smoke ok: ingest speedup %.2fx, read speedup %.2fx, geomean %.2fx (baseline %.2fx, gated vs %s)\n",
 		report.Ingest.Speedup(), report.Reads.Speedup(), report.Geomean(), baseline.Geomean(), baselinePath)
-	return nil
-}
-
-// runQueryScaleSmoke re-measures the baseline's full reader series and
-// fails on a >20% regression of the published/locked ratios (read
-// speedup, p99 ratio, ingest ratio), gated on geometric means across the
-// series — single points are too contention-noisy to gate alone.
-func runQueryScaleSmoke(baselinePath string) error {
-	baseline, err := queryscale.ReadReport(baselinePath)
-	if err != nil {
-		return err
-	}
-	if len(baseline.Points) == 0 {
-		return fmt.Errorf("baseline %s has no points", baselinePath)
-	}
-	var counts []int
-	for _, p := range baseline.Points {
-		counts = append(counts, p.Readers)
-	}
-	report, err := queryscale.Series(counts, queryScalePerPoint)
-	if err != nil {
-		return err
-	}
-	if err := queryscale.Compare(baseline, report, 0.20); err != nil {
-		return err
-	}
-	if n := len(report.Points); n > 0 {
-		last := report.Points[n-1]
-		fmt.Printf("bench-smoke ok: at %d readers speedup %.2fx, p99 ratio %.3f, ingest ratio %.3f (gated on series geomeans vs %s)\n",
-			last.Readers, last.Speedup(), last.P99Ratio(), last.IngestRatio(), baselinePath)
-	}
 	return nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lipstick/internal/provgraph"
 	"lipstick/internal/store"
@@ -13,10 +12,11 @@ import (
 // LiveGraph is a provenance graph under construction: an ordered event
 // stream (provgraph.Event, numbered 1,2,3,...) is applied by a single
 // writer while concurrent readers answer the full query surface through a
-// QueryProcessor over the same graph. It is the serving-side half of
-// streaming ingestion — `POST /v1/ingest/{name}` appends batches here —
-// and turns the batch pipeline ("finish the workflow, write the snapshot,
-// then query") into one where every query endpoint answers mid-run.
+// QueryProcessor over a published, immutable view of it (ReadView). It is
+// the serving-side half of streaming ingestion — `POST /v1/ingest/{name}`
+// appends batches here — and turns the batch pipeline ("finish the
+// workflow, write the snapshot, then query") into one where every query
+// endpoint answers mid-run.
 //
 // Queries stay indexed while events stream in: the postings index grows
 // incrementally with each applied node (appends arrive in id order, so
@@ -60,29 +60,26 @@ type LiveGraph struct {
 	inflightMu sync.Mutex
 	inflight   []pendingBatch // guarded by inflightMu
 
-	// mu guards the queryable state below for concurrent readers; the
-	// writer holds it only while applying events to memory. Writes happen
-	// with BOTH writeMu and mu held, so a reader may hold either one —
-	// hence the two-guard annotations.
+	// mu guards the mutable state below: the writer holds it while
+	// applying events to memory, and a reader whose view is behind holds
+	// it to publish a new one. Writes happen with BOTH writeMu and mu
+	// held, so a reader may hold either one — hence the two-guard
+	// annotations.
 	mu       sync.RWMutex
 	g        *provgraph.Graph // guarded by mu or writeMu
 	ix       *liveIndex       // guarded by mu or writeMu
-	qp       *QueryProcessor  // guarded by mu or writeMu
 	seq      uint64           // last applied event sequence; guarded by mu or writeMu
 	lastCkpt uint64           // guarded by mu or writeMu
-	sincePub uint64           // events applied since the last publish; guarded by mu or writeMu
 
 	// view is the newest published read view. Store is the release half of
 	// the epoch-publish protocol: everything the view's graph and postings
 	// reference was written before the Store, and published structures are
 	// never overwritten afterwards, so a Load-ing reader needs no lock.
 	view atomic.Pointer[LiveView]
-	// appliedSeq mirrors seq for the lock-free staleness check in
-	// ReadView (it is stored after each apply batch, inside mu).
+	// appliedSeq mirrors seq for ReadView's lock-free freshness check. It
+	// is stored inside mu whenever seq moves: after each apply batch and
+	// after recovery.
 	appliedSeq atomic.Uint64
-
-	pubEvery uint64        // republish after this many applied events (0 = only on demand)
-	pubStale time.Duration // max view staleness ReadView tolerates (0 = read-your-writes)
 }
 
 // LiveView is one published, immutable snapshot of a live graph: a query
@@ -94,8 +91,6 @@ type LiveView struct {
 	Seq uint64 // published via view
 	// QP answers the full query surface over the frozen view.
 	QP *QueryProcessor // published via view
-	// At is when the view was published (staleness accounting).
-	At time.Time // published via view
 }
 
 // pendingBatch is one applied-but-not-yet-durable span of the stream.
@@ -112,8 +107,13 @@ const DefaultCheckpointEvery = 1 << 16
 // and durability before new ones are shed with *OverloadedError.
 const DefaultIngestQueueDepth = 64
 
-// DefaultPublishEvery is how many applied events trigger an automatic
-// view republish during ingest.
+// DefaultPublishEvery was the writer's view-publish cadence in events.
+//
+// Deprecated: views are published only when a read finds them behind the
+// applied stream, or at a checkpoint. The one remaining caller is the
+// serve-mixed benchmark's publish probe (bench/servemixed.go:622–625),
+// which sizes its batches by it; ROADMAP.md direction 12 removes that caller
+// and this constant with it.
 const DefaultPublishEvery = 4096
 
 // liveConfig collects LiveOption state.
@@ -121,8 +121,6 @@ type liveConfig struct {
 	ckptEvery  uint64
 	logOpts    []store.LogOption
 	queueDepth int
-	pubEvery   uint64
-	pubStale   time.Duration
 }
 
 // LiveOption configures a durable live graph.
@@ -148,27 +146,15 @@ func WithIngestQueueDepth(n int) LiveOption {
 	return func(c *liveConfig) { c.queueDepth = n }
 }
 
-// WithPublishEvery sets how many applied events trigger an automatic
-// view republish on the ingest path (default DefaultPublishEvery;
-// n <= 0 disables event-count republish — views then refresh only when
-// a reader finds its view too stale).
-func WithPublishEvery(n int) LiveOption {
-	return func(c *liveConfig) {
-		if n <= 0 {
-			c.pubEvery = 0
-		} else {
-			c.pubEvery = uint64(n)
-		}
-	}
-}
-
-// WithPublishMaxStale bounds how far behind the applied stream a view
-// ReadView hands out may be. 0 (the default) means read-your-writes:
-// any staleness forces a republish before the read proceeds. A serving
-// deployment typically tolerates a few tens of milliseconds so that
-// republish cost amortizes over many requests.
-func WithPublishMaxStale(d time.Duration) LiveOption {
-	return func(c *liveConfig) { c.pubStale = d }
+// WithPublishEvery is a no-op: the writer no longer publishes views on a
+// cadence.
+//
+// Deprecated: views are published only when a read finds them behind the
+// applied stream, or at a checkpoint. The one remaining caller is the
+// serve-mixed benchmark's publish probe (bench/servemixed.go:622–625);
+// ROADMAP.md direction 12 removes that caller and this option with it.
+func WithPublishEvery(int) LiveOption {
+	return func(*liveConfig) {}
 }
 
 // admissionGate builds the semaphore for a configured depth.
@@ -185,17 +171,13 @@ func admissionGate(depth int) chan struct{} {
 // NewLiveGraph returns an empty in-memory live graph (no durability).
 // Log-related options are ignored; the ingest queue depth applies.
 func NewLiveGraph(name string, opts ...LiveOption) *LiveGraph {
-	cfg := liveConfig{pubEvery: DefaultPublishEvery}
+	var cfg liveConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	l := &LiveGraph{
-		name: name, g: provgraph.New(), sem: admissionGate(cfg.queueDepth),
-		pubEvery: cfg.pubEvery, pubStale: cfg.pubStale,
-	}
+	l := &LiveGraph{name: name, g: provgraph.New(), sem: admissionGate(cfg.queueDepth)}
 	l.g.PrepareForIngest()
 	l.ix = newLiveIndex(l.g, nil)
-	l.qp = &QueryProcessor{graph: l.g, index: &Index{data: l.ix}}
 	l.mu.Lock()
 	l.publishLocked()
 	l.mu.Unlock()
@@ -205,7 +187,7 @@ func NewLiveGraph(name string, opts ...LiveOption) *LiveGraph {
 // OpenLiveGraph opens (creating if needed) a durable live graph backed by
 // a write-ahead log directory, recovering checkpoint + tail state.
 func OpenLiveGraph(name, dir string, opts ...LiveOption) (*LiveGraph, error) {
-	cfg := liveConfig{ckptEvery: DefaultCheckpointEvery, pubEvery: DefaultPublishEvery}
+	cfg := liveConfig{ckptEvery: DefaultCheckpointEvery}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -216,7 +198,6 @@ func OpenLiveGraph(name, dir string, opts ...LiveOption) (*LiveGraph, error) {
 	l := &LiveGraph{
 		name: name, log: log,
 		ckptEvery: cfg.ckptEvery, sem: admissionGate(cfg.queueDepth),
-		pubEvery: cfg.pubEvery, pubStale: cfg.pubStale,
 	}
 	var base store.Postings
 	if rec.Snapshot != nil {
@@ -234,7 +215,6 @@ func OpenLiveGraph(name, dir string, opts ...LiveOption) (*LiveGraph, error) {
 	}
 	l.g.PrepareForIngest()
 	l.ix = newLiveIndex(l.g, base)
-	l.qp = &QueryProcessor{graph: l.g, index: &Index{data: l.ix}}
 	l.seq = rec.CheckpointSeq
 	l.lastCkpt = rec.CheckpointSeq
 	for i := range rec.Tail {
@@ -246,6 +226,7 @@ func OpenLiveGraph(name, dir string, opts ...LiveOption) (*LiveGraph, error) {
 	}
 	l.mu.Lock()
 	l.publishLocked()
+	l.appliedSeq.Store(l.seq)
 	l.mu.Unlock()
 	return l, nil
 }
@@ -310,7 +291,7 @@ type IngestStatus struct {
 // skipped (idempotent retries), a gap is rejected with *SeqGapError, and
 // a full admission queue with *OverloadedError. For durable graphs the
 // applied suffix is WAL-logged (and fsynced, per the log's policy) before
-// Append returns; only the in-memory application holds the read lock, so
+// Append returns; only the in-memory application excludes readers, so
 // concurrent queries never wait on the disk.
 func (l *LiveGraph) Append(firstSeq uint64, events []provgraph.Event) (IngestStatus, error) {
 	return l.AppendAsync(firstSeq, events).Wait()
@@ -425,13 +406,6 @@ func (l *LiveGraph) AppendAsync(firstSeq uint64, events []provgraph.Event) *Pend
 		applied++
 	}
 	l.seq += uint64(applied)
-	l.sincePub += uint64(applied)
-	// Republish inside the same exclusive window that applied the events:
-	// the ingest path pays the (cheap, O(1)-amortized) publish so steady
-	// reads stay entirely lock-free.
-	if l.pubEvery > 0 && l.sincePub >= l.pubEvery {
-		l.publishLocked()
-	}
 	l.appliedSeq.Store(l.seq)
 	l.mu.Unlock()
 	// Counters track applied events; they must move even when the WAL
@@ -583,16 +557,12 @@ func (l *LiveGraph) applyLocked(ev provgraph.Event) error {
 	return nil
 }
 
-// Read runs fn against the live graph's query processor under a read
-// lock: every read the processor supports (FindNodes, Subgraph, Lineage,
-// WhatIfDelete, Expr, exports, stats) is consistent with a fixed event
-// prefix, while ingestion continues the moment fn returns. The processor
-// has no mutating method, so fn only reads under the lock. Results must
-// be materialized inside fn, not aliased past it.
+// Read runs fn against the query processor of ReadView's view: every
+// read the processor supports (FindNodes, Subgraph, Lineage,
+// WhatIfDelete, Expr, exports, stats) answers over every event applied
+// before Read was called, and ingestion never waits for fn.
 func (l *LiveGraph) Read(fn func(*QueryProcessor) error) error {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return fn(l.qp)
+	return fn(l.ReadView().QP)
 }
 
 // publishLocked (mu held exclusively) publishes a fresh immutable view:
@@ -602,24 +572,19 @@ func (l *LiveGraph) Read(fn func(*QueryProcessor) error) error {
 func (l *LiveGraph) publishLocked() {
 	vg := l.g.PublishView()
 	qp := &QueryProcessor{graph: vg, index: &Index{data: l.ix.publish()}}
-	l.view.Store(&LiveView{Seq: l.seq, QP: qp, At: time.Now()})
-	l.sincePub = 0
+	l.view.Store(&LiveView{Seq: l.seq, QP: qp})
 }
 
-// ReadView returns a published view to query without any locking. The
+// ReadView returns a published view that covers every event applied
+// before the call (read-your-writes), to query without any locking. The
 // fast path is two atomic loads: when the newest view already covers the
-// applied stream (or is within the configured staleness bound), readers
-// share it and never touch a mutex — mid-ingest reads scale with cores
-// instead of serializing against the writer. Otherwise ReadView takes
-// the write lock once, republishes, and the view it returns is exact.
+// applied stream, readers share it and never touch a mutex. Otherwise
+// ReadView takes the write lock once and publishes. Views are published
+// here and at checkpoints, and nowhere else: the writer never pays for a
+// view nobody reads.
 func (l *LiveGraph) ReadView() *LiveView {
-	if v := l.view.Load(); v != nil {
-		if v.Seq == l.appliedSeq.Load() {
-			return v
-		}
-		if l.pubStale > 0 && time.Since(v.At) <= l.pubStale {
-			return v
-		}
+	if v := l.view.Load(); v != nil && v.Seq == l.appliedSeq.Load() {
+		return v
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -12,16 +12,16 @@ import (
 // TestLiveViewSeqConsistencyTorture is the seq-consistency contract of
 // the epoch-published read path, run under enough concurrency that the
 // race detector audits the publish machinery: while one writer streams a
-// captured dealership run into a live graph (publishing every 64 events),
-// several readers hammer ReadView, query through every view they see,
-// and retain one view per distinct sequence number. Afterwards each
-// retained view's graph must be StructurallyEqual to a sequential replay
-// of the event stream truncated at exactly the view's Seq — a published
-// view is a consistent event prefix, never a torn mid-batch state.
+// captured dealership run into a live graph on the default options,
+// several readers hammer ReadView (each publishing when it finds the view
+// behind), query through every view they see, and retain one view per
+// distinct sequence number. Afterwards each retained view's Seq must be a
+// batch boundary and its graph StructurallyEqual to a sequential replay
+// of the event stream truncated at exactly that Seq — a published view is
+// a consistent event prefix, never a torn mid-batch state.
 func TestLiveViewSeqConsistencyTorture(t *testing.T) {
 	_, events := captureDealership(t, 300, 5)
-	lg := NewLiveGraph("torture",
-		WithPublishEvery(64), WithPublishMaxStale(time.Millisecond))
+	lg := NewLiveGraph("torture")
 
 	const readers = 4
 	stop := make(chan struct{})
@@ -59,7 +59,7 @@ func TestLiveViewSeqConsistencyTorture(t *testing.T) {
 		}(r)
 	}
 
-	const chunk = 37 // deliberately misaligned with the publish cadence
+	const chunk = 37
 	seq := uint64(1)
 	for next := 0; next < len(events); next += chunk {
 		end := next + chunk
@@ -77,10 +77,8 @@ func TestLiveViewSeqConsistencyTorture(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// The post-ingest ReadView must observe every applied event — once
-	// the configured staleness bound has lapsed (inside it, serving the
-	// previous view is the contract, not a bug).
-	time.Sleep(3 * time.Millisecond)
+	// The ReadView right after the last Append observes every applied
+	// event: reads are read-your-writes.
 	final := lg.ReadView()
 	if final.Seq != uint64(len(events)) {
 		t.Fatalf("final view seq = %d, want %d", final.Seq, len(events))
@@ -108,6 +106,9 @@ func TestLiveViewSeqConsistencyTorture(t *testing.T) {
 	replay := provgraph.New()
 	applied := uint64(0)
 	for _, s := range seqs {
+		if s%chunk != 0 && s != uint64(len(events)) {
+			t.Fatalf("view at seq %d is not a batch boundary (batches of %d, %d events)", s, chunk, len(events))
+		}
 		for applied < s {
 			if err := provgraph.Apply(replay, events[applied]); err != nil {
 				t.Fatal(err)

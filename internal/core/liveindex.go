@@ -29,11 +29,9 @@ import (
 //     v3 section) sit below everything as an immutable base level that
 //     is never copied, only consulted.
 //
-// The writer mutates the index under the live graph's write locks; a
-// published pubPostings is immutable and safe for any number of
-// lock-free readers. liveIndex itself implements store.Postings for the
-// locked read path, so the locked QueryProcessor sees every applied
-// event immediately.
+// The writer mutates the index under the live graph's write locks and
+// nothing reads it directly: queries go through a published pubPostings,
+// which is immutable and safe for any number of lock-free readers.
 type liveIndex struct {
 	base store.Postings // immutable checkpoint postings; nil for fresh graphs
 	n    int            // node slots covered (tracks graph.TotalNodes())
@@ -132,43 +130,6 @@ func (ix *liveIndex) publish() *pubPostings {
 		pp.byOp[i] = run[:len(run):len(run)]
 	}
 	return pp
-}
-
-// --- locked read side (store.Postings over the always-current state) ---
-
-// Coverage implements store.Postings. It tracks the graph's node count,
-// so the query layer's post-index tail sweep is always empty.
-func (ix *liveIndex) Coverage() int { return ix.n }
-
-// TypeIDs implements store.Postings.
-func (ix *liveIndex) TypeIDs(t provgraph.Type) []provgraph.NodeID {
-	if run := ix.byType[t]; run != nil {
-		return run
-	}
-	return baseOrNil(ix.base, func(p store.Postings) []provgraph.NodeID { return p.TypeIDs(t) })
-}
-
-// OpIDs implements store.Postings.
-func (ix *liveIndex) OpIDs(o provgraph.Op) []provgraph.NodeID {
-	if run := ix.byOp[o]; run != nil {
-		return run
-	}
-	return baseOrNil(ix.base, func(p store.Postings) []provgraph.NodeID { return p.OpIDs(o) })
-}
-
-// LabelIDs implements store.Postings.
-func (ix *liveIndex) LabelIDs(label string) []provgraph.NodeID {
-	return ix.label.get(label, baseOrNil(ix.base, func(p store.Postings) []provgraph.NodeID { return p.LabelIDs(label) }))
-}
-
-// ModuleIDs implements store.Postings.
-func (ix *liveIndex) ModuleIDs(module string) []provgraph.NodeID {
-	return ix.module.get(module, baseOrNil(ix.base, func(p store.Postings) []provgraph.NodeID { return p.ModuleIDs(module) }))
-}
-
-// ModuleInvocations implements store.Postings.
-func (ix *liveIndex) ModuleInvocations(module string) []provgraph.InvID {
-	return ix.modInvs.get(module, baseOrNil(ix.base, func(p store.Postings) []provgraph.InvID { return p.ModuleInvocations(module) }))
 }
 
 // pubPostings is one published, immutable snapshot of a liveIndex. Any
@@ -275,11 +236,6 @@ func (t *lsmRuns[T]) insert(key string, v T) {
 	t.deltaN++
 }
 
-// get merges key's runs across base, levels, and delta.
-func (t *lsmRuns[T]) get(key string, base []T) []T {
-	return mergeKeyRuns(t.levels, t.delta, base, key, t.needSort)
-}
-
 // seal freezes the delta as the newest level and compacts. After seal
 // the delta map is never written again, which is what lets snapshots
 // share it by reference.
@@ -331,13 +287,13 @@ type lsmSnapshot[T ~int32] struct {
 }
 
 func (s lsmSnapshot[T]) get(key string, base []T) []T {
-	return mergeKeyRuns(s.levels, nil, base, key, s.needSort)
+	return mergeKeyRuns(s.levels, base, key, s.needSort)
 }
 
 // mergeKeyRuns collects key's non-empty runs bottom-up and merges them.
 // Zero or one run short-circuits to the run itself (shared, not copied —
 // store.Postings results are read-only by contract).
-func mergeKeyRuns[T ~int32](levels []map[string][]T, delta map[string][]T, base []T, key string, needSort bool) []T {
+func mergeKeyRuns[T ~int32](levels []map[string][]T, base []T, key string, needSort bool) []T {
 	var only []T
 	count := 0
 	if len(base) > 0 {
@@ -350,10 +306,6 @@ func mergeKeyRuns[T ~int32](levels []map[string][]T, delta map[string][]T, base 
 			count++
 		}
 	}
-	if run := delta[key]; len(run) > 0 {
-		only = run
-		count++
-	}
 	if count <= 1 {
 		return only
 	}
@@ -365,9 +317,6 @@ func mergeKeyRuns[T ~int32](levels []map[string][]T, delta map[string][]T, base 
 		if run := lvl[key]; len(run) > 0 {
 			parts = append(parts, run)
 		}
-	}
-	if run := delta[key]; len(run) > 0 {
-		parts = append(parts, run)
 	}
 	out := parts[0]
 	for _, p := range parts[1:] {

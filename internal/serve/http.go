@@ -149,11 +149,11 @@ func (s *Service) Handler(snapshot string) http.Handler {
 	// routed by registered name — answered identically from a static
 	// snapshot's cached processor or a live graph mid-ingest.
 	//
-	// Live targets take the lock-free path: the newest published view
-	// answers, the response carries its sequence in X-Lipstick-Seq, and
-	// the marshaled body is cached keyed by (graph, seq, endpoint,
-	// normalized query) — a view is immutable, so a hit is exact by
-	// construction and skips both the query and the JSON encode.
+	// Live targets take the lock-free path: a published view covering
+	// every applied event answers, the response carries its sequence in
+	// X-Lipstick-Seq, and the marshaled body is cached keyed by (graph,
+	// seq, endpoint, normalized query) — a view is immutable, so a hit is
+	// exact by construction and skips both the query and the JSON encode.
 	query := func(suffix string, fn func(r *http.Request, qp *core.QueryProcessor) (any, error)) {
 		for _, pattern := range []string{"GET /v1/" + suffix, "GET /v1/snapshots/{name}/" + suffix} {
 			mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {

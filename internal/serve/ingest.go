@@ -27,21 +27,13 @@ func (s *Service) pathRun(path string) runFn {
 	}
 }
 
-// liveRun answers queries from the graph's newest published view: a
-// consistent, immutable event prefix reached by two atomic loads on the
-// steady path — no lock is shared with the ingesting writer.
-func liveRun(lg *core.LiveGraph) runFn {
-	return func(fn func(*core.QueryProcessor) error) error {
-		return fn(lg.ReadView().QP)
-	}
-}
-
 // targetRun resolves a registered name — live graph or static snapshot —
-// to a query runner. Live reads run against the newest published view,
-// so they see a consistent event prefix without blocking ingestion.
+// to a query runner. Live reads run against a published view covering
+// every applied event, so they see a consistent event prefix without
+// blocking ingestion.
 func (s *Service) targetRun(name string) (runFn, error) {
 	if lg, err := s.reg.LiveGraph(name); err == nil {
-		return liveRun(lg), nil
+		return lg.Read, nil
 	}
 	path, err := s.reg.Lookup(name)
 	if err != nil {

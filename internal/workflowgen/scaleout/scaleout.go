@@ -8,10 +8,9 @@
 // host the honest speedups hover near 1.0x (every node shares one CPU);
 // the gate is therefore baseline-relative, not absolute.
 //
-// The package sits beside (not inside) workflowgen for the same reason
-// queryscale does: core's in-package tests import workflowgen, so
-// driving core/serve from workflowgen itself would cycle the test
-// binary's import graph.
+// The package sits beside (not inside) workflowgen because core's
+// in-package tests import workflowgen, so driving core/serve from
+// workflowgen itself would cycle the test binary's import graph.
 package scaleout
 
 import (
@@ -194,8 +193,7 @@ func startNode(dir string) (*node, error) {
 	reg := core.NewRegistry(nil,
 		core.WithLiveDir(dir),
 		core.WithLiveOptions(
-			core.WithLogOptions(store.WithGroupCommit(-1, 0)),
-			core.WithPublishMaxStale(25*time.Millisecond)))
+			core.WithLogOptions(store.WithGroupCommit(-1, 0))))
 	svc := serve.NewRegistryService(reg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
