@@ -23,7 +23,7 @@
 //	lipstick serve -dir snapshots/        # registry of snapshots + sessions
 //	lipstick serve -live wal/             # durable streaming ingestion
 //	                                      # (group-committed WAL; tune with
-//	                                      # -gcdelay/-gcbytes/-queue;
+//	                                      # -gcbytes/-queue;
 //	                                      # -pprof addr opens a profiling
 //	                                      # side listener)
 //	lipstick serve -live wal/ -chaos      # + /v1/chaos fault-injection and
@@ -236,7 +236,7 @@ func dealershipSnapshot(run *workflowgen.DealershipRun) *store.Snapshot {
 // becomes the default for the flat /v1/* endpoints. The server drains
 // gracefully on SIGINT/SIGTERM.
 func serveCmd(args []string) error {
-	const usage = "usage: lipstick serve [-addr host:port] [-dir snapshots/] [-live waldir/] [-follow http://primary:port] [-chaos] [-gcdelay dur] [-gcbytes n] [-queue n] [-pprof host:port] [snapshot]"
+	const usage = "usage: lipstick serve [-addr host:port] [-dir snapshots/] [-live waldir/] [-follow http://primary:port] [-chaos] [-gcbytes n] [-queue n] [-pprof host:port] [snapshot]"
 	addr := ":8080"
 	dir := ""
 	live := ""
@@ -244,7 +244,6 @@ func serveCmd(args []string) error {
 	snapshot := ""
 	pprofAddr := ""
 	chaos := false
-	gcDelay := store.DefaultGroupCommitDelay
 	gcBytes := store.DefaultGroupCommitBytes
 	queueDepth := 0 // 0 = core.DefaultIngestQueueDepth
 	for len(args) > 0 {
@@ -263,13 +262,6 @@ func serveCmd(args []string) error {
 			args = args[2:]
 		case len(args) >= 2 && args[0] == "-follow":
 			follow = args[1]
-			args = args[2:]
-		case len(args) >= 2 && args[0] == "-gcdelay":
-			d, err := time.ParseDuration(args[1])
-			if err != nil {
-				return fmt.Errorf("serve: invalid -gcdelay value %q", args[1])
-			}
-			gcDelay = d
 			args = args[2:]
 		case len(args) >= 2 && args[0] == "-gcbytes":
 			n, err := strconv.Atoi(args[1])
@@ -306,7 +298,7 @@ func serveCmd(args []string) error {
 	// graph.
 	liveOpts := []core.LiveOption{
 		core.WithIngestQueueDepth(queueDepth),
-		core.WithLogOptions(store.WithGroupCommit(gcDelay, gcBytes)),
+		core.WithLogOptions(store.WithGroupCommit(0, gcBytes)),
 	}
 	regOpts = append(regOpts, core.WithLiveOptions(liveOpts...))
 	if live != "" {

@@ -497,10 +497,10 @@ func TestLoadgenAgainstServer(t *testing.T) {
 
 // TestServeFlagParsing covers the ingest-pipeline knobs and the flags
 // that no longer exist: a live graph has one read path and one freshness
-// rule, so the publish-cadence and staleness flags are unknown.
+// rule, so the publish-cadence and staleness flags are unknown, and the
+// group committer has no gather window, so -gcdelay is unknown too.
 func TestServeFlagParsing(t *testing.T) {
 	for _, cmd := range [][]string{
-		{"serve", "-gcdelay", "bogus", "x.lpsk"},
 		{"serve", "-gcbytes", "x", "y.lpsk"},
 		{"serve", "-queue", "x", "y.lpsk"},
 	} {
@@ -512,6 +512,7 @@ func TestServeFlagParsing(t *testing.T) {
 		{"serve", "-nogroup", "x.lpsk"},
 		{"serve", "-pubevery", "64", "x.lpsk"},
 		{"serve", "-pubstale", "25ms", "x.lpsk"},
+		{"serve", "-gcdelay", "200us", "x.lpsk"},
 	} {
 		if err := run(cmd); err == nil || !strings.HasPrefix(err.Error(), "usage: lipstick serve") {
 			t.Fatalf("%v: want the unknown-flag usage error, got %v", cmd, err)

@@ -110,10 +110,10 @@ const DefaultIngestQueueDepth = 64
 // DefaultPublishEvery was the writer's view-publish cadence in events.
 //
 // Deprecated: views are published only when a read finds them behind the
-// applied stream, or at a checkpoint. The one remaining caller is the
-// serve-mixed benchmark's publish probe (bench/servemixed.go:622–625),
-// which sizes its batches by it; ROADMAP.md direction 12 removes that caller
-// and this constant with it.
+// applied stream. The one remaining caller is the serve-mixed benchmark's
+// publish probe (bench/servemixed.go:622–625), which sizes its batches by
+// it; ROADMAP.md direction 12 removes that caller and this constant with
+// it.
 const DefaultPublishEvery = 4096
 
 // liveConfig collects LiveOption state.
@@ -150,9 +150,9 @@ func WithIngestQueueDepth(n int) LiveOption {
 // cadence.
 //
 // Deprecated: views are published only when a read finds them behind the
-// applied stream, or at a checkpoint. The one remaining caller is the
-// serve-mixed benchmark's publish probe (bench/servemixed.go:622–625);
-// ROADMAP.md direction 12 removes that caller and this option with it.
+// applied stream. The one remaining caller is the serve-mixed benchmark's
+// publish probe (bench/servemixed.go:622–625); ROADMAP.md direction 12
+// removes that caller and this option with it.
 func WithPublishEvery(int) LiveOption {
 	return func(*liveConfig) {}
 }
@@ -579,9 +579,9 @@ func (l *LiveGraph) publishLocked() {
 // before the call (read-your-writes), to query without any locking. The
 // fast path is two atomic loads: when the newest view already covers the
 // applied stream, readers share it and never touch a mutex. Otherwise
-// ReadView takes the write lock once and publishes. Views are published
-// here and at checkpoints, and nowhere else: the writer never pays for a
-// view nobody reads.
+// ReadView takes the write lock once and publishes. After open, views are
+// published here and nowhere else: neither the writer nor a checkpoint
+// pays for a view nobody reads.
 func (l *LiveGraph) ReadView() *LiveView {
 	if v := l.view.Load(); v != nil && v.Seq == l.appliedSeq.Load() {
 		return v
@@ -619,15 +619,16 @@ func (l *LiveGraph) checkpointLocked() error {
 	if err := l.flushBacklogLocked(); err != nil {
 		return fmt.Errorf("lipstick: checkpoint of %s: flushing unlogged events: %w", l.name, err)
 	}
-	// Serialize from a freshly published view: the view's graph is
-	// immutable and shares the columns' frozen tails, so readers keep
-	// answering (and the snapshot is exactly the applied prefix) while
-	// the checkpoint encodes.
+	// Serialize from a freshly published graph view: it is immutable and
+	// shares the columns' frozen tails, so readers keep answering (and the
+	// snapshot is exactly the applied prefix) while the checkpoint
+	// encodes. The snapshot needs no postings, so the live index's delta
+	// stays unsealed and no reader view is published: that is ReadView's
+	// job, done only when someone reads.
 	l.mu.Lock()
-	l.publishLocked()
-	v := l.view.Load()
+	g := l.g.PublishView()
 	l.mu.Unlock()
-	if err := l.log.Checkpoint(&store.Snapshot{Graph: v.QP.graph}); err != nil {
+	if err := l.log.Checkpoint(&store.Snapshot{Graph: g}); err != nil {
 		return err
 	}
 	l.mu.Lock()

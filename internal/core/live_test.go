@@ -201,9 +201,9 @@ func TestLiveGraphDuplicateAndGapBatches(t *testing.T) {
 
 // commitModes runs a durable-graph test under the two committer tunings,
 // with fsync off. The subtest names are the ones these tests have always
-// used: "serial" is the library default (gather delay 0, which replaced
-// the serial writer) and "group" the DefaultGroupCommitDelay gather
-// window that `serve -live` uses. Recovery must not depend on either.
+// used: "serial" is the library default (each commit takes everything
+// queued, up to DefaultGroupCommitBytes) and "group" a 1-byte cap that
+// gives every batch its own commit. Recovery must not depend on either.
 func commitModes(t *testing.T, fn func(t *testing.T, opts []LiveOption)) {
 	t.Helper()
 	for _, m := range []struct {
@@ -211,7 +211,7 @@ func commitModes(t *testing.T, fn func(t *testing.T, opts []LiveOption)) {
 		opts []store.LogOption
 	}{
 		{"serial", nil},
-		{"group", []store.LogOption{store.WithGroupCommit(-1, 0)}},
+		{"group", []store.LogOption{store.WithGroupCommit(0, 1)}},
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			fn(t, []LiveOption{WithLogOptions(append(m.opts, store.WithFsync(false))...)})
@@ -552,10 +552,11 @@ func BenchmarkLiveIngest(b *testing.B) {
 }
 
 // BenchmarkLiveIngestDurable measures durable ingest throughput through
-// the group committer under three settings — the library default (gather
-// delay 0) with fsync on, the same with fsync off (the log path without
-// the disk flush), and the DefaultGroupCommitDelay gather window that
-// `serve -live` uses, fsync on — each with a single pipelined writer and
+// the group committer under three settings — the library default (every
+// commit takes what queued during the previous one) with fsync on, the
+// same with fsync off (the log path without the disk flush), and a 1-byte
+// cap that gives every batch its own commit, fsync on (what coalescing
+// saves) — each with a single pipelined writer and
 // with 4 concurrent writers streaming one ordered stream (claim + submit
 // serialized, durability waits overlapping, as a multi-connection sender
 // would).
@@ -617,9 +618,9 @@ func BenchmarkLiveIngestDurable(b *testing.B) {
 		name string
 		opts []LiveOption
 	}{
-		{"fsync", nil}, // delay 0
-		{"nofsync", []LiveOption{WithLogOptions(store.WithFsync(false))}}, // delay 0
-		{"group", []LiveOption{WithLogOptions(store.WithGroupCommit(-1, 0))}},
+		{"fsync", nil},
+		{"nofsync", []LiveOption{WithLogOptions(store.WithFsync(false))}},
+		{"group", []LiveOption{WithLogOptions(store.WithGroupCommit(0, 1))}},
 	}
 	for _, m := range modes {
 		for _, writers := range []int{1, 4} {

@@ -92,3 +92,38 @@ func TestRecoveredLiveGraphReadViewTakesNoLock(t *testing.T) {
 		t.Fatal("ReadView on a recovered graph waited for mu instead of taking the lock-free path")
 	}
 }
+
+// TestCheckpointSealsNoPostings holds a checkpoint to serializing a bare
+// graph view: on a stream nobody has read, Checkpoint leaves the live
+// index's label delta unsealed (no new level, no compaction inside the
+// writer's window), and the next ReadView still covers every applied
+// event, postings included.
+func TestCheckpointSealsNoPostings(t *testing.T) {
+	ref, events := captureDealership(t, 60, 2)
+	lg, err := OpenLiveGraph("ckpt", t.TempDir(), WithLogOptions(store.WithFsync(false)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	if _, err := lg.Append(1, events); err != nil {
+		t.Fatal(err)
+	}
+	levels, deltaN := len(lg.ix.label.levels), lg.ix.label.deltaN
+	if deltaN == 0 {
+		t.Fatal("appending left the label delta empty; the test needs an unsealed delta")
+	}
+	if err := lg.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if lg.CheckpointSeq() != uint64(len(events)) {
+		t.Fatalf("CheckpointSeq = %d, want %d", lg.CheckpointSeq(), len(events))
+	}
+	if got := len(lg.ix.label.levels); got != levels || lg.ix.label.deltaN != deltaN {
+		t.Fatalf("Checkpoint sealed the postings: label levels %d → %d, delta %d → %d", levels, got, deltaN, lg.ix.label.deltaN)
+	}
+	v := lg.ReadView()
+	if v.Seq != uint64(len(events)) {
+		t.Fatalf("ReadView().Seq = %d after the checkpoint, want %d", v.Seq, len(events))
+	}
+	assertIndexMatchesScan(t, v.QP.FindNodes, ref, "after checkpoint")
+}

@@ -16,7 +16,6 @@ import (
 	"lipstick/internal/replica"
 	"lipstick/internal/serve"
 	"lipstick/internal/shard"
-	"lipstick/internal/store"
 	"lipstick/internal/testutil"
 )
 
@@ -44,9 +43,7 @@ func chainEvents(n int) []provgraph.Event {
 // newNode boots one durable lipstick node behind the real HTTP handler.
 func newNode(t *testing.T) (*core.Registry, *serve.Service, *httptest.Server) {
 	t.Helper()
-	reg := core.NewRegistry(nil,
-		core.WithLiveDir(t.TempDir()),
-		core.WithLiveOptions(core.WithLogOptions(store.WithGroupCommit(-1, 0))))
+	reg := core.NewRegistry(nil, core.WithLiveDir(t.TempDir()))
 	svc := serve.NewRegistryService(reg)
 	srv := httptest.NewServer(svc.Handler(""))
 	t.Cleanup(func() { srv.Close(); reg.Close() })

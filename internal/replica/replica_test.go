@@ -41,9 +41,7 @@ func chainEvents(n int) []provgraph.Event {
 // newPrimary boots a durable registry behind the real HTTP handler.
 func newPrimary(t *testing.T) (*core.Registry, *serve.Service, *httptest.Server) {
 	t.Helper()
-	reg := core.NewRegistry(nil,
-		core.WithLiveDir(t.TempDir()),
-		core.WithLiveOptions(core.WithLogOptions(store.WithGroupCommit(-1, 0))))
+	reg := core.NewRegistry(nil, core.WithLiveDir(t.TempDir()))
 	svc := serve.NewRegistryService(reg)
 	srv := httptest.NewServer(svc.Handler(""))
 	t.Cleanup(func() { srv.Close(); reg.Close() })
@@ -73,9 +71,7 @@ func ingest(t *testing.T, serverURL, name string, firstSeq uint64, events []prov
 // newFollower attaches a fast-polling manager over a fresh registry.
 func newFollower(t *testing.T, primaryURL string) (*core.Registry, *Manager) {
 	t.Helper()
-	reg := core.NewRegistry(nil,
-		core.WithLiveDir(t.TempDir()),
-		core.WithLiveOptions(core.WithLogOptions(store.WithGroupCommit(-1, 0))))
+	reg := core.NewRegistry(nil, core.WithLiveDir(t.TempDir()))
 	t.Cleanup(func() { reg.Close() })
 	mgr := NewManager(reg, primaryURL,
 		WithPollInterval(2*time.Millisecond),

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lipstick/internal/faultinject"
 	"lipstick/internal/provgraph"
@@ -20,12 +19,12 @@ import (
 // Group commit is the log's only write path. Concurrent Appends encode
 // their events into WAL record frames (outside any log lock), enqueue
 // them to the log's single committer goroutine, and block on a per-batch
-// Commit handle. The committer coalesces everything pending — bounded by
-// a gather delay (0 by default: commit as soon as the committer is free)
-// and a byte budget — into one segment write and one fsync, then fans the
-// outcome back to each waiter. One disk flush is thereby amortized over
-// every batch that arrived while the previous flush was in flight, and
-// callers overlap their CPU work (decode, validate, graph application)
+// Commit handle. The moment it is free, the committer takes everything
+// pending — up to a byte budget — into one segment write and one fsync,
+// then fans the outcome back to each waiter. No timer waits for company:
+// one disk flush is amortized over every batch that arrived while the
+// previous flush was in flight, and a lone batch commits at once.
+// Callers overlap their CPU work (decode, validate, graph application)
 // with the disk. Rotations, checkpoints and Close run on the same
 // goroutine, in queue order.
 //
@@ -297,7 +296,7 @@ func (g *committer) submit(op commitOp) (*Commit, error) {
 	return c, nil
 }
 
-// run is the committer loop: gather a group, commit it, fan out results.
+// run is the committer loop: take a group, commit it, fan out results.
 func (g *committer) run() {
 	for range g.wake {
 		for {
@@ -306,16 +305,10 @@ func (g *committer) run() {
 				g.mu.Unlock()
 				break
 			}
-			// A lone append may wait out the gather window for company —
-			// a deeper queue has already gathered naturally during the
-			// previous commit.
-			if g.l.groupDelay > 0 && len(g.queue) == 1 && g.queue[0].recs != nil {
-				g.mu.Unlock()
-				time.Sleep(g.l.groupDelay)
-				g.mu.Lock()
-			}
 			// Take a group: the maximal prefix of append ops within the
-			// byte budget (always at least one), or one control op.
+			// byte budget (always at least one), or one control op. What
+			// queued during the previous commit is the whole group; nothing
+			// waits for more.
 			var ops []commitOp
 			if g.queue[0].recs == nil {
 				ops = []commitOp{g.queue[0]}

@@ -63,7 +63,6 @@ type Log struct {
 	segLimit int64
 	fsync    bool
 
-	groupDelay time.Duration
 	groupBytes int
 	gc         *committer
 
@@ -98,29 +97,27 @@ func WithFsync(on bool) LogOption {
 	return func(l *Log) { l.fsync = on }
 }
 
-// Group-commit tuning.
-const (
-	// DefaultGroupCommitDelay is the gather window WithGroupCommit selects
-	// for a negative maxDelay: how long a lone pending batch waits for
-	// company before the committer flushes it.
-	DefaultGroupCommitDelay = 200 * time.Microsecond
-	// DefaultGroupCommitBytes caps the payload of one coalesced commit.
-	DefaultGroupCommitBytes = 4 << 20
-)
+// DefaultGroupCommitBytes caps the payload of one coalesced commit.
+const DefaultGroupCommitBytes = 4 << 20
 
-// WithGroupCommit tunes the committer. maxDelay bounds how long a lone
-// batch waits for company (negative selects DefaultGroupCommitDelay; 0,
-// the default without this option, commits as soon as the committer is
-// free, coalescing only what piled up during the previous commit) and
-// maxBytes caps one commit's payload (<= 0 selects
-// DefaultGroupCommitBytes, also the default). Neither changes the on-disk
-// format, and a commit is acknowledged only after its fsync.
+// DefaultGroupCommitDelay was the gather window a lone pending batch
+// waited out for company before the committer flushed it.
+//
+// Deprecated: the committer has no gather window; it takes whatever is
+// queued the moment it is free, and WithGroupCommit ignores its maxDelay.
+// The remaining callers are the benchmark harness's durable options
+// (bench/ingest.go:34, bench/ingest.go:319 and bench/servemixed.go:173);
+// ROADMAP.md direction 12 removes them and this constant with them.
+const DefaultGroupCommitDelay = 200 * time.Microsecond
+
+// WithGroupCommit caps one commit's payload at maxBytes (<= 0 selects
+// DefaultGroupCommitBytes, also the default). The committer takes
+// whatever is queued the moment it is free, so batches that arrive
+// during a write + fsync coalesce into the next commit; maxDelay is
+// ignored (see DefaultGroupCommitDelay). The cap does not change the
+// on-disk format, and a commit is acknowledged only after its fsync.
 func WithGroupCommit(maxDelay time.Duration, maxBytes int) LogOption {
 	return func(l *Log) {
-		l.groupDelay = maxDelay
-		if maxDelay < 0 {
-			l.groupDelay = DefaultGroupCommitDelay
-		}
 		l.groupBytes = maxBytes
 		if maxBytes <= 0 {
 			l.groupBytes = DefaultGroupCommitBytes

@@ -15,16 +15,17 @@ var errDiskFault = errors.New("injected disk fault")
 
 // logModes runs each fault scenario under the two committer tunings. The
 // names are the ones these suites have always used: "serial" is the
-// library default (gather delay 0: each batch commits as soon as the
-// committer is free, which is what replaced the serial writer), "group"
-// the DefaultGroupCommitDelay gather window that `serve -live` uses. Both
-// share the wal.write/wal.fsync/wal.slow failpoints.
+// library default (the committer takes everything queued, up to
+// DefaultGroupCommitBytes, as soon as it is free), "group" a 1-byte cap
+// that gives every batch its own commit, so a fault never spans two
+// batches' records. Both share the wal.write/wal.fsync/wal.slow
+// failpoints.
 var logModes = []struct {
 	name string
 	opts []LogOption
 }{
 	{"serial", []LogOption{WithFsync(true)}},
-	{"group", []LogOption{WithFsync(true), WithGroupCommit(-1, 0)}},
+	{"group", []LogOption{WithFsync(true), WithGroupCommit(0, 1)}},
 }
 
 func TestWALFsyncFaultRollsBackAndResumes(t *testing.T) {
@@ -129,5 +130,61 @@ func TestWALSlowDiskFaultOnlyDelays(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestWALCoalescesWhileCommitterBusy pins the committer's only grouping:
+// with no gather window, batches queued while a commit is in flight
+// become the next commit. The first commit is held on the delay-only
+// wal.slow point; the 8 batches queued behind it must share at most one
+// more commit, and every event must recover.
+func TestWALCoalescesWhileCommitterBusy(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	defer faultinject.Reset()
+	const batches, per = 9, 4
+	dir := t.TempDir()
+	events := chainEvents(batches * per)
+	l, _ := openLogT(t, dir)
+	faultinject.Arm("wal.slow", faultinject.Fault{Delay: 200 * time.Millisecond, Count: 1})
+	submit := func(b int) *Commit {
+		recs, err := EncodeRecords(events[b*per : (b+1)*per])
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := l.AppendRecords(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	commits := []*Commit{submit(0)}
+	// The point disarms itself as the committer fires it, so once it is
+	// gone the first commit is asleep inside the write.
+	for len(faultinject.Active()) > 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	for b := 1; b < batches; b++ {
+		commits = append(commits, submit(b))
+	}
+	for _, c := range commits {
+		if err := c.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := l.GroupStats()
+	if st.Batches != batches || st.Commits > 2 {
+		t.Fatalf("%d batches in %d commits, want %d batches in at most 2", st.Batches, st.Commits, batches)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, rec := openLogT(t, dir)
+	if rec.LastSeq != uint64(len(events)) || len(rec.Tail) != len(events) {
+		t.Fatalf("recovered %d events to seq %d, want %d", len(rec.Tail), rec.LastSeq, len(events))
+	}
+	for i := range events {
+		if rec.Tail[i] != events[i] {
+			t.Fatalf("event %d recovered as %+v, want %+v", i+1, rec.Tail[i], events[i])
+		}
 	}
 }

@@ -327,8 +327,9 @@ func CompareGraphMem(baseline, current *GraphMemReport, tol float64) error {
 				cur.Nodes, cur.BytesPerNode, base.BytesPerNode, tol*100)
 		}
 		if r := base.OpenRatio(); r > 0 && cur.OpenRatio() > r*(1+tol) {
-			return fmt.Errorf("graphmem regression at %d nodes: open ratio %.4f exceeds baseline %.4f by more than %.0f%%",
-				cur.Nodes, cur.OpenRatio(), r, tol*100)
+			return fmt.Errorf("graphmem regression at %d nodes: open ratio %.4f (v3 mapped open %.1f µs / v2 decode %.2f ms) exceeds baseline %.4f (%.1f µs / %.2f ms) by more than %.0f%%",
+				cur.Nodes, cur.OpenRatio(), float64(cur.OpenV3Ns)/1e3, float64(cur.OpenV2Ns)/1e6,
+				r, float64(base.OpenV3Ns)/1e3, float64(base.OpenV2Ns)/1e6, tol*100)
 		}
 	}
 	if checked == 0 {

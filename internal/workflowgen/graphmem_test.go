@@ -3,6 +3,7 @@ package workflowgen
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -81,6 +82,16 @@ func TestCompareGraphMem(t *testing.T) {
 	}}}
 	if err := CompareGraphMem(base, slowOpen, 0.20); err == nil {
 		t.Error("open-ratio regression accepted")
+	}
+	// A failed open-ratio check names both sides of the ratio, for the
+	// baseline and the run, so the message says which open moved.
+	mapped := &GraphMemReport{Points: []GraphMemPoint{{Nodes: 1000, OpenV2Ns: 48e6, OpenV3Ns: 24e3}}}
+	slowMapped := &GraphMemReport{Points: []GraphMemPoint{{Nodes: 1000, OpenV2Ns: 40e6, OpenV3Ns: 96e3}}}
+	err := CompareGraphMem(mapped, slowMapped, 0.20)
+	for _, want := range []string{"96.0 µs", "40.00 ms", "24.0 µs", "48.00 ms"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("open-ratio error %v does not report %q", err, want)
+		}
 	}
 	disjoint := &GraphMemReport{Points: []GraphMemPoint{{Nodes: 9}}}
 	if err := CompareGraphMem(base, disjoint, 0.20); err == nil {

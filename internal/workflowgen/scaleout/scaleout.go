@@ -30,7 +30,6 @@ import (
 	"lipstick/internal/replica"
 	"lipstick/internal/serve"
 	"lipstick/internal/shard"
-	"lipstick/internal/store"
 	"lipstick/internal/workflow"
 	"lipstick/internal/workflowgen"
 )
@@ -190,10 +189,7 @@ type node struct {
 }
 
 func startNode(dir string) (*node, error) {
-	reg := core.NewRegistry(nil,
-		core.WithLiveDir(dir),
-		core.WithLiveOptions(
-			core.WithLogOptions(store.WithGroupCommit(-1, 0))))
+	reg := core.NewRegistry(nil, core.WithLiveDir(dir))
 	svc := serve.NewRegistryService(reg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

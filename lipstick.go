@@ -325,9 +325,10 @@ var (
 	// WithLogOptions forwards WAL options (fsync policy, segment size,
 	// group-commit tuning) to a durable live graph.
 	WithLogOptions = core.WithLogOptions
-	// WithGroupCommit tunes the WAL's group committer, its only write
-	// path: how long a lone batch waits for company (default 0) and the
-	// byte cap of one coalesced write + fsync.
+	// WithGroupCommit caps the bytes of one coalesced write + fsync of
+	// the WAL's group committer, its only write path. The committer
+	// commits whatever is queued as soon as it is free, so a lone batch
+	// never waits for company; the maxDelay argument is ignored.
 	WithGroupCommit = store.WithGroupCommit
 	// WithFsync controls whether WAL commits fsync (default true).
 	WithFsync = store.WithFsync
