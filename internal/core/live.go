@@ -218,7 +218,7 @@ func OpenLiveGraph(name, dir string, opts ...LiveOption) (*LiveGraph, error) {
 	l.seq = rec.CheckpointSeq
 	l.lastCkpt = rec.CheckpointSeq
 	for i := range rec.Tail {
-		if err := l.applyLocked(rec.Tail[i]); err != nil {
+		if err := l.applyLocked(&rec.Tail[i]); err != nil {
 			log.Close()
 			return nil, fmt.Errorf("lipstick: replaying wal event %d of %s: %w", l.seq+1, name, err)
 		}
@@ -399,7 +399,7 @@ func (l *LiveGraph) AppendAsync(firstSeq uint64, events []provgraph.Event) *Pend
 	applied := 0
 	l.mu.Lock()
 	for i := range fresh {
-		if err := l.applyLocked(fresh[i]); err != nil {
+		if err := l.applyLocked(&fresh[i]); err != nil {
 			p.applyErr = &EventError{Name: l.name, Seq: l.seq + uint64(applied) + 1, Err: err}
 			break
 		}
@@ -535,13 +535,13 @@ func (l *LiveGraph) flushBacklogLocked() error {
 
 // applyLocked applies one event to the graph and grows the postings index
 // in step, so index-backed selection stays exact mid-ingest.
-func (l *LiveGraph) applyLocked(ev provgraph.Event) error {
+func (l *LiveGraph) applyLocked(ev *provgraph.Event) error {
 	if err := provgraph.Apply(l.g, ev); err != nil {
 		return err
 	}
 	switch ev.Kind {
 	case provgraph.EvAddNode:
-		n := ev.Node
+		n := &ev.Node
 		module := ""
 		if n.Inv >= 0 {
 			module = l.g.Invocation(n.Inv).Module

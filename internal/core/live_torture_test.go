@@ -110,7 +110,7 @@ func TestLiveViewSeqConsistencyTorture(t *testing.T) {
 			t.Fatalf("view at seq %d is not a batch boundary (batches of %d, %d events)", s, chunk, len(events))
 		}
 		for applied < s {
-			if err := provgraph.Apply(replay, events[applied]); err != nil {
+			if err := provgraph.Apply(replay, &events[applied]); err != nil {
 				t.Fatal(err)
 			}
 			applied++

@@ -66,7 +66,7 @@ func newLiveIndex(g *provgraph.Graph, base store.Postings) *liveIndex {
 
 // addNode indexes one appended node; module is the node's invocation
 // module ("" when unanchored).
-func (ix *liveIndex) addNode(n provgraph.Node, module string) {
+func (ix *liveIndex) addNode(n *provgraph.Node, module string) {
 	ix.n++
 	appendRun(&ix.byType[n.Type], baseOrNil(ix.base, func(p store.Postings) []provgraph.NodeID { return p.TypeIDs(n.Type) }), n.ID)
 	appendRun(&ix.byOp[n.Op], baseOrNil(ix.base, func(p store.Postings) []provgraph.NodeID { return p.OpIDs(n.Op) }), n.ID)

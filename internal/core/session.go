@@ -264,6 +264,19 @@ func (s *Session) Node(id provgraph.NodeID) provgraph.Node {
 	return s.overlay.Node(id)
 }
 
+// DescribeNodes calls fn with the type, op and label of each id in the
+// session view, all under one lock and without assembling Nodes (no
+// value decode): the per-node part of a deletion answer. fn runs with
+// the session locked and must not call back into it.
+func (s *Session) DescribeNodes(ids []provgraph.NodeID, fn func(id provgraph.NodeID, typ provgraph.Type, op provgraph.Op, label string)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, id := range ids {
+		typ, op := s.overlay.TypeOp(id)
+		fn(id, typ, op, s.overlay.LabelOf(id))
+	}
+}
+
 // TotalNodes returns the session view's node-slot count (base + appended
 // zoom nodes).
 func (s *Session) TotalNodes() int {

@@ -8,9 +8,11 @@
 // Convention for point names is "<layer>.<site>": the WAL wires
 // "wal.write" (fail — optionally tear — a record write), "wal.fsync"
 // (fail the durability sync), and "wal.slow" (delay-only, a dragging
-// disk); HTTP transports consult "proxy.transport", "replica.transport"
-// and "ingest.transport" via Transport, where Match restricts the fault
-// to URLs containing a substring — arming only one side's transport
+// disk); store.SyncDir consults "dir.sync" (fail the directory fsync
+// that makes a new segment's or a renamed checkpoint's name durable);
+// HTTP transports consult "proxy.transport", "replica.transport" and
+// "ingest.transport" via Transport, where Match restricts the fault to
+// URLs containing a substring — arming only one side's transport
 // partitions a link in one direction.
 package faultinject
 

@@ -122,8 +122,9 @@ func (g *Graph) emit(ev Event) {
 // Apply applies one captured event to g, validating that the event
 // continues g's build exactly: appended ids must continue the id space and
 // referenced ids must exist. A corrupt or out-of-order event returns an
-// error and leaves g unchanged.
-func Apply(g *Graph, ev Event) error {
+// error and leaves g unchanged. The event is read in place, never copied
+// or retained.
+func Apply(g *Graph, ev *Event) error {
 	total := NodeID(g.TotalNodes())
 	numInv := InvID(g.NumInvocations())
 	checkNode := func(id NodeID) error {
@@ -134,14 +135,14 @@ func Apply(g *Graph, ev Event) error {
 	}
 	switch ev.Kind {
 	case EvAddNode:
-		n := ev.Node
+		n := &ev.Node
 		if n.ID != total {
 			return fmt.Errorf("provgraph: add-node event id %d does not continue graph with %d slots", n.ID, total)
 		}
 		if n.Inv < -1 || n.Inv >= numInv {
 			return fmt.Errorf("provgraph: add-node event references invocation %d (graph has %d)", n.Inv, numInv)
 		}
-		id := g.AddNode(n)
+		id := g.AddNode(*n)
 		g.inv.set(int(id), n.Inv) // AddNode normalizes; restore verbatim
 		if n.Op == OpConst {
 			internConst(g, id, constKeyOf(n.Value))
@@ -209,8 +210,8 @@ func Apply(g *Graph, ev Event) error {
 // id-for-id identical to the graph the events were captured from.
 func Replay(events []Event) (*Graph, error) {
 	g := New()
-	for i, ev := range events {
-		if err := Apply(g, ev); err != nil {
+	for i := range events {
+		if err := Apply(g, &events[i]); err != nil {
 			return nil, fmt.Errorf("replaying event %d: %w", i, err)
 		}
 	}

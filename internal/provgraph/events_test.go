@@ -136,7 +136,7 @@ func TestReplayCoversTransformations(t *testing.T) {
 
 	// A revive replays too: no session revives a node its base holds
 	// dead, so the event comes from the stream alone.
-	if err := Apply(replayed, Event{Kind: EvRevive, Src: f.n01}); err != nil {
+	if err := Apply(replayed, &Event{Kind: EvRevive, Src: f.n01}); err != nil {
 		t.Fatal(err)
 	}
 	if !replayed.Alive(f.n01) {
@@ -163,7 +163,7 @@ func TestApplyRejectsCorruptEvents(t *testing.T) {
 		if tc.ev.Kind == EvAddEdge || tc.ev.Kind == EvKill {
 			g.AddNode(Node{})
 		}
-		if err := Apply(g, tc.ev); err == nil {
+		if err := Apply(g, &tc.ev); err == nil {
 			t.Errorf("%s: Apply accepted a corrupt event", tc.name)
 		}
 	}

@@ -2,7 +2,8 @@ package provgraph
 
 import (
 	"bytes"
-	"sort"
+	"slices"
+	"strings"
 
 	"lipstick/internal/nested"
 )
@@ -91,27 +92,50 @@ func Freeze(g *Graph) *Frozen {
 	}
 
 	// Sorted symbol table over every label, module, and node-name string.
-	symOf := make(map[string]uint32)
+	// Node labels are graph symbol ids already: mark the ids in use, sort
+	// their (string, id) pairs once, and remap the label column through
+	// rank, a dense slice over the graph's symbol ids. The few distinct
+	// invocation strings join the sort through a small map.
+	rank := make([]uint32, max(g.syms.count(), 1))
 	for i := 0; i < n; i++ {
-		symOf[g.syms.str(g.label.at(i))] = 0
+		rank[g.label.at(i)] = 1
 	}
+	rank[0] = 0 // "" is symbol 0 in both tables
+	type symPair struct {
+		s  string
+		id uint32 // graph symbol id; noSym for an invocation string
+	}
+	const noSym = ^uint32(0)
+	var pairs []symPair
+	for id := 1; id < len(rank); id++ {
+		if rank[id] != 0 {
+			pairs = append(pairs, symPair{g.syms.str(uint32(id)), uint32(id)})
+		}
+	}
+	invSym := make(map[string]uint32)
 	for i := 0; i < g.invocations.len(); i++ {
 		rec := g.invocations.roPtr(i)
-		symOf[rec.Module] = 0
-		symOf[rec.NodeName] = 0
+		invSym[rec.Module] = 0
+		invSym[rec.NodeName] = 0
 	}
-	delete(symOf, "")
-	sorted := make([]string, 0, len(symOf))
-	for s := range symOf {
-		sorted = append(sorted, s)
+	delete(invSym, "")
+	for s := range invSym {
+		pairs = append(pairs, symPair{s, noSym})
 	}
-	sort.Strings(sorted)
-	fr.SymOffs = make([]uint32, 1, len(sorted)+2)
+	slices.SortFunc(pairs, func(a, b symPair) int { return strings.Compare(a.s, b.s) })
+	fr.SymOffs = make([]uint32, 1, len(pairs)+2)
 	fr.SymOffs = append(fr.SymOffs, 0) // symbol 0 = ""
-	for i, s := range sorted {
-		symOf[s] = uint32(i + 1)
-		fr.SymSlab = append(fr.SymSlab, s...)
-		fr.SymOffs = append(fr.SymOffs, uint32(len(fr.SymSlab)))
+	for i, p := range pairs {
+		if i == 0 || p.s != pairs[i-1].s {
+			fr.SymSlab = append(fr.SymSlab, p.s...)
+			fr.SymOffs = append(fr.SymOffs, uint32(len(fr.SymSlab)))
+		}
+		sym := uint32(fr.NumSyms() - 1)
+		if p.id == noSym {
+			invSym[p.s] = sym
+		} else {
+			rank[p.id] = sym
+		}
 	}
 
 	// Node columns, with values compacted in node order.
@@ -121,7 +145,7 @@ func Freeze(g *Graph) *Frozen {
 		fr.Class[i] = g.class.at(i)
 		fr.Typ[i] = g.typ.at(i)
 		fr.Op[i] = g.op.at(i)
-		fr.Label[i] = symOf[g.syms.str(g.label.at(i))]
+		fr.Label[i] = rank[g.label.at(i)]
 		fr.Inv[i] = g.inv.at(i)
 		if ix := g.valIx.at(i); ix >= 0 {
 			fr.ValIx[i] = int32(len(vals))
@@ -150,8 +174,8 @@ func Freeze(g *Graph) *Frozen {
 	fr.AnchorStOffs = make([]uint32, ni+1)
 	for i := 0; i < ni; i++ {
 		inv := g.invocations.roPtr(i)
-		fr.InvModule[i] = symOf[inv.Module]
-		fr.InvNodeName[i] = symOf[inv.NodeName]
+		fr.InvModule[i] = invSym[inv.Module]
+		fr.InvNodeName[i] = invSym[inv.NodeName]
 		fr.InvExec[i] = int32(inv.Execution)
 		fr.InvMNode[i] = inv.MNode
 		fr.AnchorIn = append(fr.AnchorIn, inv.Inputs...)

@@ -281,6 +281,10 @@ func (o *Overlay) TypeOf(id NodeID) Type {
 // (no value decode).
 func (o *Overlay) LabelOf(id NodeID) string { return o.reader().label(id) }
 
+// TypeOp returns a node's type and op in the view without assembling the
+// Node.
+func (o *Overlay) TypeOp(id NodeID) (Type, Op) { return o.reader().typeOp(id) }
+
 // setValue records a value override for the node.
 func (o *Overlay) setValue(id NodeID, v nested.Value) {
 	if o.values == nil {

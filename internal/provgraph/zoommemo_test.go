@@ -56,7 +56,7 @@ func TestZoomMemoInvalidation(t *testing.T) {
 		{Kind: provgraph.EvAddEdge, Src: inv.MNode, Dst: provgraph.NodeID(base + 1)},
 		{Kind: provgraph.EvAnchor, Inv: inv.ID, Anchor: provgraph.AnchorState, Src: provgraph.NodeID(base + 1)},
 	} {
-		if err := provgraph.Apply(live, ev); err != nil {
+		if err := provgraph.Apply(live, &ev); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -247,7 +247,7 @@ func (f *Follower) ensureSeeded() error {
 		os.Remove(tmp)
 		return err
 	}
-	return nil
+	return store.SyncDir(dir)
 }
 
 // reseed discards the local stream (it fell behind the primary's

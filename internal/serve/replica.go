@@ -377,13 +377,32 @@ func (s *Service) storeGeneration(gen uint64) error {
 	}
 	path := filepath.Join(dir, generationFile)
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(strconv.FormatUint(gen, 10)+"\n"), 0o644); err != nil {
+	if err := writeSynced(tmp, []byte(strconv.FormatUint(gen, 10)+"\n")); err != nil {
 		return fmt.Errorf("lipstick: persisting generation: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("lipstick: persisting generation: %w", err)
 	}
+	if err := store.SyncDir(dir); err != nil {
+		return fmt.Errorf("lipstick: persisting generation: %w", err)
+	}
 	return nil
+}
+
+// writeSynced writes data to a new file at path and fsyncs it.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // SetPromoteHook installs the step a promotion runs before the role

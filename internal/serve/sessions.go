@@ -218,12 +218,11 @@ func (s *Service) SessionDelete(id string, req SessionDeleteRequest) (*SessionDe
 		Recomputed:   make([]RecomputedAggregateResult, 0, len(recs)),
 		NodesAfter:   sess.NumNodes(),
 	}
-	for _, r := range res.Removed {
-		n := sess.Node(r)
+	sess.DescribeNodes(res.Removed, func(id provgraph.NodeID, typ provgraph.Type, op provgraph.Op, label string) {
 		out.Removed = append(out.Removed, RemovedNode{
-			ID: r, Type: n.Type.String(), Op: n.Op.String(), Label: n.Label,
+			ID: id, Type: typ.String(), Op: op.String(), Label: label,
 		})
-	}
+	})
 	for _, rec := range recs {
 		out.Recomputed = append(out.Recomputed, RecomputedAggregateResult{
 			Node: rec.Node, Op: rec.Op,

@@ -17,50 +17,70 @@ import (
 	"lipstick/internal/nested"
 )
 
-// writer wraps a bufio.Writer with varint helpers.
+// writer encodes the codec's primitives by appending them to buf: no
+// per-byte interface call and no per-byte error check. A streaming
+// writer (newWriter) spills buf to its io.Writer in spillBytes chunks and
+// on flush; an in-memory writer (out nil) keeps every byte in buf, which
+// is how EncodeRecords frames WAL records in place and writeV3 builds its
+// value and outputs blobs. The only error a streaming writer meets is
+// its sink's, kept from the first failed spill; event sets err for a
+// kind it cannot encode.
 type writer struct {
-	w   *bufio.Writer
+	buf []byte
+	out io.Writer
 	err error
 }
 
-func newWriter(w io.Writer) *writer { return &writer{w: bufio.NewWriter(w)} }
+// spillBytes is the chunk a streaming writer hands its io.Writer.
+const spillBytes = 64 << 10
 
-func (w *writer) flush() error {
-	if w.err != nil {
-		return w.err
+func newWriter(out io.Writer) *writer {
+	return &writer{buf: make([]byte, 0, spillBytes), out: out}
+}
+
+// spill writes buf out once a streaming writer has a chunk's worth.
+func (w *writer) spill() {
+	if w.out != nil && len(w.buf) >= spillBytes {
+		w.flush()
 	}
-	return w.w.Flush()
+}
+
+// flush writes what a streaming writer holds and returns the first
+// error the writer met.
+func (w *writer) flush() error {
+	if w.out != nil && len(w.buf) > 0 {
+		if w.err == nil {
+			_, w.err = w.out.Write(w.buf)
+		}
+		w.buf = w.buf[:0]
+	}
+	return w.err
+}
+
+func (w *writer) raw(b []byte) {
+	w.buf = append(w.buf, b...)
+	w.spill()
 }
 
 func (w *writer) byte(b byte) {
-	if w.err == nil {
-		w.err = w.w.WriteByte(b)
-	}
+	w.buf = append(w.buf, b)
+	w.spill()
 }
 
 func (w *writer) uvarint(v uint64) {
-	if w.err != nil {
-		return
-	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, w.err = w.w.Write(buf[:n])
+	w.buf = binary.AppendUvarint(w.buf, v)
+	w.spill()
 }
 
 func (w *writer) varint(v int64) {
-	if w.err != nil {
-		return
-	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	_, w.err = w.w.Write(buf[:n])
+	w.buf = binary.AppendVarint(w.buf, v)
+	w.spill()
 }
 
 func (w *writer) str(s string) {
-	w.uvarint(uint64(len(s)))
-	if w.err == nil {
-		_, w.err = w.w.WriteString(s)
-	}
+	w.buf = binary.AppendUvarint(w.buf, uint64(len(s)))
+	w.buf = append(w.buf, s...)
+	w.spill()
 }
 
 func (w *writer) f64(f float64) {

@@ -25,9 +25,7 @@ const eventBatchVersion = 1
 // stream), the count, then the encoded events.
 func EncodeEventBatch(out io.Writer, firstSeq uint64, events []provgraph.Event) error {
 	w := newWriter(out)
-	if _, err := w.w.Write(eventMagic); err != nil {
-		return err
-	}
+	w.raw(eventMagic)
 	w.byte(eventBatchVersion)
 	w.uvarint(firstSeq)
 	w.uvarint(uint64(len(events)))
@@ -82,7 +80,7 @@ func (w *writer) event(ev *provgraph.Event) {
 	w.byte(byte(ev.Kind))
 	switch ev.Kind {
 	case provgraph.EvAddNode:
-		n := ev.Node
+		n := &ev.Node
 		w.uvarint(uint64(n.ID))
 		w.byte(byte(n.Class))
 		w.byte(byte(n.Type))

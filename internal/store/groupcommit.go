@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -102,45 +101,39 @@ func (r *Records) Recycle() {
 
 var recordsPool = sync.Pool{New: func() any { return new(Records) }}
 
-// batchEncoder reuses the per-batch encode state: one scratch buffer and
-// one bufio.Writer for the whole batch.
-type batchEncoder struct {
-	scratch bytes.Buffer
-	bw      *bufio.Writer
-}
-
-var encoderPool = sync.Pool{New: func() any { return new(batchEncoder) }}
-
-// EncodeRecords frames events as WAL records using pooled buffers. The
-// result is ready for AppendRecords; encoding happens entirely outside
-// the log's locks, so concurrent producers encode in parallel.
+// EncodeRecords frames events as WAL records into a pooled Records, ready
+// for AppendRecords. Each event is encoded by append straight into the
+// batch buffer behind a one-byte length slot; a payload of 128 bytes or
+// more widens the slot to its uvarint length and shifts the payload up,
+// so the frame is exactly uvarint(len) + payload + crc32 with no
+// intermediate copy. Encoding happens entirely outside the log's locks,
+// so concurrent producers encode in parallel.
 func EncodeRecords(events []provgraph.Event) (*Records, error) {
 	r := recordsPool.Get().(*Records)
-	r.buf, r.ends, r.first = r.buf[:0], r.ends[:0], 0
-	enc := encoderPool.Get().(*batchEncoder)
-	defer encoderPool.Put(enc)
-	if enc.bw == nil {
-		enc.bw = bufio.NewWriter(&enc.scratch)
-	}
+	r.ends, r.first = r.ends[:0], 0
+	w := writer{buf: r.buf[:0]}
+	var zeros [binary.MaxVarintLen64]byte
 	for i := range events {
-		enc.scratch.Reset()
-		enc.bw.Reset(&enc.scratch)
-		w := writer{w: enc.bw}
+		start := len(w.buf)
+		w.buf = append(w.buf, 0)
 		w.event(&events[i])
-		if err := w.flush(); err != nil {
+		if w.err != nil {
+			r.buf = w.buf
 			r.Recycle()
-			return nil, err
+			return nil, w.err
 		}
-		payload := enc.scratch.Bytes()
-		var head [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(head[:], uint64(len(payload)))
-		r.buf = append(r.buf, head[:n]...)
-		r.buf = append(r.buf, payload...)
-		var crc [4]byte
-		binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-		r.buf = append(r.buf, crc[:]...)
-		r.ends = append(r.ends, len(r.buf))
+		n := len(w.buf) - start - 1
+		head := 1
+		if n >= 0x80 {
+			head = uvarintLen(uint64(n))
+			w.buf = append(w.buf, zeros[:head-1]...)
+			copy(w.buf[start+head:], w.buf[start+1:start+1+n])
+		}
+		binary.PutUvarint(w.buf[start:], uint64(n))
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(w.buf[start+head:]))
+		r.ends = append(r.ends, len(w.buf))
 	}
+	r.buf = w.buf
 	return r, nil
 }
 
@@ -539,6 +532,13 @@ func (g *committer) rotate(firstSeq uint64, created *[]string) error {
 		return err
 	}
 	l.size = int64(len(walMagic) + 1 + n)
+	// The segment's name must be as durable as the records the commit's
+	// fsync is about to acknowledge.
+	if l.fsync {
+		if err := SyncDir(l.dir); err != nil {
+			return err
+		}
+	}
 	g.prepareSpare()
 	return nil
 }

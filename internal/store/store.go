@@ -97,9 +97,7 @@ func WriteV2(out io.Writer, s *Snapshot) error {
 
 func writeVersion(out io.Writer, s *Snapshot, version byte) error {
 	w := newWriter(out)
-	if _, err := w.w.Write(magic); err != nil {
-		return err
-	}
+	w.raw(magic)
 	w.byte(version)
 	g := s.Graph
 

@@ -159,22 +159,13 @@ func writeV3(out io.Writer, s *Snapshot) error {
 	n := fr.NumNodes
 
 	// Value and outputs blobs keep the varint codec.
-	var valBuf bytes.Buffer
-	vw := newWriter(&valBuf)
+	var vw, ow writer // in-memory: the blobs are sections of their own
 	valOffs := make([]uint32, 1, fr.NumValues+1)
 	for i := 0; i < fr.NumValues; i++ {
 		vw.value(fr.ValueAt(i))
-		if err := vw.flush(); err != nil {
-			return err
-		}
-		valOffs = append(valOffs, uint32(valBuf.Len()))
+		valOffs = append(valOffs, uint32(len(vw.buf)))
 	}
-	var outBuf bytes.Buffer
-	ow := newWriter(&outBuf)
-	writeOutputs(ow, s.Outputs)
-	if err := ow.flush(); err != nil {
-		return err
-	}
+	writeOutputs(&ow, s.Outputs)
 
 	// Postings grouped by attribute column. Types and ops bucket over the
 	// enum ranges; labels and modules bucket by symbol id (ascending, so
@@ -184,16 +175,16 @@ func writeV3(out io.Writer, s *Snapshot) error {
 	typeOffs, typeIDs := groupByKey(n, numTypes, func(i int) int { return int(fr.Typ[i]) })
 	opOffs, opIDs := groupByKey(n, numOps, func(i int) int { return int(fr.Op[i]) })
 
-	labelSyms, labelOffs, labelIDs := groupBySym(n, func(i int) (uint32, bool) {
+	labelSyms, labelOffs, labelIDs := groupBySym(n, fr.NumSyms(), func(i int) (uint32, bool) {
 		return fr.Label[i], fr.Label[i] != 0 // empty labels are not indexed
 	})
-	moduleSyms, moduleOffs, moduleIDs := groupBySym(n, func(i int) (uint32, bool) {
+	moduleSyms, moduleOffs, moduleIDs := groupBySym(n, fr.NumSyms(), func(i int) (uint32, bool) {
 		if inv := fr.Inv[i]; inv >= 0 {
 			return fr.InvModule[inv], true
 		}
 		return 0, false
 	})
-	modInvSyms, modInvOffs, modInvIDs := groupBySym(fr.NumInvocations(), func(i int) (uint32, bool) {
+	modInvSyms, modInvOffs, modInvIDs := groupBySym(fr.NumInvocations(), fr.NumSyms(), func(i int) (uint32, bool) {
 		return fr.InvModule[i], true
 	})
 
@@ -222,8 +213,8 @@ func writeV3(out io.Writer, s *Snapshot) error {
 	secs[secAnchorStOffs] = leBytes(fr.AnchorStOffs)
 	secs[secAnchorSt] = leBytes(fr.AnchorSt)
 	secs[secValOffs] = leBytes(valOffs)
-	secs[secValBlob] = valBuf.Bytes()
-	secs[secOutputsBlob] = outBuf.Bytes()
+	secs[secValBlob] = vw.buf
+	secs[secOutputsBlob] = ow.buf
 	secs[secPostTypeOffs] = leBytes(typeOffs)
 	secs[secPostTypeIDs] = leBytes(typeIDs)
 	secs[secPostOpOffs] = leBytes(opOffs)
@@ -298,33 +289,33 @@ func groupByKey(n, buckets int, key func(int) int) ([]uint32, []provgraph.NodeID
 }
 
 // groupBySym buckets ids 0..n-1 by symbol id into a sparse CSR: syms lists
-// the occurring symbols ascending, offs/ids hold their postings. Ids come
-// out ascending per symbol because i runs ascending.
-func groupBySym(n int, key func(int) (uint32, bool)) ([]uint32, []uint32, []provgraph.NodeID) {
-	counts := make(map[uint32]uint32)
+// the occurring symbols ascending, offs/ids hold their postings. Symbol
+// ids are dense below numSyms, so this is groupByKey's counting sort with
+// the empty buckets dropped from the key list. Ids come out ascending per
+// symbol because i runs ascending.
+func groupBySym(n, numSyms int, key func(int) (uint32, bool)) ([]uint32, []uint32, []provgraph.NodeID) {
+	next := make([]uint32, numSyms) // per symbol: its count, then its fill slot
 	total := 0
 	for i := 0; i < n; i++ {
 		if s, ok := key(i); ok {
-			counts[s]++
+			next[s]++
 			total++
 		}
 	}
-	syms := make([]uint32, 0, len(counts))
-	for s := range counts {
-		syms = append(syms, s)
-	}
-	sort.Slice(syms, func(a, b int) bool { return syms[a] < syms[b] })
-	offs := make([]uint32, len(syms)+1)
-	slot := make(map[uint32]uint32, len(syms))
-	for j, s := range syms {
-		offs[j+1] = offs[j] + counts[s]
-		slot[s] = offs[j]
+	var syms []uint32
+	offs := []uint32{0}
+	for s, c := range next {
+		if c != 0 {
+			next[s] = offs[len(offs)-1]
+			syms = append(syms, uint32(s))
+			offs = append(offs, next[s]+c)
+		}
 	}
 	ids := make([]provgraph.NodeID, total)
 	for i := 0; i < n; i++ {
 		if s, ok := key(i); ok {
-			ids[slot[s]] = provgraph.NodeID(i)
-			slot[s]++
+			ids[next[s]] = provgraph.NodeID(i)
+			next[s]++
 		}
 	}
 	return syms, offs, ids

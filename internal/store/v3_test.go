@@ -214,7 +214,7 @@ func TestMappedGraphCopyOnWrite(t *testing.T) {
 		t.Fatal("deletion removed nothing")
 	}
 	for _, id := range res.Removed {
-		if err := provgraph.Apply(g, provgraph.Event{Kind: provgraph.EvKill, Src: id}); err != nil {
+		if err := provgraph.Apply(g, &provgraph.Event{Kind: provgraph.EvKill, Src: id}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lipstick/internal/faultinject"
 	"lipstick/internal/provgraph"
 )
 
@@ -278,6 +279,11 @@ func (l *Log) checkpointNow(snap *Snapshot) error {
 		os.Remove(tmp)
 		return err
 	}
+	// Until the directory is synced the rename may not survive a power
+	// cut, so no segment the checkpoint covers may go before it is.
+	if err := SyncDir(l.dir); err != nil {
+		return err
+	}
 	// The checkpoint is durable; everything it covers is garbage. The
 	// current segment's events are all <= seq (the committer runs appends
 	// and checkpoints in queue order), so the whole segment set goes.
@@ -438,6 +444,25 @@ func scanLogDir(dir string) (segs, ckpts []uint64, err error) {
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
 	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] < ckpts[j] })
 	return segs, ckpts, nil
+}
+
+// SyncDir fsyncs directory dir, making the names created, renamed or
+// removed in it durable: a file's own fsync covers its bytes, not the
+// directory entry that finds it again after a power cut. It consults the
+// "dir.sync" failpoint first.
+func SyncDir(dir string) error {
+	if err := faultinject.Err("dir.sync"); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // removeTempFiles deletes the temp files a crash left behind: a

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lipstick/internal/faultinject"
+	"lipstick/internal/provgraph"
 	"lipstick/internal/testutil"
 )
 
@@ -186,5 +187,70 @@ func TestWALCoalescesWhileCommitterBusy(t *testing.T) {
 		if rec.Tail[i] != events[i] {
 			t.Fatalf("event %d recovered as %+v, want %+v", i+1, rec.Tail[i], events[i])
 		}
+	}
+}
+
+// TestWALDirSyncFaultFailsRotationAndCheckpoint: a failing directory
+// fsync fails the commit that rotated into a new segment and the
+// checkpoint whose rename it would have made durable, and the log
+// recovers every acknowledged event afterwards.
+func TestWALDirSyncFaultFailsRotationAndCheckpoint(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	defer faultinject.Reset()
+	dir := t.TempDir()
+	events := chainEvents(60)
+	l, _ := openLogT(t, dir, WithSegmentLimit(64))
+	if err := l.Append(events[:20]); err != nil {
+		t.Fatal(err)
+	}
+	// The first segment is past its limit, so the next commit rotates.
+	faultinject.Arm("dir.sync", faultinject.Fault{Err: errDiskFault, Count: 1})
+	if err := l.Append(events[20:30]); !errors.Is(err, errDiskFault) {
+		t.Fatalf("append rotating under a failing dir sync: %v, want the injected fault", err)
+	}
+	if l.LastSeq() != 20 {
+		t.Fatalf("failed rotation moved LastSeq to %d, want 20", l.LastSeq())
+	}
+	l.ResetFailed()
+	if err := l.Append(events[20:30]); err != nil {
+		t.Fatalf("append after the fault: %v", err)
+	}
+
+	g, err := provgraph.Replay(events[:30])
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Arm("dir.sync", faultinject.Fault{Err: errDiskFault, Count: 1})
+	if err := l.Checkpoint(&Snapshot{Graph: g}); !errors.Is(err, errDiskFault) {
+		t.Fatalf("checkpoint under a failing dir sync: %v, want the injected fault", err)
+	}
+	if l.CheckpointSeq() != 0 {
+		t.Fatalf("failed checkpoint recorded seq %d", l.CheckpointSeq())
+	}
+	if segs, _, err := scanLogDir(dir); err != nil || len(segs) == 0 {
+		t.Fatalf("failed checkpoint compacted the segments: %v %v", segs, err)
+	}
+	if err := l.Append(events[30:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, rec := openLogT(t, dir)
+	if rec.LastSeq != 60 || int(rec.CheckpointSeq)+len(rec.Tail) != 60 {
+		t.Fatalf("recovered checkpoint %d + %d tail events to seq %d, want 60", rec.CheckpointSeq, len(rec.Tail), rec.LastSeq)
+	}
+	restored := provgraph.New()
+	if rec.Snapshot != nil {
+		restored = rec.Snapshot.Graph
+	}
+	for i := range rec.Tail {
+		if err := provgraph.Apply(restored, &rec.Tail[i]); err != nil {
+			t.Fatalf("tail event %d: %v", i, err)
+		}
+	}
+	if want, _ := provgraph.Replay(events); !want.StructurallyEqual(restored) {
+		t.Fatal("recovered log differs from a replay of every acknowledged event")
 	}
 }

@@ -1,13 +1,18 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
+	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"lipstick/internal/nested"
 	"lipstick/internal/provgraph"
 	"lipstick/internal/testutil"
 )
@@ -160,7 +165,7 @@ func TestWALCheckpointCompaction(t *testing.T) {
 	// Checkpoint + tail equals the full replay.
 	restored := rec.Snapshot.Graph
 	for i, ev := range rec.Tail {
-		if err := provgraph.Apply(restored, ev); err != nil {
+		if err := provgraph.Apply(restored, &ev); err != nil {
 			t.Fatalf("tail event %d: %v", i, err)
 		}
 	}
@@ -481,7 +486,7 @@ func TestWALGroupCommitRotationCheckpoint(t *testing.T) {
 	}
 	restored := rec.Snapshot.Graph
 	for i, ev := range rec.Tail {
-		if err := provgraph.Apply(restored, ev); err != nil {
+		if err := provgraph.Apply(restored, &ev); err != nil {
 			t.Fatalf("tail event %d: %v", i, err)
 		}
 	}
@@ -563,5 +568,67 @@ func TestWALReadersKeepTempFiles(t *testing.T) {
 	}
 	if _, err := os.Stat(sentinel); !os.IsNotExist(err) {
 		t.Fatalf("OpenLog left a crashed writer's temp file behind (stat err %v)", err)
+	}
+}
+
+// TestEncodeRecordsFraming holds EncodeRecords' in-place framing to the
+// plain one: each payload encoded on its own, then binary.PutUvarint of
+// its length, the payload, and its crc32. The payloads straddle the one-
+// and two-byte length prefixes (127 and 128 bytes) and the two- and
+// three-byte ones (large bag values past 16 KiB), where the in-place
+// encoder widens its length slot and shifts the payload.
+func TestEncodeRecordsFraming(t *testing.T) {
+	var events []provgraph.Event
+	// An EvSetValue of node 1 with an n-byte string has a payload of
+	// 3 + uvarintLen(n) + n bytes: 127 and 128 for n = 123 and 124, 16383
+	// and 16384 for n = 16378 and 16379.
+	for _, n := range []int{0, 1, 123, 124, 125, 200, 16378, 16379, 16380} {
+		events = append(events, provgraph.Event{Kind: provgraph.EvSetValue, Src: 1, Value: nested.Str(strings.Repeat("x", n))})
+	}
+	for _, rows := range []int{1, 700, 3000} {
+		bag := nested.NewBag()
+		for i := 0; i < rows; i++ {
+			bag.Add(nested.NewTuple(nested.Int(int64(i)), nested.Str("dealer"), nested.Float(float64(i)/3)))
+		}
+		events = append(events, provgraph.Event{Kind: provgraph.EvSetValue, Src: 2, Value: nested.BagVal(bag)})
+	}
+	events = append(events, chainEvents(20)...)
+
+	var want []byte
+	var ends []int
+	lens := map[int]bool{}
+	for i := range events {
+		var payload bytes.Buffer
+		w := newWriter(&payload)
+		w.event(&events[i])
+		if err := w.flush(); err != nil {
+			t.Fatal(err)
+		}
+		lens[payload.Len()] = true
+		var head [binary.MaxVarintLen64]byte
+		want = append(want, head[:binary.PutUvarint(head[:], uint64(payload.Len()))]...)
+		want = append(want, payload.Bytes()...)
+		want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(payload.Bytes()))
+		ends = append(ends, len(want))
+	}
+	for _, n := range []int{127, 128, 16383, 16384} {
+		if !lens[n] {
+			t.Fatalf("no payload of %d bytes among %v", n, lens)
+		}
+	}
+	if largest := slices.Max(slices.Collect(maps.Keys(lens))); largest < 32<<10 {
+		t.Fatalf("largest bag payload is %d bytes, want one past 32 KiB", largest)
+	}
+
+	// Twice: the second batch reuses the first's pooled buffer.
+	for round := 0; round < 2; round++ {
+		recs, err := EncodeRecords(events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(recs.buf, want) || !slices.Equal(recs.ends, ends) {
+			t.Fatalf("round %d: EncodeRecords framing differs from PutUvarint framing", round)
+		}
+		recs.Recycle()
 	}
 }

@@ -134,7 +134,7 @@ func sameIDSeq(want, got []provgraph.NodeID) error {
 func deleteInPlace(t *testing.T, g *provgraph.Graph, id provgraph.NodeID) {
 	t.Helper()
 	for _, n := range g.PropagateDeletion(id).Removed {
-		if err := provgraph.Apply(g, provgraph.Event{Kind: provgraph.EvKill, Src: n}); err != nil {
+		if err := provgraph.Apply(g, &provgraph.Event{Kind: provgraph.EvKill, Src: n}); err != nil {
 			t.Fatal(err)
 		}
 	}
