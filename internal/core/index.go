@@ -6,11 +6,12 @@ import (
 )
 
 // Index is the query-side postings index a QueryProcessor answers
-// selection queries from. Snapshots carry the postings on disk, written
-// at track time — map-based for v2, columnar (possibly mmap'd) for v3;
-// for legacy v1 snapshots (or processors built over a live tracker) the
-// postings are computed once at construction. Either way, FindNodes
-// intersects sorted postings lists instead of scanning every node.
+// selection queries from. A snapshot read from a file carries its
+// postings — the columns of a v3 file (possibly mmap'd), or a build over
+// the graph of a legacy v1/v2 file; for a processor over an in-memory
+// graph (a tracker's) they are built once at construction. Either way,
+// FindNodes intersects sorted postings lists instead of scanning every
+// node.
 //
 // The index is immutable: graph transformations only flip node liveness
 // (which lookups re-check) or append nodes past the indexed range (which
@@ -20,19 +21,13 @@ type Index struct {
 	data store.Postings
 }
 
-// newIndex adopts a snapshot's persisted postings or builds them from the
-// graph in one pass.
+// newIndex adopts a snapshot's postings, or builds them for a snapshot
+// assembled in memory.
 func newIndex(snap *store.Snapshot) *Index {
-	var d store.Postings
-	switch {
-	case snap.Postings != nil:
-		d = snap.Postings
-	case snap.Index != nil:
-		d = snap.Index
-	default:
-		d = store.BuildIndex(snap.Graph)
+	if snap.Postings != nil {
+		return &Index{data: snap.Postings}
 	}
-	return &Index{data: d}
+	return &Index{data: store.BuildPostings(snap.Graph)}
 }
 
 // Coverage returns the number of node slots the postings cover. Nodes
@@ -48,7 +43,7 @@ func (ix *Index) ModuleInvocations(module string) []provgraph.InvID {
 // candidates returns the sorted intersection of the postings lists for
 // the filter's indexed dimensions (types, ops, label, module). The second
 // result is false when no indexed dimension constrains the filter — the
-// caller must fall back to a scan (Classes alone are near-useless as a
+// caller must sweep every slot (Classes alone are near-useless as a
 // pre-filter: every node is one of two classes).
 func (ix *Index) candidates(f NodeFilter) ([]provgraph.NodeID, bool) {
 	var lists [][]provgraph.NodeID

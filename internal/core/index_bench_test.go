@@ -75,15 +75,15 @@ func BenchmarkFindNodesIndexed(b *testing.B) {
 	}
 }
 
-// BenchmarkFindNodesScan is the pre-index full-scan baseline over the
-// same filters.
+// BenchmarkFindNodesScan is the reference full scan (findNodesScanIn)
+// over the same filters.
 func BenchmarkFindNodesScan(b *testing.B) {
 	qp := benchProcessor(b)
 	for _, bf := range benchFilters {
 		b.Run(bf.name, func(b *testing.B) {
 			n := 0
 			for i := 0; i < b.N; i++ {
-				n = len(qp.findNodesScan(bf.f))
+				n = len(findNodesScanIn(qp.Graph(), bf.f))
 			}
 			b.ReportMetric(float64(n), "hits")
 		})

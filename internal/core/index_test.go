@@ -33,6 +33,19 @@ func indexFilters() []NodeFilter {
 	}
 }
 
+// findNodesScanIn is the reference selection: a full scan of v's live
+// nodes, with no index.
+func findNodesScanIn(v provgraph.GraphView, f NodeFilter) []provgraph.NodeID {
+	var out []provgraph.NodeID
+	v.Nodes(func(n provgraph.Node) bool {
+		if f.Matches(v, n) {
+			out = append(out, n.ID)
+		}
+		return true
+	})
+	return out
+}
+
 // assertIndexMatchesScan checks every filter finds identical nodes via the
 // postings index (find) and via the full scan of the view v it answers
 // over.

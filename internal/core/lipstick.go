@@ -108,7 +108,7 @@ type QueryProcessor struct {
 
 	// outputs is populated eagerly for buffered snapshots; mapped (v3)
 	// opens defer the decode behind outputsFn until the first accessor
-	// needs it, so opening a snapshot stays O(1) in its size.
+	// needs it, so opening a snapshot decodes nothing per tuple.
 	outputs     []store.RelationDump
 	outputsFn   func() ([]store.RelationDump, error)
 	outputsOnce sync.Once
@@ -117,7 +117,7 @@ type QueryProcessor struct {
 
 // Load opens a tracker snapshot from disk and builds the in-memory graph.
 // Columnar (v3) snapshots are memory-mapped where the platform allows it,
-// making the open O(1) in snapshot size; older formats decode as before.
+// so the open decodes nothing per node; legacy v1/v2 files decode fully.
 func Load(path string) (*QueryProcessor, error) {
 	snap, err := store.LoadMapped(path)
 	if err != nil {
@@ -135,9 +135,10 @@ func Read(r io.Reader) (*QueryProcessor, error) {
 	return NewQueryProcessor(snap), nil
 }
 
-// NewQueryProcessor wraps an already-loaded snapshot. Indexed (v2)
-// snapshots contribute their persisted postings; otherwise the index is
-// built from the graph here, once, instead of rescanning per query.
+// NewQueryProcessor wraps an already-loaded snapshot. A snapshot read
+// from a file contributes its postings; for one assembled in memory the
+// postings are built from the graph here, once, instead of rescanning per
+// query.
 func NewQueryProcessor(snap *store.Snapshot) *QueryProcessor {
 	return &QueryProcessor{
 		graph:     snap.Graph,

@@ -202,14 +202,7 @@ func OpenLiveGraph(name, dir string, opts ...LiveOption) (*LiveGraph, error) {
 	var base store.Postings
 	if rec.Snapshot != nil {
 		l.g = rec.Snapshot.Graph
-		switch {
-		case rec.Snapshot.Postings != nil:
-			base = rec.Snapshot.Postings
-		case rec.Snapshot.Index != nil:
-			base = rec.Snapshot.Index
-		default:
-			base = store.BuildIndex(l.g)
-		}
+		base = rec.Snapshot.Postings
 	} else {
 		l.g = provgraph.New()
 	}
@@ -596,7 +589,7 @@ func (l *LiveGraph) ReadView() *LiveView {
 }
 
 // Checkpoint compacts the durable log: the current graph is written as a
-// standard LPSK v2 snapshot and the WAL prefix it covers is deleted. It
+// standard LPSK v3 snapshot and the WAL prefix it covers is deleted. It
 // is a no-op for in-memory live graphs.
 func (l *LiveGraph) Checkpoint() error {
 	l.writeMu.Lock()

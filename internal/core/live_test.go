@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -88,7 +89,7 @@ func assertLiveMatchesBatch(t *testing.T, batch *provgraph.Graph, events []provg
 			}
 		}
 		// The incrementally grown postings must equal a from-scratch index.
-		assertPostingsEqual(t, store.BuildIndex(batch), qp.Index().data)
+		assertPostingsEqual(t, batch, qp.Index().data)
 		// And index-backed selection answers like a batch processor.
 		ref := NewQueryProcessor(&store.Snapshot{Graph: batch})
 		for _, f := range []NodeFilter{
@@ -108,37 +109,39 @@ func assertLiveMatchesBatch(t *testing.T, batch *provgraph.Graph, events []provg
 }
 
 // assertPostingsEqual compares a live index's lookups against a
-// from-scratch batch index over every key either side can have. The live
-// index is layered (LSM levels over an optional base), so equality is
-// checked through the Postings interface, not structurally.
-func assertPostingsEqual(t *testing.T, want *store.Index, got store.Postings) {
+// from-scratch build over the batch graph, for every type and op and for
+// every label and module the batch graph has. The live index is layered
+// (LSM levels over an optional base), so equality is checked through the
+// Postings interface, not structurally.
+func assertPostingsEqual(t *testing.T, batch *provgraph.Graph, got store.Postings) {
 	t.Helper()
-	if got.Coverage() != want.Nodes {
-		t.Fatalf("postings coverage %d, want %d", got.Coverage(), want.Nodes)
+	want := store.BuildPostings(batch)
+	if got.Coverage() != want.Coverage() {
+		t.Fatalf("postings coverage %d, want %d", got.Coverage(), want.Coverage())
 	}
 	for k := 0; k < 256; k++ {
-		if w, g := want.ByType[provgraph.Type(k)], got.TypeIDs(provgraph.Type(k)); !sameIDs(w, g) {
+		if w, g := want.TypeIDs(provgraph.Type(k)), got.TypeIDs(provgraph.Type(k)); !sameIDs(w, g) {
 			t.Fatalf("TypeIDs(%d): live %v, batch %v", k, g, w)
 		}
-		if w, g := want.ByOp[provgraph.Op(k)], got.OpIDs(provgraph.Op(k)); !sameIDs(w, g) {
+		if w, g := want.OpIDs(provgraph.Op(k)), got.OpIDs(provgraph.Op(k)); !sameIDs(w, g) {
 			t.Fatalf("OpIDs(%d): live %v, batch %v", k, g, w)
 		}
 	}
-	for label, w := range want.ByLabel {
-		if g := got.LabelIDs(label); !sameIDs(w, g) {
-			t.Fatalf("LabelIDs(%q): live %v, batch %v", label, g, w)
+	batch.AllNodesDo(func(n provgraph.Node) bool {
+		if w, g := want.LabelIDs(n.Label), got.LabelIDs(n.Label); n.Label != "" && !sameIDs(w, g) {
+			t.Fatalf("LabelIDs(%q): live %v, batch %v", n.Label, g, w)
 		}
-	}
-	for mod, w := range want.ByModule {
-		if g := got.ModuleIDs(mod); !sameIDs(w, g) {
-			t.Fatalf("ModuleIDs(%q): live %v, batch %v", mod, g, w)
+		return true
+	})
+	batch.Invocations(func(inv *provgraph.Invocation) bool {
+		if w, g := want.ModuleIDs(inv.Module), got.ModuleIDs(inv.Module); !sameIDs(w, g) {
+			t.Fatalf("ModuleIDs(%q): live %v, batch %v", inv.Module, g, w)
 		}
-	}
-	for mod, w := range want.ModuleInvs {
-		if g := got.ModuleInvocations(mod); len(w) != len(g) || !reflect.DeepEqual(append([]provgraph.InvID{}, w...), append([]provgraph.InvID{}, g...)) {
-			t.Fatalf("ModuleInvocations(%q): live %v, batch %v", mod, g, w)
+		if w, g := want.ModuleInvocations(inv.Module), got.ModuleInvocations(inv.Module); !slices.Equal(w, g) {
+			t.Fatalf("ModuleInvocations(%q): live %v, batch %v", inv.Module, g, w)
 		}
-	}
+		return true
+	})
 }
 
 func sameIDs(a, b []provgraph.NodeID) bool {

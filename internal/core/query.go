@@ -68,8 +68,8 @@ func (f NodeFilter) Matches(g provgraph.GraphView, n provgraph.Node) bool {
 // module) the candidates come from intersecting the snapshot's postings
 // lists; only nodes appended to the graph after the index was built (zoom
 // nodes installed at query time) are swept linearly. Unconstrained (or
-// class-only) filters fall back to the full scan, which is what they
-// would touch anyway.
+// class-only) filters sweep every slot, which is what they would touch
+// anyway.
 func (qp *QueryProcessor) FindNodes(f NodeFilter) []provgraph.NodeID {
 	return findNodesIn(qp.graph, qp.index, f)
 }
@@ -78,41 +78,25 @@ func (qp *QueryProcessor) FindNodes(f NodeFilter) []provgraph.NodeID {
 // materialized graph or a session overlay) against the base snapshot's
 // postings. Liveness and field predicates are re-checked through the view,
 // so a session's kills and value overrides are honored; nodes the view
-// appended past the index's coverage (zoom nodes) are swept separately.
+// appended past the index's coverage (zoom nodes) are swept separately,
+// and so is every slot when the index cannot narrow the filter.
 func findNodesIn(v provgraph.GraphView, ix *Index, f NodeFilter) []provgraph.NodeID {
-	cand, indexed := ix.candidates(f)
-	if !indexed {
-		return findNodesScanIn(v, f)
-	}
 	var out []provgraph.NodeID
-	for _, id := range cand {
-		if v.Alive(id) && f.Matches(v, v.Node(id)) {
-			out = append(out, id)
+	sweep := 0
+	if cand, indexed := ix.candidates(f); indexed {
+		for _, id := range cand {
+			if v.Alive(id) && f.Matches(v, v.Node(id)) {
+				out = append(out, id)
+			}
 		}
+		sweep = ix.Coverage()
 	}
-	for id := ix.Coverage(); id < v.TotalNodes(); id++ {
+	for id := sweep; id < v.TotalNodes(); id++ {
 		nid := provgraph.NodeID(id)
 		if v.Alive(nid) && f.Matches(v, v.Node(nid)) {
 			out = append(out, nid)
 		}
 	}
-	return out
-}
-
-// findNodesScan is the pre-index full scan, kept as the fallback for
-// unindexed filters and as the benchmark baseline.
-func (qp *QueryProcessor) findNodesScan(f NodeFilter) []provgraph.NodeID {
-	return findNodesScanIn(qp.graph, f)
-}
-
-func findNodesScanIn(v provgraph.GraphView, f NodeFilter) []provgraph.NodeID {
-	var out []provgraph.NodeID
-	v.Nodes(func(n provgraph.Node) bool {
-		if f.Matches(v, n) {
-			out = append(out, n.ID)
-		}
-		return true
-	})
 	return out
 }
 

@@ -142,10 +142,9 @@ func Apply(g *Graph, ev *Event) error {
 		if n.Inv < -1 || n.Inv >= numInv {
 			return fmt.Errorf("provgraph: add-node event references invocation %d (graph has %d)", n.Inv, numInv)
 		}
-		id := g.AddNode(*n)
-		g.inv.set(int(id), n.Inv) // AddNode normalizes; restore verbatim
+		g.appendNode(n)
 		if n.Op == OpConst {
-			internConst(g, id, constKeyOf(n.Value))
+			internConst(g, n.ID, constKeyOf(n.Value))
 		}
 	case EvAddEdge:
 		if err := checkNode(ev.Src); err != nil {

@@ -283,9 +283,15 @@ func normalizeInv(n Node) Node {
 
 // AddNode appends a node and returns its id.
 func (g *Graph) AddNode(n Node) NodeID {
-	id := NodeID(g.n)
 	n = normalizeInv(n)
-	n.ID = id
+	n.ID = NodeID(g.n)
+	g.appendNode(&n)
+	return n.ID
+}
+
+// appendNode appends *n as it is, Inv included; n.ID must be the next
+// slot id. Apply passes an event's node in place, without a copy.
+func (g *Graph) appendNode(n *Node) {
 	g.class.add(n.Class)
 	g.typ.add(n.Type)
 	g.op.add(n.Op)
@@ -303,9 +309,8 @@ func (g *Graph) AddNode(n Node) NodeID {
 	g.n++
 	g.version++
 	if g.events != nil {
-		g.emit(Event{Kind: EvAddNode, Node: n})
+		g.emit(Event{Kind: EvAddNode, Node: *n})
 	}
-	return id
 }
 
 // AddEdge adds a directed edge from src to dst (dst is derived from src).

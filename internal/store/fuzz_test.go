@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"lipstick/internal/nested"
@@ -10,8 +9,8 @@ import (
 )
 
 // fuzzSnapshotSeed builds a small but fully featured snapshot (dead nodes,
-// invocations, outputs, index) as a structure-aware seed corpus entry.
-func fuzzSnapshotSeed(t testing.TB, writeFn func(io.Writer, *Snapshot) error) []byte {
+// invocations, outputs, postings) as a structure-aware seed corpus entry.
+func fuzzSnapshotSeed(t testing.TB) []byte {
 	b := provgraph.NewBuilder()
 	in := b.WorkflowInput("I1")
 	inv := b.BeginInvocation("M_x", "x", 0)
@@ -29,27 +28,23 @@ func fuzzSnapshotSeed(t testing.TB, writeFn func(io.Writer, *Snapshot) error) []
 		Execution: 0, Node: "x", Relation: "R",
 		Tuples: []AnnotatedTuple{{Tuple: nested.NewTuple(nested.Int(1)), Prov: out, Mult: 1}},
 	}}}
-	var buf bytes.Buffer
-	if err := writeFn(&buf, snap); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return encodeV3(t, snap)
 }
 
 // FuzzLoadSnapshot asserts the snapshot reader never panics: arbitrary
 // bytes either load or return an error.
 func FuzzLoadSnapshot(f *testing.F) {
-	f.Add(fuzzSnapshotSeed(f, Write)) // columnar v3
-	f.Add(fuzzSnapshotSeed(f, WriteV1))
-	f.Add(fuzzSnapshotSeed(f, WriteV2))
+	f.Add(fuzzSnapshotSeed(f)) // columnar v3
+	f.Add(readFixture(f, "sample.v1.lpsk"))
+	f.Add(readFixture(f, "sample.v2.lpsk"))
 	f.Add([]byte("LPSK"))
 	f.Add([]byte{'L', 'P', 'S', 'K', 2, 0xff, 0xff, 0xff})
 	f.Add([]byte{'L', 'P', 'S', 'K', 3, 0, 0, 0})
 	// v3 with a flipped byte in the trailer and one in the footer region.
-	badTrailer := fuzzSnapshotSeed(f, Write)
+	badTrailer := fuzzSnapshotSeed(f)
 	badTrailer[len(badTrailer)-1] ^= 0xff
 	f.Add(badTrailer)
-	badFooter := fuzzSnapshotSeed(f, Write)
+	badFooter := fuzzSnapshotSeed(f)
 	badFooter[len(badFooter)-v3TrailerLen-5] ^= 0xff
 	f.Add(badFooter)
 	f.Fuzz(func(t *testing.T, data []byte) {

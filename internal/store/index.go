@@ -1,13 +1,8 @@
 package store
 
-import (
-	"fmt"
-	"sort"
+import "lipstick/internal/provgraph"
 
-	"lipstick/internal/provgraph"
-)
-
-// Index is the postings section of an indexed (format v2) snapshot: for
+// Postings is the read interface over a snapshot's selection index: for
 // each node type, operation label, node label, and module it lists the
 // matching node slots in ascending id order, plus the invocation ids of
 // each module. The Provenance Tracker computes it at track (write) time so
@@ -15,33 +10,13 @@ import (
 // graph after load (the ProvDB-style "persist the index with the graph"
 // step on top of Section 5.1's load-and-build pipeline).
 //
-// Postings cover every node slot — dead ones included — because graph
-// transformations (ZoomIn, deletion) flip liveness at query time; readers
-// filter on Graph.Alive. Nodes records how many slots the postings cover:
-// nodes appended to the graph after the index was built (e.g. zoom nodes
-// installed by ZoomOut) have ids >= Nodes and must be scanned separately.
-type Index struct {
-	// Nodes is the number of node slots the postings cover.
-	Nodes int
-	// ByType lists node slots per structural type.
-	ByType map[provgraph.Type][]provgraph.NodeID
-	// ByOp lists node slots per operation label.
-	ByOp map[provgraph.Op][]provgraph.NodeID
-	// ByLabel lists node slots per non-empty label (token, module or
-	// function name).
-	ByLabel map[string][]provgraph.NodeID
-	// ByModule lists the node slots anchored to an invocation of each
-	// module (m/i/o/s/zoom nodes).
-	ByModule map[string][]provgraph.NodeID
-	// ModuleInvs lists each module's invocation ids.
-	ModuleInvs map[string][]provgraph.InvID
-}
-
-// Postings is the read interface over a snapshot's postings section. It
-// is implemented by the map-based *Index (v1/v2 decode path, live builds)
-// and by the columnar section view of an opened v3 snapshot, which serves
-// lookups straight from (possibly mapped) file memory. Returned slices
-// are shared — callers must not mutate them.
+// It is implemented by colPostings, which serves lookups straight from the
+// (possibly mapped) sections of a v3 snapshot, or from the same columns
+// built in memory by BuildPostings; the live index in package core layers
+// its appends over one. Postings cover every node slot — dead ones
+// included — because graph transformations flip liveness at query time;
+// readers filter on Graph.Alive. Returned slices are shared — callers must
+// not mutate them.
 type Postings interface {
 	// Coverage is the number of node slots the postings cover; slots with
 	// ids >= Coverage were appended after the index was built and must be
@@ -52,244 +27,4 @@ type Postings interface {
 	LabelIDs(string) []provgraph.NodeID
 	ModuleIDs(string) []provgraph.NodeID
 	ModuleInvocations(string) []provgraph.InvID
-}
-
-// Coverage implements Postings.
-func (idx *Index) Coverage() int { return idx.Nodes }
-
-// TypeIDs implements Postings.
-func (idx *Index) TypeIDs(t provgraph.Type) []provgraph.NodeID { return idx.ByType[t] }
-
-// OpIDs implements Postings.
-func (idx *Index) OpIDs(o provgraph.Op) []provgraph.NodeID { return idx.ByOp[o] }
-
-// LabelIDs implements Postings.
-func (idx *Index) LabelIDs(label string) []provgraph.NodeID { return idx.ByLabel[label] }
-
-// ModuleIDs implements Postings.
-func (idx *Index) ModuleIDs(module string) []provgraph.NodeID { return idx.ByModule[module] }
-
-// ModuleInvocations implements Postings.
-func (idx *Index) ModuleInvocations(module string) []provgraph.InvID { return idx.ModuleInvs[module] }
-
-// BuildIndex computes the postings for a graph in one pass over all node
-// slots. Postings come out sorted because slots are visited in id order.
-func BuildIndex(g *provgraph.Graph) *Index {
-	idx := &Index{
-		Nodes:      g.TotalNodes(),
-		ByType:     make(map[provgraph.Type][]provgraph.NodeID),
-		ByOp:       make(map[provgraph.Op][]provgraph.NodeID),
-		ByLabel:    make(map[string][]provgraph.NodeID),
-		ByModule:   make(map[string][]provgraph.NodeID),
-		ModuleInvs: make(map[string][]provgraph.InvID),
-	}
-	g.AllNodesDo(func(n provgraph.Node) bool {
-		idx.ByType[n.Type] = append(idx.ByType[n.Type], n.ID)
-		idx.ByOp[n.Op] = append(idx.ByOp[n.Op], n.ID)
-		if n.Label != "" {
-			idx.ByLabel[n.Label] = append(idx.ByLabel[n.Label], n.ID)
-		}
-		if n.Inv >= 0 {
-			m := g.Invocation(n.Inv).Module
-			idx.ByModule[m] = append(idx.ByModule[m], n.ID)
-		}
-		return true
-	})
-	g.Invocations(func(inv *provgraph.Invocation) bool {
-		idx.ModuleInvs[inv.Module] = append(idx.ModuleInvs[inv.Module], inv.ID)
-		return true
-	})
-	return idx
-}
-
-// writeIndex serializes the postings section (format v2). Map keys are
-// written in sorted order so the encoding is deterministic.
-func writeIndex(w *writer, idx *Index) {
-	typeKeys := make([]int, 0, len(idx.ByType))
-	for t := range idx.ByType {
-		typeKeys = append(typeKeys, int(t))
-	}
-	sort.Ints(typeKeys)
-	w.uvarint(uint64(len(typeKeys)))
-	for _, t := range typeKeys {
-		w.byte(byte(t))
-		writeIDs(w, idx.ByType[provgraph.Type(t)])
-	}
-
-	opKeys := make([]int, 0, len(idx.ByOp))
-	for o := range idx.ByOp {
-		opKeys = append(opKeys, int(o))
-	}
-	sort.Ints(opKeys)
-	w.uvarint(uint64(len(opKeys)))
-	for _, o := range opKeys {
-		w.byte(byte(o))
-		writeIDs(w, idx.ByOp[provgraph.Op(o)])
-	}
-
-	writeStringPostings(w, idx.ByLabel)
-	writeStringPostings(w, idx.ByModule)
-
-	modKeys := make([]string, 0, len(idx.ModuleInvs))
-	for m := range idx.ModuleInvs {
-		modKeys = append(modKeys, m)
-	}
-	sort.Strings(modKeys)
-	w.uvarint(uint64(len(modKeys)))
-	for _, m := range modKeys {
-		w.str(m)
-		invs := idx.ModuleInvs[m]
-		w.uvarint(uint64(len(invs)))
-		for _, id := range invs {
-			w.uvarint(uint64(id))
-		}
-	}
-}
-
-func writeStringPostings(w *writer, postings map[string][]provgraph.NodeID) {
-	keys := make([]string, 0, len(postings))
-	for k := range postings {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w.uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.str(k)
-		writeIDs(w, postings[k])
-	}
-}
-
-// readIndex deserializes the postings section, bounds-checking every node
-// and invocation id against the already-read graph sections.
-func readIndex(r *reader, nodeCount, invCount uint64) (*Index, error) {
-	idx := &Index{
-		Nodes:      int(nodeCount),
-		ByType:     make(map[provgraph.Type][]provgraph.NodeID),
-		ByOp:       make(map[provgraph.Op][]provgraph.NodeID),
-		ByLabel:    make(map[string][]provgraph.NodeID),
-		ByModule:   make(map[string][]provgraph.NodeID),
-		ModuleInvs: make(map[string][]provgraph.InvID),
-	}
-
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxLen {
-		return nil, fmt.Errorf("store: type postings count exceeds limit")
-	}
-	for i := uint64(0); i < n; i++ {
-		t, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		ids, err := readPostings(r, nodeCount)
-		if err != nil {
-			return nil, err
-		}
-		idx.ByType[provgraph.Type(t)] = ids
-	}
-
-	n, err = r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxLen {
-		return nil, fmt.Errorf("store: op postings count exceeds limit")
-	}
-	for i := uint64(0); i < n; i++ {
-		o, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		ids, err := readPostings(r, nodeCount)
-		if err != nil {
-			return nil, err
-		}
-		idx.ByOp[provgraph.Op(o)] = ids
-	}
-
-	if idx.ByLabel, err = readStringPostings(r, nodeCount); err != nil {
-		return nil, err
-	}
-	if idx.ByModule, err = readStringPostings(r, nodeCount); err != nil {
-		return nil, err
-	}
-
-	n, err = r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxLen {
-		return nil, fmt.Errorf("store: module invocation postings count exceeds limit")
-	}
-	for i := uint64(0); i < n; i++ {
-		m, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		c, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if c > maxLen {
-			return nil, fmt.Errorf("store: invocation id list exceeds limit")
-		}
-		invs := make([]provgraph.InvID, c)
-		for j := range invs {
-			v, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if v >= invCount {
-				return nil, fmt.Errorf("store: invocation id out of range")
-			}
-			if j > 0 && provgraph.InvID(v) <= invs[j-1] {
-				return nil, fmt.Errorf("store: invocation postings not strictly ascending")
-			}
-			invs[j] = provgraph.InvID(v)
-		}
-		idx.ModuleInvs[m] = invs
-	}
-	return idx, nil
-}
-
-func readStringPostings(r *reader, nodeCount uint64) (map[string][]provgraph.NodeID, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxLen {
-		return nil, fmt.Errorf("store: postings count exceeds limit")
-	}
-	out := make(map[string][]provgraph.NodeID, n)
-	for i := uint64(0); i < n; i++ {
-		k, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		ids, err := readPostings(r, nodeCount)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = ids
-	}
-	return out, nil
-}
-
-// readPostings reads an id list and additionally requires it to be
-// strictly ascending — the sortedness the query layer's intersections
-// rely on. A corrupt v2 file must fail the load, not silently drop
-// matches.
-func readPostings(r *reader, nodeCount uint64) ([]provgraph.NodeID, error) {
-	ids, err := readIDs(r, nodeCount)
-	if err != nil {
-		return nil, err
-	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			return nil, fmt.Errorf("store: postings list not strictly ascending")
-		}
-	}
-	return ids, nil
 }

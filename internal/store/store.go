@@ -13,16 +13,15 @@ import (
 // follows it.
 var magic = []byte{'L', 'P', 'S', 'K'}
 
-// Format versions. Version 1 is the original graph+outputs payload;
-// version 2 appends the postings index section (see Index) so the Query
-// Processor can select nodes without a post-load graph rescan. Version 3
-// abandons the streaming encode for the graph's columnar arrays written
-// verbatim (see v3.go), so opening a snapshot is an mmap plus pointer
-// casts instead of a full decode. Readers accept all three; writers emit
-// the current version unless WriteV1/WriteV2 is asked for explicitly.
+// Format versions. Version 1 is the original streamed graph+outputs
+// payload; version 2 appended a streamed postings section. Version 3
+// writes the graph's columnar arrays and postings verbatim (see v3.go),
+// so opening a snapshot is an mmap plus pointer casts instead of a full
+// decode. Only version 3 is written. Versions 1 and 2 are read-only: Read
+// decodes their graph and outputs, skips a v2 postings section, and
+// builds the postings from the decoded graph.
 const (
 	versionLegacy   = 1
-	versionIndexed  = 2
 	versionColumnar = 3
 	currentVersion  = versionColumnar
 )
@@ -47,16 +46,14 @@ type RelationDump struct {
 // Snapshot is everything the Query Processor needs: the provenance graph
 // and the annotated output relations that anchor queries.
 //
-// Index carries the postings section of indexed (v2) snapshots; it is nil
-// after reading a legacy v1 snapshot, in which case the query layer
-// rebuilds it from the graph. Postings is the columnar postings view of a
-// v3 snapshot (Index stays nil there). LazyOutputs is set instead of
-// Outputs by mapped v3 opens: the output relations decode on first use,
-// keeping the open O(1).
+// Every snapshot read from a file carries Postings: the persisted
+// columns of a v3 file, or a build over the graph of a v1/v2 file. A
+// snapshot assembled in memory may leave it nil; the query layer then
+// builds it. LazyOutputs is set instead of Outputs by mapped v3 opens:
+// the output relations decode on first use, keeping the open cheap.
 type Snapshot struct {
 	Graph       *provgraph.Graph
 	Outputs     []RelationDump
-	Index       *Index
 	Postings    Postings
 	LazyOutputs func() ([]RelationDump, error)
 }
@@ -82,81 +79,8 @@ func Write(out io.Writer, s *Snapshot) error {
 	return writeV3(out, s)
 }
 
-// WriteV1 serializes the snapshot in the legacy v1 format (no index
-// section), for interoperability with older readers and for compatibility
-// testing.
-func WriteV1(out io.Writer, s *Snapshot) error {
-	return writeVersion(out, s, versionLegacy)
-}
-
-// WriteV2 serializes the snapshot in the v2 streaming-indexed format, for
-// downgrades to pre-columnar readers and for compatibility testing.
-func WriteV2(out io.Writer, s *Snapshot) error {
-	return writeVersion(out, s, versionIndexed)
-}
-
-func writeVersion(out io.Writer, s *Snapshot, version byte) error {
-	w := newWriter(out)
-	w.raw(magic)
-	w.byte(version)
-	g := s.Graph
-
-	// Nodes (all slots, so transformations remain restorable).
-	w.uvarint(uint64(g.TotalNodes()))
-	g.AllNodesDo(func(n provgraph.Node) bool {
-		w.byte(byte(n.Class))
-		w.byte(byte(n.Type))
-		w.byte(byte(n.Op))
-		w.str(n.Label)
-		w.varint(int64(n.Inv))
-		w.value(n.Value)
-		return true
-	})
-
-	// Edges.
-	edgeCount := 0
-	g.AllEdgesDo(func(provgraph.NodeID, provgraph.NodeID) bool { edgeCount++; return true })
-	w.uvarint(uint64(edgeCount))
-	g.AllEdgesDo(func(src, dst provgraph.NodeID) bool {
-		w.uvarint(uint64(src))
-		w.uvarint(uint64(dst))
-		return true
-	})
-
-	// Invocations.
-	w.uvarint(uint64(g.NumInvocations()))
-	g.Invocations(func(inv *provgraph.Invocation) bool {
-		w.str(inv.Module)
-		w.str(inv.NodeName)
-		w.uvarint(uint64(inv.Execution))
-		w.uvarint(uint64(inv.MNode))
-		writeIDs(w, inv.Inputs)
-		writeIDs(w, inv.Outputs)
-		writeIDs(w, inv.States)
-		return true
-	})
-
-	// Dead nodes.
-	writeIDs(w, g.DeadNodes())
-
-	// Output relations.
-	writeOutputs(w, s.Outputs)
-
-	if version >= versionIndexed {
-		writeIndex(w, BuildIndex(g))
-	}
-	return w.flush()
-}
-
-func writeIDs(w *writer, ids []provgraph.NodeID) {
-	w.uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		w.uvarint(uint64(id))
-	}
-}
-
-// writeOutputs encodes the output-relation dumps (shared by the v1/v2
-// payload and the v3 outputs blob).
+// writeOutputs encodes the output-relation dumps: the v3 outputs blob,
+// and the same encoding the v1/v2 payloads carry.
 func writeOutputs(w *writer, outs []RelationDump) {
 	w.uvarint(uint64(len(outs)))
 	for _, rd := range outs {
@@ -224,8 +148,9 @@ func readOutputs(r *reader) ([]RelationDump, error) {
 }
 
 // Read deserializes a snapshot in any supported format (v1-v3). All
-// bytes pass full validation — this is the path for data of unknown
-// origin; see LoadMapped for the trusted O(1) open of v3 files.
+// bytes it decodes pass full validation — this is the path for data of
+// unknown origin; see LoadMapped for the trusted decode-free open of v3
+// files.
 func Read(in io.Reader) (*Snapshot, error) {
 	r := newReader(in)
 	head := make([]byte, len(magic)+1)
@@ -288,6 +213,9 @@ func Read(in io.Reader) (*Snapshot, error) {
 		val, err := r.value()
 		if err != nil {
 			return nil, err
+		}
+		if class > byte(provgraph.ClassV) || typ > byte(provgraph.TypeZoom) || op > byte(provgraph.OpConst) {
+			return nil, fmt.Errorf("store: node %d has an unknown class, type or op", i)
 		}
 		nodes[i] = provgraph.Node{
 			ID:    provgraph.NodeID(i),
@@ -388,14 +316,9 @@ func Read(in io.Reader) (*Snapshot, error) {
 	if snap.Outputs, err = readOutputs(r); err != nil {
 		return nil, err
 	}
-
-	if version >= versionIndexed {
-		idx, err := readIndex(r, nodeCount, invCount)
-		if err != nil {
-			return nil, err
-		}
-		snap.Index = idx
-	}
+	// A v2 file's postings section follows; it is derived data, so it is
+	// left unread and the postings are rebuilt from the validated graph.
+	snap.Postings = BuildPostings(g)
 	return snap, nil
 }
 
@@ -448,9 +371,11 @@ func Load(path string) (*Snapshot, error) {
 }
 
 // LoadMapped opens a snapshot for querying at minimal cost: a v3 file is
-// memory-mapped and its columns served straight from the page cache, so
-// the open is O(1) in graph size — pages fault in as queries touch them.
-// The file is trusted (typically one this process wrote); only the footer
+// memory-mapped and its columns served straight from the page cache, with
+// no per-node decode — pages fault in as queries touch them. The open
+// makes the same number of allocations at any graph size; the bytes it
+// copies (the symbol slab, the liveness bits, the column block headers)
+// still grow with the graph. The file is trusted (typically one this process wrote); only the footer
 // checksum and section bounds are verified. Pre-v3 files, and platforms
 // without mmap, fall back to the buffered full-decode path.
 func LoadMapped(path string) (*Snapshot, error) {

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -83,47 +82,39 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// roundTripWriters enumerates the format versions a snapshot must survive.
-var roundTripWriters = []struct {
-	name      string
-	write     func(io.Writer, *Snapshot) error
-	wantIndex bool
+// roundTripFormats enumerates the format versions a snapshot must survive.
+// Nothing writes v1 or v2 any more: their encodings are fixtures of
+// mutilateSample, so encode ignores its argument for them and the tests
+// below round-trip mutilateSample.
+var roundTripFormats = []struct {
+	name   string
+	encode func(testing.TB, *Snapshot) []byte
 }{
-	{"v1-legacy", WriteV1, false},
-	{"v2-indexed", WriteV2, true},
-	{"v3-columnar", Write, false}, // v3 carries Postings instead of Index
+	{"v1-legacy", func(t testing.TB, _ *Snapshot) []byte { return readFixture(t, "sample.v1.lpsk") }},
+	{"v2-indexed", func(t testing.TB, _ *Snapshot) []byte { return readFixture(t, "sample.v2.lpsk") }},
+	{"v3-columnar", encodeV3},
 }
 
-// TestRoundTripWithDeadNodes kills nodes via deletion propagation,
-// materialized, then round-trips through every format version.
+// encodeV3 writes snap in the current format.
+func encodeV3(t testing.TB, snap *Snapshot) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Write(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRoundTripWithDeadNodes reads a graph with nodes killed by deletion
+// propagation back from every format version.
 func TestRoundTripWithDeadNodes(t *testing.T) {
-	for _, v := range roundTripWriters {
+	for _, v := range roundTripFormats {
 		t.Run(v.name, func(t *testing.T) {
-			snap := buildSampleSnapshot()
-			var base NodeIDs
-			snap.Graph.Nodes(func(n provgraph.Node) bool {
-				if n.Type == provgraph.TypeBaseTuple {
-					base = append(base, n.ID)
-				}
-				return true
-			})
-			if len(base) == 0 {
-				t.Fatal("sample has no base tuples")
-			}
-			ov := provgraph.NewOverlay(snap.Graph)
-			if res := ov.Delete(base...); res.Size() == 0 {
-				t.Fatal("deletion removed nothing")
-			}
-			snap.Graph = ov.Materialize()
+			snap := mutilateSample(t)
 			if len(snap.Graph.DeadNodes()) == 0 {
 				t.Fatal("no dead nodes after deletion")
 			}
-
-			var buf bytes.Buffer
-			if err := v.write(&buf, snap); err != nil {
-				t.Fatal(err)
-			}
-			got, err := Read(&buf)
+			got, err := Read(bytes.NewReader(v.encode(t, snap)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,34 +124,35 @@ func TestRoundTripWithDeadNodes(t *testing.T) {
 			if !reflect.DeepEqual(snap.Graph.DeadNodes(), got.Graph.DeadNodes()) {
 				t.Error("dead node set changed")
 			}
-			if (got.Index != nil) != v.wantIndex {
-				t.Errorf("index presence = %v, want %v", got.Index != nil, v.wantIndex)
+			if got.Postings == nil {
+				t.Error("snapshot read without postings")
 			}
 		})
 	}
 }
 
-// NodeIDs is a shorthand used by the round-trip tests.
-type NodeIDs = []provgraph.NodeID
-
-// TestRoundTripWithZoomRecords zooms a module out (installing a zoom node
-// and hiding intermediates), round-trips through both versions, and checks
-// the restored graph still supports ZoomIn-style liveness.
+// TestRoundTripWithZoomRecords reads a graph with a module zoomed out (a
+// zoom node installed, intermediates hidden) back from every format
+// version: the zoom nodes survive alive.
 func TestRoundTripWithZoomRecords(t *testing.T) {
-	for _, v := range roundTripWriters {
+	countZooms := func(g *provgraph.Graph) int {
+		zooms := 0
+		g.Nodes(func(n provgraph.Node) bool {
+			if n.Type == provgraph.TypeZoom {
+				zooms++
+			}
+			return true
+		})
+		return zooms
+	}
+	for _, v := range roundTripFormats {
 		t.Run(v.name, func(t *testing.T) {
-			snap := buildSampleSnapshot()
-			ov := provgraph.NewOverlay(snap.Graph)
-			rec := ov.ZoomOut("M_test")
-			if rec.HiddenCount() == 0 || len(rec.ZoomNodes()) == 0 {
-				t.Fatal("zoom hid nothing")
+			snap := mutilateSample(t)
+			want := countZooms(snap.Graph)
+			if want == 0 {
+				t.Fatal("sample has no live zoom nodes")
 			}
-			snap.Graph = ov.Materialize()
-			var buf bytes.Buffer
-			if err := v.write(&buf, snap); err != nil {
-				t.Fatal(err)
-			}
-			got, err := Read(&buf)
+			got, err := Read(bytes.NewReader(v.encode(t, snap)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,103 +162,36 @@ func TestRoundTripWithZoomRecords(t *testing.T) {
 			if got.Graph.NumNodes() != snap.Graph.NumNodes() {
 				t.Error("live node count changed")
 			}
-			// The zoom nodes survive the trip alive.
-			zooms := 0
-			got.Graph.Nodes(func(n provgraph.Node) bool {
-				if n.Type == provgraph.TypeZoom {
-					zooms++
-				}
-				return true
-			})
-			if zooms != len(rec.ZoomNodes()) {
-				t.Errorf("zoom nodes after round trip = %d, want %d", zooms, len(rec.ZoomNodes()))
+			if zooms := countZooms(got.Graph); zooms != want {
+				t.Errorf("zoom nodes after round trip = %d, want %d", zooms, want)
 			}
 		})
 	}
 }
 
-// TestIndexRoundTrip verifies the persisted postings equal a fresh build
-// over the loaded graph (i.e. the index section carries no drift).
-func TestIndexRoundTrip(t *testing.T) {
-	snap := buildSampleSnapshot()
-	var buf bytes.Buffer
-	if err := WriteV2(&buf, snap); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Index == nil {
-		t.Fatal("indexed snapshot loaded without an index")
-	}
-	if !reflect.DeepEqual(got.Index, BuildIndex(got.Graph)) {
-		t.Error("persisted index differs from a rebuild over the loaded graph")
-	}
-	if got.Index.Nodes != got.Graph.TotalNodes() {
-		t.Errorf("index covers %d slots, graph has %d", got.Index.Nodes, got.Graph.TotalNodes())
-	}
-}
+// TestIndexRoundTrip: Read skips a v2 file's postings section and builds
+// the postings from the decoded graph instead.
+func TestIndexRoundTrip(t *testing.T) { assertLegacyPostings(t, "v2") }
 
-// TestV1ReadCompat: legacy snapshots load with no index and identical
-// structure.
-func TestV1ReadCompat(t *testing.T) {
-	snap := buildSampleSnapshot()
-	var buf bytes.Buffer
-	if err := WriteV1(&buf, snap); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Index != nil {
-		t.Error("v1 snapshot produced an index section")
-	}
-	if !snap.Graph.StructurallyEqual(got.Graph) {
-		t.Error("v1 round-trip mismatch")
-	}
-}
+// TestV1ReadCompat: a v1 file has no postings section; Read builds the
+// postings from the decoded graph.
+func TestV1ReadCompat(t *testing.T) { assertLegacyPostings(t, "v1") }
 
-// TestCorruptPostingsRejected: a v2 file whose postings lists are out of
-// order (ids in range, so the bounds checks pass) must fail the load —
-// the query layer's intersections rely on sortedness.
-func TestCorruptPostingsRejected(t *testing.T) {
-	snap := buildSampleSnapshot()
-	idx := BuildIndex(snap.Graph)
-	var list []provgraph.NodeID
-	for _, ids := range idx.ByType {
-		if len(ids) >= 2 {
-			list = ids
-			break
+// assertLegacyPostings reads every fixture of a legacy format version and
+// checks its postings against the reference build over its graph.
+func assertLegacyPostings(t *testing.T, version string) {
+	for _, name := range legacyFixtures[version] {
+		got, err := Read(bytes.NewReader(readFixture(t, name)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
-	if list == nil {
-		t.Fatal("no postings list with >= 2 ids in the sample")
-	}
-	// Re-encode the index section with one list reversed and splice it
-	// onto the valid graph payload.
-	var good bytes.Buffer
-	if err := WriteV2(&good, snap); err != nil {
-		t.Fatal(err)
-	}
-	var v1 bytes.Buffer
-	if err := WriteV1(&v1, snap); err != nil {
-		t.Fatal(err)
-	}
-	list[0], list[len(list)-1] = list[len(list)-1], list[0]
-	var badIdx bytes.Buffer
-	w := newWriter(&badIdx)
-	writeIndex(w, idx)
-	if err := w.flush(); err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), good.Bytes()[:v1.Len()]...)
-	bad[4] = 2 // keep the indexed version byte
-	bad = append(bad, badIdx.Bytes()...)
-	_, err := Read(bytes.NewReader(bad))
-	if err == nil || !strings.Contains(err.Error(), "ascending") {
-		t.Errorf("out-of-order postings accepted: %v", err)
+		if got.Postings == nil {
+			t.Fatalf("%s loaded without postings", name)
+		}
+		samePostings(t, got.Graph, got.Postings, BuildIndex(got.Graph))
+		if got.Postings.Coverage() != got.Graph.TotalNodes() {
+			t.Errorf("%s: postings cover %d slots, graph has %d", name, got.Postings.Coverage(), got.Graph.TotalNodes())
+		}
 	}
 }
 

@@ -166,27 +166,7 @@ func writeV3(out io.Writer, s *Snapshot) error {
 		valOffs = append(valOffs, uint32(len(vw.buf)))
 	}
 	writeOutputs(&ow, s.Outputs)
-
-	// Postings grouped by attribute column. Types and ops bucket over the
-	// enum ranges; labels and modules bucket by symbol id (ascending, so
-	// the CSR key lists come out sorted for binary search).
-	numTypes := int(provgraph.TypeZoom) + 1
-	numOps := int(provgraph.OpConst) + 1
-	typeOffs, typeIDs := groupByKey(n, numTypes, func(i int) int { return int(fr.Typ[i]) })
-	opOffs, opIDs := groupByKey(n, numOps, func(i int) int { return int(fr.Op[i]) })
-
-	labelSyms, labelOffs, labelIDs := groupBySym(n, fr.NumSyms(), func(i int) (uint32, bool) {
-		return fr.Label[i], fr.Label[i] != 0 // empty labels are not indexed
-	})
-	moduleSyms, moduleOffs, moduleIDs := groupBySym(n, fr.NumSyms(), func(i int) (uint32, bool) {
-		if inv := fr.Inv[i]; inv >= 0 {
-			return fr.InvModule[inv], true
-		}
-		return 0, false
-	})
-	modInvSyms, modInvOffs, modInvIDs := groupBySym(fr.NumInvocations(), fr.NumSyms(), func(i int) (uint32, bool) {
-		return fr.InvModule[i], true
-	})
+	p := buildPostings(fr)
 
 	secs := make([][]byte, numSections)
 	secs[secClass] = leBytes(fr.Class)
@@ -215,19 +195,19 @@ func writeV3(out io.Writer, s *Snapshot) error {
 	secs[secValOffs] = leBytes(valOffs)
 	secs[secValBlob] = vw.buf
 	secs[secOutputsBlob] = ow.buf
-	secs[secPostTypeOffs] = leBytes(typeOffs)
-	secs[secPostTypeIDs] = leBytes(typeIDs)
-	secs[secPostOpOffs] = leBytes(opOffs)
-	secs[secPostOpIDs] = leBytes(opIDs)
-	secs[secPostLabelSyms] = leBytes(labelSyms)
-	secs[secPostLabelOffs] = leBytes(labelOffs)
-	secs[secPostLabelIDs] = leBytes(labelIDs)
-	secs[secPostModuleSyms] = leBytes(moduleSyms)
-	secs[secPostModuleOffs] = leBytes(moduleOffs)
-	secs[secPostModuleIDs] = leBytes(moduleIDs)
-	secs[secPostModInvSyms] = leBytes(modInvSyms)
-	secs[secPostModInvOffs] = leBytes(modInvOffs)
-	secs[secPostModInvIDs] = leBytes(modInvIDs)
+	secs[secPostTypeOffs] = leBytes(p.typeOffs)
+	secs[secPostTypeIDs] = leBytes(p.typeIDs)
+	secs[secPostOpOffs] = leBytes(p.opOffs)
+	secs[secPostOpIDs] = leBytes(p.opIDs)
+	secs[secPostLabelSyms] = leBytes(p.labelSyms)
+	secs[secPostLabelOffs] = leBytes(p.labelOffs)
+	secs[secPostLabelIDs] = leBytes(p.labelIDs)
+	secs[secPostModuleSyms] = leBytes(p.moduleSyms)
+	secs[secPostModuleOffs] = leBytes(p.moduleOffs)
+	secs[secPostModuleIDs] = leBytes(p.moduleIDs)
+	secs[secPostModInvSyms] = leBytes(p.modInvSyms)
+	secs[secPostModInvOffs] = leBytes(p.modInvOffs)
+	secs[secPostModInvIDs] = leBytes(p.modInvIDs)
 
 	// Header, then sections with alignment padding, tracking offsets.
 	header := [8]byte{'L', 'P', 'S', 'K', versionColumnar}
@@ -269,6 +249,41 @@ func writeV3(out io.Writer, s *Snapshot) error {
 	return err
 }
 
+// buildPostings groups a frozen graph's columns into the postings that
+// writeV3 persists and BuildPostings serves from memory. Types and ops
+// bucket over the enum ranges; labels and modules bucket by symbol id
+// (ascending, so the CSR key lists come out sorted for binary search).
+// It returns the struct by value, so writeV3 keeps it on the stack.
+func buildPostings(fr *provgraph.Frozen) colPostings {
+	n := fr.NumNodes
+	p := colPostings{
+		coverage: n, numInvs: fr.NumInvocations(), numSyms: fr.NumSyms(),
+		symOffs: fr.SymOffs, symSlab: fr.SymSlab,
+	}
+	p.typeOffs, p.typeIDs = groupByKey(n, int(provgraph.TypeZoom)+1, func(i int) int { return int(fr.Typ[i]) })
+	p.opOffs, p.opIDs = groupByKey(n, int(provgraph.OpConst)+1, func(i int) int { return int(fr.Op[i]) })
+	p.labelSyms, p.labelOffs, p.labelIDs = groupBySym[provgraph.NodeID](n, p.numSyms, func(i int) (uint32, bool) {
+		return fr.Label[i], fr.Label[i] != 0 // empty labels are not indexed
+	})
+	p.moduleSyms, p.moduleOffs, p.moduleIDs = groupBySym[provgraph.NodeID](n, p.numSyms, func(i int) (uint32, bool) {
+		if inv := fr.Inv[i]; inv >= 0 {
+			return fr.InvModule[inv], true
+		}
+		return 0, false
+	})
+	p.modInvSyms, p.modInvOffs, p.modInvIDs = groupBySym[provgraph.InvID](p.numInvs, p.numSyms, func(i int) (uint32, bool) {
+		return fr.InvModule[i], true
+	})
+	return p
+}
+
+// BuildPostings computes the postings of an in-memory graph: the columns
+// a v3 snapshot of g would persist, served from the heap.
+func BuildPostings(g *provgraph.Graph) Postings {
+	p := buildPostings(provgraph.Freeze(g))
+	return &p
+}
+
 // groupByKey buckets node ids 0..n-1 by a small integer key into one CSR.
 func groupByKey(n, buckets int, key func(int) int) ([]uint32, []provgraph.NodeID) {
 	offs := make([]uint32, buckets+1)
@@ -293,7 +308,7 @@ func groupByKey(n, buckets int, key func(int) int) ([]uint32, []provgraph.NodeID
 // ids are dense below numSyms, so this is groupByKey's counting sort with
 // the empty buckets dropped from the key list. Ids come out ascending per
 // symbol because i runs ascending.
-func groupBySym(n, numSyms int, key func(int) (uint32, bool)) ([]uint32, []uint32, []provgraph.NodeID) {
+func groupBySym[ID ~int32](n, numSyms int, key func(int) (uint32, bool)) ([]uint32, []uint32, []ID) {
 	next := make([]uint32, numSyms) // per symbol: its count, then its fill slot
 	total := 0
 	for i := 0; i < n; i++ {
@@ -311,10 +326,10 @@ func groupBySym(n, numSyms int, key func(int) (uint32, bool)) ([]uint32, []uint3
 			offs = append(offs, next[s]+c)
 		}
 	}
-	ids := make([]provgraph.NodeID, total)
+	ids := make([]ID, total)
 	for i := 0; i < n; i++ {
 		if s, ok := key(i); ok {
-			ids[next[s]] = provgraph.NodeID(i)
+			ids[next[s]] = ID(i)
 			next[s]++
 		}
 	}
@@ -455,7 +470,8 @@ func checkAscending(ids []provgraph.NodeID, what string) error {
 // output relations eagerly, so a malformed file fails the load instead of
 // panicking in the query layer. The mapped path (LoadMapped) trusts the
 // file past the footer checks: it is for snapshots this process (or a
-// peer) wrote, where per-element validation would defeat the O(1) open.
+// peer) wrote, where per-element validation would defeat the
+// decode-free open.
 func parseV3(data []byte, strict bool, mapRef any) (*Snapshot, error) {
 	v, err := parseV3Footer(data)
 	if err != nil {
@@ -589,6 +605,9 @@ func validateV3(v *v3Sections, fr *provgraph.Frozen, valOffs []uint32, valBlob [
 		}
 	}
 	for i := 0; i < n; i++ {
+		if fr.Class[i] > provgraph.ClassV || fr.Typ[i] > provgraph.TypeZoom || fr.Op[i] > provgraph.OpConst {
+			return fmt.Errorf("store: v3 node %d has an unknown class, type or op", i)
+		}
 		if int(fr.Label[i]) >= nsym {
 			return fmt.Errorf("store: v3 node label symbol out of range")
 		}
@@ -712,8 +731,9 @@ func validateV3(v *v3Sections, fr *provgraph.Frozen, valOffs []uint32, valBlob [
 	return nil
 }
 
-// colPostings serves Postings lookups from v3 section memory; string keys
-// resolve by binary search over the sorted symbol table.
+// colPostings serves Postings lookups from v3 section memory, or from the
+// heap slices buildPostings grouped; string keys resolve by binary search
+// over the sorted symbol table.
 type colPostings struct {
 	coverage, numInvs, numSyms int
 	symOffs                    []uint32

@@ -2,7 +2,7 @@ package store
 
 import (
 	"bytes"
-	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -35,43 +35,58 @@ func mutilateSample(t *testing.T) *Snapshot {
 	return snap
 }
 
-// TestV3CrossVersionRoundTrip upgrades snapshots written in the older
-// formats through the columnar writer: v1 → v3 and v2 → v3 must preserve
-// structure, dead-node sets, and outputs exactly.
+// legacyFixtures names the checked-in snapshots the removed v1/v2 writers
+// produced, per format version: mutilateSample, and the dealership and
+// Arctic runs of serve's endpoint equivalence test (587 and 281 slots).
+var legacyFixtures = map[string][]string{
+	"v1": {"sample.v1.lpsk", "dealership-seq.v1.lpsk", "arctic-seq.v1.lpsk"},
+	"v2": {"sample.v2.lpsk", "dealership-seq.v2.lpsk", "arctic-seq.v2.lpsk"},
+}
+
+// readFixture returns the bytes of a file in testdata.
+func readFixture(t testing.TB, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestV3CrossVersionRoundTrip upgrades every legacy fixture through the
+// columnar writer: v1 → v3 and v2 → v3 must preserve structure, dead-node
+// sets and outputs exactly and persist the reference postings, and the
+// sample must still read as the snapshot it was written from.
 func TestV3CrossVersionRoundTrip(t *testing.T) {
-	for _, from := range []struct {
-		name  string
-		write func(io.Writer, *Snapshot) error
-	}{{"v1", WriteV1}, {"v2", WriteV2}} {
-		t.Run(from.name+"-to-v3", func(t *testing.T) {
+	for _, from := range []string{"v1", "v2"} {
+		t.Run(from+"-to-v3", func(t *testing.T) {
+			for _, name := range legacyFixtures[from] {
+				loaded, err := Read(bytes.NewReader(readFixture(t, name)))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got, err := Read(bytes.NewReader(encodeV3(t, loaded)))
+				if err != nil {
+					t.Fatalf("%s re-saved as v3: %v", name, err)
+				}
+				if !loaded.Graph.StructurallyEqual(got.Graph) {
+					t.Errorf("%s: graph changed across the version upgrade", name)
+				}
+				if !reflect.DeepEqual(loaded.Graph.DeadNodes(), got.Graph.DeadNodes()) {
+					t.Errorf("%s: dead node set changed across the version upgrade", name)
+				}
+				if !reflect.DeepEqual(loaded.Outputs, got.Outputs) {
+					t.Errorf("%s: outputs changed across the version upgrade", name)
+				}
+				samePostings(t, got.Graph, got.Postings, BuildIndex(loaded.Graph))
+			}
 			orig := mutilateSample(t)
-			var old bytes.Buffer
-			if err := from.write(&old, orig); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := Read(&old)
+			sample, err := Read(bytes.NewReader(readFixture(t, legacyFixtures[from][0])))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var v3 bytes.Buffer
-			if err := Write(&v3, loaded); err != nil {
-				t.Fatal(err)
-			}
-			got, err := Read(&v3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !orig.Graph.StructurallyEqual(got.Graph) {
-				t.Error("graph changed across the version upgrade")
-			}
-			if !reflect.DeepEqual(orig.Graph.DeadNodes(), got.Graph.DeadNodes()) {
-				t.Error("dead node set changed across the version upgrade")
-			}
-			if !reflect.DeepEqual(orig.Outputs, got.Outputs) {
-				t.Error("outputs changed across the version upgrade")
-			}
-			if got.Postings == nil {
-				t.Error("v3 snapshot loaded without columnar postings")
+			if !orig.Graph.StructurallyEqual(sample.Graph) || !reflect.DeepEqual(orig.Outputs, sample.Outputs) {
+				t.Error("sample fixture no longer reads as mutilateSample")
 			}
 		})
 	}
@@ -286,6 +301,20 @@ func TestV3CorruptRejection(t *testing.T) {
 		}
 		if _, err := Read(bytes.NewReader(bad)); err == nil {
 			t.Fatal("garbage footer accepted")
+		}
+	})
+	t.Run("unknown-type", func(t *testing.T) {
+		// A node type past the enum would index past the type postings
+		// when the snapshot is written again.
+		bad := append([]byte(nil), valid...)
+		secs, err := parseV3Footer(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs.secs[secType][0] = byte(provgraph.TypeZoom) + 1
+		if _, err := Read(bytes.NewReader(bad)); err == nil ||
+			!strings.Contains(err.Error(), "unknown class, type or op") {
+			t.Errorf("unknown node type: %v", err)
 		}
 	})
 	t.Run("unordered-postings", func(t *testing.T) {

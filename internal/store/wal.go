@@ -23,7 +23,7 @@ import (
 // Write-ahead log for provenance event streams. A log directory holds:
 //
 //	wal-<firstSeq>.lpwal        append-only segments of CRC-framed events
-//	checkpoint-<seq>.lpsk       a standard LPSK v2 snapshot compacting the
+//	checkpoint-<seq>.lpsk       a standard LPSK v3 snapshot compacting the
 //	                            event prefix 1..seq
 //
 // Events are numbered 1,2,3,... per stream. Each segment starts with a

@@ -68,25 +68,13 @@ type GraphMemPoint struct {
 	Nodes         int     `json:"nodes"`
 	TotalNodes    int     `json:"totalNodes"`
 	Edges         int     `json:"edges"`
-	FileV2Bytes   int64   `json:"fileV2Bytes"`
 	FileV3Bytes   int64   `json:"fileV3Bytes"`
 	BytesPerNode  float64 `json:"bytesPerNode"`
-	OpenV2Ns      int64   `json:"openV2Ns"`
 	OpenV3Ns      int64   `json:"openV3Ns"`
 	FindNs        int64   `json:"findNs"`
 	LineageNs     int64   `json:"lineageNs"`
 	BFSNsPerVisit float64 `json:"bfsNsPerVisit"`
 	MappedOpen    bool    `json:"mappedOpen"`
-}
-
-// OpenRatio is the hardware-portable cold-open metric: v3 open time as a
-// fraction of the v2 decode of the same graph. Flat v3 opens drive it
-// toward zero as the graph grows.
-func (p GraphMemPoint) OpenRatio() float64 {
-	if p.OpenV2Ns == 0 {
-		return 0
-	}
-	return float64(p.OpenV3Ns) / float64(p.OpenV2Ns)
 }
 
 // GraphMemReport is the machine-readable result of the graphmem series
@@ -131,10 +119,10 @@ func bestOf(trials int, fn func() error) (time.Duration, error) {
 	return best, nil
 }
 
-// GraphMemSeries measures one point per node count: snapshot file sizes in
-// both formats, resident bytes per node of a buffered columnar load, cold
-// open latency of the v2 decode versus the v3 (mapped where supported)
-// open, and find/lineage/BFS timings over the opened graph.
+// GraphMemSeries measures one point per node count: the snapshot file
+// size, resident bytes per node of a buffered load, the latency of the
+// (mapped where supported) open, and find/lineage/BFS timings over the
+// opened graph.
 func GraphMemSeries(nodeCounts []int, seed int64) (*GraphMemReport, error) {
 	dir, err := os.MkdirTemp("", "graphmem")
 	if err != nil {
@@ -146,25 +134,11 @@ func GraphMemSeries(nodeCounts []int, seed int64) (*GraphMemReport, error) {
 	for _, n := range nodeCounts {
 		g, outs := SyntheticGraph(n, seed)
 		snap := &store.Snapshot{Graph: g}
-		v2Path := filepath.Join(dir, "g.v2.lpsk")
 		v3Path := filepath.Join(dir, "g.v3.lpsk")
-		f2, err := os.Create(v2Path)
-		if err != nil {
-			return nil, err
-		}
-		if err := store.WriteV2(f2, snap); err != nil {
-			return nil, err
-		}
-		if err := f2.Close(); err != nil {
-			return nil, err
-		}
 		if err := store.Save(v3Path, snap); err != nil {
 			return nil, err
 		}
 		pt := GraphMemPoint{Nodes: n, TotalNodes: g.TotalNodes(), Edges: g.NumEdges()}
-		if fi, err := os.Stat(v2Path); err == nil {
-			pt.FileV2Bytes = fi.Size()
-		}
 		if fi, err := os.Stat(v3Path); err == nil {
 			pt.FileV3Bytes = fi.Size()
 		}
@@ -184,16 +158,6 @@ func GraphMemSeries(nodeCounts []int, seed int64) (*GraphMemReport, error) {
 		pt.BytesPerNode = float64(m1.HeapAlloc-m0.HeapAlloc) / float64(loaded.Graph.TotalNodes())
 		loaded = nil
 
-		// Cold-open latency, v2 decode vs v3 open.
-		openV2, err := bestOf(3, func() error {
-			s, err := store.Load(v2Path)
-			runtime.KeepAlive(s)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		pt.OpenV2Ns = openV2.Nanoseconds()
 		var mapped *store.Snapshot
 		openV3, err := bestOf(3, func() error {
 			var err error
@@ -213,9 +177,6 @@ func GraphMemSeries(nodeCounts []int, seed int64) (*GraphMemReport, error) {
 		// the generator package stays below internal/core in the import
 		// graph (core's benchmarks drive these workloads).
 		post := mapped.Postings
-		if post == nil {
-			post = store.BuildIndex(mapped.Graph)
-		}
 		find, err := bestOf(3, func() error {
 			if len(post.TypeIDs(provgraph.TypeInvocation)) == 0 {
 				return fmt.Errorf("workflowgen: no invocation nodes at n=%d", n)
@@ -270,8 +231,7 @@ func graphMemCounts(s Scale) []int {
 }
 
 // FigGraphMem reports the storage benchmark as a printable figure:
-// bytes/node, cold-open latency per format, and query timings per scale
-// point.
+// bytes/node, open latency, and query timings per scale point.
 func FigGraphMem(s Scale) (*Figure, error) {
 	f, _, err := RunGraphMem(s)
 	return f, err
@@ -285,12 +245,11 @@ func RunGraphMem(s Scale) (*Figure, *GraphMemReport, error) {
 		return nil, nil, err
 	}
 	f := &Figure{
-		ID: "graphmem", Title: "Columnar graph storage: memory and cold-open latency",
+		ID: "graphmem", Title: "Columnar graph storage: memory and open latency",
 		XLabel: "graph nodes", YLabel: "seconds / bytes",
 	}
 	for _, p := range report.Points {
 		x := float64(p.Nodes)
-		f.Add("v2 decode open (s)", x, float64(p.OpenV2Ns)/1e9)
 		f.Add("v3 mapped open (s)", x, float64(p.OpenV3Ns)/1e9)
 		f.Add("bytes/node", x, p.BytesPerNode)
 		f.Add("find (s)", x, float64(p.FindNs)/1e9)
@@ -299,17 +258,16 @@ func RunGraphMem(s Scale) (*Figure, *GraphMemReport, error) {
 	}
 	if len(report.Points) > 0 {
 		last := report.Points[len(report.Points)-1]
-		f.Note("largest point: %d nodes, v3 file %.1f MB (v2 %.1f MB), open ratio v3/v2 = %.4f, mapped=%v",
-			last.TotalNodes, float64(last.FileV3Bytes)/1e6, float64(last.FileV2Bytes)/1e6,
-			last.OpenRatio(), last.MappedOpen)
+		f.Note("largest point: %d nodes, v3 file %.1f MB, mapped=%v",
+			last.TotalNodes, float64(last.FileV3Bytes)/1e6, last.MappedOpen)
 	}
 	return f, report, nil
 }
 
 // CompareGraphMem gates the current report against a checked-in baseline:
-// bytes/node and the v3/v2 open ratio may not regress by more than tol
-// (fractional, e.g. 0.20) at any shared scale point. Both metrics are
-// hardware-portable — absolute latencies are reported but not gated.
+// bytes/node may not regress by more than tol (fractional, e.g. 0.20) at
+// any shared scale point. It is hardware-portable; latencies are reported
+// but not gated (store's TestLoadMappedAllocsDoNotScale guards the open).
 func CompareGraphMem(baseline, current *GraphMemReport, tol float64) error {
 	byNodes := map[int]GraphMemPoint{}
 	for _, p := range baseline.Points {
@@ -325,11 +283,6 @@ func CompareGraphMem(baseline, current *GraphMemReport, tol float64) error {
 		if base.BytesPerNode > 0 && cur.BytesPerNode > base.BytesPerNode*(1+tol) {
 			return fmt.Errorf("graphmem regression at %d nodes: bytes/node %.1f exceeds baseline %.1f by more than %.0f%%",
 				cur.Nodes, cur.BytesPerNode, base.BytesPerNode, tol*100)
-		}
-		if r := base.OpenRatio(); r > 0 && cur.OpenRatio() > r*(1+tol) {
-			return fmt.Errorf("graphmem regression at %d nodes: open ratio %.4f (v3 mapped open %.1f µs / v2 decode %.2f ms) exceeds baseline %.4f (%.1f µs / %.2f ms) by more than %.0f%%",
-				cur.Nodes, cur.OpenRatio(), float64(cur.OpenV3Ns)/1e3, float64(cur.OpenV2Ns)/1e6,
-				r, float64(base.OpenV3Ns)/1e3, float64(base.OpenV2Ns)/1e6, tol*100)
 		}
 	}
 	if checked == 0 {

@@ -59,7 +59,7 @@
 // selection stays indexed; and an IngestClient ships batches to a running
 // `lipstick serve` (`POST /v1/ingest/{name}`), which answers all read
 // endpoints against the stream mid-workflow. Live graphs can be durable:
-// a segmented write-ahead log with periodic LPSK v2 checkpoints makes
+// a segmented write-ahead log with periodic LPSK v3 checkpoints makes
 // crash recovery checkpoint-load + tail-replay, idempotent by sequence
 // number.
 //
