@@ -23,6 +23,14 @@ func renameBad(a, b string) {
 	os.Rename(a, b) // want `error result of Rename discarded`
 }
 
+// truncateBad drops the error of the call that cuts a segment's zero
+// tail.
+func truncateBad(f *os.File) {
+	f.Truncate(0)       // want `error result of Truncate discarded`
+	os.Truncate("x", 0) // want `error result of Truncate discarded`
+	defer f.Truncate(0) // want `error result of Truncate discarded behind defer`
+}
+
 // deferBad hides the discard behind a defer.
 func deferBad(f *os.File) {
 	defer f.Close() // want `error result of Close discarded behind defer`

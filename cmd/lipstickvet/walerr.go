@@ -6,18 +6,18 @@ import (
 )
 
 // walerr enforces durability-error hygiene in the WAL layer: in any
-// package named "store", the error results of Sync, Close, and Rename
-// calls may never be silently discarded — not as a bare expression
+// package named "store", the error results of Sync, Truncate, Close, and
+// Rename calls may never be silently discarded — not as a bare expression
 // statement and not behind a defer. A deliberate discard must be spelled
 // `_ = f.Close()` so the decision is visible at the call site and in
 // review.
 var walerrAnalyzer = &Analyzer{
 	Name: "walerr",
-	Doc:  "Sync/Close/Rename errors in package store are never silently discarded",
+	Doc:  "Sync/Truncate/Close/Rename errors in package store are never silently discarded",
 	Run:  runWalerr,
 }
 
-var walerrFuncs = map[string]bool{"Sync": true, "Close": true, "Rename": true}
+var walerrFuncs = map[string]bool{"Sync": true, "Truncate": true, "Close": true, "Rename": true}
 
 func runWalerr(p *Pass) {
 	if p.Pkg.Name() != "store" {
@@ -38,7 +38,7 @@ func runWalerr(p *Pass) {
 	}
 }
 
-// reportDiscard flags call statements whose callee is a Sync/Close/Rename
+// reportDiscard flags call statements whose callee is one of walerrFuncs
 // returning an error that nothing consumes.
 func reportDiscard(p *Pass, call *ast.CallExpr, deferred bool) {
 	var name string

@@ -2,6 +2,7 @@ package provgraph
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"lipstick/internal/nested"
@@ -157,6 +158,9 @@ func TestApplyRejectsCorruptEvents(t *testing.T) {
 		{"kill out of range", Event{Kind: EvKill, Src: 1}},
 		{"set-value negative", Event{Kind: EvSetValue, Src: -1}},
 		{"unknown kind", Event{Kind: EventKind(99)}},
+		{"node class past ClassV", Event{Kind: EvAddNode, Node: Node{ID: 0, Inv: -1, Class: ClassV + 1}}},
+		{"node type past TypeZoom", Event{Kind: EvAddNode, Node: Node{ID: 0, Inv: -1, Type: TypeZoom + 1}}},
+		{"node op past OpConst", Event{Kind: EvAddNode, Node: Node{ID: 0, Inv: -1, Op: OpConst + 1}}},
 	}
 	for _, tc := range cases {
 		g := New()
@@ -166,6 +170,19 @@ func TestApplyRejectsCorruptEvents(t *testing.T) {
 		if err := Apply(g, &tc.ev); err == nil {
 			t.Errorf("%s: Apply accepted a corrupt event", tc.name)
 		}
+	}
+}
+
+// TestReplayRejectsUnknownNodeKinds: an add-node event whose type is
+// past the enum fails the replay instead of entering the graph, where
+// the next checkpoint's postings would index out of range.
+func TestReplayRejectsUnknownNodeKinds(t *testing.T) {
+	events := []Event{
+		{Kind: EvAddNode, Node: Node{ID: 0, Inv: -1, Type: TypeBaseTuple}},
+		{Kind: EvAddNode, Node: Node{ID: 1, Inv: -1, Type: Type(48)}},
+	}
+	if _, err := Replay(events); err == nil || !strings.Contains(err.Error(), "replaying event 1") {
+		t.Fatalf("Replay of a type-48 node: %v, want an error at event 1", err)
 	}
 }
 

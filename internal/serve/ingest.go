@@ -127,7 +127,7 @@ type CheckpointResult struct {
 }
 
 // CheckpointLive forces a WAL checkpoint of the named live graph,
-// compacting its log prefix into an LPSK v2 snapshot.
+// compacting its log prefix into an LPSK v3 snapshot.
 func (s *Service) CheckpointLive(name string) (*CheckpointResult, error) {
 	if err := s.rejectFollowerWrite(); err != nil {
 		return nil, err

@@ -533,3 +533,53 @@ func TestHTTPIngestGuards(t *testing.T) {
 		t.Fatalf("name reuse error = %v", err)
 	}
 }
+
+// TestHTTPIngestRejectsUnknownNodeType: an add-node event whose type is
+// past the enum is refused like any event the graph cannot apply (a 400
+// with a JSON error), and it never reaches the graph, so the checkpoint
+// that follows succeeds.
+func TestHTTPIngestRejectsUnknownNodeType(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	reg := core.NewRegistry(nil,
+		core.WithLiveDir(t.TempDir()),
+		core.WithLiveOptions(core.WithLogOptions(store.WithFsync(false))))
+	defer reg.Close()
+	srv := httptest.NewServer(NewRegistryService(reg).Handler(""))
+	defer srv.Close()
+
+	_, events := captureRun(t)
+	k := 100
+	for events[k].Kind != provgraph.EvAddNode {
+		k++
+	}
+	postBatch(t, srv, "bad", 1, events[:k])
+	bad := events[k]
+	bad.Node.Type = provgraph.Type(48)
+	var body bytes.Buffer
+	if err := store.EncodeEventBatch(&body, uint64(k)+1, []provgraph.Event{bad}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/ingest/bad", "application/octet-stream", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refused struct {
+		Error string `json:"error"`
+	}
+	derr := json.NewDecoder(resp.Body).Decode(&refused)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || derr != nil || !strings.Contains(refused.Error, "unknown class, type or op") {
+		t.Fatalf("type-48 node: status %d, body %+v (%v); want 400 naming the bad type", resp.StatusCode, refused, derr)
+	}
+
+	resp, err = http.Post(srv.URL+"/v1/ingest/bad/checkpoint", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ckpt CheckpointResult
+	derr = json.NewDecoder(resp.Body).Decode(&ckpt)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || derr != nil || ckpt.Seq != uint64(k) {
+		t.Fatalf("checkpoint after the refused event: status %d, %+v (%v); want 200 at seq %d", resp.StatusCode, ckpt, derr, k)
+	}
+}

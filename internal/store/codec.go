@@ -153,6 +153,11 @@ func (r *reader) varint() (int64, error) { return binary.ReadVarint(r.r) }
 // allocations.
 const maxLen = 1 << 28
 
+// capHint bounds a preallocation sized by a count read from the input:
+// a lying count must fail at the input's end, not reserve gigabytes
+// first. A slice made with it grows by append past the hint.
+func capHint(n uint64) int { return int(min(n, 4096)) }
+
 func (r *reader) str() (string, error) {
 	n, err := r.uvarint()
 	if err != nil {
@@ -161,11 +166,22 @@ func (r *reader) str() (string, error) {
 	if n > maxLen {
 		return "", fmt.Errorf("store: string length %d exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		return "", err
+	// Read into a buffer that starts at capHint(n) and doubles, so a lying
+	// length fails at the input's end instead of reserving n bytes, and a
+	// true long string pays a few regrowths.
+	buf := make([]byte, capHint(n))
+	for off := 0; ; {
+		if _, err := io.ReadFull(r.r, buf[off:]); err != nil {
+			if err == io.EOF && off > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return "", err
+		}
+		if off = len(buf); uint64(off) == n {
+			return string(buf), nil
+		}
+		buf = append(buf, make([]byte, min(n-uint64(off), uint64(off)))...)
 	}
-	return string(buf), nil
 }
 
 func (r *reader) f64() (float64, error) {
@@ -244,13 +260,13 @@ func (r *reader) tuple() (*nested.Tuple, error) {
 	if n > maxLen {
 		return nil, fmt.Errorf("store: tuple arity %d exceeds limit", n)
 	}
-	fields := make([]nested.Value, n)
-	for i := range fields {
+	fields := make([]nested.Value, 0, capHint(n))
+	for i := uint64(0); i < n; i++ {
 		v, err := r.value()
 		if err != nil {
 			return nil, err
 		}
-		fields[i] = v
+		fields = append(fields, v)
 	}
 	return nested.NewTuple(fields...), nil
 }

@@ -61,9 +61,8 @@ func DecodeEventBatch(in io.Reader) (firstSeq uint64, events []provgraph.Event, 
 		return 0, nil, fmt.Errorf("store: event count %d exceeds limit", count)
 	}
 	// Grow as events actually decode: the count is attacker-controlled on
-	// the ingest path, so it must never size an up-front allocation — a
-	// lying header fails fast at EOF instead of reserving gigabytes.
-	events = make([]provgraph.Event, 0, min(count, 4096))
+	// the ingest path (capHint).
+	events = make([]provgraph.Event, 0, capHint(count))
 	for i := uint64(0); i < count; i++ {
 		ev, err := r.event()
 		if err != nil {

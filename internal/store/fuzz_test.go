@@ -40,6 +40,8 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add([]byte("LPSK"))
 	f.Add([]byte{'L', 'P', 'S', 'K', 2, 0xff, 0xff, 0xff})
 	f.Add([]byte{'L', 'P', 'S', 'K', 3, 0, 0, 0})
+	// v2 whose header claims 100M nodes: 8.9 GB if preallocated.
+	f.Add([]byte(lyingLegacyHeader))
 	// v3 with a flipped byte in the trailer and one in the footer region.
 	badTrailer := fuzzSnapshotSeed(f)
 	badTrailer[len(badTrailer)-1] ^= 0xff

@@ -19,10 +19,11 @@ import (
 // their events into WAL record frames (outside any log lock), enqueue
 // them to the log's single committer goroutine, and block on a per-batch
 // Commit handle. The moment it is free, the committer takes everything
-// pending — up to a byte budget — into one segment write and one fsync,
-// then fans the outcome back to each waiter. No timer waits for company:
-// one disk flush is amortized over every batch that arrived while the
-// previous flush was in flight, and a lone batch commits at once.
+// pending — up to a byte budget — into one segment write and one fsync
+// (mostly over the zeroed extent described at sync), then fans the
+// outcome back to each waiter. No timer waits for company: one disk
+// flush is amortized over every batch that arrived while the previous
+// flush was in flight, and a lone batch commits at once.
 // Callers overlap their CPU work (decode, validate, graph application)
 // with the disk. Rotations, checkpoints and Close run on the same
 // goroutine, in queue order.
@@ -69,26 +70,23 @@ func (r *Records) Truncate(n int) {
 	}
 }
 
-// record returns the framed bytes of live record i.
-func (r *Records) record(i int) []byte {
-	idx := r.first + i
-	start := 0
-	if idx > 0 {
-		start = r.ends[idx-1]
+// start returns the offset in buf of live record i's frame.
+func (r *Records) start(i int) int {
+	if idx := r.first + i; idx > 0 {
+		return r.ends[idx-1]
 	}
-	return r.buf[start:r.ends[idx]]
+	return 0
 }
+
+// end returns the offset in buf just past live record i's frame.
+func (r *Records) end(i int) int { return r.ends[r.first+i] }
 
 // bytesLive returns the total framed size of the live records.
 func (r *Records) bytesLive() int {
 	if r.Len() == 0 {
 		return 0
 	}
-	start := 0
-	if r.first > 0 {
-		start = r.ends[r.first-1]
-	}
-	return r.ends[len(r.ends)-1] - start
+	return r.end(r.Len()-1) - r.start(0)
 }
 
 // Recycle returns the Records to the pool. AppendRecords does this
@@ -343,7 +341,7 @@ func (g *committer) run() {
 }
 
 // commitGroup writes the group's records (rotating segments as needed),
-// flushes, fsyncs once, and fans the outcome to every waiter. The write
+// flushes, syncs once, and fans the outcome to every waiter. The write
 // is all-or-nothing: on failure the on-disk state is rolled back to the
 // pre-group position and the log enters the sticky failed state. It
 // reports whether a close op queued behind a failed group was executed
@@ -358,37 +356,49 @@ func (g *committer) commitGroup(ops []commitOp) (closed bool) {
 
 write:
 	for _, op := range ops {
-		for i := 0; i < op.recs.Len(); i++ {
+		// Each run of records up to the next rotation point goes to the
+		// segment in one Write: the op's frames are contiguous in its
+		// buffer.
+		for i, n := 0, op.recs.Len(); i < n; {
 			if l.f == nil || l.size >= l.segLimit {
 				if err = g.rotate(entrySeq+uint64(written)+1, &created); err != nil {
 					break write
 				}
 			}
-			rec := op.recs.record(i)
+			start, end := op.recs.start(i), 0
+			j := i
+			for j < n {
+				end = op.recs.end(j)
+				j++
+				if l.size+int64(end-start) >= l.segLimit {
+					break
+				}
+			}
+			run := op.recs.buf[start:end]
 			if f := faultinject.Fire("wal.write"); f != nil {
 				if f.Torn && l.bw != nil {
 					// Flush a deliberately partial frame so recovery sees a
 					// torn tail, exactly as after a mid-write crash.
-					_, _ = l.bw.Write(rec[:len(rec)/2])
+					first := op.recs.end(i) - start
+					_, _ = l.bw.Write(run[:first/2])
 					_ = l.bw.Flush()
 				}
 				err = f.Err
 				break write
 			}
-			if _, err = l.bw.Write(rec); err != nil {
+			if _, err = l.bw.Write(run); err != nil {
 				break write
 			}
-			l.size += int64(len(rec))
-			written++
+			l.size += int64(len(run))
+			written += j - i
+			i = j
 		}
 	}
 	if err == nil && l.bw != nil {
 		err = l.bw.Flush()
 	}
 	if err == nil && l.fsync && l.f != nil && written > 0 {
-		if err = faultinject.Err("wal.fsync"); err == nil {
-			err = l.f.Sync()
-		}
+		err = g.sync()
 	}
 
 	if err != nil {
@@ -442,6 +452,60 @@ write:
 	return false
 }
 
+// zeroChunkBytes caps how far one commit extends its segment with zeros.
+const zeroChunkBytes = 1 << 20
+
+var zeroChunk [zeroChunkBytes]byte
+
+// sync makes the group's records durable. When they end past the
+// segment's zeroed extent, zeros are written right after them first,
+// as many bytes as the segment holds up to zeroChunkBytes: real zero
+// bytes, not a hole or an unwritten extent, since writing into those
+// would need the journal again. The commits that follow overwrite those
+// allocated, durable blocks, so their sync changes no file size and
+// commits no journal. The extent doubles like an append-grown slice: a
+// segment pays about log2(its bytes / its first commit) extending
+// commits up to its first MiB, then one per MiB of records, and its
+// file is never more than twice its records nor more than 1 MiB past
+// them. Readers stop at the first zero length (readSegment).
+func (g *committer) sync() error {
+	l := g.l
+	zeroed := l.zeroed
+	if l.size > zeroed {
+		n := min(l.size, zeroChunkBytes)
+		if _, err := l.f.WriteAt(zeroChunk[:n], l.size); err != nil {
+			return err
+		}
+		zeroed = l.size + n
+	}
+	if err := faultinject.Err("wal.fsync"); err != nil {
+		return err
+	}
+	if err := l.f.Sync(); err != nil {
+		return err
+	}
+	l.zeroed = zeroed
+	return nil
+}
+
+// closeSegment flushes the active segment, cuts its zero tail so the
+// file ends at its last record, syncs it (per policy) and closes it.
+func (g *committer) closeSegment() error {
+	l := g.l
+	err := l.bw.Flush()
+	if err == nil && l.zeroed > l.size {
+		err = l.f.Truncate(l.size)
+	}
+	if err == nil && l.fsync {
+		err = l.f.Sync()
+	}
+	if cerr := l.f.Close(); cerr != nil && err == nil {
+		err = cerr
+	}
+	l.f, l.bw = nil, nil
+	return err
+}
+
 // complete resolves one op's Commit handle and recycles its buffers.
 func (g *committer) complete(op commitOp, err error) {
 	if op.recs != nil {
@@ -451,21 +515,13 @@ func (g *committer) complete(op commitOp, err error) {
 	close(op.c.done)
 }
 
-// doClose flushes and closes the active segment, removes the spare,
+// doClose closes the active segment (closeSegment), removes the spare,
 // marks the log closed, and fails anything still queued.
 func (g *committer) doClose(op commitOp) {
 	l := g.l
 	var err error
 	if l.f != nil {
-		if ferr := l.bw.Flush(); ferr != nil {
-			err = ferr
-		} else if l.fsync {
-			err = l.f.Sync()
-		}
-		if cerr := l.f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		l.f, l.bw = nil, nil
+		err = g.closeSegment()
 	}
 	l.path, l.size = "", 0
 	g.mu.Lock()
@@ -489,23 +545,15 @@ func (g *committer) doClose(op commitOp) {
 	g.complete(op, err)
 }
 
-// rotate closes the active segment and opens wal-<firstSeq>, preferring
-// the pre-created spare file (rename + header write instead of a create).
+// rotate closes the active segment (closeSegment) and opens
+// wal-<firstSeq>, preferring the pre-created spare file (rename + header
+// write instead of a create).
 func (g *committer) rotate(firstSeq uint64, created *[]string) error {
 	l := g.l
 	if l.f != nil {
-		if err := l.bw.Flush(); err != nil {
+		if err := g.closeSegment(); err != nil {
 			return err
 		}
-		if l.fsync {
-			if err := l.f.Sync(); err != nil {
-				return err
-			}
-		}
-		if err := l.f.Close(); err != nil {
-			return err
-		}
-		l.f, l.bw = nil, nil
 	}
 	path := filepath.Join(l.dir, segName(firstSeq))
 	f := g.takeSpare(path)
@@ -531,7 +579,7 @@ func (g *committer) rotate(firstSeq uint64, created *[]string) error {
 	if _, err := l.bw.Write(head[:n]); err != nil {
 		return err
 	}
-	l.size = int64(len(walMagic) + 1 + n)
+	l.size, l.zeroed = int64(len(walMagic)+1+n), 0
 	// The segment's name must be as durable as the records the commit's
 	// fsync is about to acknowledge.
 	if l.fsync {

@@ -13,9 +13,9 @@ import (
 // reader works from the directory alone — segment scans plus read-only
 // readSegment passes — so it shares no file handle or buffer with the
 // appending side; the only coordination is the log's atomic sequence
-// counters. A torn tail (bytes the writer has flushed mid-record) is
-// tolerated non-destructively: the consistent prefix is returned and the
-// caller polls again.
+// counters. A torn tail (bytes the writer has flushed mid-record) and the
+// active segment's zero tail are tolerated non-destructively: the
+// consistent prefix is returned and the caller polls again.
 
 // CompactedError reports that the requested WAL suffix no longer exists:
 // a checkpoint has compacted the log past the requested position. The
@@ -66,8 +66,8 @@ func (l *Log) EventsSince(afterSeq uint64, max int) ([]provgraph.Event, error) {
 			// the directory scan; re-seed from the (newer) checkpoint.
 			return nil, &CompactedError{CheckpointSeq: l.ckptSeq.Load()}
 		}
-		// A torn tail (goodLen short, torn=true) just ends the walk early;
-		// the follower polls again once the writer completes the record.
+		// A torn or zero tail (torn=true) just ends the walk early; the
+		// follower polls again once the writer commits more records.
 		events, _, _, _, rerr := readSegment(filepath.Join(l.dir, segName(first)), first, next)
 		if rerr != nil {
 			if os.IsNotExist(rerr) {

@@ -188,8 +188,8 @@ func Read(in io.Reader) (*Snapshot, error) {
 	if nodeCount > maxLen {
 		return nil, fmt.Errorf("store: node count %d exceeds limit", nodeCount)
 	}
-	nodes := make([]provgraph.Node, nodeCount)
-	for i := range nodes {
+	nodes := make([]provgraph.Node, 0, capHint(nodeCount))
+	for i := uint64(0); i < nodeCount; i++ {
 		class, err := r.byte()
 		if err != nil {
 			return nil, err
@@ -217,7 +217,7 @@ func Read(in io.Reader) (*Snapshot, error) {
 		if class > byte(provgraph.ClassV) || typ > byte(provgraph.TypeZoom) || op > byte(provgraph.OpConst) {
 			return nil, fmt.Errorf("store: node %d has an unknown class, type or op", i)
 		}
-		nodes[i] = provgraph.Node{
+		nodes = append(nodes, provgraph.Node{
 			ID:    provgraph.NodeID(i),
 			Class: provgraph.Class(class),
 			Type:  provgraph.Type(typ),
@@ -225,7 +225,7 @@ func Read(in io.Reader) (*Snapshot, error) {
 			Label: label,
 			Inv:   provgraph.InvID(inv),
 			Value: val,
-		}
+		})
 	}
 
 	edgeCount, err := r.uvarint()
@@ -235,8 +235,8 @@ func Read(in io.Reader) (*Snapshot, error) {
 	if edgeCount > maxLen {
 		return nil, fmt.Errorf("store: edge count exceeds limit")
 	}
-	edges := make([][2]provgraph.NodeID, edgeCount)
-	for i := range edges {
+	edges := make([][2]provgraph.NodeID, 0, capHint(edgeCount))
+	for i := uint64(0); i < edgeCount; i++ {
 		src, err := r.uvarint()
 		if err != nil {
 			return nil, err
@@ -248,7 +248,7 @@ func Read(in io.Reader) (*Snapshot, error) {
 		if src >= nodeCount || dst >= nodeCount {
 			return nil, fmt.Errorf("store: edge endpoint out of range")
 		}
-		edges[i] = [2]provgraph.NodeID{provgraph.NodeID(src), provgraph.NodeID(dst)}
+		edges = append(edges, [2]provgraph.NodeID{provgraph.NodeID(src), provgraph.NodeID(dst)})
 	}
 
 	invCount, err := r.uvarint()
@@ -258,8 +258,8 @@ func Read(in io.Reader) (*Snapshot, error) {
 	if invCount > maxLen {
 		return nil, fmt.Errorf("store: invocation count exceeds limit")
 	}
-	invs := make([]provgraph.Invocation, invCount)
-	for i := range invs {
+	invs := make([]provgraph.Invocation, 0, capHint(invCount))
+	for i := uint64(0); i < invCount; i++ {
 		module, err := r.str()
 		if err != nil {
 			return nil, err
@@ -291,11 +291,11 @@ func Read(in io.Reader) (*Snapshot, error) {
 		if mnode >= nodeCount {
 			return nil, fmt.Errorf("store: invocation m-node out of range")
 		}
-		invs[i] = provgraph.Invocation{
+		invs = append(invs, provgraph.Invocation{
 			ID: provgraph.InvID(i), Module: module, NodeName: nodeName,
 			Execution: int(execIdx), MNode: provgraph.NodeID(mnode),
 			Inputs: inputs, Outputs: outputs, States: states,
-		}
+		})
 	}
 	// Node invocation back-references must land inside the invocation
 	// table: a corrupt file must fail here, not panic in the query layer.
@@ -333,8 +333,8 @@ func readIDs(r *reader, nodeCount uint64) ([]provgraph.NodeID, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	out := make([]provgraph.NodeID, n)
-	for i := range out {
+	out := make([]provgraph.NodeID, 0, capHint(n))
+	for i := uint64(0); i < n; i++ {
 		v, err := r.uvarint()
 		if err != nil {
 			return nil, err
@@ -342,7 +342,7 @@ func readIDs(r *reader, nodeCount uint64) ([]provgraph.NodeID, error) {
 		if v >= nodeCount {
 			return nil, fmt.Errorf("store: node id out of range")
 		}
-		out[i] = provgraph.NodeID(v)
+		out = append(out, provgraph.NodeID(v))
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -254,6 +255,62 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 	for n := 0; n < len(data)-1; n += 7 {
 		if _, err := Read(bytes.NewReader(data[:n])); err == nil {
 			t.Errorf("truncation at %d accepted", n)
+		}
+	}
+}
+
+// lyingLegacyHeader is a 13-byte v2 file whose node count claims 100M
+// nodes: 8.9 GB of provgraph.Node if the count sized the slice.
+const lyingLegacyHeader = "LPSK\x02\x85\x85\x850\x000\x020"
+
+// TestLyingCountsDoNotPreallocate: a count read from the input sizes no
+// allocation up front, so a few bytes claiming a huge legacy graph, a
+// tuple of 2^28 fields or a string of 2^28 bytes fail at the input's end
+// having allocated kilobytes.
+func TestLyingCountsDoNotPreallocate(t *testing.T) {
+	huge := []byte{0x80, 0x80, 0x80, 0x80, 0x01} // uvarint 1<<28, maxLen
+	cases := []struct {
+		name string
+		read func() error
+	}{
+		{"legacy node count", func() error { _, err := Read(strings.NewReader(lyingLegacyHeader)); return err }},
+		{"tuple arity", func() error { _, err := newReader(bytes.NewReader(huge)).tuple(); return err }},
+		{"string length", func() error { _, err := newReader(bytes.NewReader(huge)).str(); return err }},
+	}
+	for _, tc := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.read()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a truncated input decoded", tc.name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+			t.Errorf("%s: allocated %d bytes for an input of a few bytes", tc.name, got)
+		}
+	}
+}
+
+// TestStringLengthsRoundTrip: strings on both sides of capHint, and
+// far past it, decode to what was written, and one cut short by a byte
+// fails.
+func TestStringLengthsRoundTrip(t *testing.T) {
+	for _, n := range []int{0, 1, 4095, 4096, 4097, 12289, 1<<16 + 7} {
+		want := strings.Repeat("ab", n)[:n]
+		var buf bytes.Buffer
+		w := newWriter(&buf)
+		w.str(want)
+		if err := w.flush(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := newReader(bytes.NewReader(buf.Bytes())).str()
+		if err != nil || got != want {
+			t.Fatalf("length %d: read %d bytes, %v", n, len(got), err)
+		}
+		if n > 0 {
+			if _, err := newReader(bytes.NewReader(buf.Bytes()[:buf.Len()-1])).str(); err == nil {
+				t.Fatalf("length %d: a string one byte short decoded", n)
+			}
 		}
 	}
 }

@@ -29,10 +29,22 @@ import (
 // Events are numbered 1,2,3,... per stream. Each segment starts with a
 // header (magic, version, the sequence of its first record) and then holds
 // records numbered consecutively: uvarint payload length, the encoded
-// event (events.go), and a CRC32 of the payload. Recovery loads the
-// newest checkpoint and replays the segment tail after it; a torn final
-// record (a crash mid-write) is detected by the CRC or a short read and
-// truncated away, so the log always reopens to a consistent prefix.
+// event (events.go), and a CRC32 of the payload. No payload is empty, so a
+// record whose length is 0 ends a segment's data.
+//
+// With fsync on, the segment being written carries a zero tail: a commit
+// whose records end past the zero-filled part of the file also writes
+// zeros after them, as many bytes as the segment holds up to 1 MiB
+// (groupcommit.go), so the commits that follow overwrite allocated
+// blocks instead of growing the file. Rotation and
+// Close cut the tail off before their last sync: a closed segment ends
+// at its last record, byte for byte what an append-only writer leaves.
+//
+// Recovery loads the newest checkpoint and replays the segment tail after
+// it. A torn final record (a crash mid-write) is detected by the CRC or a
+// short read, and a zero tail by its zero length; both are truncated away
+// from the newest segment, so the log always reopens to a consistent
+// prefix.
 //
 // Checkpointing compacts: the snapshot is written atomically (temp file +
 // rename), then every segment and older checkpoint it covers is deleted,
@@ -74,7 +86,11 @@ type Log struct {
 	f    *os.File
 	bw   *bufio.Writer
 	path string // active segment path ("" when no segment is open)
-	size int64  // logical bytes of the active segment; equals its disk size between commits
+	size int64  // logical bytes of the active segment: its records end here
+	// zeroed is how far the active segment's file is zero-filled and
+	// synced (0 with fsync off: no zeros are written). Between commits
+	// the file ends at max(size, zeroed).
+	zeroed int64
 }
 
 // LogOption configures a Log.
@@ -92,8 +108,9 @@ func WithSegmentLimit(n int64) LogOption {
 
 // WithFsync controls whether every commit fsyncs the segment (default
 // true: an acknowledged batch survives a process kill and a power cut).
-// Disabling trades that durability for throughput; a kill then loses at
-// most the unsynced suffix, never consistency.
+// Segments are then extended ahead with zeros so that most commits
+// change no file size. Disabling trades that durability for throughput and writes no zeros;
+// a kill then loses at most the unsynced suffix, never consistency.
 func WithFsync(on bool) LogOption {
 	return func(l *Log) { l.fsync = on }
 }
@@ -189,11 +206,13 @@ func OpenLog(dir string, opts ...LogOption) (*Log, *Recovery, error) {
 		if torn && last {
 			// A torn tail is the expected signature of a crash (newest
 			// segment) or of a failed Append the writer recovered from by
-			// rotating (any segment). Keep the consistent prefix; for the
-			// newest segment also truncate the damage away so appends
-			// resume on clean bytes. Real corruption — a segment whose
-			// good prefix does not connect to the next segment — fails
-			// the continuity check below.
+			// rotating (any segment); a zero tail is what a running
+			// writer leaves (newest segment) or a crash inside a rotation
+			// (any segment). Keep the consistent prefix; for the newest
+			// segment also truncate the rest away, so that the directory
+			// holds only records. Real corruption — a segment whose good
+			// prefix does not connect to the next segment — fails the
+			// continuity check below.
 			if terr := os.Truncate(path, goodLen); terr != nil {
 				return nil, nil, fmt.Errorf("store: truncating torn wal tail: %w", terr)
 			}
@@ -330,11 +349,12 @@ func (l *Log) Close() error {
 // readSegment decodes a segment's records, skipping events at or below
 // skipThrough. It returns the decoded tail events, the last sequence
 // seen, and the byte length of the consistent prefix. torn reports that
-// the stream stopped at a damaged or incomplete record — the expected
-// crash signature, whose consistent prefix is trustworthy. err is
-// reserved for environmental or structural failures (unopenable file,
-// wrong magic/version) where nothing about the content may be assumed
-// and the caller must not repair destructively.
+// bytes follow that prefix which are not records: a damaged or incomplete
+// record (the expected crash signature) or a zero tail. The prefix is
+// trustworthy either way. err is reserved for environmental or
+// structural failures (unopenable file, wrong magic/version) where
+// nothing about the content may be assumed and the caller must not
+// repair destructively.
 func readSegment(path string, wantFirst, skipThrough uint64) (events []provgraph.Event, lastSeq uint64, goodLen int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -379,7 +399,9 @@ func readSegment(path string, wantFirst, skipThrough uint64) (events []provgraph
 			}
 			return events, seq, goodLen, true, nil // torn length prefix
 		}
-		if plen > maxLen {
+		if plen == 0 || plen > maxLen {
+			// No record is empty: a zero length is the zero tail an
+			// extending commit wrote past its records, where the data ends.
 			return events, seq, goodLen, true, nil
 		}
 		payload := make([]byte, plen)
