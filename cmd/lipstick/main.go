@@ -1,14 +1,20 @@
-// Command lipstick inspects and queries persisted provenance snapshots
-// (the Query Processor of Section 5.1 as a CLI and as an HTTP service).
+// Command lipstick runs the Provenance Tracker and the Query Processor of
+// Section 5.1 from the command line: `track` runs the dealership workflow
+// and captures its provenance graph, the query subcommands inspect a
+// persisted snapshot, and `serve` answers the same queries over HTTP.
 // Every query subcommand is a thin caller of the shared handler layer in
 // internal/serve — the same code path `lipstick serve` exposes over HTTP,
-// answered from a cached, indexed processor.
+// answered from a cached, indexed processor. Each subcommand parses its
+// flags with its own flag.FlagSet; flags come before positional arguments,
+// except that the query subcommands take the snapshot first.
 //
 // Usage:
 //
-//	lipstick demo -o run.lpsk             # track a demo dealership run
+//	lipstick track -o run.lpsk            # track a dealership run, save it
 //	lipstick track -remote http://host:8080 -name run1   # stream a run's
 //	                                      # provenance events to a server
+//	                                      # (-delay d paces the batches;
+//	                                      # -o as well saves the snapshot)
 //	lipstick info run.lpsk                # graph statistics
 //	lipstick outputs run.lpsk             # recorded output relations
 //	lipstick zoom run.lpsk M_dealer1      # coarse view of given modules
@@ -59,6 +65,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -94,11 +101,9 @@ func main() {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: lipstick <demo|track|serve|proxy|loadgen|info|outputs|zoom|delete|subgraph|lineage|find|dot|opm|json> ...")
+		return fmt.Errorf("usage: lipstick <track|serve|proxy|loadgen|info|outputs|zoom|delete|subgraph|lineage|find|dot|opm|json> ...")
 	}
 	switch args[0] {
-	case "demo":
-		return demo(args[1:])
 	case "track":
 		return track(args[1:])
 	case "serve":
@@ -117,97 +122,79 @@ func run(args []string) error {
 	}
 }
 
-// demo tracks a small dealership run and saves the snapshot.
-func demo(args []string) error {
-	out := "run.lpsk"
-	for len(args) > 0 {
-		switch {
-		case len(args) >= 2 && args[0] == "-o":
-			out = args[1]
-			args = args[2:]
-		default:
-			return fmt.Errorf("usage: lipstick demo [-o file]")
-		}
+// parseFlags parses a subcommand's arguments with fs. A bad flag, a bad
+// value and -h all answer one error: the subcommand's usage, then what
+// the flag package reported and the flag defaults.
+func parseFlags(fs *flag.FlagSet, usage string, args []string) error {
+	var msg strings.Builder
+	fs.SetOutput(&msg)
+	fs.Usage = fs.PrintDefaults
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%s\n%s", usage, strings.TrimSuffix(msg.String(), "\n"))
 	}
-	run, err := workflowgen.RunDealership(workflowgen.DealershipParams{
-		NumCars: 240, NumExec: 10, Seed: 7,
-		Gran: workflow.Fine, StopOnPurchase: true,
-	})
-	if err != nil {
+	return nil
+}
+
+// track runs the dealership workflow (240 cars, 10 executions, seed 7 by
+// default) and captures its provenance. -o saves the batch snapshot;
+// -remote streams every graph mutation as a typed event batch to POST
+// /v1/ingest/{name}, so the server's live graph answers queries before
+// the workflow finishes. Either or both may be given.
+func track(args []string) error {
+	const usage = "usage: lipstick track [-o file] [-remote http://host:port] [-name stream] [-cars n] [-execs n] [-batch events] [-delay d]  (-o, -remote or both)"
+	fs := flag.NewFlagSet("track", flag.ContinueOnError)
+	out := fs.String("o", "", "save the run's snapshot to this file")
+	remote := fs.String("remote", "", "stream the run's provenance events to this lipstick server")
+	name := fs.String("name", "track", "live-graph name for -remote")
+	cars := fs.Int("cars", 240, "dealership inventory size")
+	execs := fs.Int("execs", 10, "workflow executions")
+	batch := fs.Int("batch", 0, "events per ingest batch for -remote (0 = the client's default)")
+	delay := fs.Duration("delay", 0, "pause after each full ingest batch (paces the stream)")
+	if err := parseFlags(fs, usage, args); err != nil {
 		return err
 	}
-	if err := store.Save(out, dealershipSnapshot(run)); err != nil {
+	if fs.NArg() != 0 || (*out == "" && *remote == "") {
+		return errors.New(usage)
+	}
+	params := workflowgen.DealershipParams{
+		NumCars: *cars, NumExec: *execs, Seed: 7,
+		Gran: workflow.Fine, StopOnPurchase: true,
+	}
+	var client *serve.IngestClient
+	if *remote != "" {
+		client = serve.NewIngestClient(*remote, *name, *batch)
+		params.EventSink = client.Record
+		if *delay > 0 {
+			every := *batch
+			if every <= 0 {
+				every = serve.DefaultIngestBatch
+			}
+			recorded := 0
+			params.EventSink = func(ev provgraph.Event) {
+				client.Record(ev) // flushes synchronously at each full batch
+				if recorded++; recorded%every == 0 {
+					time.Sleep(*delay)
+				}
+			}
+		}
+	}
+	run, err := workflowgen.RunDealership(params)
+	if err != nil {
 		return err
 	}
 	fmt.Printf("tracked %d execution(s); buyer wanted a %s; purchased=%v\n",
 		len(run.Executions), run.Buyer.Model, run.Purchased)
-	fmt.Printf("saved provenance snapshot to %s (%d nodes)\n", out, run.Runner.Graph().NumNodes())
-	return nil
-}
-
-// track runs the demo dealership workflow while STREAMING its provenance
-// capture to a remote lipstick server: every graph mutation ships as a
-// typed event batch to POST /v1/ingest/{name}, so the server's live graph
-// answers queries before the workflow finishes. An optional -o also
-// persists the classic batch snapshot locally.
-func track(args []string) error {
-	const usage = "usage: lipstick track -remote http://host:port [-name stream] [-o file] [-cars n] [-execs n] [-batch events]"
-	remote, name, out := "", "track", ""
-	cars, execs, batch := 240, 10, 0
-	for len(args) >= 2 {
-		val := args[1]
-		switch args[0] {
-		case "-remote":
-			remote = val
-		case "-name":
-			name = val
-		case "-o":
-			out = val
-		case "-cars":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return fmt.Errorf("track: invalid -cars value %q", val)
-			}
-			cars = n
-		case "-execs":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return fmt.Errorf("track: invalid -execs value %q", val)
-			}
-			execs = n
-		case "-batch":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return fmt.Errorf("track: invalid -batch value %q", val)
-			}
-			batch = n
-		default:
-			return fmt.Errorf("%s", usage)
+	if client != nil {
+		if err := client.Flush(); err != nil {
+			return fmt.Errorf("track: %w", err)
 		}
-		args = args[2:]
+		fmt.Printf("streamed %d events to %s/v1/ingest/%s\n", client.Sent(), *remote, *name)
 	}
-	if len(args) != 0 || remote == "" {
-		return fmt.Errorf("%s", usage)
-	}
-	client := serve.NewIngestClient(remote, name, batch)
-	run, err := workflowgen.RunDealership(workflowgen.DealershipParams{
-		NumCars: cars, NumExec: execs, Seed: 7,
-		Gran: workflow.Fine, StopOnPurchase: true,
-		EventSink: client.Record,
-	})
-	if err != nil {
-		return err
-	}
-	if err := client.Flush(); err != nil {
-		return fmt.Errorf("track: %w", err)
-	}
-	fmt.Printf("tracked %d execution(s); streamed %d events to %s/v1/ingest/%s\n",
-		len(run.Executions), client.Sent(), remote, name)
-	if out != "" {
-		if err := store.Save(out, dealershipSnapshot(run)); err != nil {
+	if *out != "" {
+		if err := store.Save(*out, dealershipSnapshot(run)); err != nil {
 			return err
 		}
-		fmt.Printf("saved provenance snapshot to %s (%d nodes)\n", out, run.Runner.Graph().NumNodes())
+		fmt.Printf("saved provenance snapshot to %s (%d nodes)\n", *out, run.Runner.Graph().NumNodes())
 	}
 	return nil
 }
@@ -237,58 +224,24 @@ func dealershipSnapshot(run *workflowgen.DealershipRun) *store.Snapshot {
 // gracefully on SIGINT/SIGTERM.
 func serveCmd(args []string) error {
 	const usage = "usage: lipstick serve [-addr host:port] [-dir snapshots/] [-live waldir/] [-follow http://primary:port] [-chaos] [-gcbytes n] [-queue n] [-pprof host:port] [snapshot]"
-	addr := ":8080"
-	dir := ""
-	live := ""
-	follow := ""
-	snapshot := ""
-	pprofAddr := ""
-	chaos := false
-	gcBytes := store.DefaultGroupCommitBytes
-	queueDepth := 0 // 0 = core.DefaultIngestQueueDepth
-	for len(args) > 0 {
-		switch {
-		case len(args) >= 2 && args[0] == "-addr":
-			addr = args[1]
-			args = args[2:]
-		case len(args) >= 2 && args[0] == "-pprof":
-			pprofAddr = args[1]
-			args = args[2:]
-		case len(args) >= 2 && args[0] == "-dir":
-			dir = args[1]
-			args = args[2:]
-		case len(args) >= 2 && args[0] == "-live":
-			live = args[1]
-			args = args[2:]
-		case len(args) >= 2 && args[0] == "-follow":
-			follow = args[1]
-			args = args[2:]
-		case len(args) >= 2 && args[0] == "-gcbytes":
-			n, err := strconv.Atoi(args[1])
-			if err != nil {
-				return fmt.Errorf("serve: invalid -gcbytes value %q", args[1])
-			}
-			gcBytes = n
-			args = args[2:]
-		case len(args) >= 2 && args[0] == "-queue":
-			n, err := strconv.Atoi(args[1])
-			if err != nil {
-				return fmt.Errorf("serve: invalid -queue value %q", args[1])
-			}
-			queueDepth = n
-			args = args[2:]
-		case args[0] == "-chaos":
-			chaos = true
-			args = args[1:]
-		case snapshot == "" && len(args[0]) > 0 && args[0][0] != '-':
-			snapshot = args[0]
-			args = args[1:]
-		default:
-			return fmt.Errorf(usage)
-		}
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	var addr, dir, live, follow, pprofAddr string
+	var chaos bool
+	var gcBytes, queueDepth int
+	fs.StringVar(&addr, "addr", ":8080", "listen address")
+	fs.StringVar(&dir, "dir", "", "serve every *.lpsk snapshot in this directory by name")
+	fs.StringVar(&live, "live", "", "WAL directory for durable streaming ingestion (its live graphs are restored at start)")
+	fs.StringVar(&follow, "follow", "", "read replica of this primary (requires -live)")
+	fs.BoolVar(&chaos, "chaos", false, "enable the /v1/chaos fault-injection and kill endpoints (tests only)")
+	fs.IntVar(&gcBytes, "gcbytes", store.DefaultGroupCommitBytes, "group-commit size cap in bytes")
+	fs.IntVar(&queueDepth, "queue", 0, "ingest admission queue depth per live graph (0 = the default)")
+	fs.StringVar(&pprofAddr, "pprof", "", "side listener for net/http/pprof and expvar")
+	if err := parseFlags(fs, usage, args); err != nil {
+		return err
 	}
-	if snapshot == "" && dir == "" && live == "" {
-		return fmt.Errorf(usage)
+	snapshot := fs.Arg(0)
+	if fs.NArg() > 1 || (snapshot == "" && dir == "" && live == "") {
+		return errors.New(usage)
 	}
 	if follow != "" && live == "" {
 		return fmt.Errorf("serve: -follow requires -live — a follower's replica is its own durable WAL directory")
@@ -427,50 +380,31 @@ func serveCmd(args []string) error {
 // keep the exact single-node API; only the base URL changes.
 func proxyCmd(args []string) error {
 	const usage = "usage: lipstick proxy -nodes http://a:8080,http://b:8080 [-addr host:port] " +
-		"[-failover http://a:8080=http://f:8080,...] [-probe dur] [-suspect n] [-down n]\n" +
-		"  -failover maps a primary to its follower: the proxy's failure detector probes every\n" +
-		"  node's /healthz (every -probe; -suspect consecutive failures degrade the node, -down\n" +
-		"  failures promote its follower under a bumped generation and fence the old primary)"
-	addr := ":8081"
-	nodesArg, failoverArg := "", ""
-	probe := time.Duration(0)
-	suspectAfter, downAfter := 0, 0
-	for len(args) >= 2 {
-		val := args[1]
-		var err error
-		switch args[0] {
-		case "-addr":
-			addr = val
-		case "-nodes":
-			nodesArg = val
-		case "-failover":
-			failoverArg = val
-		case "-probe":
-			probe, err = time.ParseDuration(val)
-		case "-suspect":
-			suspectAfter, err = strconv.Atoi(val)
-		case "-down":
-			downAfter, err = strconv.Atoi(val)
-		default:
-			return fmt.Errorf("%s", usage)
-		}
-		if err != nil {
-			return fmt.Errorf("proxy: invalid %s value %q", args[0], val)
-		}
-		args = args[2:]
+		"[-failover http://a:8080=http://f:8080,...] [-probe dur] [-suspect n] [-down n]"
+	fs := flag.NewFlagSet("proxy", flag.ContinueOnError)
+	addr := fs.String("addr", ":8081", "listen address")
+	nodesArg := fs.String("nodes", "", "comma-separated node URLs the ring hashes graph names over")
+	failoverArg := fs.String("failover", "", "comma-separated primary=follower pairs: the failure detector probes every node's\n"+
+		"/healthz, and a primary that goes down has its follower promoted under a bumped\n"+
+		"generation while the old primary is fenced")
+	probe := fs.Duration("probe", 0, "failure-detector probe interval (0 = the detector's default)")
+	suspectAfter := fs.Int("suspect", 0, "consecutive probe failures that degrade a node (0 = the detector's default)")
+	downAfter := fs.Int("down", 0, "consecutive probe failures that fail a node over (0 = the detector's default)")
+	if err := parseFlags(fs, usage, args); err != nil {
+		return err
 	}
-	if len(args) != 0 || nodesArg == "" {
-		return fmt.Errorf("%s", usage)
+	if fs.NArg() != 0 || *nodesArg == "" {
+		return errors.New(usage)
 	}
-	nodes := strings.Split(nodesArg, ",")
+	nodes := strings.Split(*nodesArg, ",")
 	p, err := shard.NewProxy(nodes)
 	if err != nil {
 		return fmt.Errorf("proxy: %w", err)
 	}
-	if failoverArg != "" || probe > 0 {
+	if *failoverArg != "" || *probe > 0 {
 		followers := make(map[string][]string)
-		if failoverArg != "" {
-			for _, pair := range strings.Split(failoverArg, ",") {
+		if *failoverArg != "" {
+			for _, pair := range strings.Split(*failoverArg, ",") {
 				primary, follower, ok := strings.Cut(pair, "=")
 				primary = strings.TrimRight(strings.TrimSpace(primary), "/")
 				follower = strings.TrimRight(strings.TrimSpace(follower), "/")
@@ -482,8 +416,8 @@ func proxyCmd(args []string) error {
 		}
 		coord := failover.New(p, followers)
 		det := shard.NewDetector(p.Ring().Nodes(),
-			shard.WithProbeInterval(probe),
-			shard.WithThresholds(suspectAfter, downAfter, 0))
+			shard.WithProbeInterval(*probe),
+			shard.WithThresholds(*suspectAfter, *downAfter, 0))
 		det.OnTransition = coord.HandleTransition
 		p.SetDetector(det)
 		det.PublishExpvar()
@@ -492,7 +426,7 @@ func proxyCmd(args []string) error {
 		fmt.Printf("lipstick: failure detector on %d node(s), %d failover route(s)\n",
 			len(p.Ring().Nodes()), len(followers))
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return fmt.Errorf("proxy: %w", err)
 	}
@@ -522,46 +456,26 @@ func loadgen(args []string) error {
 		"    6s:reset=http://a:8301                        disarm everything on a node\n" +
 		"  After the run every acked stream position is verified against the surviving\n" +
 		"  topology; the report gains lostAckedEvents/unverifiedStreams."
-	remote, prefix, jsonPath, chaosArg := "", "load", "", ""
-	streams, batchSize, cars, execs := 4, 256, 240, 4
-	readers := 1
-	duration, rate := 5*time.Second, 0
-	for len(args) >= 2 {
-		val := args[1]
-		var err error
-		switch args[0] {
-		case "-remote":
-			remote = val
-		case "-name":
-			prefix = val
-		case "-json":
-			jsonPath = val
-		case "-chaos":
-			chaosArg = val
-		case "-streams":
-			streams, err = strconv.Atoi(val)
-		case "-readers":
-			readers, err = strconv.Atoi(val)
-		case "-batch":
-			batchSize, err = strconv.Atoi(val)
-		case "-cars":
-			cars, err = strconv.Atoi(val)
-		case "-execs":
-			execs, err = strconv.Atoi(val)
-		case "-rate":
-			rate, err = strconv.Atoi(val)
-		case "-duration":
-			duration, err = time.ParseDuration(val)
-		default:
-			return fmt.Errorf("%s", usage)
-		}
-		if err != nil {
-			return fmt.Errorf("loadgen: invalid %s value %q", args[0], val)
-		}
-		args = args[2:]
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	var remote, prefix, jsonPath, chaosArg string
+	var streams, readers, batchSize, cars, execs, rate int
+	var duration time.Duration
+	fs.StringVar(&remote, "remote", "", "comma-separated server URLs; stream w writes through the w-th (mod n)")
+	fs.StringVar(&prefix, "name", "load", "live-graph name prefix")
+	fs.StringVar(&jsonPath, "json", "", "write the machine-readable summary to this file")
+	fs.StringVar(&chaosArg, "chaos", "", "fault schedule to run mid-load (grammar above)")
+	fs.IntVar(&streams, "streams", 4, "concurrent ingest streams")
+	fs.IntVar(&readers, "readers", 1, "closed-loop query readers")
+	fs.IntVar(&batchSize, "batch", 256, "events per ingest batch")
+	fs.IntVar(&cars, "cars", 240, "dealership inventory size of the captured run")
+	fs.IntVar(&execs, "execs", 4, "workflow executions of the captured run")
+	fs.IntVar(&rate, "rate", 0, "target events/s per stream (0 = unpaced)")
+	fs.DurationVar(&duration, "duration", 5*time.Second, "how long to drive the load")
+	if err := parseFlags(fs, usage, args); err != nil {
+		return err
 	}
-	if len(args) != 0 || remote == "" || streams < 1 || batchSize < 1 || readers < 0 {
-		return fmt.Errorf("%s", usage)
+	if fs.NArg() != 0 || remote == "" || streams < 1 || batchSize < 1 || readers < 0 {
+		return errors.New(usage)
 	}
 	var chaosSteps []faultinject.Step
 	if chaosArg != "" {
@@ -1078,29 +992,25 @@ func nodeArg(args []string) (string, error) {
 	return args[0], nil
 }
 
-// findArgs parses the find subcommand's filter flags.
+// findArgs parses the find subcommand's filter flags; -class, -type and
+// -op repeat, and a node matching any one value of each passes.
 func findArgs(args []string) (serve.FindRequest, error) {
+	const usage = "usage: lipstick find <snapshot> [-class p|v] [-type t] [-op o] [-label l] [-module m]"
 	var req serve.FindRequest
-	for len(args) > 0 {
-		if len(args) < 2 {
-			return req, fmt.Errorf("usage: lipstick find <snapshot> [-class p|v] [-type t] [-op o] [-label l] [-module m]")
-		}
-		val := args[1]
-		switch args[0] {
-		case "-class":
-			req.Classes = append(req.Classes, val)
-		case "-type":
-			req.Types = append(req.Types, val)
-		case "-op":
-			req.Ops = append(req.Ops, val)
-		case "-label":
-			req.Label = val
-		case "-module":
-			req.Module = val
-		default:
-			return req, fmt.Errorf("find: unknown flag %q", args[0])
-		}
-		args = args[2:]
+	appendTo := func(dst *[]string) func(string) error {
+		return func(v string) error { *dst = append(*dst, v); return nil }
+	}
+	fs := flag.NewFlagSet("find", flag.ContinueOnError)
+	fs.Func("class", "node class, p or v (repeatable)", appendTo(&req.Classes))
+	fs.Func("type", "node type (repeatable)", appendTo(&req.Types))
+	fs.Func("op", "operation label (repeatable)", appendTo(&req.Ops))
+	fs.StringVar(&req.Label, "label", "", "exact label: a token, module or function name")
+	fs.StringVar(&req.Module, "module", "", "module whose invocations the node is anchored to")
+	if err := parseFlags(fs, usage, args); err != nil {
+		return req, err
+	}
+	if fs.NArg() != 0 {
+		return req, errors.New(usage)
 	}
 	return req, nil
 }

@@ -3,7 +3,9 @@ package main
 import (
 	"bufio"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io/fs"
 	"net"
 	"net/http"
@@ -21,19 +23,19 @@ import (
 )
 
 // TestCLISmoke drives the quickstart flow end-to-end through the command
-// layer in a temp dir: track a demo run (parse -> execute -> store), then
-// load the snapshot back and run every query subcommand over it.
+// layer in a temp dir: track a dealership run (parse -> execute -> store),
+// then load the snapshot back and run every query subcommand over it.
 func TestCLISmoke(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "run.lpsk")
 	muteStdout(t)
 
-	if err := run([]string{"demo", "-o", snap}); err != nil {
-		t.Fatalf("demo: %v", err)
+	if err := run([]string{"track", "-o", snap}); err != nil {
+		t.Fatalf("track: %v", err)
 	}
 	info, err := os.Stat(snap)
 	if err != nil {
-		t.Fatalf("demo did not write the snapshot: %v", err)
+		t.Fatalf("track did not write the snapshot: %v", err)
 	}
 	if info.Size() == 0 {
 		t.Fatal("snapshot is empty")
@@ -76,9 +78,67 @@ func TestCLIErrors(t *testing.T) {
 			t.Fatalf("%v: expected an error", cmd)
 		}
 	}
-	// An unknown demo flag is a usage error.
-	if err := run([]string{"demo", "-p", "4"}); err == nil || !strings.Contains(err.Error(), "usage: lipstick demo") {
-		t.Fatalf("demo -p: want a usage error, got %v", err)
+	// An unknown track flag is a usage error.
+	if err := run([]string{"track", "-p", "4"}); err == nil || !strings.Contains(err.Error(), "usage: lipstick track") {
+		t.Fatalf("track -p: want a usage error, got %v", err)
+	}
+	// demo is gone: track -o produces the snapshot.
+	if err := run([]string{"demo", "-o"}); err == nil || !strings.Contains(err.Error(), `unknown command "demo"`) {
+		t.Fatalf("demo -o: want an unknown-command error, got %v", err)
+	}
+}
+
+// trackGoldenSHA256 is the sha256 of the snapshot the deleted `lipstick
+// demo -o` wrote: 240 cars, 10 executions, seed 7, stop on purchase.
+const trackGoldenSHA256 = "f5420ef5c578f4ae06b25f7a13213f473ccafa415a29aca1e6c726baa39c3b53"
+
+// TestTrackSnapshotGolden: `track -o` without -remote runs the same
+// dealership run the batch demo did and writes the same bytes.
+func TestTrackSnapshotGolden(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "run.lpsk")
+	muteStdout(t)
+	if err := run([]string{"track", "-o", snap}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != trackGoldenSHA256 {
+		t.Fatalf("track -o wrote sha256 %s, want %s", got, trackGoldenSHA256)
+	}
+}
+
+// TestTrackDelayPacesBatches: with -delay, track pauses after every full
+// batch, so a run of n full batches takes at least n delays, and the
+// server sees each batch as its own append.
+func TestTrackDelayPacesBatches(t *testing.T) {
+	muteStdout(t)
+	svc := serve.NewService(nil)
+	srv := httptest.NewServer(svc.Handler(""))
+	defer srv.Close()
+
+	const batch, delay = 64, 15 * time.Millisecond
+	start := time.Now()
+	err := run([]string{"track", "-remote", srv.URL, "-name", "paced", "-cars", "40", "-execs", "1",
+		"-batch", fmt.Sprint(batch), "-delay", delay.String()})
+	if err != nil {
+		t.Fatalf("track: %v", err)
+	}
+	elapsed := time.Since(start)
+	var st struct {
+		Seq uint64 `json:"seq"`
+	}
+	getBody(t, srv.URL+"/v1/ingest/paced", &st)
+	full := st.Seq / batch
+	if full < 2 {
+		t.Fatalf("only %d events streamed; the run must fill at least two batches", st.Seq)
+	}
+	if want := time.Duration(full) * delay; elapsed < want {
+		t.Fatalf("%d full batches took %v, want at least %v", full, elapsed, want)
+	}
+	if b := svc.Stats().Ingest.Batches; b < int64(full) {
+		t.Fatalf("server saw %d batches, want at least %d", b, full)
 	}
 }
 
@@ -191,7 +251,7 @@ func TestServeLiveDirRecovers(t *testing.T) {
 func TestCLIFindErrors(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "run.lpsk")
 	muteStdout(t)
-	if err := run([]string{"demo", "-o", snap}); err != nil {
+	if err := run([]string{"track", "-o", snap}); err != nil {
 		t.Fatal(err)
 	}
 	for _, cmd := range [][]string{
@@ -212,7 +272,7 @@ func TestCLIFindErrors(t *testing.T) {
 func TestServeEndToEnd(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "run.lpsk")
 	muteStdout(t)
-	if err := run([]string{"demo", "-o", snap}); err != nil {
+	if err := run([]string{"track", "-o", snap}); err != nil {
 		t.Fatal(err)
 	}
 	svc := serve.NewService(nil)
@@ -254,7 +314,7 @@ func TestServeEndToEnd(t *testing.T) {
 func TestCLIDeleteRejectsBadNode(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "run.lpsk")
 	muteStdout(t)
-	if err := run([]string{"demo", "-o", snap}); err != nil {
+	if err := run([]string{"track", "-o", snap}); err != nil {
 		t.Fatal(err)
 	}
 	err := run([]string{"delete", snap, "not-a-number"})
@@ -269,7 +329,7 @@ func TestCLIDeleteRejectsBadNode(t *testing.T) {
 func TestServeGracefulShutdown(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "run.lpsk")
 	muteStdout(t)
-	if err := run([]string{"demo", "-o", snap}); err != nil {
+	if err := run([]string{"track", "-o", snap}); err != nil {
 		t.Fatal(err)
 	}
 	svc := serve.NewService(nil)
@@ -385,7 +445,7 @@ func TestServeDirRegistry(t *testing.T) {
 	dir := t.TempDir()
 	muteStdout(t)
 	for _, name := range []string{"alpha.lpsk", "beta.lpsk"} {
-		if err := run([]string{"demo", "-o", filepath.Join(dir, name)}); err != nil {
+		if err := run([]string{"track", "-o", filepath.Join(dir, name)}); err != nil {
 			t.Fatal(err)
 		}
 	}

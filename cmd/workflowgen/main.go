@@ -1,13 +1,14 @@
 // Command workflowgen is the WorkflowGen benchmark driver (Section 5.2):
-// it regenerates the paper's figures as printed series.
+// it regenerates the paper's figures as printed series, and with
+// -benchsmoke it gates a checked-in storage or scale-out report. To
+// stream a dealership run to a server, use `lipstick track -remote`.
 //
 // Usage:
 //
 //	workflowgen -fig fig5a              # one figure at default scale
 //	workflowgen -fig all -scale paper   # full evaluation at paper scale
 //	workflowgen -list                   # list experiment ids
-//	workflowgen -emit http://host:8080 -name run1   # stream a dealership
-//	                                    # run's provenance to a server
+//	workflowgen -benchsmoke BENCH_graphmem.json   # regression gate
 //
 // Scales: "default" (seconds per figure, the scale EXPERIMENTS.md records)
 // and "paper" (Section 5.3's parameters: 20,000 cars, 24 stations, the
@@ -22,9 +23,6 @@ import (
 	"strings"
 	"time"
 
-	"lipstick/internal/provgraph"
-	"lipstick/internal/serve"
-	"lipstick/internal/workflow"
 	"lipstick/internal/workflowgen"
 	"lipstick/internal/workflowgen/scaleout"
 )
@@ -40,32 +38,10 @@ func main() {
 		"write the graphmem storage report (machine-readable JSON) to this file")
 	benchSmoke := flag.String("benchsmoke", "",
 		"run a graphmem smoke point and compare against this baseline report; exits non-zero on >20% regression")
-	emit := flag.String("emit", "",
-		"stream a dealership run's provenance events to this lipstick server instead of running figures")
-	emitName := flag.String("name", "workflowgen", "live-graph name for -emit")
-	emitExecs := flag.Int("execs", 4, "workflow executions for -emit")
-	emitBatch := flag.Int("emitbatch", 0, "events per ingest batch for -emit (0 = default)")
-	emitDelay := flag.Duration("emitdelay", 0, "pause between ingest batches for -emit (paces the stream)")
 	flag.Parse()
 
 	if *list {
 		fmt.Println("experiments:", strings.Join(workflowgen.FigureIDs, " "))
-		return
-	}
-
-	if *emit != "" {
-		cars := *numCars
-		if cars == 0 {
-			cars = workflowgen.DefaultScale.NumCars
-		}
-		runSeed := *seed
-		if runSeed == 0 {
-			runSeed = workflowgen.DefaultScale.Seed
-		}
-		if err := emitRun(*emit, *emitName, cars, *emitExecs, runSeed, *emitBatch, *emitDelay); err != nil {
-			fmt.Fprintf(os.Stderr, "workflowgen: %v\n", err)
-			os.Exit(1)
-		}
 		return
 	}
 
@@ -244,43 +220,5 @@ func runGraphMemSmoke(baselinePath string) error {
 	cur := report.Points[0]
 	fmt.Printf("bench-smoke ok: %d nodes, bytes/node %.1f (baseline %.1f), mapped open %.1f µs (baseline %.1f µs, not gated)\n",
 		cur.Nodes, cur.BytesPerNode, small.BytesPerNode, float64(cur.OpenV3Ns)/1e3, float64(small.OpenV3Ns)/1e3)
-	return nil
-}
-
-// emitRun drives a dealership run while streaming its provenance events
-// to a lipstick server's /v1/ingest/{name} endpoint — the run's graph is
-// queryable remotely while the workflow is still executing. An optional
-// inter-batch delay paces the stream (useful for demos and smoke tests
-// that query mid-ingest).
-func emitRun(server, name string, cars, execs int, seed int64, batch int, delay time.Duration) error {
-	client := serve.NewIngestClient(server, name, batch)
-	sink := client.Record
-	if delay > 0 {
-		if batch <= 0 {
-			batch = serve.DefaultIngestBatch
-		}
-		count := 0
-		sink = func(ev provgraph.Event) {
-			client.Record(ev)
-			if count++; count%batch == 0 {
-				time.Sleep(delay)
-			}
-		}
-	}
-	start := time.Now()
-	run, err := workflowgen.RunDealership(workflowgen.DealershipParams{
-		NumCars: cars, NumExec: execs, Seed: seed,
-		Gran: workflow.Fine, StopOnPurchase: false,
-		EventSink: sink,
-	})
-	if err != nil {
-		return err
-	}
-	if err := client.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("streamed %d events (%d executions, %d graph nodes) to %s/v1/ingest/%s in %s\n",
-		client.Sent(), len(run.Executions), run.Runner.Graph().NumNodes(),
-		server, name, time.Since(start).Round(time.Millisecond))
 	return nil
 }

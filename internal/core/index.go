@@ -98,8 +98,10 @@ func unionSorted(lists [][]provgraph.NodeID) []provgraph.NodeID {
 	return out
 }
 
-func mergeSorted(a, b []provgraph.NodeID) []provgraph.NodeID {
-	out := make([]provgraph.NodeID, 0, len(a)+len(b))
+// mergeSorted returns the duplicate-free union of two sorted lists in a
+// fresh slice.
+func mergeSorted[T ~int32](a, b []T) []T {
+	out := make([]T, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

@@ -329,27 +329,10 @@ func mergeKeyRuns[T ~int32](levels []map[string][]T, base []T, key string, needS
 // slice: concatenation when runs are disjoint ascending ranges, sorted
 // duplicate-free union otherwise.
 func mergeTwoRuns[T ~int32](a, b []T, needSort bool) []T {
-	if !needSort {
-		out := make([]T, 0, len(a)+len(b))
-		out = append(out, a...)
-		return append(out, b...)
+	if needSort {
+		return mergeSorted(a, b)
 	}
 	out := make([]T, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	out = append(out, a...)
+	return append(out, b...)
 }

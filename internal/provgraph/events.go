@@ -142,10 +142,7 @@ func Apply(g *Graph, ev *Event) error {
 		if n.Inv < -1 || n.Inv >= numInv {
 			return fmt.Errorf("provgraph: add-node event references invocation %d (graph has %d)", n.Inv, numInv)
 		}
-		// The bound the snapshot readers apply: postings bucket nodes
-		// over these enums, so a node past one would break the next
-		// checkpoint.
-		if n.Class > ClassV || n.Type > TypeZoom || n.Op > OpConst {
+		if !KnownKind(n.Class, n.Type, n.Op) {
 			return fmt.Errorf("provgraph: add-node event has an unknown class, type or op (%d, %d, %d)", n.Class, n.Type, n.Op)
 		}
 		g.appendNode(n)

@@ -155,6 +155,14 @@ func (o Op) String() string {
 	}
 }
 
+// KnownKind reports whether a node's class, type and op are inside
+// their enums. Every reader of outside bytes checks it (event replay and
+// both snapshot decoders): postings bucket nodes over these enums, so a
+// node past one would break the next checkpoint.
+func KnownKind(c Class, t Type, o Op) bool {
+	return c <= ClassV && t <= TypeZoom && o <= OpConst
+}
+
 // InvID identifies a module invocation recorded in the graph.
 type InvID int32
 

@@ -158,6 +158,26 @@ const maxLen = 1 << 28
 // first. A slice made with it grows by append past the hint.
 func capHint(n uint64) int { return int(min(n, 4096)) }
 
+// readN reads exactly n bytes, n taken from the input. The buffer starts
+// at capHint(n) and doubles, so a lying length fails at the input's end
+// instead of reserving n bytes first, a true long one pays a few
+// regrowths, and n <= 4096 costs one allocation of n bytes.
+func readN(r io.Reader, n uint64) ([]byte, error) {
+	buf := make([]byte, capHint(n))
+	for off := 0; ; {
+		if _, err := io.ReadFull(r, buf[off:]); err != nil {
+			if err == io.EOF && off > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if off = len(buf); uint64(off) == n {
+			return buf, nil
+		}
+		buf = append(buf, make([]byte, min(n-uint64(off), uint64(off)))...)
+	}
+}
+
 func (r *reader) str() (string, error) {
 	n, err := r.uvarint()
 	if err != nil {
@@ -166,22 +186,8 @@ func (r *reader) str() (string, error) {
 	if n > maxLen {
 		return "", fmt.Errorf("store: string length %d exceeds limit", n)
 	}
-	// Read into a buffer that starts at capHint(n) and doubles, so a lying
-	// length fails at the input's end instead of reserving n bytes, and a
-	// true long string pays a few regrowths.
-	buf := make([]byte, capHint(n))
-	for off := 0; ; {
-		if _, err := io.ReadFull(r.r, buf[off:]); err != nil {
-			if err == io.EOF && off > 0 {
-				err = io.ErrUnexpectedEOF
-			}
-			return "", err
-		}
-		if off = len(buf); uint64(off) == n {
-			return string(buf), nil
-		}
-		buf = append(buf, make([]byte, min(n-uint64(off), uint64(off)))...)
-	}
+	buf, err := readN(r.r, n)
+	return string(buf), err
 }
 
 func (r *reader) f64() (float64, error) {

@@ -214,7 +214,7 @@ func Read(in io.Reader) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		if class > byte(provgraph.ClassV) || typ > byte(provgraph.TypeZoom) || op > byte(provgraph.OpConst) {
+		if !provgraph.KnownKind(provgraph.Class(class), provgraph.Type(typ), provgraph.Op(op)) {
 			return nil, fmt.Errorf("store: node %d has an unknown class, type or op", i)
 		}
 		nodes = append(nodes, provgraph.Node{

@@ -605,7 +605,7 @@ func validateV3(v *v3Sections, fr *provgraph.Frozen, valOffs []uint32, valBlob [
 		}
 	}
 	for i := 0; i < n; i++ {
-		if fr.Class[i] > provgraph.ClassV || fr.Typ[i] > provgraph.TypeZoom || fr.Op[i] > provgraph.OpConst {
+		if !provgraph.KnownKind(fr.Class[i], fr.Typ[i], fr.Op[i]) {
 			return fmt.Errorf("store: v3 node %d has an unknown class, type or op", i)
 		}
 		if int(fr.Label[i]) >= nsym {

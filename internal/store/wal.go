@@ -404,8 +404,8 @@ func readSegment(path string, wantFirst, skipThrough uint64) (events []provgraph
 			// extending commit wrote past its records, where the data ends.
 			return events, seq, goodLen, true, nil
 		}
-		payload := make([]byte, plen)
-		if _, rerr := io.ReadFull(br, payload); rerr != nil {
+		payload, rerr := readN(br, plen)
+		if rerr != nil {
 			return events, seq, goodLen, true, nil
 		}
 		var crc [4]byte

@@ -60,9 +60,7 @@ func writeSegment(t *testing.T, dir string, first uint64, events []provgraph.Eve
 		t.Fatal(err)
 	}
 	defer recs.Recycle()
-	buf := append(append([]byte(nil), walMagic...), walVersion)
-	buf = binary.AppendUvarint(buf, first)
-	buf = append(buf, recs.buf...)
+	buf := append(segmentHeader(first), recs.buf...)
 	if err := os.WriteFile(filepath.Join(dir, segName(first)), buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
