@@ -769,21 +769,30 @@ type ackedStream struct {
 // seq covering everything the ingest client saw acknowledged. A stream
 // still catching up is polled; a stream the topology can no longer
 // answer for at all (e.g. a non-durable node) counts as unverified, not
-// lost.
+// lost. An unverified stream's line names the last poll's answer: a 404
+// means the survivor does not know the acked stream (a lost write), any
+// other status or a transport error that only the status route failed.
 func verifyAcked(client *http.Client, acked []ackedStream) (lost int64, unverified int) {
 	for _, s := range acked {
 		var seq uint64
 		verified := false
+		last := "no poll"
 		deadline := time.Now().Add(10 * time.Second)
 		for time.Now().Before(deadline) {
 			resp, err := client.Get(s.remote + "/v1/replica/" + s.name + "/status")
-			if err == nil {
+			if err != nil {
+				last = "transport error: " + err.Error()
+			} else {
 				var st struct {
 					Seq uint64 `json:"seq"`
 				}
 				derr := json.NewDecoder(resp.Body).Decode(&st)
 				_, _ = io.Copy(io.Discard, resp.Body)
 				_ = resp.Body.Close() // decoded above
+				last = "status " + resp.Status
+				if derr != nil {
+					last += ", undecodable body: " + derr.Error()
+				}
 				if resp.StatusCode == http.StatusOK && derr == nil {
 					verified, seq = true, st.Seq
 					if seq >= s.sent {
@@ -796,7 +805,7 @@ func verifyAcked(client *http.Client, acked []ackedStream) (lost int64, unverifi
 		switch {
 		case !verified:
 			unverified++
-			fmt.Printf("verify: %s: no durable status for the stream\n", s.name)
+			fmt.Printf("verify: %s: no durable status for the stream (last poll: %s)\n", s.name, last)
 		case seq < s.sent:
 			lost += int64(s.sent - seq)
 			fmt.Printf("verify: %s: acked %d events, server holds %d\n", s.name, s.sent, seq)

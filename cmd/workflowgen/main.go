@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -28,29 +29,45 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure id to run, or 'all'")
-	scaleName := flag.String("scale", "default", "experiment scale: default | paper")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	numCars := flag.Int("numcars", 0, "override the dealership inventory size")
-	seed := flag.Int64("seed", 0, "override the random seed")
-	trials := flag.Int("trials", 0, "override the number of trials per measurement")
-	jsonPath := flag.String("json", "",
-		"write the graphmem storage report (machine-readable JSON) to this file")
-	benchSmoke := flag.String("benchsmoke", "",
-		"run a graphmem smoke point and compare against this baseline report; exits non-zero on >20% regression")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "workflowgen: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-	if *list {
-		fmt.Println("experiments:", strings.Join(workflowgen.FigureIDs, " "))
-		return
+// run parses args and runs the requested experiments, printing to stdout.
+// A bad flag or value answers an error that starts with the usage line.
+func run(args []string, stdout io.Writer) error {
+	const usage = "usage: workflowgen [-fig id[,id...]|all] [-scale default|paper] [-numcars n] [-seed n] [-trials n] [-json file] | -list | -benchsmoke file"
+	fs := flag.NewFlagSet("workflowgen", flag.ContinueOnError)
+	var msg strings.Builder
+	fs.SetOutput(&msg)
+	fig := fs.String("fig", "all", "figure id to run, or 'all'")
+	scaleName := fs.String("scale", "default", "experiment scale: default | paper")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	numCars := fs.Int("numcars", 0, "override the dealership inventory size")
+	seed := fs.Int64("seed", 0, "override the random seed")
+	trials := fs.Int("trials", 0, "override the number of trials per measurement")
+	jsonPath := fs.String("json", "",
+		"write the graphmem storage report (machine-readable JSON) to this file")
+	benchSmoke := fs.String("benchsmoke", "",
+		"run a graphmem smoke point and compare against this baseline report; exits non-zero on >20% regression")
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%s\n%s", usage, strings.TrimSuffix(msg.String(), "\n"))
+	}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("%s\nunexpected arguments %q", usage, fs.Args())
 	}
 
+	if *list {
+		fmt.Fprintln(stdout, "experiments:", strings.Join(workflowgen.FigureIDs, " "))
+		return nil
+	}
 	if *benchSmoke != "" {
-		if err := runBenchSmoke(*benchSmoke); err != nil {
-			fmt.Fprintf(os.Stderr, "workflowgen: bench-smoke: %v\n", err)
-			os.Exit(1)
+		if err := runBenchSmoke(stdout, *benchSmoke); err != nil {
+			return fmt.Errorf("bench-smoke: %w", err)
 		}
-		return
+		return nil
 	}
 
 	var scale workflowgen.Scale
@@ -60,8 +77,7 @@ func main() {
 	case "paper":
 		scale = workflowgen.PaperScale
 	default:
-		fmt.Fprintf(os.Stderr, "workflowgen: unknown scale %q (want default or paper)\n", *scaleName)
-		os.Exit(2)
+		return fmt.Errorf("%s\nunknown scale %q (want default or paper)", usage, *scaleName)
 	}
 	if *numCars > 0 {
 		scale.NumCars = *numCars
@@ -91,15 +107,15 @@ func main() {
 				err = writeGraphMemReport(*jsonPath, report)
 			}
 		} else {
-			figure, err = workflowgen.RunFigure(id, scale)
+			figure, err = workflowgen.RunFigure(id, scale, workflowgen.MeanOf(scale.Trials))
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "workflowgen: %s: %v\n", id, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", id, err)
 		}
-		figure.Print(os.Stdout)
-		fmt.Printf("   (experiment wall time: %s)\n\n", time.Since(start).Round(time.Millisecond))
+		figure.Print(stdout)
+		fmt.Fprintf(stdout, "   (experiment wall time: %s)\n\n", time.Since(start).Round(time.Millisecond))
 	}
+	return nil
 }
 
 // writeGraphMemReport persists the machine-readable graphmem metrics
@@ -120,7 +136,7 @@ func writeGraphMemReport(path string, report *workflowgen.GraphMemReport) error 
 // or "graphmem" re-measures the storage smoke point; "scaleout"
 // re-measures the shard/replica topology speedups. Both gates compare
 // only hardware-portable metrics, with 20% tolerance.
-func runBenchSmoke(baselinePath string) error {
+func runBenchSmoke(stdout io.Writer, baselinePath string) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return err
@@ -132,9 +148,9 @@ func runBenchSmoke(baselinePath string) error {
 		return fmt.Errorf("%s: %v", baselinePath, err)
 	}
 	if sniff.Kind == scaleout.ReportKind {
-		return runScaleoutSmoke(baselinePath)
+		return runScaleoutSmoke(stdout, baselinePath)
 	}
-	return runGraphMemSmoke(baselinePath)
+	return runGraphMemSmoke(stdout, baselinePath)
 }
 
 // scaleoutPerScenario bounds each of the four topology scenarios (1/2
@@ -177,7 +193,7 @@ func runScaleout(jsonPath string) (*workflowgen.Figure, error) {
 
 // runScaleoutSmoke re-measures the topology speedups and fails on a >20%
 // regression of their geomean.
-func runScaleoutSmoke(baselinePath string) error {
+func runScaleoutSmoke(stdout io.Writer, baselinePath string) error {
 	baseline, err := scaleout.ReadReport(baselinePath)
 	if err != nil {
 		return err
@@ -189,14 +205,14 @@ func runScaleoutSmoke(baselinePath string) error {
 	if err := scaleout.Compare(baseline, report, 0.20); err != nil {
 		return err
 	}
-	fmt.Printf("bench-smoke ok: ingest speedup %.2fx, read speedup %.2fx, geomean %.2fx (baseline %.2fx, gated vs %s)\n",
+	fmt.Fprintf(stdout, "bench-smoke ok: ingest speedup %.2fx, read speedup %.2fx, geomean %.2fx (baseline %.2fx, gated vs %s)\n",
 		report.Ingest.Speedup(), report.Reads.Speedup(), report.Geomean(), baseline.Geomean(), baselinePath)
 	return nil
 }
 
 // runGraphMemSmoke re-measures the baseline's smallest scale point and
 // fails on a >20% regression of its hardware-portable metric, bytes/node.
-func runGraphMemSmoke(baselinePath string) error {
+func runGraphMemSmoke(stdout io.Writer, baselinePath string) error {
 	baseline, err := workflowgen.ReadGraphMemReport(baselinePath)
 	if err != nil {
 		return err
@@ -218,7 +234,7 @@ func runGraphMemSmoke(baselinePath string) error {
 		return err
 	}
 	cur := report.Points[0]
-	fmt.Printf("bench-smoke ok: %d nodes, bytes/node %.1f (baseline %.1f), mapped open %.1f µs (baseline %.1f µs, not gated)\n",
+	fmt.Fprintf(stdout, "bench-smoke ok: %d nodes, bytes/node %.1f (baseline %.1f), mapped open %.1f µs (baseline %.1f µs, not gated)\n",
 		cur.Nodes, cur.BytesPerNode, small.BytesPerNode, float64(cur.OpenV3Ns)/1e3, float64(small.OpenV3Ns)/1e3)
 	return nil
 }

@@ -94,7 +94,8 @@ Totals = FOREACH G GENERATE SUM(Matches.Price) AS Total;
 		qp.Graph().NumNodes(), qp.Graph().NumEdges())
 
 	// What does the total depend on?
-	totalNode, ok := qp.FindOutputTuple("total", "Totals", lipstick.NewTuple(lipstick.Float(22)))
+	totalNode, ok, err := qp.FindOutputTuple("total", "Totals", lipstick.NewTuple(lipstick.Float(22)))
+	must(err)
 	if !ok {
 		log.Fatal("total tuple not found in provenance")
 	}

@@ -78,9 +78,9 @@ NumCarsByModel = FOREACH CarsByModel GENERATE group AS Model, COUNT(Inventory) A
 
 	qp := lipstick.FromTracker(tracker)
 	countTuple := lipstick.NewTuple(lipstick.Str("Civic"), lipstick.Int(2))
-	countNode, ok := qp.FindOutputTuple("dealer", "NumCarsByModel", countTuple)
-	if !ok {
-		log.Fatal("count tuple not found")
+	countNode, ok, err := qp.FindOutputTuple("dealer", "NumCarsByModel", countTuple)
+	if err != nil || !ok {
+		log.Fatalf("count tuple not found (%v)", err)
 	}
 
 	// The semiring reading of the output's provenance (Section 2.3).

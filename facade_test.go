@@ -83,9 +83,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	match := lipstick.NewTuple(lipstick.Str("A"), lipstick.Float(10))
-	node, ok := qp.FindOutputTuple("match", "Matches", match)
-	if !ok {
-		t.Fatal("match tuple not found")
+	node, ok, err := qp.FindOutputTuple("match", "Matches", match)
+	if err != nil || !ok {
+		t.Fatalf("match tuple not found (%v)", err)
 	}
 	itemA := qp.FindNodes(lipstick.NodeFilter{Label: "item0"})
 	if len(itemA) != 1 {

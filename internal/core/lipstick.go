@@ -162,18 +162,10 @@ func FromTracker(t *Tracker) *QueryProcessor {
 func (qp *QueryProcessor) Graph() *provgraph.Graph { return qp.graph }
 
 // Outputs returns the annotated output relations recorded by the tracker,
-// decoding them on first use for mapped snapshots. A decode failure (a
-// corrupted mapped file) yields nil; OutputsErr reports the cause.
-func (qp *QueryProcessor) Outputs() []store.RelationDump { return qp.resolveOutputs() }
-
-// OutputsErr reports the deferred output-decode error of a mapped
-// snapshot, if any. It forces the decode.
-func (qp *QueryProcessor) OutputsErr() error {
-	qp.resolveOutputs()
-	return qp.outputsErr
-}
-
-func (qp *QueryProcessor) resolveOutputs() []store.RelationDump {
+// decoding them on first use for mapped snapshots. A section that fails
+// to decode (a corrupted mapped file) answers its decode error on every
+// call.
+func (qp *QueryProcessor) Outputs() ([]store.RelationDump, error) {
 	qp.outputsOnce.Do(func() {
 		if qp.outputsFn == nil {
 			return
@@ -181,34 +173,45 @@ func (qp *QueryProcessor) resolveOutputs() []store.RelationDump {
 		qp.outputs, qp.outputsErr = qp.outputsFn()
 		qp.outputsFn = nil
 	})
-	return qp.outputs
+	return qp.outputs, qp.outputsErr
 }
 
-// Output finds one recorded relation by execution, node and relation name.
-func (qp *QueryProcessor) Output(execution int, node, rel string) (*store.RelationDump, bool) {
-	for i := range qp.resolveOutputs() {
-		d := &qp.outputs[i]
+// Output finds one recorded relation by execution, node and relation
+// name. ok is false when no such relation was recorded; an outputs
+// section that failed to decode answers its error instead.
+func (qp *QueryProcessor) Output(execution int, node, rel string) (d *store.RelationDump, ok bool, err error) {
+	outs, err := qp.Outputs()
+	if err != nil {
+		return nil, false, err
+	}
+	for i := range outs {
+		d := &outs[i]
 		if d.Execution == execution && d.Node == node && d.Relation == rel {
-			return d, true
+			return d, true, nil
 		}
 	}
-	return nil, false
+	return nil, false, nil
 }
 
-// FindOutputTuple locates the provenance node of an output tuple by value.
-func (qp *QueryProcessor) FindOutputTuple(node, rel string, tuple *nested.Tuple) (provgraph.NodeID, bool) {
-	for i := range qp.resolveOutputs() {
-		d := &qp.outputs[i]
+// FindOutputTuple locates the provenance node of an output tuple by
+// value. ok is false when no recorded output holds the tuple; an outputs
+// section that failed to decode answers its error instead.
+func (qp *QueryProcessor) FindOutputTuple(node, rel string, tuple *nested.Tuple) (id provgraph.NodeID, ok bool, err error) {
+	outs, err := qp.Outputs()
+	if err != nil {
+		return provgraph.InvalidNode, false, err
+	}
+	for _, d := range outs {
 		if d.Node != node || d.Relation != rel {
 			continue
 		}
 		for _, t := range d.Tuples {
 			if t.Tuple.Equal(tuple) {
-				return t.Prov, true
+				return t.Prov, true, nil
 			}
 		}
 	}
-	return provgraph.InvalidNode, false
+	return provgraph.InvalidNode, false, nil
 }
 
 // Subgraph answers the subgraph query of Section 5.1.

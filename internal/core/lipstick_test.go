@@ -95,12 +95,12 @@ func TestTrackerRoundTripThroughDisk(t *testing.T) {
 	if !qp.Graph().StructurallyEqual(tr.Runner().Graph()) {
 		t.Error("loaded graph differs from the tracked graph")
 	}
-	if len(qp.Outputs()) != 1 {
-		t.Fatalf("outputs = %v", qp.Outputs())
+	if outs, err := qp.Outputs(); err != nil || len(outs) != 1 {
+		t.Fatalf("outputs = %v, %v", outs, err)
 	}
-	dump, ok := qp.Output(0, "total", "Totals")
-	if !ok || len(dump.Tuples) != 1 {
-		t.Fatalf("missing Totals output")
+	dump, ok, err := qp.Output(0, "total", "Totals")
+	if err != nil || !ok || len(dump.Tuples) != 1 {
+		t.Fatalf("missing Totals output (%v)", err)
 	}
 	if !dump.Tuples[0].Tuple.Equal(nested.NewTuple(nested.Float(22))) {
 		t.Errorf("total = %v, want 22", dump.Tuples[0].Tuple)
@@ -125,8 +125,8 @@ func TestReadFromStream(t *testing.T) {
 func TestFindOutputTupleAndDependency(t *testing.T) {
 	tr := trackMini(t)
 	qp := FromTracker(tr)
-	total, ok := qp.FindOutputTuple("total", "Totals", nested.NewTuple(nested.Float(22)))
-	if !ok {
+	total, ok, err := qp.FindOutputTuple("total", "Totals", nested.NewTuple(nested.Float(22)))
+	if err != nil || !ok {
 		t.Fatal("total tuple not found")
 	}
 	// The total depends on the request...
@@ -255,7 +255,7 @@ func TestCoarseView(t *testing.T) {
 func TestLineageAndFilters(t *testing.T) {
 	tr := trackMini(t)
 	qp := FromTracker(tr)
-	total, _ := qp.FindOutputTuple("total", "Totals", nested.NewTuple(nested.Float(22)))
+	total, _, _ := qp.FindOutputTuple("total", "Totals", nested.NewTuple(nested.Float(22)))
 	l := qp.Lineage(total)
 	if len(l.Inputs) != 1 {
 		t.Errorf("lineage inputs = %v", l.Inputs)
@@ -289,7 +289,7 @@ func TestLineageAndFilters(t *testing.T) {
 func TestExprAndPolynomial(t *testing.T) {
 	tr := trackMini(t)
 	qp := FromTracker(tr)
-	total, _ := qp.FindOutputTuple("total", "Totals", nested.NewTuple(nested.Float(22)))
+	total, _, _ := qp.FindOutputTuple("total", "Totals", nested.NewTuple(nested.Float(22)))
 	p := qp.Polynomial(total)
 	if p.IsZero() {
 		t.Error("polynomial of a derived tuple must be nonzero")

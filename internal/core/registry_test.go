@@ -294,7 +294,11 @@ func sessionView(s *Session) provgraph.GraphView {
 func encodeBaseGraph(t *testing.T, qp *QueryProcessor) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := store.Write(&buf, &store.Snapshot{Graph: qp.Graph(), Outputs: qp.Outputs()}); err != nil {
+	outs, err := qp.Outputs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Write(&buf, &store.Snapshot{Graph: qp.Graph(), Outputs: outs}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

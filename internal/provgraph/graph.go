@@ -665,28 +665,6 @@ func (g *Graph) DeadNodes() []NodeID {
 	return out
 }
 
-// EdgesDo calls fn for every edge between live nodes.
-func (g *Graph) EdgesDo(fn func(src, dst NodeID) bool) {
-	for id := 0; id < g.n; id++ {
-		if !g.alive.get(id) {
-			continue
-		}
-		stop := false
-		g.out.each(NodeID(id), func(dst NodeID) bool {
-			if g.alive.get(int(dst)) {
-				if !fn(NodeID(id), dst) {
-					stop = true
-					return false
-				}
-			}
-			return true
-		})
-		if stop {
-			return
-		}
-	}
-}
-
 // AllEdgesDo calls fn for every edge including those touching dead nodes
 // (used by serialization, which must preserve restorability).
 func (g *Graph) AllEdgesDo(fn func(src, dst NodeID) bool) {

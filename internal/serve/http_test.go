@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -271,6 +273,56 @@ func TestHTTPErrorsAndMethods(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown route = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestCorruptOutputsSectionAnswersError: a mapped snapshot whose outputs
+// section fails to decode (its relation count overwritten past the
+// decoder's limit; the graph sections stay intact) answers that error
+// from every outputs accessor and a JSON 500 from /v1/outputs and
+// /v1/json, never an empty 200 or "not found".
+func TestCorruptOutputsSectionAnswersError(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	path := saveSnapshot(t)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The outputs blob: one relation, execution 0, match.Matches.
+	head := []byte("\x01\x00\x05match\x07Matches")
+	at := bytes.Index(data, head)
+	if at < 0 || bytes.Count(data, head) != 1 {
+		t.Fatalf("outputs blob not found once in %s", path)
+	}
+	copy(data[at:], []byte{0xff, 0xff, 0xff, 0xff, 0x0f})
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	qp, err := core.Load(path)
+	if err != nil {
+		// Without mmap the open decodes the outputs eagerly and fails.
+		t.Skipf("buffered open rejects the corruption: %v", err)
+	}
+	if outs, err := qp.Outputs(); err == nil {
+		t.Errorf("Outputs = %d relations, nil error", len(outs))
+	}
+	if _, ok, err := qp.Output(0, "match", "Matches"); err == nil {
+		t.Errorf("Output: ok=%v, nil error", ok)
+	}
+	if _, ok, err := qp.FindOutputTuple("match", "Matches", nested.NewTuple(nested.Str("A"), nested.Float(10))); err == nil {
+		t.Errorf("FindOutputTuple: ok=%v, nil error", ok)
+	}
+
+	srv := httptest.NewServer(NewService(nil).Handler(path))
+	defer srv.Close()
+	getJSON(t, srv.URL+"/v1/info", 200, nil)
+	for _, route := range []string{"/v1/outputs", "/v1/json"} {
+		var body map[string]string
+		getJSON(t, srv.URL+route, 500, &body)
+		if !strings.Contains(body["error"], "output count") {
+			t.Errorf("GET %s error = %q, want the decode error", route, body["error"])
+		}
 	}
 }
 

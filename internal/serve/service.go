@@ -154,8 +154,12 @@ func (s *Service) Outputs(path string) (*OutputsResult, error) {
 }
 
 func outputsOf(qp *core.QueryProcessor) (*OutputsResult, error) {
+	outs, err := qp.Outputs()
+	if err != nil {
+		return nil, err
+	}
 	res := &OutputsResult{Relations: []RelationResult{}}
-	for _, d := range qp.Outputs() {
+	for _, d := range outs {
 		rel := RelationResult{
 			Execution: d.Execution, Node: d.Node, Relation: d.Relation,
 			Tuples: make([]TupleResult, 0, len(d.Tuples)),
@@ -468,5 +472,9 @@ func (s *Service) WriteJSON(path string, w io.Writer) error {
 }
 
 func writeJSONOf(qp *core.QueryProcessor, w io.Writer) error {
-	return store.ExportJSON(w, &store.Snapshot{Graph: qp.Graph(), Outputs: qp.Outputs()})
+	outs, err := qp.Outputs()
+	if err != nil {
+		return err
+	}
+	return store.ExportJSON(w, &store.Snapshot{Graph: qp.Graph(), Outputs: outs})
 }

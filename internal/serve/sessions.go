@@ -26,11 +26,6 @@ func (s *Service) Snapshots() *SnapshotsResult {
 	return &SnapshotsResult{Count: len(snaps), Snapshots: snaps}
 }
 
-// ResolveSnapshot maps a registered snapshot name to its path.
-func (s *Service) ResolveSnapshot(name string) (string, error) {
-	return s.reg.Lookup(name)
-}
-
 // SessionResult describes one mutation session.
 type SessionResult struct {
 	ID       string    `json:"id"`

@@ -137,16 +137,6 @@ func (p *Proxy) SetFailover(node, follower string) {
 	p.routeLocked(node).follower = follower
 }
 
-// FailoverFor returns node's designated follower ("" = none).
-func (p *Proxy) FailoverFor(node string) string {
-	p.routesMu.Lock()
-	defer p.routesMu.Unlock()
-	if ri := p.routes[node]; ri != nil {
-		return ri.follower
-	}
-	return ""
-}
-
 // MarkSuspect flips node's degraded mode: while suspect (and not yet
 // promoted past), its writes answer 503 + Retry-After and its reads
 // route to the designated follower.

@@ -58,20 +58,6 @@ type Snapshot struct {
 	LazyOutputs func() ([]RelationDump, error)
 }
 
-// ResolveOutputs returns the output relations, decoding them on first
-// call if the snapshot was opened lazily (mapped v3).
-func (s *Snapshot) ResolveOutputs() ([]RelationDump, error) {
-	if s.Outputs == nil && s.LazyOutputs != nil {
-		outs, err := s.LazyOutputs()
-		if err != nil {
-			return nil, err
-		}
-		s.Outputs = outs
-		s.LazyOutputs = nil
-	}
-	return s.Outputs, nil
-}
-
 // Write serializes the snapshot in the current (columnar v3) format. The
 // postings index is computed here, at write time, so readers never pay a
 // graph rescan.

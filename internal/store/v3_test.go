@@ -178,17 +178,14 @@ func TestLoadMappedEquivalence(t *testing.T) {
 	if !strict.Graph.StructurallyEqual(mapped.Graph) {
 		t.Error("mapped graph differs from buffered load")
 	}
-	outs, err := mapped.ResolveOutputs()
-	if err != nil {
-		t.Fatal(err)
+	outs := mapped.Outputs
+	if mapped.LazyOutputs != nil {
+		if outs, err = mapped.LazyOutputs(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !reflect.DeepEqual(outs, strict.Outputs) {
 		t.Error("mapped outputs differ from buffered load")
-	}
-	// Resolution caches: a second call returns the same slice.
-	again, err := mapped.ResolveOutputs()
-	if err != nil || len(again) != len(outs) {
-		t.Errorf("second resolve: %v, %v", again, err)
 	}
 	if mapped.Postings == nil {
 		t.Fatal("mapped open produced no postings")

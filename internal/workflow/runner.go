@@ -244,19 +244,6 @@ func (r *Runner) Execute(inputs Inputs) (*Execution, error) {
 	return exec, nil
 }
 
-// ExecuteSequence runs a sequence of executions (Definition 2.3).
-func (r *Runner) ExecuteSequence(seq []Inputs) ([]*Execution, error) {
-	out := make([]*Execution, 0, len(seq))
-	for _, inputs := range seq {
-		e, err := r.Execute(inputs)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
 // runInputNode turns provided workflow inputs into annotated relations;
 // every tuple gets a workflow-input ("I") node in tracked modes.
 func (r *Runner) runInputNode(node *Node, bags map[string]*nested.Bag, exec *Execution) (map[string]*eval.Relation, error) {

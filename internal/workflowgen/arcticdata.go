@@ -104,18 +104,6 @@ func StationObservation(seed int64, station, year, month int) Observation {
 
 func round1(f float64) float64 { return math.Round(f*10) / 10 }
 
-// HistoricalObservations generates the station's 1961-2000 monthly record
-// (480 observations).
-func HistoricalObservations(seed int64, station int) []Observation {
-	out := make([]Observation, 0, (HistoryEndYear-HistoryStartYear+1)*12)
-	for year := HistoryStartYear; year <= HistoryEndYear; year++ {
-		for month := 1; month <= 12; month++ {
-			out = append(out, StationObservation(seed, station, year, month))
-		}
-	}
-	return out
-}
-
 // HistoricalBag renders a subrange of the history as a bag. years limits
 // the record length (0 = full 1961-2000), letting benchmarks scale the
 // state size down while preserving the selectivity ratios.

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"lipstick/internal/cluster"
 	"lipstick/internal/provgraph"
 	"lipstick/internal/store"
 	"lipstick/internal/workflow"
@@ -145,24 +144,61 @@ func trimFloat(f float64) string {
 	return s
 }
 
-// timeIt measures fn averaged over trials.
-func timeIt(trials int, fn func()) time.Duration {
-	if trials < 1 {
-		trials = 1
+// Clock times the points of a figure. name identifies one point as
+// "<series>/<x>"; trial runs one measurement and returns its own
+// duration, so what a trial does before it starts its timer stays off
+// the clock. The clock runs trial as often as it chooses and returns the
+// duration the point reports.
+type Clock func(name string, trial func() time.Duration) time.Duration
+
+// MeanOf returns the clock that averages trials trials of each point
+// (at least one): `workflowgen -fig` runs Scale.Trials of them.
+func MeanOf(trials int) Clock {
+	trials = max(trials, 1)
+	return func(_ string, trial func() time.Duration) time.Duration {
+		var total time.Duration
+		for range trials {
+			total += trial()
+		}
+		return total / time.Duration(trials)
 	}
-	var total time.Duration
-	for i := 0; i < trials; i++ {
+}
+
+// pointName names the clock point of series at x.
+func pointName(series string, x any) string { return fmt.Sprintf("%s/%v", series, x) }
+
+// timeOf returns a trial timing fn.
+func timeOf(fn func()) func() time.Duration {
+	return func() time.Duration {
 		start := time.Now()
 		fn()
-		total += time.Since(start)
+		return time.Since(start)
 	}
-	return total / time.Duration(trials)
+}
+
+// timeErr returns a trial timing fn; fn's first error sticks in *errp.
+func timeErr(errp *error, fn func() error) func() time.Duration {
+	return timeOf(func() {
+		if err := fn(); err != nil && *errp == nil {
+			*errp = err
+		}
+	})
+}
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// dealershipTrial is a trial that sets up and executes one dealership run.
+func dealershipTrial(errp *error, p DealershipParams) func() time.Duration {
+	return timeErr(errp, func() error {
+		_, err := RunDealership(p)
+		return err
+	})
 }
 
 // Fig5a reproduces Figure 5(a): Car-dealerships execution time per
 // execution versus the number of prior executions, with and without
 // provenance tracking.
-func Fig5a(s Scale) (*Figure, error) {
+func Fig5a(s Scale, clock Clock) (*Figure, error) {
 	f := &Figure{
 		ID: "fig5a", Title: "Pig execution time, Car dealerships (local mode)",
 		XLabel: "number of executions", YLabel: "seconds per execution",
@@ -173,20 +209,12 @@ func Fig5a(s Scale) (*Figure, error) {
 			if gran == workflow.Plain {
 				series = "no provenance"
 			}
-			var runErr error
-			d := timeIt(s.Trials, func() {
-				run, err := NewDealershipRun(DealershipParams{
-					NumCars: s.NumCars, NumExec: numExec, Seed: s.Seed,
-					Gran: gran, StopOnPurchase: false,
-				})
-				if err != nil {
-					runErr = err
-					return
-				}
-				runErr = run.ExecuteAll()
-			})
-			if runErr != nil {
-				return nil, runErr
+			var err error
+			d := clock(pointName(series, numExec), dealershipTrial(&err, DealershipParams{
+				NumCars: s.NumCars, NumExec: numExec, Seed: s.Seed, Gran: gran,
+			}))
+			if err != nil {
+				return nil, err
 			}
 			f.Add(series, float64(numExec), d.Seconds()/float64(numExec))
 		}
@@ -194,53 +222,67 @@ func Fig5a(s Scale) (*Figure, error) {
 	return f, nil
 }
 
-// arcticConfig names one Figure 5(b) workflow variant.
+// arcticConfig names one Arctic workflow variant.
 type arcticConfig struct {
-	name   string
-	topo   Topology
-	fanOut int
+	name     string
+	stations int
+	topo     Topology
+	fanOut   int
+}
+
+// arcticTopologies lists Figures 6(c)/7(c)'s variants at the scale's
+// station count: serial, parallel, and every dense fan-out below it.
+func arcticTopologies(s Scale) []arcticConfig {
+	n := s.ArcticStations
+	configs := []arcticConfig{
+		{"serial", n, Serial, 0},
+		{"parallel", n, Parallel, 0},
+	}
+	for _, fo := range []int{2, 3, 6, 12} {
+		if fo < n {
+			configs = append(configs, arcticConfig{fmt.Sprintf("dense (fan-out %d)", fo), n, Dense, fo})
+		}
+	}
+	return configs
 }
 
 // Fig5b reproduces Figure 5(b): Arctic-stations execution time for
 // parallel, serial and dense topologies, with and without provenance.
-func Fig5b(s Scale) (*Figure, error) {
+func Fig5b(s Scale, clock Clock) (*Figure, error) {
 	f := &Figure{
 		ID: "fig5b", Title: "Arctic stations execution time (24 modules, month selectivity)",
 		XLabel: "number of executions", YLabel: "seconds per execution",
 	}
-	fanOut := s.ArcticStations / 4
-	if fanOut < 1 {
-		fanOut = 1
-	}
+	n := s.ArcticStations
 	configs := []arcticConfig{
-		{"parallel", Parallel, 0},
-		{"dense", Dense, fanOut},
-		{"serial", Serial, 0},
+		{"parallel", n, Parallel, 0},
+		{"dense", n, Dense, max(n/4, 1)},
+		{"serial", n, Serial, 0},
 	}
 	for _, cfg := range configs {
 		for _, numExec := range s.ArcticExecs {
 			for _, gran := range []workflow.Granularity{workflow.Fine, workflow.Plain} {
-				suffix := " (prov)"
+				series := cfg.name + " (prov)"
 				if gran == workflow.Plain {
-					suffix = " (no prov)"
+					series = cfg.name + " (no prov)"
 				}
-				var runErr error
-				d := timeIt(s.Trials, func() {
-					run, err := NewArcticRun(ArcticParams{
-						Stations: s.ArcticStations, Topology: cfg.topo, FanOut: cfg.fanOut,
-						Selectivity: SelMonth, NumExec: numExec, Seed: s.Seed,
-						Gran: gran, HistoryYears: s.ArcticHistoryYears,
-					})
+				p := ArcticParams{
+					Stations: cfg.stations, Topology: cfg.topo, FanOut: cfg.fanOut,
+					Selectivity: SelMonth, NumExec: numExec, Seed: s.Seed,
+					Gran: gran, HistoryYears: s.ArcticHistoryYears,
+				}
+				var err error
+				d := clock(pointName(series, numExec), timeErr(&err, func() error {
+					run, err := NewArcticRun(p)
 					if err != nil {
-						runErr = err
-						return
+						return err
 					}
-					runErr = run.ExecuteAll()
-				})
-				if runErr != nil {
-					return nil, runErr
+					return run.ExecuteAll()
+				}))
+				if err != nil {
+					return nil, err
 				}
-				f.Add(cfg.name+suffix, float64(numExec), d.Seconds()/float64(numExec))
+				f.Add(series, float64(numExec), d.Seconds()/float64(numExec))
 			}
 		}
 	}
@@ -250,50 +292,27 @@ func Fig5b(s Scale) (*Figure, error) {
 // Fig5c reproduces Figure 5(c): percent improvement from additional
 // reducers on the simulated 27-node cluster, with the reduce-task costs
 // taken from a real run's per-dealership work and the provenance variant
-// scaled by the measured tracking overhead.
-func Fig5c(s Scale) (*Figure, error) {
+// scaled by the measured tracking overhead: the clock times a plain and
+// a tracked run.
+func Fig5c(s Scale, clock Clock) (*Figure, error) {
 	f := &Figure{
 		ID: "fig5c", Title: "Car dealerships: impact of parallelism (simulated 27-node cluster)",
 		XLabel: "number of reducers", YLabel: "% improvement vs 1 reducer",
 	}
-	execs := 5
-	params := DealershipParams{NumCars: s.NumCars, NumExec: execs, Seed: s.Seed, StopOnPurchase: false}
-
-	params.Gran = workflow.Plain
-	plainRun, err := NewDealershipRun(params)
+	params := DealershipParams{NumCars: s.NumCars, NumExec: 5, Seed: s.Seed, Gran: workflow.Plain}
+	plainRun, err := RunDealership(params)
 	if err != nil {
 		return nil, err
 	}
-	var runErr error
-	plainTime := timeIt(s.Trials, func() {
-		run, err := NewDealershipRun(params)
-		if err != nil {
-			runErr = err
-			return
-		}
-		runErr = run.ExecuteAll()
-	})
-	if runErr != nil {
-		return nil, runErr
-	}
-	if err := plainRun.ExecuteAll(); err != nil {
+	plainTime := clock("plain run", dealershipTrial(&err, params))
+	params.Gran = workflow.Fine
+	fineTime := clock("tracked run", dealershipTrial(&err, params))
+	if err != nil {
 		return nil, err
 	}
-	params.Gran = workflow.Fine
-	fineTime := timeIt(s.Trials, func() {
-		run, err := NewDealershipRun(params)
-		if err != nil {
-			runErr = err
-			return
-		}
-		runErr = run.ExecuteAll()
-	})
-	if runErr != nil {
-		return nil, runErr
-	}
-	overhead := float64(fineTime) / float64(plainTime)
-	if overhead < 1 {
-		overhead = 1
+	overhead := 1.0
+	if plainTime > 0 {
+		overhead = max(float64(fineTime)/float64(plainTime), 1)
 	}
 
 	// Reduce-task costs: each dealership's bid generation is one natural
@@ -306,27 +325,27 @@ func Fig5c(s Scale) (*Figure, error) {
 	if mean == 0 {
 		mean = 1
 	}
-	job := func(scale float64) *cluster.Job {
-		tasks := make([]cluster.Task, 4)
+	jobAt := func(scale float64) job {
+		tasks := make([]reduceTask, 4)
 		for k, c := range plainRun.CarsOfModelPerDealer {
 			cost := scale * float64(c) / mean
 			if cost == 0 {
 				cost = 0.05 * scale
 			}
-			tasks[k] = cluster.Task{Key: uint64(k), Cost: cost}
+			tasks[k] = reduceTask{key: uint64(k), cost: cost}
 		}
-		return &cluster.Job{Name: "dealerships", Stages: []cluster.Stage{{
-			Name: "bids", SerialCost: 1.2 * scale, Tasks: tasks,
-		}}}
+		return job{serialCost: 1.2 * scale, tasks: tasks}
 	}
-	c := cluster.Default()
-	for series, scale := range map[string]float64{"no provenance": 1, "provenance": overhead} {
-		points, err := c.Sweep(job(scale), s.Reducers)
+	for _, v := range []struct {
+		series string
+		scale  float64
+	}{{"no provenance", 1}, {"provenance", overhead}} {
+		points, err := paperCluster.sweep(jobAt(v.scale), s.Reducers)
 		if err != nil {
 			return nil, err
 		}
 		for _, p := range points {
-			f.Add(series, float64(p.Reducers), p.Improvement)
+			f.Add(v.series, float64(p.reducers), p.improvement)
 		}
 	}
 	f.Note("measured tracking overhead factor: %.2fx", overhead)
@@ -355,29 +374,28 @@ func snapshotOf(r *workflow.Runner, execs []*workflow.Execution) ([]byte, error)
 	return buf.Bytes(), nil
 }
 
-// buildTime measures loading the snapshot and building the in-memory
+// buildTime times loading the snapshot data and building the in-memory
 // graph (Section 5.5's "time it takes to build the provenance graph in
 // memory from provenance-annotated tuples").
-func buildTime(trials int, data []byte) (time.Duration, *store.Snapshot, error) {
-	var snap *store.Snapshot
+func buildTime(clock Clock, name string, data []byte) (time.Duration, error) {
 	var err error
-	d := timeIt(trials, func() {
-		snap, err = store.Read(bytes.NewReader(data))
-	})
-	return d, snap, err
+	d := clock(name, timeErr(&err, func() error {
+		_, err := store.Read(bytes.NewReader(data))
+		return err
+	}))
+	return d, err
 }
 
 // Fig6a reproduces Figure 6(a): graph building time versus the number of
 // graph nodes, Car dealerships.
-func Fig6a(s Scale) (*Figure, error) {
+func Fig6a(s Scale, clock Clock) (*Figure, error) {
 	f := &Figure{
 		ID: "fig6a", Title: "Provenance graph building time, Car dealerships",
 		XLabel: "graph nodes", YLabel: "seconds",
 	}
 	for _, numExec := range s.DealerExecs {
 		run, err := RunDealership(DealershipParams{
-			NumCars: s.NumCars, NumExec: numExec, Seed: s.Seed,
-			Gran: workflow.Fine, StopOnPurchase: false,
+			NumCars: s.NumCars, NumExec: numExec, Seed: s.Seed, Gran: workflow.Fine,
 		})
 		if err != nil {
 			return nil, err
@@ -386,81 +404,44 @@ func Fig6a(s Scale) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		d, snap, err := buildTime(s.Trials, data)
+		nodes := run.Runner.Graph().NumNodes()
+		d, err := buildTime(clock, pointName("build", nodes), data)
 		if err != nil {
 			return nil, err
 		}
-		f.Add("build", float64(snap.Graph.NumNodes()), d.Seconds())
+		f.Add("build", float64(nodes), d.Seconds())
 	}
 	return f, nil
 }
 
-// arcticBuildPoint runs one Arctic config and measures graph build time.
-func arcticBuildPoint(s Scale, stations int, topo Topology, fanOut int, sel Selectivity) (nodes int, dur time.Duration, err error) {
+// arcticGraph runs one tracked Arctic config over the scale's
+// GraphExecs executions.
+func arcticGraph(s Scale, cfg arcticConfig, sel Selectivity) (*ArcticRun, error) {
 	run, err := NewArcticRun(ArcticParams{
-		Stations: stations, Topology: topo, FanOut: fanOut, Selectivity: sel,
+		Stations: cfg.stations, Topology: cfg.topo, FanOut: cfg.fanOut, Selectivity: sel,
 		NumExec: s.GraphExecs, Seed: s.Seed, Gran: workflow.Fine,
 		HistoryYears: s.ArcticHistoryYears,
 	})
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	if err := run.ExecuteAll(); err != nil {
-		return 0, 0, err
-	}
-	data, err := snapshotOf(run.Runner, run.Executions)
-	if err != nil {
-		return 0, 0, err
-	}
-	d, snap, err := buildTime(s.Trials, data)
-	if err != nil {
-		return 0, 0, err
-	}
-	return snap.Graph.NumNodes(), d, nil
+	return run, run.ExecuteAll()
 }
 
-// Fig6b reproduces Figure 6(b): Arctic graph building time by selectivity
-// for dense fan-out-2 workflows of 2-24 modules.
-func Fig6b(s Scale) (*Figure, error) {
-	f := &Figure{
-		ID: "fig6b", Title: "Graph building time, Arctic dense fan-out 2",
-		XLabel: "selectivity", YLabel: "seconds",
-	}
-	sizes := []int{2, 6, 12, 24}
-	for _, size := range sizes {
-		if size > s.ArcticStations {
-			continue
-		}
+// arcticBuildFigure adds one graph-build point per config and selectivity
+// (Figures 6(b) and 6(c)).
+func arcticBuildFigure(f *Figure, s Scale, clock Clock, configs []arcticConfig) (*Figure, error) {
+	for _, cfg := range configs {
 		for _, sel := range Selectivities {
-			_, d, err := arcticBuildPoint(s, size, Dense, 2, sel)
+			run, err := arcticGraph(s, cfg, sel)
 			if err != nil {
 				return nil, err
 			}
-			f.AddLabeled(fmt.Sprintf("%d modules", size), string(sel), d.Seconds())
-		}
-	}
-	return f, nil
-}
-
-// Fig6c reproduces Figure 6(c): Arctic graph building time by selectivity
-// across topologies at 24 modules.
-func Fig6c(s Scale) (*Figure, error) {
-	f := &Figure{
-		ID: "fig6c", Title: fmt.Sprintf("Graph building time, Arctic %d modules", s.ArcticStations),
-		XLabel: "selectivity", YLabel: "seconds",
-	}
-	configs := []arcticConfig{
-		{"serial", Serial, 0},
-		{"parallel", Parallel, 0},
-	}
-	for _, fo := range []int{2, 3, 6, 12} {
-		if fo < s.ArcticStations {
-			configs = append(configs, arcticConfig{fmt.Sprintf("dense (fan-out %d)", fo), Dense, fo})
-		}
-	}
-	for _, cfg := range configs {
-		for _, sel := range Selectivities {
-			_, d, err := arcticBuildPoint(s, s.ArcticStations, cfg.topo, cfg.fanOut, sel)
+			data, err := snapshotOf(run.Runner, run.Executions)
+			if err != nil {
+				return nil, err
+			}
+			d, err := buildTime(clock, pointName(cfg.name, sel), data)
 			if err != nil {
 				return nil, err
 			}
@@ -470,115 +451,134 @@ func Fig6c(s Scale) (*Figure, error) {
 	return f, nil
 }
 
+// Fig6b reproduces Figure 6(b): Arctic graph building time by selectivity
+// for dense fan-out-2 workflows of 2-24 modules.
+func Fig6b(s Scale, clock Clock) (*Figure, error) {
+	f := &Figure{
+		ID: "fig6b", Title: "Graph building time, Arctic dense fan-out 2",
+		XLabel: "selectivity", YLabel: "seconds",
+	}
+	var configs []arcticConfig
+	for _, size := range []int{2, 6, 12, 24} {
+		if size <= s.ArcticStations {
+			configs = append(configs, arcticConfig{fmt.Sprintf("%d modules", size), size, Dense, 2})
+		}
+	}
+	return arcticBuildFigure(f, s, clock, configs)
+}
+
+// Fig6c reproduces Figure 6(c): Arctic graph building time by selectivity
+// across topologies at 24 modules.
+func Fig6c(s Scale, clock Clock) (*Figure, error) {
+	f := &Figure{
+		ID: "fig6c", Title: fmt.Sprintf("Graph building time, Arctic %d modules", s.ArcticStations),
+		XLabel: "selectivity", YLabel: "seconds",
+	}
+	return arcticBuildFigure(f, s, clock, arcticTopologies(s))
+}
+
 // Fig7a reproduces Figure 7(a): ZoomOut time versus graph size for the
 // dealer and aggregate modules (and the paper's ZoomIn observation).
-func Fig7a(s Scale) (*Figure, error) {
+// Each trial zooms an overlay of a fresh clone of the run's graph, cloned
+// off the clock: a fresh clone has an empty zoom memo, so every ZoomOut
+// runs the Definition 4.1 kernel. A zoom-in trial zooms out off the clock
+// and times the ZoomIn that undoes it.
+func Fig7a(s Scale, clock Clock) (*Figure, error) {
 	f := &Figure{
 		ID: "fig7a", Title: "ZoomOut / ZoomIn time, Car dealerships",
 		XLabel: "graph nodes", YLabel: "milliseconds",
 	}
-	dealerMods := []string{"M_dealer1", "M_dealer2", "M_dealer3", "M_dealer4"}
+	zooms := []struct {
+		name string
+		mods []string
+	}{
+		{"dealer", []string{"M_dealer1", "M_dealer2", "M_dealer3", "M_dealer4"}},
+		{"aggregate", []string{"M_agg"}},
+	}
 	for _, numExec := range s.DealerExecs {
 		run, err := RunDealership(DealershipParams{
-			NumCars: s.NumCars, NumExec: numExec, Seed: s.Seed,
-			Gran: workflow.Fine, StopOnPurchase: false,
+			NumCars: s.NumCars, NumExec: numExec, Seed: s.Seed, Gran: workflow.Fine,
 		})
 		if err != nil {
 			return nil, err
 		}
 		base := run.Runner.Graph()
-		nodes := float64(base.NumNodes())
-
-		dOut, dIn := zoomTrials(s.Trials, base, dealerMods)
-		f.Add("dealer zoom-out", nodes, float64(dOut.Microseconds())/1000)
-		f.Add("dealer zoom-in", nodes, float64(dIn.Microseconds())/1000)
-		aOut, aIn := zoomTrials(s.Trials, base, []string{"M_agg"})
-		f.Add("aggregate zoom-out", nodes, float64(aOut.Microseconds())/1000)
-		f.Add("aggregate zoom-in", nodes, float64(aIn.Microseconds())/1000)
+		nodes := base.NumNodes()
+		for _, z := range zooms {
+			out := clock(pointName(z.name+" zoom-out", nodes), func() time.Duration {
+				ov := provgraph.NewOverlay(base.Clone())
+				return timeOf(func() { ov.ZoomOut(z.mods...) })()
+			})
+			in := clock(pointName(z.name+" zoom-in", nodes), func() time.Duration {
+				ov := provgraph.NewOverlay(base.Clone())
+				rec := ov.ZoomOut(z.mods...)
+				return timeOf(func() { ov.ZoomIn(rec) })()
+			})
+			f.Add(z.name+" zoom-out", float64(nodes), ms(out))
+			f.Add(z.name+" zoom-in", float64(nodes), ms(in))
+		}
 	}
 	return f, nil
 }
 
-// zoomTrials averages, over trials, one ZoomOut of mods on an overlay of
-// a fresh clone of base and the ZoomIn that undoes it. A fresh clone has
-// an empty zoom memo, so every ZoomOut runs the Definition 4.1 kernel;
-// the clone is taken outside the timed region.
-func zoomTrials(trials int, base *provgraph.Graph, mods []string) (out, in time.Duration) {
-	trials = max(trials, 1)
-	for range trials {
-		ov := provgraph.NewOverlay(base.Clone())
-		start := time.Now()
-		rec := ov.ZoomOut(mods...)
-		zoomed := time.Now()
-		ov.ZoomIn(rec)
-		in += time.Since(zoomed)
-		out += zoomed.Sub(start)
-	}
-	return out / time.Duration(trials), in / time.Duration(trials)
-}
-
-// Fig7b reproduces Figure 7(b): subgraph query time versus result size on
-// the Car-dealerships graph, for the 50 highest-fan-out nodes.
-func Fig7b(s Scale) (*Figure, error) {
-	f := &Figure{
-		ID: "fig7b", Title: "Subgraph query time, Car dealerships",
-		XLabel: "subgraph nodes", YLabel: "milliseconds",
-	}
-	numExec := s.DealerExecs[len(s.DealerExecs)-1]
+// dealershipGraph runs the tracked dealership at the scale's largest
+// execution count: the graph Figure 7(b) and the deletion figure query.
+func dealershipGraph(s Scale) (*provgraph.Graph, error) {
 	run, err := RunDealership(DealershipParams{
-		NumCars: s.NumCars, NumExec: numExec, Seed: s.Seed,
-		Gran: workflow.Fine, StopOnPurchase: false,
+		NumCars: s.NumCars, NumExec: s.DealerExecs[len(s.DealerExecs)-1], Seed: s.Seed,
+		Gran: workflow.Fine,
 	})
 	if err != nil {
 		return nil, err
 	}
-	g := run.Runner.Graph()
-	for _, id := range HighFanoutNodes(g, s.SubgraphNodes) {
-		var sub *provgraph.SubgraphResult
-		d := timeIt(s.Trials, func() { sub = g.Subgraph(id) })
-		f.Add("subgraph", float64(sub.Size()), float64(d.Microseconds())/1000)
+	return run.Runner.Graph(), nil
+}
+
+// Fig7b reproduces Figure 7(b): subgraph query time versus result size on
+// the Car-dealerships graph, for the 50 highest-fan-out nodes. Each
+// point's size is taken by one query off the clock.
+func Fig7b(s Scale, clock Clock) (*Figure, error) {
+	f := &Figure{
+		ID: "fig7b", Title: "Subgraph query time, Car dealerships",
+		XLabel: "subgraph nodes", YLabel: "milliseconds",
 	}
-	sort.Slice(f.Points, func(i, j int) bool { return f.Points[i].X < f.Points[j].X })
+	g, err := dealershipGraph(s)
+	if err != nil {
+		return nil, err
+	}
+	for _, id := range HighFanoutNodes(g, s.SubgraphNodes) {
+		size := g.Subgraph(id).Size()
+		d := clock(pointName("subgraph", size), timeOf(func() { g.Subgraph(id) }))
+		f.Add("subgraph", float64(size), ms(d))
+	}
+	sort.SliceStable(f.Points, func(i, j int) bool { return f.Points[i].X < f.Points[j].X })
 	return f, nil
 }
 
 // Fig7c reproduces Figure 7(c): average subgraph query time by selectivity
-// and topology on the Arctic workflows.
-func Fig7c(s Scale) (*Figure, error) {
+// and topology on the Arctic workflows. A trial queries every
+// high-fan-out node once and reports the mean query time.
+func Fig7c(s Scale, clock Clock) (*Figure, error) {
 	f := &Figure{
 		ID: "fig7c", Title: fmt.Sprintf("Subgraph query time, Arctic %d modules", s.ArcticStations),
 		XLabel: "selectivity", YLabel: "milliseconds (avg over high-fan-out nodes)",
 	}
-	configs := []arcticConfig{
-		{"serial", Serial, 0},
-		{"parallel", Parallel, 0},
-	}
-	for _, fo := range []int{2, 3, 6, 12} {
-		if fo < s.ArcticStations {
-			configs = append(configs, arcticConfig{fmt.Sprintf("dense (fan-out %d)", fo), Dense, fo})
-		}
-	}
-	for _, cfg := range configs {
+	for _, cfg := range arcticTopologies(s) {
 		for _, sel := range Selectivities {
-			run, err := NewArcticRun(ArcticParams{
-				Stations: s.ArcticStations, Topology: cfg.topo, FanOut: cfg.fanOut,
-				Selectivity: sel, NumExec: s.GraphExecs, Seed: s.Seed,
-				Gran: workflow.Fine, HistoryYears: s.ArcticHistoryYears,
-			})
+			run, err := arcticGraph(s, cfg, sel)
 			if err != nil {
-				return nil, err
-			}
-			if err := run.ExecuteAll(); err != nil {
 				return nil, err
 			}
 			g := run.Runner.Graph()
 			targets := HighFanoutNodes(g, s.SubgraphNodes)
-			total := time.Duration(0)
-			for _, id := range targets {
-				total += timeIt(1, func() { g.Subgraph(id) })
-			}
-			avgMs := float64(total.Microseconds()) / 1000 / float64(len(targets))
-			f.AddLabeled(cfg.name, string(sel), avgMs)
+			d := clock(pointName(cfg.name, sel), func() time.Duration {
+				return timeOf(func() {
+					for _, id := range targets {
+						g.Subgraph(id)
+					}
+				})() / time.Duration(len(targets))
+			})
+			f.AddLabeled(cfg.name, string(sel), ms(d))
 		}
 	}
 	return f, nil
@@ -586,33 +586,26 @@ func Fig7c(s Scale) (*Figure, error) {
 
 // FigDelete reproduces the Section 5.6 deletion measurement: deletion
 // propagation from the 50 highest-fan-out nodes is sub-millisecond to
-// low-millisecond per node.
-func FigDelete(s Scale) (*Figure, error) {
+// low-millisecond per node. Each point's size is taken by one
+// propagation off the clock.
+func FigDelete(s Scale, clock Clock) (*Figure, error) {
 	f := &Figure{
 		ID: "delete", Title: "Deletion propagation time, Car dealerships",
 		XLabel: "nodes removed by the propagation", YLabel: "milliseconds",
 	}
-	numExec := s.DealerExecs[len(s.DealerExecs)-1]
-	run, err := RunDealership(DealershipParams{
-		NumCars: s.NumCars, NumExec: numExec, Seed: s.Seed,
-		Gran: workflow.Fine, StopOnPurchase: false,
-	})
+	g, err := dealershipGraph(s)
 	if err != nil {
 		return nil, err
 	}
-	g := run.Runner.Graph()
 	maxMs := 0.0
 	for _, id := range HighFanoutNodes(g, s.SubgraphNodes) {
-		var res *provgraph.DeletionResult
-		d := timeIt(s.Trials, func() { res = g.PropagateDeletion(id) })
-		ms := float64(d.Microseconds()) / 1000
-		if ms > maxMs {
-			maxMs = ms
-		}
-		f.Add("delete", float64(res.Size()), ms)
+		size := g.PropagateDeletion(id).Size()
+		d := clock(pointName("delete", size), timeOf(func() { g.PropagateDeletion(id) }))
+		maxMs = max(maxMs, ms(d))
+		f.Add("delete", float64(size), ms(d))
 	}
 	f.Note("max per-node propagation time: %.3f ms", maxMs)
-	sort.Slice(f.Points, func(i, j int) bool { return f.Points[i].X < f.Points[j].X })
+	sort.SliceStable(f.Points, func(i, j int) bool { return f.Points[i].X < f.Points[j].X })
 	return f, nil
 }
 
@@ -705,29 +698,31 @@ var FigureIDs = []string{
 	"graphmem",
 }
 
-// RunFigure dispatches a figure by id.
-func RunFigure(id string, s Scale) (*Figure, error) {
+// RunFigure dispatches a figure by id; clock times its points.
+// finegrained, nodes and graphmem measure sizes (graphmem times itself,
+// best of three), so they run off the clock.
+func RunFigure(id string, s Scale, clock Clock) (*Figure, error) {
 	switch id {
 	case "fig5a":
-		return Fig5a(s)
+		return Fig5a(s, clock)
 	case "fig5b":
-		return Fig5b(s)
+		return Fig5b(s, clock)
 	case "fig5c":
-		return Fig5c(s)
+		return Fig5c(s, clock)
 	case "fig6a":
-		return Fig6a(s)
+		return Fig6a(s, clock)
 	case "fig6b":
-		return Fig6b(s)
+		return Fig6b(s, clock)
 	case "fig6c":
-		return Fig6c(s)
+		return Fig6c(s, clock)
 	case "fig7a":
-		return Fig7a(s)
+		return Fig7a(s, clock)
 	case "fig7b":
-		return Fig7b(s)
+		return Fig7b(s, clock)
 	case "fig7c":
-		return Fig7c(s)
+		return Fig7c(s, clock)
 	case "delete":
-		return FigDelete(s)
+		return FigDelete(s, clock)
 	case "finegrained":
 		return FigFineGrained(s)
 	case "nodes":

@@ -3,6 +3,7 @@ package workflowgen
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -24,8 +25,11 @@ var tinyScale = Scale{
 	Seed:               1,
 }
 
+// tinyClock times each point once.
+var tinyClock = MeanOf(1)
+
 func TestRunFigureUnknown(t *testing.T) {
-	if _, err := RunFigure("nope", tinyScale); err == nil {
+	if _, err := RunFigure("nope", tinyScale, tinyClock); err == nil {
 		t.Error("unknown figure accepted")
 	}
 }
@@ -34,7 +38,7 @@ func TestAllFiguresRunAtTinyScale(t *testing.T) {
 	for _, id := range FigureIDs {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			fig, err := RunFigure(id, tinyScale)
+			fig, err := RunFigure(id, tinyScale, tinyClock)
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
@@ -50,13 +54,108 @@ func TestAllFiguresRunAtTinyScale(t *testing.T) {
 	}
 }
 
+// figurePoints pins each figure's series and the x values (or x labels)
+// of each series, in order, at tinyScale: a harness change must keep
+// every figure's points. Series order is not pinned (fig5c's was map
+// order).
+var figurePoints = map[string]map[string]string{
+	"fig5a": {
+		"provenance":    "2, 4",
+		"no provenance": "2, 4",
+	},
+	"fig5b": {
+		"parallel (prov)":    "2",
+		"parallel (no prov)": "2",
+		"dense (prov)":       "2",
+		"dense (no prov)":    "2",
+		"serial (prov)":      "2",
+		"serial (no prov)":   "2",
+	},
+	"fig5c": {
+		"no provenance": "1, 2, 3, 4, 10, 54",
+		"provenance":    "1, 2, 3, 4, 10, 54",
+	},
+	"fig6a": {
+		"build": "574, 976",
+	},
+	"fig6b": {
+		"2 modules": "all, season, month, year",
+	},
+	"fig6c": {
+		"serial":            "all, season, month, year",
+		"parallel":          "all, season, month, year",
+		"dense (fan-out 2)": "all, season, month, year",
+		"dense (fan-out 3)": "all, season, month, year",
+	},
+	"fig7a": {
+		"dealer zoom-out":    "574, 976",
+		"dealer zoom-in":     "574, 976",
+		"aggregate zoom-out": "574, 976",
+		"aggregate zoom-in":  "574, 976",
+	},
+	"fig7b": {
+		"subgraph": "102, 169, 211, 220, 265, 280, 323, 392, 392, 606",
+	},
+	"fig7c": {
+		"serial":            "all, season, month, year",
+		"parallel":          "all, season, month, year",
+		"dense (fan-out 2)": "all, season, month, year",
+		"dense (fan-out 3)": "all, season, month, year",
+	},
+	"delete": {
+		"delete": "29, 37, 39, 43, 47, 48, 63, 67, 71, 82",
+	},
+	"finegrained": {
+		"fine":   "state tuples, bid avg state deps, bid state share %, bid avg input deps, best avg state deps, sale avg input deps",
+		"coarse": "workflow inputs, best avg input deps",
+	},
+	"nodes": {
+		"dealerships nodes": "2, 4",
+		"dealerships edges": "2, 4",
+	},
+	"graphmem": {
+		"v3 mapped open (s)": "20000",
+		"bytes/node":         "20000",
+		"find (s)":           "20000",
+		"lineage (s)":        "20000",
+		"bfs ns/visit":       "20000",
+	},
+}
+
+func TestFigurePointSets(t *testing.T) {
+	if len(figurePoints) != len(FigureIDs) {
+		t.Errorf("%d figures pinned, %d known", len(figurePoints), len(FigureIDs))
+	}
+	for _, id := range FigureIDs {
+		fig, err := RunFigure(id, tinyScale, tinyClock)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		got := map[string]string{}
+		for _, series := range fig.Series() {
+			var xs []string
+			for _, p := range fig.SeriesPoints(series) {
+				x := p.XLabel
+				if x == "" {
+					x = trimFloat(p.X)
+				}
+				xs = append(xs, x)
+			}
+			got[series] = strings.Join(xs, ", ")
+		}
+		if fig.ID != id || !reflect.DeepEqual(got, figurePoints[id]) {
+			t.Errorf("%s: figure %q points\n got %q\nwant %q", id, fig.ID, got, figurePoints[id])
+		}
+	}
+}
+
 // TestFig5aShape: tracking costs more than not tracking. The figure's
 // per-execution times are a few milliseconds at test scale and too close
 // to order reliably, so the check is on deterministic work: the tracked
 // run computes exactly the plain run's outputs and on top of that captures
 // provenance in every execution — the cost Figure 5(a) plots.
 func TestFig5aShape(t *testing.T) {
-	fig, err := Fig5a(tinyScale)
+	fig, err := Fig5a(tinyScale, tinyClock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +204,7 @@ func TestFig5aShape(t *testing.T) {
 // TestFig5cShape: the sweep peaks between 2 and 4 reducers and declines by
 // 54, for both variants.
 func TestFig5cShape(t *testing.T) {
-	fig, err := Fig5c(tinyScale)
+	fig, err := Fig5c(tinyScale, tinyClock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +232,7 @@ func TestFig5cShape(t *testing.T) {
 // TestFig6aLinearity: build time grows with node count (monotone in this
 // two-point check) and node counts grow with executions.
 func TestFig6aShape(t *testing.T) {
-	fig, err := Fig6a(tinyScale)
+	fig, err := Fig6a(tinyScale, tinyClock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +250,7 @@ func TestFig6aShape(t *testing.T) {
 // the sub-millisecond timings at test scale are too noisy to order, so the
 // check orders the deterministic work: the graph each selectivity builds.
 func TestFig6bShape(t *testing.T) {
-	fig, err := Fig6b(tinyScale)
+	fig, err := Fig6b(tinyScale, tinyClock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +267,11 @@ func TestFig6bShape(t *testing.T) {
 	}
 	nodes := map[Selectivity]int{}
 	for _, sel := range []Selectivity{SelAll, SelYear} {
-		n, _, err := arcticBuildPoint(tinyScale, size, Dense, 2, sel)
+		run, err := arcticGraph(tinyScale, arcticConfig{stations: size, topo: Dense, fanOut: 2}, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[sel] = n
+		nodes[sel] = run.Runner.Graph().NumNodes()
 	}
 	if nodes[SelAll] <= nodes[SelYear] {
 		t.Errorf("all-selectivity graph (%d nodes) should be larger than year (%d)", nodes[SelAll], nodes[SelYear])
