@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"lipstick/internal/provgraph"
+)
 
 // NotFoundError reports a lookup of a name the registry does not know —
 // an unregistered snapshot name or an unknown/expired session id. The
@@ -48,4 +52,16 @@ type OverloadedError struct {
 // Error implements error.
 func (e *OverloadedError) Error() string {
 	return fmt.Sprintf("lipstick: ingest queue of %q is full (depth %d); retry with backoff", e.Name, e.Depth)
+}
+
+// NodeRangeError reports a node id outside a session view's slot range.
+// The serving layer maps it to a 400.
+type NodeRangeError struct {
+	ID    provgraph.NodeID
+	Total int
+}
+
+// Error implements error.
+func (e *NodeRangeError) Error() string {
+	return fmt.Sprintf("invalid node id %d (session view has %d nodes)", e.ID, e.Total)
 }

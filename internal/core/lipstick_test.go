@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"lipstick/internal/nested"
@@ -182,6 +184,51 @@ func TestWhatIfVersusApplyDelete(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("expected SUM recomputation to 12, got %v", recs)
+	}
+}
+
+// TestSessionDeleteChecksIDsUnderOneHold: Session.Delete refuses an id
+// outside the view before deleting anything, and otherwise answers what
+// WhatIfDelete and ApplyDelete answer, with the view after the deletion.
+func TestSessionDeleteChecksIDsUnderOneHold(t *testing.T) {
+	qp := FromTracker(trackMini(t))
+	items := qp.FindNodes(NodeFilter{Types: []provgraph.Type{provgraph.TypeBaseTuple}, Label: "item0"})
+	if len(items) != 1 {
+		t.Fatalf("item0 nodes = %v", items)
+	}
+	s := NewSession(qp)
+	total := s.TotalNodes()
+	bad := provgraph.NodeID(total)
+	err := s.Delete([]provgraph.NodeID{items[0], bad}, false, func(View, *provgraph.DeletionResult, []provgraph.RecomputedAggregate) {
+		t.Error("fn ran for a refused deletion")
+	})
+	var rng *NodeRangeError
+	if !errors.As(err, &rng) || rng.ID != bad || rng.Total != total {
+		t.Fatalf("Delete with an id past the view = %v", err)
+	}
+	if s.Changes() != 0 {
+		t.Fatalf("a refused deletion changed the session (%d changes)", s.Changes())
+	}
+
+	want := qp.WhatIfDelete(items[0]).Removed
+	for _, whatIf := range []bool{true, false} {
+		var removed []provgraph.NodeID
+		var nodesAfter, recomputed int
+		if err := s.Delete(items[:1], whatIf, func(v View, res *provgraph.DeletionResult, recs []provgraph.RecomputedAggregate) {
+			removed, nodesAfter, recomputed = res.Removed, v.Graph.NumNodes(), len(recs)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(removed, want) {
+			t.Errorf("whatIf=%v: removed %v, want %v", whatIf, removed, want)
+		}
+		wantAfter := qp.Graph().NumNodes()
+		if !whatIf {
+			wantAfter -= len(want)
+		}
+		if nodesAfter != wantAfter || (recomputed > 0) == whatIf {
+			t.Errorf("whatIf=%v: %d nodes after, %d aggregates recomputed", whatIf, nodesAfter, recomputed)
+		}
 	}
 }
 

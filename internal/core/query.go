@@ -62,6 +62,19 @@ func (f NodeFilter) Matches(g provgraph.GraphView, n provgraph.Node) bool {
 	return true
 }
 
+// View is one consistent read state: the graph a query runs on (a
+// snapshot's graph, a live graph's published view, or a session's
+// overlay) and the postings index of the snapshot under it. A
+// QueryProcessor's View is safe to share; a session's is valid only
+// inside Session.Read or Session.Delete.
+type View struct {
+	Graph provgraph.GraphView
+	Index *Index
+}
+
+// View returns the processor's graph and index as a View.
+func (qp *QueryProcessor) View() View { return View{Graph: qp.graph, Index: qp.index} }
+
 // FindNodes returns the live nodes matching the filter, in id order.
 //
 // When the filter constrains an indexed dimension (type, op, label, or
@@ -71,29 +84,30 @@ func (f NodeFilter) Matches(g provgraph.GraphView, n provgraph.Node) bool {
 // class-only) filters sweep every slot, which is what they would touch
 // anyway.
 func (qp *QueryProcessor) FindNodes(f NodeFilter) []provgraph.NodeID {
-	return findNodesIn(qp.graph, qp.index, f)
+	return qp.View().FindNodes(f)
 }
 
-// findNodesIn is the shared selection engine: it works over any view (a
-// materialized graph or a session overlay) against the base snapshot's
-// postings. Liveness and field predicates are re-checked through the view,
-// so a session's kills and value overrides are honored; nodes the view
-// appended past the index's coverage (zoom nodes) are swept separately,
-// and so is every slot when the index cannot narrow the filter.
-func findNodesIn(v provgraph.GraphView, ix *Index, f NodeFilter) []provgraph.NodeID {
+// FindNodes is the shared selection engine: candidates come from the
+// base snapshot's postings, and liveness and field predicates are
+// re-checked through the view, so a session's kills and value overrides
+// are honored; nodes the view appended past the index's coverage (zoom
+// nodes) are swept separately, and so is every slot when the index
+// cannot narrow the filter.
+func (v View) FindNodes(f NodeFilter) []provgraph.NodeID {
+	g := v.Graph
 	var out []provgraph.NodeID
 	sweep := 0
-	if cand, indexed := ix.candidates(f); indexed {
+	if cand, indexed := v.Index.candidates(f); indexed {
 		for _, id := range cand {
-			if v.Alive(id) && f.Matches(v, v.Node(id)) {
+			if g.Alive(id) && f.Matches(g, g.Node(id)) {
 				out = append(out, id)
 			}
 		}
-		sweep = ix.Coverage()
+		sweep = v.Index.Coverage()
 	}
-	for id := sweep; id < v.TotalNodes(); id++ {
+	for id := sweep; id < g.TotalNodes(); id++ {
 		nid := provgraph.NodeID(id)
-		if v.Alive(nid) && f.Matches(v, v.Node(nid)) {
+		if g.Alive(nid) && f.Matches(g, g.Node(nid)) {
 			out = append(out, nid)
 		}
 	}
@@ -116,13 +130,14 @@ type Lineage struct {
 
 // Lineage computes the classified ancestry of a node.
 func (qp *QueryProcessor) Lineage(id provgraph.NodeID) Lineage {
-	return lineageIn(qp.graph, id)
+	return qp.View().Lineage(id)
 }
 
-// lineageIn classifies a node's ancestry through any view. It reads each
+// Lineage classifies a node's ancestry through the view. It reads each
 // ancestor's type column and, for invocation and zoom nodes only, its
 // label.
-func lineageIn(g provgraph.GraphView, id provgraph.NodeID) Lineage {
+func (v View) Lineage(id provgraph.NodeID) Lineage {
+	g := v.Graph
 	l := Lineage{Node: id}
 	anc := g.Ancestors(id)
 	l.AncestorCount = len(anc)

@@ -216,13 +216,54 @@ func (s *Session) ApplyDelete(ids ...provgraph.NodeID) (*provgraph.DeletionResul
 	return res, recs
 }
 
+// Delete propagates the deletion of ids in the session view (Definition
+// 4.2) and calls fn with its result and the view after it. With whatIf
+// the effect is only computed, as WhatIfDelete does; otherwise it is
+// applied and affected aggregates are recomputed, as ApplyDelete does.
+// The id check, the deletion and fn run under one hold of the session
+// lock, so a concurrent ZoomIn cannot drop an id between them. An id
+// outside the view is a *NodeRangeError, and nothing is deleted. fn must
+// not retain the view or call back into the session.
+func (s *Session) Delete(ids []provgraph.NodeID, whatIf bool, fn func(v View, res *provgraph.DeletionResult, recs []provgraph.RecomputedAggregate)) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	total := s.overlay.TotalNodes()
+	for _, id := range ids {
+		if id < 0 || int(id) >= total {
+			return &NodeRangeError{ID: id, Total: total}
+		}
+	}
+	var res *provgraph.DeletionResult
+	var recs []provgraph.RecomputedAggregate
+	if whatIf {
+		res = s.overlay.PropagateDeletion(ids...)
+	} else {
+		res = s.overlay.Delete(ids...)
+		recs = s.overlay.RecomputeAggregates()
+	}
+	fn(s.viewLocked(), res, recs)
+	return nil
+}
+
+// Read runs fn over the session view under one hold of the session lock,
+// so every read fn makes, node id checks included, sees one state. fn
+// must not retain the view or call back into the session.
+func (s *Session) Read(fn func(View) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return fn(s.viewLocked())
+}
+
+// viewLocked (s.mu held) is the session's overlay over the base's postings.
+func (s *Session) viewLocked() View { return View{Graph: s.overlay, Index: s.base.Index()} }
+
 // FindNodes answers an index-backed node selection query through the
 // session view: postings come from the base snapshot's index, liveness
 // and values from the overlay.
 func (s *Session) FindNodes(f NodeFilter) []provgraph.NodeID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return findNodesIn(s.overlay, s.base.Index(), f)
+	return s.viewLocked().FindNodes(f)
 }
 
 // Subgraph answers the subgraph query of Section 5.1 in the session view.
@@ -236,7 +277,7 @@ func (s *Session) Subgraph(id provgraph.NodeID) *provgraph.SubgraphResult {
 func (s *Session) Lineage(id provgraph.NodeID) Lineage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return lineageIn(s.overlay, id)
+	return s.viewLocked().Lineage(id)
 }
 
 // Provenance renders a node's semiring provenance expression in the
@@ -262,19 +303,6 @@ func (s *Session) Node(id provgraph.NodeID) provgraph.Node {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.overlay.Node(id)
-}
-
-// DescribeNodes calls fn with the type, op and label of each id in the
-// session view, all under one lock and without assembling Nodes (no
-// value decode): the per-node part of a deletion answer. fn runs with
-// the session locked and must not call back into it.
-func (s *Session) DescribeNodes(ids []provgraph.NodeID, fn func(id provgraph.NodeID, typ provgraph.Type, op provgraph.Op, label string)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, id := range ids {
-		typ, op := s.overlay.TypeOp(id)
-		fn(id, typ, op, s.overlay.LabelOf(id))
-	}
 }
 
 // TotalNodes returns the session view's node-slot count (base + appended

@@ -414,6 +414,9 @@ func (g *Graph) Node(id NodeID) Node {
 // the Node.
 func (g *Graph) TypeOf(id NodeID) Type { return g.typ.at(int(id)) }
 
+// TypeOp returns a node's type and op without assembling the Node.
+func (g *Graph) TypeOp(id NodeID) (Type, Op) { return g.typ.at(int(id)), g.op.at(int(id)) }
+
 // LabelOf returns a node's label from the label column, without
 // assembling the Node (no value decode).
 func (g *Graph) LabelOf(id NodeID) string { return g.syms.str(g.label.at(int(id))) }

@@ -16,6 +16,7 @@ type GraphView interface {
 	// Structure.
 	Node(id NodeID) Node
 	TypeOf(id NodeID) Type
+	TypeOp(id NodeID) (Type, Op)
 	LabelOf(id NodeID) string
 	Alive(id NodeID) bool
 	NumNodes() int

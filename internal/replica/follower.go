@@ -29,13 +29,12 @@ const DefaultBatchEvents = 4096
 // promotion is just "stop tailing". A single goroutine owns the tail
 // loop; everything other goroutines read (lag gauges) is atomic.
 type Follower struct {
-	name  string
-	reg   *core.Registry
-	cli   *Client
-	poll  time.Duration
-	batch int
-	logf  func(format string, args ...any)
-	gen   func() uint64 // local node generation for zombie-primary checks
+	name string
+	reg  *core.Registry
+	cli  *Client
+	poll time.Duration
+	logf func(format string, args ...any)
+	gen  func() uint64 // local node generation for zombie-primary checks
 
 	// Lag gauges, written by the tail loop only. primarySeq/lastPollNs
 	// describe the last successful status poll of the primary;
@@ -134,7 +133,7 @@ func (f *Follower) run() {
 			}
 			continue
 		}
-		events, err := f.cli.Events(f.name, applied+1, f.batch)
+		events, err := f.cli.Events(f.name, applied+1, DefaultBatchEvents)
 		if err != nil {
 			var compacted *store.CompactedError
 			if errors.As(err, &compacted) {

@@ -18,12 +18,11 @@ import (
 // gauges replicationLagSeq/replicationLagMs mirror the worst lag across
 // every running manager.
 type Manager struct {
-	reg   *core.Registry
-	cli   *Client
-	poll  time.Duration
-	batch int
-	logf  func(format string, args ...any)
-	gen   func() uint64 // local node generation; zero value means "don't check"
+	reg  *core.Registry
+	cli  *Client
+	poll time.Duration
+	logf func(format string, args ...any)
+	gen  func() uint64 // local node generation; zero value means "don't check"
 
 	mu        sync.Mutex
 	followers map[string]*Follower // guarded by mu
@@ -42,15 +41,6 @@ func WithPollInterval(d time.Duration) ManagerOption {
 	return func(m *Manager) {
 		if d > 0 {
 			m.poll = d
-		}
-	}
-}
-
-// WithBatchEvents caps one catchup fetch (<= 0 selects DefaultBatchEvents).
-func WithBatchEvents(n int) ManagerOption {
-	return func(m *Manager) {
-		if n > 0 {
-			m.batch = n
 		}
 	}
 }
@@ -85,7 +75,6 @@ func NewManager(reg *core.Registry, primaryURL string, opts ...ManagerOption) *M
 		reg:       reg,
 		cli:       NewClient(primaryURL),
 		poll:      DefaultPollInterval,
-		batch:     DefaultBatchEvents,
 		logf:      log.Printf,
 		gen:       func() uint64 { return 0 },
 		followers: make(map[string]*Follower),
@@ -144,7 +133,7 @@ func (m *Manager) follow(name string) {
 	}
 	f := &Follower{
 		name: name, reg: m.reg, cli: m.cli,
-		poll: m.poll, batch: m.batch, logf: m.logf, gen: m.gen,
+		poll: m.poll, logf: m.logf, gen: m.gen,
 		stop: m.stop, done: make(chan struct{}),
 	}
 	m.followers[name] = f

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -72,7 +73,7 @@ func ingest(c *http.Client, serverURL, name string, firstSeq uint64, events []pr
 		return 0, resp.StatusCode, 0, &transportError{err: err}
 	}
 	if resp.StatusCode != http.StatusOK {
-		retryAfter := parseRetryAfter(resp.Header.Get("Retry-After"))
+		retryAfter := ParseRetryAfter(resp.Header.Get("Retry-After"))
 		err := fmt.Errorf("lipstick: ingest %s: server returned %s: %s",
 			name, resp.Status, bytes.TrimSpace(payload))
 		if resp.StatusCode == http.StatusConflict {
@@ -95,14 +96,12 @@ func ingest(c *http.Client, serverURL, name string, firstSeq uint64, events []pr
 	return res.Seq, resp.StatusCode, 0, nil
 }
 
-// parseRetryAfter decodes an integer-seconds Retry-After value; 0 means
-// absent or unusable.
-func parseRetryAfter(v string) time.Duration {
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
+// ParseRetryAfter decodes an integer-seconds Retry-After value, spaces
+// around it allowed; 0 means absent, not positive or unusable (an
+// HTTP-date included), and the caller's own backoff schedule applies.
+func ParseRetryAfter(v string) time.Duration {
+	secs, err := strconv.Atoi(strings.TrimSpace(v))
+	if err != nil || secs <= 0 {
 		return 0
 	}
 	return time.Duration(secs) * time.Second

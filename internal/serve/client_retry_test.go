@@ -320,3 +320,25 @@ func TestIngestClientRewindBeyondRetainWindowIsSticky(t *testing.T) {
 		t.Fatalf("unrecoverable gap error = %v, want a loud 409 failure", err)
 	}
 }
+
+// TestParseRetryAfter: integer seconds, spaces around them allowed;
+// anything else, zero and negatives included, leaves the backoff
+// schedule in charge (0).
+func TestParseRetryAfter(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want time.Duration
+	}{
+		{"", 0},
+		{"0", 0},
+		{"-1", 0},
+		{" 2", 2 * time.Second},
+		{"3 ", 3 * time.Second},
+		{"abc", 0},
+		{"Wed, 21 Oct 2015 07:28:00 GMT", 0},
+	} {
+		if got := ParseRetryAfter(tc.in); got != tc.want {
+			t.Errorf("ParseRetryAfter(%q) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}

@@ -63,10 +63,13 @@ import (
 //
 // The default snapshot (the Handler argument, registered under its base
 // name) backs the flat /v1/* read endpoints; when the handler is built
-// without one (`lipstick serve -dir`), those endpoints answer only while
-// exactly one snapshot is registered, and name-routed queries otherwise.
-// Snapshots are resolved through the service's SnapshotManager on every
-// request, so a snapshot replaced on disk is picked up without a restart.
+// without one (`lipstick serve -dir`), those endpoints answer while
+// exactly one static snapshot, or else exactly one live graph and no
+// static snapshot, is registered, and name-routed queries otherwise
+// (resolve holds the precedence). Snapshots are resolved through the
+// service's SnapshotManager on every request, so a snapshot replaced on
+// disk is picked up without a restart. Find, subgraph, lineage and dot
+// have one body each, which the snapshot, live and session routes share.
 func (s *Service) Handler(snapshot string) http.Handler {
 	if snapshot != "" {
 		// Surface the default snapshot in the registry; a name collision
@@ -74,22 +77,6 @@ func (s *Service) Handler(snapshot string) http.Handler {
 		// falls back to serving it unregistered via the flat endpoints.
 		_ = s.reg.Register(core.SnapshotName(snapshot), snapshot)
 	}
-	// defaultRun resolves the flat /v1/* endpoints' target at request
-	// time: the explicit default snapshot, else the only registered
-	// static snapshot, else the only live graph.
-	defaultRun := func() (runFn, error) {
-		if snapshot != "" {
-			return s.pathRun(snapshot), nil
-		}
-		if only, ok := s.reg.Single(); ok {
-			return s.pathRun(only.Path), nil
-		}
-		if lg, ok := s.reg.SingleLive(); ok {
-			return lg.Read, nil
-		}
-		return nil, badRequestf("no default snapshot: address one by name via /v1/snapshots/{name}/...")
-	}
-
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		_, follower := s.FollowerPrimary()
@@ -117,98 +104,58 @@ func (s *Service) Handler(snapshot string) http.Handler {
 		})
 	}
 
-	// resolveRun picks the request's target: a name-routed live graph or
-	// static snapshot, else the default.
-	resolveRun := func(r *http.Request) (runFn, error) {
-		if name := r.PathValue("name"); name != "" {
-			return s.targetRun(name)
-		}
-		return defaultRun()
-	}
-
-	// resolveLive returns the live graph a request targets, when it does
-	// (name-routed, or the default resolving to the only live graph) —
-	// the targets whose responses are seq-stamped and cacheable. Its
-	// precedence mirrors resolveRun exactly.
-	resolveLive := func(r *http.Request) (*core.LiveGraph, bool) {
-		if name := r.PathValue("name"); name != "" {
-			lg, err := s.reg.LiveGraph(name)
-			return lg, err == nil
-		}
-		if snapshot == "" {
-			if _, ok := s.reg.Single(); !ok {
-				if lg, ok := s.reg.SingleLive(); ok {
-					return lg, true
-				}
-			}
-		}
-		return nil, false
-	}
-
 	// Flat read endpoints over the default target, plus the same queries
 	// routed by registered name — answered identically from a static
 	// snapshot's cached processor or a live graph mid-ingest.
 	//
 	// Live targets take the lock-free path: a published view covering
 	// every applied event answers, the response carries its sequence in
-	// X-Lipstick-Seq, and the marshaled body is cached keyed by (graph,
-	// seq, endpoint, normalized query) — a view is immutable, so a hit is
-	// exact by construction and skips both the query and the JSON encode.
-	query := func(suffix string, fn func(r *http.Request, qp *core.QueryProcessor) (any, error)) {
+	// X-Lipstick-Seq, and a query's encoded body is cached keyed by
+	// (graph, seq, endpoint, normalized query) — a view is immutable, so a
+	// hit is exact by construction and skips both the query and the encode.
+	// Exports (whole-graph DOT/OPM/JSON dumps) are stamped the same way
+	// but are not worth holding in the cache.
+	read := func(suffix, contentType string, cached bool, body func(r *http.Request, qp *core.QueryProcessor) ([]byte, error)) {
 		for _, pattern := range []string{"GET /v1/" + suffix, "GET /v1/snapshots/{name}/" + suffix} {
 			mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 				start := time.Now()
 				defer func() { core.ObserveQueryLatency(time.Since(start)) }()
-				if lg, ok := resolveLive(r); ok {
-					v := lg.ReadView()
-					w.Header().Set("X-Lipstick-Seq", strconv.FormatUint(v.Seq, 10))
-					if lag, ok := s.replicaLag(lg.Name()); ok {
+				t, err := s.resolve(r, snapshot)
+				if err != nil {
+					writeErr(w, err)
+					return
+				}
+				var key string
+				if t.live != nil {
+					w.Header().Set("X-Lipstick-Seq", strconv.FormatUint(t.seq, 10))
+					if lag, ok := s.replicaLag(t.live.Name()); ok {
 						w.Header().Set("X-Lipstick-Replica-Lag", strconv.FormatUint(lag.LagSeq, 10))
 					}
-					key := queryCacheKey(lg.Name(), v.Seq, suffix, r.URL.Query())
-					if body, ok := s.cache.Get(key); ok {
-						w.Header().Set("X-Lipstick-Cache", "hit")
-						writeJSONBody(w, http.StatusOK, body)
-						return
+					if cached {
+						key = queryCacheKey(t.live.Name(), t.seq, suffix, r.URL.Query())
+						if b, ok := s.cache.Get(key); ok {
+							w.Header().Set("X-Lipstick-Cache", "hit")
+							writeBody(w, contentType, b)
+							return
+						}
 					}
-					res, err := fn(r, v.QP)
-					if err != nil {
-						writeErr(w, err)
-						return
-					}
-					if res == nil {
-						res = map[string]string{"status": "ok"}
-					}
-					body, err := encodeJSONBody(res)
-					if err != nil {
-						writeErr(w, err)
-						return
-					}
-					s.cache.Put(key, body)
-					writeJSONBody(w, http.StatusOK, body)
-					return
 				}
-				run, err := resolveRun(r)
+				b, err := body(r, t.qp)
 				if err != nil {
 					writeErr(w, err)
 					return
 				}
-				var res any
-				err = run(func(qp *core.QueryProcessor) error {
-					var qerr error
-					res, qerr = fn(r, qp)
-					return qerr
-				})
-				if err != nil {
-					writeErr(w, err)
-					return
+				if key != "" {
+					s.cache.Put(key, b)
 				}
-				if res == nil {
-					res = map[string]string{"status": "ok"}
-				}
-				writeJSON(w, http.StatusOK, res)
+				writeBody(w, contentType, b)
 			})
 		}
+	}
+	query := func(suffix string, fn func(r *http.Request, qp *core.QueryProcessor) (any, error)) {
+		read(suffix, jsonContentType, true, func(r *http.Request, qp *core.QueryProcessor) ([]byte, error) {
+			return jsonBody(fn(r, qp))
+		})
 	}
 	query("info", func(r *http.Request, qp *core.QueryProcessor) (any, error) { return infoOf(qp) })
 	query("outputs", func(r *http.Request, qp *core.QueryProcessor) (any, error) { return outputsOf(qp) })
@@ -218,15 +165,9 @@ func (s *Service) Handler(snapshot string) http.Handler {
 	query("delete", func(r *http.Request, qp *core.QueryProcessor) (any, error) {
 		return deleteOf(qp, r.URL.Query().Get("node"))
 	})
-	query("subgraph", func(r *http.Request, qp *core.QueryProcessor) (any, error) {
-		return subgraphOf(qp, r.URL.Query().Get("node"))
-	})
-	query("lineage", func(r *http.Request, qp *core.QueryProcessor) (any, error) {
-		return lineageOf(qp, r.URL.Query().Get("node"))
-	})
-	query("find", func(r *http.Request, qp *core.QueryProcessor) (any, error) {
-		return findOf(qp, findRequestOf(r))
-	})
+	for suffix, fn := range viewQueries {
+		query(suffix, func(r *http.Request, qp *core.QueryProcessor) (any, error) { return fn(r, qp.View()) })
+	}
 
 	// Registry and operational metrics.
 	handle("GET /v1/snapshots", func(*http.Request) (any, error) { return s.Snapshots(), nil })
@@ -318,78 +259,110 @@ func (s *Service) Handler(snapshot string) http.Handler {
 	handle("POST /v1/sessions/{id}/fork", func(r *http.Request) (any, error) {
 		return s.ForkSession(r.PathValue("id"))
 	})
-	handle("GET /v1/sessions/{id}/find", func(r *http.Request) (any, error) {
-		return s.SessionFind(r.PathValue("id"), findRequestOf(r))
-	})
-	handle("GET /v1/sessions/{id}/subgraph", func(r *http.Request) (any, error) {
-		return s.SessionSubgraph(r.PathValue("id"), r.URL.Query().Get("node"))
-	})
-	handle("GET /v1/sessions/{id}/lineage", func(r *http.Request) (any, error) {
-		return s.SessionLineage(r.PathValue("id"), r.URL.Query().Get("node"))
-	})
-
-	// Streaming exports (buffered so an export error still yields a
-	// proper status).
-	stream := func(pattern, contentType string, fn func(r *http.Request, w *bytes.Buffer) error) {
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+	// Exports, buffered so an export error still yields a proper status.
+	export := func(suffix, contentType string, fn func(qp *core.QueryProcessor, w io.Writer) error) {
+		read(suffix, contentType, false, func(r *http.Request, qp *core.QueryProcessor) ([]byte, error) {
 			var buf bytes.Buffer
-			if err := fn(r, &buf); err != nil {
+			err := fn(qp, &buf)
+			return buf.Bytes(), err
+		})
+	}
+	export("dot", dotContentType, func(qp *core.QueryProcessor, w io.Writer) error {
+		return dotOf(qp.View(), w, "lipstick")
+	})
+	export("opm", jsonContentType, writeOPMOf)
+	export("json", jsonContentType, writeJSONOf)
+
+	// Session reads run the same bodies over the session's overlay, under
+	// one hold of its lock: the node id check and the answer see one
+	// state, whatever zooms and deletes run beside them.
+	sessionRead := func(suffix, contentType string, body func(r *http.Request, v core.View) ([]byte, error)) {
+		mux.HandleFunc("GET /v1/sessions/{id}/"+suffix, func(w http.ResponseWriter, r *http.Request) {
+			sess, err := s.reg.Session(r.PathValue("id"))
+			var b []byte
+			if err == nil {
+				err = sess.Read(func(v core.View) (verr error) {
+					b, verr = body(r, v)
+					return verr
+				})
+			}
+			if err != nil {
 				writeErr(w, err)
 				return
 			}
-			w.Header().Set("Content-Type", contentType)
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(buf.Bytes())
+			writeBody(w, contentType, b)
 		})
 	}
-	// Exports resolve live targets through the published view too (and
-	// stamp X-Lipstick-Seq), but their bodies — whole-graph DOT/OPM/JSON
-	// dumps — are not worth holding in the query cache.
-	export := func(suffix, contentType string, fn func(qp *core.QueryProcessor, w io.Writer) error) {
-		for _, pattern := range []string{"GET /v1/" + suffix, "GET /v1/snapshots/{name}/" + suffix} {
-			mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-				start := time.Now()
-				defer func() { core.ObserveQueryLatency(time.Since(start)) }()
-				var buf bytes.Buffer
-				if lg, ok := resolveLive(r); ok {
-					v := lg.ReadView()
-					w.Header().Set("X-Lipstick-Seq", strconv.FormatUint(v.Seq, 10))
-					if lag, ok := s.replicaLag(lg.Name()); ok {
-						w.Header().Set("X-Lipstick-Replica-Lag", strconv.FormatUint(lag.LagSeq, 10))
-					}
-					if err := fn(v.QP, &buf); err != nil {
-						writeErr(w, err)
-						return
-					}
-				} else {
-					run, err := resolveRun(r)
-					if err != nil {
-						writeErr(w, err)
-						return
-					}
-					err = run(func(qp *core.QueryProcessor) error { return fn(qp, &buf) })
-					if err != nil {
-						writeErr(w, err)
-						return
-					}
-				}
-				w.Header().Set("Content-Type", contentType)
-				w.WriteHeader(http.StatusOK)
-				_, _ = w.Write(buf.Bytes())
-			})
-		}
-	}
-	export("dot", "text/vnd.graphviz; charset=utf-8", writeDOTOf)
-	export("opm", "application/json; charset=utf-8", writeOPMOf)
-	export("json", "application/json; charset=utf-8", writeJSONOf)
-	stream("GET /v1/sessions/{id}/dot", "text/vnd.graphviz; charset=utf-8",
-		func(r *http.Request, buf *bytes.Buffer) error {
-			return s.SessionDOT(r.PathValue("id"), buf)
+	for suffix, fn := range viewQueries {
+		sessionRead(suffix, jsonContentType, func(r *http.Request, v core.View) ([]byte, error) {
+			return jsonBody(fn(r, v))
 		})
+	}
+	sessionRead("dot", dotContentType, func(r *http.Request, v core.View) ([]byte, error) {
+		var buf bytes.Buffer
+		err := dotOf(v, &buf, "lipstick-session")
+		return buf.Bytes(), err
+	})
 
 	// Method-pattern muxes answer a wrong-method hit with a plain 405;
 	// wrap to keep the JSON error contract.
 	return jsonErrorMiddleware(mux)
+}
+
+// viewQueries are the queries a snapshot, a live graph and a session
+// answer with one body each, over a core.View.
+var viewQueries = map[string]func(r *http.Request, v core.View) (any, error){
+	"find": func(r *http.Request, v core.View) (any, error) { return findOf(v, findRequestOf(r)) },
+	"subgraph": func(r *http.Request, v core.View) (any, error) {
+		return subgraphOf(v, r.URL.Query().Get("node"))
+	},
+	"lineage": func(r *http.Request, v core.View) (any, error) {
+		return lineageOf(v, r.URL.Query().Get("node"))
+	},
+}
+
+// target is what a read request resolves to: the processor that answers
+// it and, for a live graph, the graph and the sequence of the published
+// view that processor reads.
+type target struct {
+	qp   *core.QueryProcessor
+	live *core.LiveGraph
+	seq  uint64
+}
+
+// resolve maps a read request to its target. This is the one place the
+// precedence is written: a name-routed live graph, then a name-routed
+// static snapshot, then the handler's explicit default snapshot (served
+// by path, even when its name collided at registration), then the only
+// registered static snapshot, then the only live graph.
+func (s *Service) resolve(r *http.Request, snapshot string) (target, error) {
+	path := snapshot
+	if name := r.PathValue("name"); name != "" {
+		if lg, err := s.reg.LiveGraph(name); err == nil {
+			return liveTarget(lg), nil
+		}
+		p, err := s.reg.Lookup(name)
+		if err != nil {
+			return target{}, err
+		}
+		path = p
+	} else if path == "" {
+		if only, ok := s.reg.Single(); ok {
+			path = only.Path
+		} else if lg, ok := s.reg.SingleLive(); ok {
+			return liveTarget(lg), nil
+		} else {
+			return target{}, badRequestf("no default snapshot: address one by name via /v1/snapshots/{name}/...")
+		}
+	}
+	qp, err := s.open(path)
+	return target{qp: qp}, err
+}
+
+// liveTarget reads lg's published view covering every applied event.
+func liveTarget(lg *core.LiveGraph) target {
+	v := lg.ReadView()
+	return target{qp: v.QP, live: lg, seq: v.Seq}
 }
 
 // findRequestOf decodes the shared find query parameters.
@@ -444,10 +417,10 @@ type statusCaptureWriter struct {
 
 func (w *statusCaptureWriter) WriteHeader(status int) {
 	if (status == http.StatusNotFound || status == http.StatusMethodNotAllowed) &&
-		w.Header().Get("Content-Type") != "application/json; charset=utf-8" {
+		w.Header().Get("Content-Type") != jsonContentType {
 		// The mux's own fallback: replace the plain-text body.
 		w.intercept = true
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		w.Header().Set("Content-Type", jsonContentType)
 		w.Header().Del("X-Content-Type-Options")
 		w.ResponseWriter.WriteHeader(status)
 		msg := "not found"
@@ -469,8 +442,9 @@ func (w *statusCaptureWriter) Write(p []byte) (int, error) {
 	return w.ResponseWriter.Write(p)
 }
 
-// statusFor maps service errors to HTTP statuses: argument problems and
-// ingested events the graph cannot apply are 400s, unknown snapshot names / session ids / missing snapshot files
+// statusFor maps service errors to HTTP statuses: argument problems
+// (node ids outside a session view included) and ingested events the
+// graph cannot apply are 400s, unknown snapshot names / session ids / missing snapshot files
 // are 404s, ingest sequence gaps are 409s, a full ingest queue is a 429,
 // everything else (corrupt snapshot, I/O) a 500.
 func statusFor(err error) int {
@@ -479,6 +453,7 @@ func statusFor(err error) int {
 	var nf *core.NotFoundError
 	var gap *core.SeqGapError
 	var badEvent *core.EventError
+	var badNode *core.NodeRangeError
 	var over *core.OverloadedError
 	var fol *FollowerError
 	var fenced *FencedError
@@ -489,7 +464,7 @@ func statusFor(err error) int {
 		return http.StatusConflict
 	case errors.As(err, &bad):
 		return http.StatusBadRequest
-	case errors.As(err, &name), errors.As(err, &badEvent):
+	case errors.As(err, &name), errors.As(err, &badEvent), errors.As(err, &badNode):
 		return http.StatusBadRequest
 	case errors.As(err, &nf):
 		return http.StatusNotFound
@@ -561,7 +536,7 @@ func writeErr(w http.ResponseWriter, err error) {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header().Set("Content-Type", jsonContentType)
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
@@ -581,10 +556,24 @@ func encodeJSONBody(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// writeJSONBody writes a pre-encoded JSON body.
-func writeJSONBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
+// jsonBody encodes a query's answer, or passes its error on.
+func jsonBody(res any, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return encodeJSONBody(res)
+}
+
+// Content types of the read answers.
+const (
+	jsonContentType = "application/json; charset=utf-8"
+	dotContentType  = "text/vnd.graphviz; charset=utf-8"
+)
+
+// writeBody writes a read's 200 answer.
+func writeBody(w http.ResponseWriter, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
 }
 

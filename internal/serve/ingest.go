@@ -13,47 +13,6 @@ import (
 // read surface serves every query endpoint mid-ingest. The transport-
 // agnostic handlers live here; http.go wires the routes.
 
-// runFn executes a query callback against some target's processor.
-type runFn func(func(*core.QueryProcessor) error) error
-
-// pathRun answers queries from the cached processor of a static snapshot.
-func (s *Service) pathRun(path string) runFn {
-	return func(fn func(*core.QueryProcessor) error) error {
-		qp, err := s.open(path)
-		if err != nil {
-			return err
-		}
-		return fn(qp)
-	}
-}
-
-// targetRun resolves a registered name — live graph or static snapshot —
-// to a query runner. Live reads run against a published view covering
-// every applied event, so they see a consistent event prefix without
-// blocking ingestion.
-func (s *Service) targetRun(name string) (runFn, error) {
-	if lg, err := s.reg.LiveGraph(name); err == nil {
-		return lg.Read, nil
-	}
-	path, err := s.reg.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return s.pathRun(path), nil
-}
-
-// ReadTarget runs fn against the named target: a live graph (its newest
-// published view) or a static snapshot's shared cached processor. fn
-// must treat the processor as read-only and must not retain results that
-// alias graph internals past its return.
-func (s *Service) ReadTarget(name string, fn func(*core.QueryProcessor) error) error {
-	run, err := s.targetRun(name)
-	if err != nil {
-		return err
-	}
-	return run(fn)
-}
-
 // IngestResult reports one applied event batch (or the stream's current
 // position, for GET).
 type IngestResult struct {

@@ -72,7 +72,7 @@ func FuzzIngest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("replaying the accepted prefix: %v", err)
 		}
-		if err := svc.ReadTarget("fz", func(qp *core.QueryProcessor) error {
+		if err := readLive(svc, "fz", func(qp *core.QueryProcessor) error {
 			if !want.StructurallyEqual(qp.Graph()) {
 				t.Fatalf("live graph at seq %d differs from a replay of its accepted prefix", seq)
 			}

@@ -34,6 +34,15 @@ func captureRun(t testing.TB) (*provgraph.Graph, []provgraph.Event) {
 	return run.Runner.Graph(), log.Drain()
 }
 
+// readLive runs fn on the named live graph's newest published view.
+func readLive(svc *Service, name string, fn func(*core.QueryProcessor) error) error {
+	lg, err := svc.Registry().LiveGraph(name)
+	if err != nil {
+		return err
+	}
+	return lg.Read(fn)
+}
+
 func postBatch(t *testing.T, srv *httptest.Server, name string, firstSeq uint64, events []provgraph.Event) *IngestResult {
 	t.Helper()
 	var body bytes.Buffer
@@ -126,7 +135,7 @@ func TestHTTPIngestLiveQueries(t *testing.T) {
 	if res.Applied != 0 || res.Duplicates != len(events)-mid {
 		t.Fatalf("retry was not idempotent: %+v", res)
 	}
-	if err := svc.ReadTarget("run1", func(qp *core.QueryProcessor) error {
+	if err := readLive(svc, "run1", func(qp *core.QueryProcessor) error {
 		if !batch.StructurallyEqual(qp.Graph()) {
 			t.Fatal("ingested graph differs from batch build")
 		}
@@ -217,7 +226,7 @@ func TestHTTPIngestClientStreamsWhileServing(t *testing.T) {
 	if status.Seq != client.Sent() {
 		t.Fatalf("server seq %d != client sent %d", status.Seq, client.Sent())
 	}
-	if err := svc.ReadTarget("stream", func(qp *core.QueryProcessor) error {
+	if err := readLive(svc, "stream", func(qp *core.QueryProcessor) error {
 		if !run.Runner.Graph().StructurallyEqual(qp.Graph()) {
 			t.Fatal("streamed graph differs from the run's graph")
 		}
@@ -402,7 +411,7 @@ func TestHTTPIngestClientRetriesOverload(t *testing.T) {
 	if client.Sent() != uint64(len(events)) {
 		t.Fatalf("client acked %d of %d events", client.Sent(), len(events))
 	}
-	if err := svc.ReadTarget("retry", func(qp *core.QueryProcessor) error {
+	if err := readLive(svc, "retry", func(qp *core.QueryProcessor) error {
 		if !batch.StructurallyEqual(qp.Graph()) {
 			t.Fatal("retried stream differs from batch build (lost or duplicated events)")
 		}

@@ -262,20 +262,23 @@ func (s *Service) Delete(path, node string) (*DeleteResult, error) {
 }
 
 func deleteOf(qp *core.QueryProcessor, node string) (*DeleteResult, error) {
-	g := qp.Graph()
-	id, err := parseNode(g.TotalNodes(), node)
+	id, err := parseNode(qp.Graph().TotalNodes(), node)
 	if err != nil {
 		return nil, err
 	}
 	res := qp.WhatIfDelete(id)
-	out := &DeleteResult{Node: id, RemovedCount: res.Size(), Removed: make([]RemovedNode, 0, res.Size())}
-	for _, r := range res.Removed {
-		n := g.Node(r)
-		out.Removed = append(out.Removed, RemovedNode{
-			ID: r, Type: n.Type.String(), Op: n.Op.String(), Label: n.Label,
-		})
+	return &DeleteResult{Node: id, RemovedCount: res.Size(), Removed: removedOf(qp.Graph(), res.Removed)}, nil
+}
+
+// removedOf describes the nodes a deletion removed, read from the view
+// it ran on without assembling Nodes (no value decode).
+func removedOf(g provgraph.GraphView, ids []provgraph.NodeID) []RemovedNode {
+	out := make([]RemovedNode, 0, len(ids))
+	for _, id := range ids {
+		typ, op := g.TypeOp(id)
+		out = append(out, RemovedNode{ID: id, Type: typ.String(), Op: op.String(), Label: g.LabelOf(id)})
 	}
-	return out, nil
+	return out
 }
 
 // SubgraphResult reports a subgraph query (Section 5.1).
@@ -291,15 +294,18 @@ func (s *Service) Subgraph(path, node string) (*SubgraphResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return subgraphOf(qp, node)
+	return subgraphOf(qp.View(), node)
 }
 
-func subgraphOf(qp *core.QueryProcessor, node string) (*SubgraphResult, error) {
-	id, err := parseNode(qp.Graph().TotalNodes(), node)
+// subgraphOf, lineageOf, findOf and dotOf are the one body of each of
+// those queries: a snapshot, a live graph's published view and a session
+// all answer through them, over a core.View.
+func subgraphOf(v core.View, node string) (*SubgraphResult, error) {
+	id, err := parseNode(v.Graph.TotalNodes(), node)
 	if err != nil {
 		return nil, err
 	}
-	sub := qp.Subgraph(id)
+	sub := v.Graph.Subgraph(id)
 	return &SubgraphResult{Root: id, Size: sub.Size(), Nodes: sub.Nodes}, nil
 }
 
@@ -324,16 +330,16 @@ func (s *Service) Lineage(path, node string) (*LineageResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return lineageOf(qp, node)
+	return lineageOf(qp.View(), node)
 }
 
-func lineageOf(qp *core.QueryProcessor, node string) (*LineageResult, error) {
-	id, err := parseNode(qp.Graph().TotalNodes(), node)
+func lineageOf(v core.View, node string) (*LineageResult, error) {
+	id, err := parseNode(v.Graph.TotalNodes(), node)
 	if err != nil {
 		return nil, err
 	}
-	l := qp.Lineage(id)
-	expr, truncated := qp.Provenance(id)
+	l := v.Lineage(id)
+	expr, truncated := v.Graph.ExprString(id)
 	return &LineageResult{
 		Node: id, AncestorCount: l.AncestorCount,
 		Inputs: l.Inputs, StateTuples: l.StateTuples, Modules: l.Modules,
@@ -393,15 +399,15 @@ func (s *Service) Find(path string, req FindRequest) (*FindResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return findOf(qp, req)
+	return findOf(qp.View(), req)
 }
 
-func findOf(qp *core.QueryProcessor, req FindRequest) (*FindResult, error) {
+func findOf(v core.View, req FindRequest) (*FindResult, error) {
 	f, err := req.filter()
 	if err != nil {
 		return nil, err
 	}
-	nodes := qp.FindNodes(f)
+	nodes := v.FindNodes(f)
 	if nodes == nil {
 		nodes = []provgraph.NodeID{}
 	}
@@ -442,11 +448,11 @@ func (s *Service) WriteDOT(path string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return writeDOTOf(qp, w)
+	return dotOf(qp.View(), w, "lipstick")
 }
 
-func writeDOTOf(qp *core.QueryProcessor, w io.Writer) error {
-	return qp.Graph().WriteDOT(w, "lipstick")
+func dotOf(v core.View, w io.Writer, title string) error {
+	return v.Graph.WriteDOT(w, title)
 }
 
 // WriteOPM streams the graph as Open Provenance Model JSON.

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"io"
 	"time"
 
 	"lipstick/internal/core"
@@ -9,10 +8,10 @@ import (
 )
 
 // This file is the transport-agnostic session and registry surface: list
-// named snapshots, open copy-on-write mutation sessions over them, apply
-// zoom/delete transformations to a session's overlay, and answer
-// session-scoped queries. The HTTP layer (http.go) and any future
-// transport are thin callers.
+// named snapshots, open copy-on-write mutation sessions over them, and
+// apply zoom/delete transformations to a session's overlay. Session-scoped
+// reads run the snapshot routes' bodies through core.Session.Read (see
+// http.go). The HTTP layer and any future transport are thin callers.
 
 // SnapshotsResult lists the registered snapshots.
 type SnapshotsResult struct {
@@ -182,7 +181,8 @@ type SessionDeleteResult struct {
 
 // SessionDelete applies (or previews, with WhatIf) deletion propagation
 // in the session's view. Applied deletions also recompute affected
-// aggregates.
+// aggregates. The id check, the deletion and the answer come from one
+// session state.
 func (s *Service) SessionDelete(id string, req SessionDeleteRequest) (*SessionDeleteResult, error) {
 	sess, err := s.reg.Session(id)
 	if err != nil {
@@ -191,99 +191,22 @@ func (s *Service) SessionDelete(id string, req SessionDeleteRequest) (*SessionDe
 	if len(req.Nodes) == 0 {
 		return nil, badRequestf("delete: at least one node is required")
 	}
-	total := sess.TotalNodes()
-	for _, n := range req.Nodes {
-		if n < 0 || int(n) >= total {
-			return nil, badRequestf("invalid node id %d (session view has %d nodes)", n, total)
+	out := &SessionDeleteResult{Session: sess.ID(), Nodes: req.Nodes, Applied: !req.WhatIf}
+	err = sess.Delete(req.Nodes, req.WhatIf, func(v core.View, res *provgraph.DeletionResult, recs []provgraph.RecomputedAggregate) {
+		out.RemovedCount = res.Size()
+		out.Removed = removedOf(v.Graph, res.Removed)
+		out.NodesAfter = v.Graph.NumNodes()
+		out.Recomputed = make([]RecomputedAggregateResult, 0, len(recs))
+		for _, rec := range recs {
+			out.Recomputed = append(out.Recomputed, RecomputedAggregateResult{
+				Node: rec.Node, Op: rec.Op,
+				Before: rec.Before.String(), After: rec.After.String(),
+				Survivors: rec.Survivors,
+			})
 		}
-	}
-	var res *provgraph.DeletionResult
-	var recs []provgraph.RecomputedAggregate
-	if req.WhatIf {
-		res = sess.WhatIfDelete(req.Nodes...)
-	} else {
-		res, recs = sess.ApplyDelete(req.Nodes...)
-	}
-	out := &SessionDeleteResult{
-		Session:      sess.ID(),
-		Nodes:        req.Nodes,
-		Applied:      !req.WhatIf,
-		RemovedCount: res.Size(),
-		Removed:      make([]RemovedNode, 0, res.Size()),
-		Recomputed:   make([]RecomputedAggregateResult, 0, len(recs)),
-		NodesAfter:   sess.NumNodes(),
-	}
-	sess.DescribeNodes(res.Removed, func(id provgraph.NodeID, typ provgraph.Type, op provgraph.Op, label string) {
-		out.Removed = append(out.Removed, RemovedNode{
-			ID: id, Type: typ.String(), Op: op.String(), Label: label,
-		})
 	})
-	for _, rec := range recs {
-		out.Recomputed = append(out.Recomputed, RecomputedAggregateResult{
-			Node: rec.Node, Op: rec.Op,
-			Before: rec.Before.String(), After: rec.After.String(),
-			Survivors: rec.Survivors,
-		})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-// SessionFind answers a node selection query through the session view.
-func (s *Service) SessionFind(id string, req FindRequest) (*FindResult, error) {
-	sess, err := s.reg.Session(id)
-	if err != nil {
-		return nil, err
-	}
-	f, err := req.filter()
-	if err != nil {
-		return nil, err
-	}
-	nodes := sess.FindNodes(f)
-	if nodes == nil {
-		nodes = []provgraph.NodeID{}
-	}
-	return &FindResult{Count: len(nodes), Nodes: nodes}, nil
-}
-
-// SessionSubgraph answers the subgraph query in the session view.
-func (s *Service) SessionSubgraph(id, node string) (*SubgraphResult, error) {
-	sess, err := s.reg.Session(id)
-	if err != nil {
-		return nil, err
-	}
-	nid, err := parseNode(sess.TotalNodes(), node)
-	if err != nil {
-		return nil, err
-	}
-	sub := sess.Subgraph(nid)
-	return &SubgraphResult{Root: nid, Size: sub.Size(), Nodes: sub.Nodes}, nil
-}
-
-// SessionLineage returns the classified ancestry and provenance
-// expression of a node in the session view.
-func (s *Service) SessionLineage(id, node string) (*LineageResult, error) {
-	sess, err := s.reg.Session(id)
-	if err != nil {
-		return nil, err
-	}
-	nid, err := parseNode(sess.TotalNodes(), node)
-	if err != nil {
-		return nil, err
-	}
-	l := sess.Lineage(nid)
-	expr, truncated := sess.Provenance(nid)
-	return &LineageResult{
-		Node: nid, AncestorCount: l.AncestorCount,
-		Inputs: l.Inputs, StateTuples: l.StateTuples, Modules: l.Modules,
-		Provenance: expr, ProvenanceTruncated: truncated,
-	}, nil
-}
-
-// SessionDOT streams the session's what-if view as Graphviz DOT.
-func (s *Service) SessionDOT(id string, w io.Writer) error {
-	sess, err := s.reg.Session(id)
-	if err != nil {
-		return err
-	}
-	return sess.WriteDOT(w, "lipstick-session")
 }

@@ -75,16 +75,6 @@ func WithRetry(maxRetries int, base time.Duration) ProxyOption {
 	}
 }
 
-// WithHTTPClient overrides the forwarding client (tests, custom
-// transports). The default enables keep-alive connection reuse per node.
-func WithHTTPClient(c *http.Client) ProxyOption {
-	return func(p *Proxy) {
-		if c != nil {
-			p.client = c
-		}
-	}
-}
-
 // NewProxy builds a shard router over the node base URLs (e.g.
 // "http://10.0.0.1:8080"). Trailing slashes are trimmed so routing and
 // ring hashing see one canonical form per node.
@@ -322,7 +312,7 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, node string) {
 		// Drain so the kept-alive connection is reusable, then back off:
 		// the node's Retry-After hint when present (capped), the ingest
 		// client's full-jitter schedule otherwise.
-		retryAfter := parseRetryAfterSeconds(resp.Header.Get("Retry-After"))
+		retryAfter := serve.ParseRetryAfter(resp.Header.Get("Retry-After"))
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<14))
 		_ = resp.Body.Close() // retrying; this response is discarded
 		half := backoff / 2
@@ -351,19 +341,6 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, node string) {
 			backoff = 2 * time.Second
 		}
 	}
-}
-
-// parseRetryAfterSeconds decodes an integer-seconds Retry-After value
-// (0 for absent/other forms — the jittered schedule then applies).
-func parseRetryAfterSeconds(v string) time.Duration {
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(strings.TrimSpace(v))
-	if err != nil || secs <= 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
 }
 
 // roundTrip sends one copy of the request to node.

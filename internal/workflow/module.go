@@ -122,7 +122,3 @@ func typesCompatible(got, want *nested.Schema) bool {
 
 // Plan returns the compiled plan (nil before Compile).
 func (m *Module) Plan() *pig.Plan { return m.plan }
-
-// IsSource reports whether the module has no inputs and no program: its
-// outputs are provided directly as workflow inputs (e.g. M_req, M_choice).
-func (m *Module) IsSource() bool { return m.Program == "" && len(m.In) == 0 }

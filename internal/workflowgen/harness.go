@@ -187,12 +187,27 @@ func timeErr(errp *error, fn func() error) func() time.Duration {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// dealershipTrial is a trial that sets up and executes one dealership run.
+// executable is a built workflow run: a DealershipRun or an ArcticRun.
+type executable interface{ ExecuteAll() error }
+
+// executeTrial is a trial that builds a run off the clock (inventory
+// seeding, workflow compile) and times its executions only.
+func executeTrial(errp *error, build func() (executable, error)) func() time.Duration {
+	return func() time.Duration {
+		run, err := build()
+		if err != nil {
+			if *errp == nil {
+				*errp = err
+			}
+			return 0
+		}
+		return timeErr(errp, run.ExecuteAll)()
+	}
+}
+
+// dealershipTrial is the executeTrial of one dealership run.
 func dealershipTrial(errp *error, p DealershipParams) func() time.Duration {
-	return timeErr(errp, func() error {
-		_, err := RunDealership(p)
-		return err
-	})
+	return executeTrial(errp, func() (executable, error) { return NewDealershipRun(p) })
 }
 
 // Fig5a reproduces Figure 5(a): Car-dealerships execution time per
@@ -272,12 +287,8 @@ func Fig5b(s Scale, clock Clock) (*Figure, error) {
 					Gran: gran, HistoryYears: s.ArcticHistoryYears,
 				}
 				var err error
-				d := clock(pointName(series, numExec), timeErr(&err, func() error {
-					run, err := NewArcticRun(p)
-					if err != nil {
-						return err
-					}
-					return run.ExecuteAll()
+				d := clock(pointName(series, numExec), executeTrial(&err, func() (executable, error) {
+					return NewArcticRun(p)
 				}))
 				if err != nil {
 					return nil, err
