@@ -8,6 +8,7 @@ package core
 
 import (
 	"io"
+	"maps"
 	"sort"
 	"sync"
 
@@ -113,6 +114,13 @@ type QueryProcessor struct {
 	outputsFn   func() ([]store.RelationDump, error)
 	outputsOnce sync.Once
 	outputsErr  error
+
+	// stats is the graph's, walked by the first Stats call. A processor
+	// answers for its graph as it was created, as its postings do: a
+	// snapshot's, a live graph's published view, or a tracker's graph
+	// at FromTracker.
+	statsOnce sync.Once
+	stats     provgraph.Stats
 }
 
 // Load opens a tracker snapshot from disk and builds the in-memory graph.
@@ -160,6 +168,15 @@ func FromTracker(t *Tracker) *QueryProcessor {
 
 // Graph exposes the in-memory provenance graph.
 func (qp *QueryProcessor) Graph() *provgraph.Graph { return qp.graph }
+
+// Stats summarizes the processor's graph. The graph is walked once, on
+// the first call; each call gets a ByType map of its own.
+func (qp *QueryProcessor) Stats() provgraph.Stats {
+	qp.statsOnce.Do(func() { qp.stats = qp.graph.ComputeStats() })
+	st := qp.stats
+	st.ByType = maps.Clone(st.ByType)
+	return st
+}
 
 // Outputs returns the annotated output relations recorded by the tracker,
 // decoding them on first use for mapped snapshots. A section that fails

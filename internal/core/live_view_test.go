@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"lipstick/internal/provgraph"
 	"lipstick/internal/store"
 )
 
@@ -126,4 +128,40 @@ func TestCheckpointSealsNoPostings(t *testing.T) {
 		t.Fatalf("ReadView().Seq = %d after the checkpoint, want %d", v.Seq, len(events))
 	}
 	assertIndexMatchesScan(t, v.QP.FindNodes, ref, "after checkpoint")
+}
+
+// TestPublishedViewStatsFollowIngest: a published view's stats are
+// walked once and kept, and the next view reports the events appended
+// since; the earlier view keeps reporting its own, also after a caller
+// wrote to the ByType map it was handed.
+func TestPublishedViewStatsFollowIngest(t *testing.T) {
+	ref, events := captureDealership(t, 60, 2)
+	lg := NewLiveGraph("stats")
+	half := len(events) / 2
+	if _, err := lg.Append(1, events[:half]); err != nil {
+		t.Fatal(err)
+	}
+	first := lg.ReadView().QP
+	before := first.Stats()
+	if want := first.Graph().ComputeStats(); !reflect.DeepEqual(before, want) {
+		t.Fatalf("the first view's stats %+v, a walk of its graph %+v", before, want)
+	}
+	first.Stats().ByType[provgraph.TypeOp] = -1
+	if _, err := lg.Append(uint64(half)+1, events[half:]); err != nil {
+		t.Fatal(err)
+	}
+	next := lg.ReadView().QP
+	if next == first {
+		t.Fatal("appending published no new view")
+	}
+	got, want := next.Stats(), ref.ComputeStats()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the next view's stats %+v, the batch graph's %+v", got, want)
+	}
+	if before.Nodes >= got.Nodes || before.Edges >= got.Edges {
+		t.Fatalf("stats did not grow with the appended events: %+v, then %+v", before, got)
+	}
+	if again := first.Stats(); !reflect.DeepEqual(again, before) {
+		t.Fatalf("the first view's stats moved: %+v, then %+v", before, again)
+	}
 }

@@ -16,8 +16,10 @@ import (
 // (provgraph.Overlay) recorded as deltas over the shared base graph, so
 // creating a session never deep-copies the base and concurrent readers of
 // the snapshot stay untouched. Queries (find, subgraph, lineage, DOT,
-// provenance expressions) answer through the overlay and are equal to the
-// same queries on a Clone-then-mutate baseline.
+// provenance expressions, what-if deletes) answer through the overlay
+// and are equal to the same queries on a Clone-then-mutate baseline;
+// while the overlay holds no delta (a fresh session, or one whose zooms
+// were all zoomed back in), they answer from the base graph itself.
 //
 // A session is safe for concurrent use; a mutex serializes access to its
 // overlay. Registered sessions are created by a Registry and expire by
@@ -202,7 +204,7 @@ func (s *Session) ZoomedOut() []string {
 func (s *Session) WhatIfDelete(ids ...provgraph.NodeID) *provgraph.DeletionResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.overlay.PropagateDeletion(ids...)
+	return s.graphLocked().PropagateDeletion(ids...)
 }
 
 // ApplyDelete propagates the deletion destructively in the session view
@@ -236,7 +238,7 @@ func (s *Session) Delete(ids []provgraph.NodeID, whatIf bool, fn func(v View, re
 	var res *provgraph.DeletionResult
 	var recs []provgraph.RecomputedAggregate
 	if whatIf {
-		res = s.overlay.PropagateDeletion(ids...)
+		res = s.graphLocked().PropagateDeletion(ids...)
 	} else {
 		res = s.overlay.Delete(ids...)
 		recs = s.overlay.RecomputeAggregates()
@@ -254,8 +256,19 @@ func (s *Session) Read(fn func(View) error) error {
 	return fn(s.viewLocked())
 }
 
-// viewLocked (s.mu held) is the session's overlay over the base's postings.
-func (s *Session) viewLocked() View { return View{Graph: s.overlay, Index: s.base.Index()} }
+// viewLocked (s.mu held) is the session's graph over the base's postings.
+func (s *Session) viewLocked() View { return View{Graph: s.graphLocked(), Index: s.base.Index()} }
+
+// graphLocked (s.mu held) is the graph session reads run on: the base
+// graph while the overlay holds no delta (Changes is 0), which answers
+// alike without the overlay's per-node dispatch, and the overlay
+// otherwise. Mutations always go to the overlay.
+func (s *Session) graphLocked() provgraph.GraphView {
+	if s.overlay.Changes() == 0 {
+		return s.overlay.Base()
+	}
+	return s.overlay
+}
 
 // FindNodes answers an index-backed node selection query through the
 // session view: postings come from the base snapshot's index, liveness
@@ -270,7 +283,7 @@ func (s *Session) FindNodes(f NodeFilter) []provgraph.NodeID {
 func (s *Session) Subgraph(id provgraph.NodeID) *provgraph.SubgraphResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.overlay.Subgraph(id)
+	return s.graphLocked().Subgraph(id)
 }
 
 // Lineage classifies a node's ancestry in the session view.
@@ -286,7 +299,7 @@ func (s *Session) Lineage(id provgraph.NodeID) Lineage {
 func (s *Session) Provenance(id provgraph.NodeID) (expr string, truncated bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.overlay.ExprString(id)
+	return s.graphLocked().ExprString(id)
 }
 
 // DependsOn answers the dependency query of Section 4.3 in the session
@@ -294,7 +307,7 @@ func (s *Session) Provenance(id provgraph.NodeID) (expr string, truncated bool) 
 func (s *Session) DependsOn(a, b provgraph.NodeID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.overlay.DependsOn(a, b)
+	return s.graphLocked().DependsOn(a, b)
 }
 
 // Node returns the node with the given id as seen by the session
@@ -302,7 +315,7 @@ func (s *Session) DependsOn(a, b provgraph.NodeID) bool {
 func (s *Session) Node(id provgraph.NodeID) provgraph.Node {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.overlay.Node(id)
+	return s.graphLocked().Node(id)
 }
 
 // TotalNodes returns the session view's node-slot count (base + appended
@@ -320,10 +333,14 @@ func (s *Session) NumNodes() int {
 	return s.overlay.NumNodes()
 }
 
-// Stats summarizes the session's live view.
+// Stats summarizes the session's live view. A session without deltas
+// answers its base processor's stats, computed once per base.
 func (s *Session) Stats() provgraph.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.overlay.Changes() == 0 {
+		return s.base.Stats()
+	}
 	return s.overlay.ComputeStats()
 }
 
@@ -331,5 +348,5 @@ func (s *Session) Stats() provgraph.Stats {
 func (s *Session) WriteDOT(w io.Writer, title string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.overlay.WriteDOT(w, title)
+	return s.graphLocked().WriteDOT(w, title)
 }

@@ -142,3 +142,60 @@ func BenchmarkSessionApplyDelete(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSessionWhatIfDelete times a what-if Session.Delete with the
+// describe step serve's SessionDelete runs (each removed node's type, op
+// and label), one HighFanoutNodes(50) target per op, on a mapped
+// snapshot of the dealership workload: in a fresh session, and in one
+// that has made a zoom round trip of each module. Neither holds a delta,
+// so both answer from the base.
+func BenchmarkSessionWhatIfDelete(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "bench.lpsk")
+	if err := store.Save(path, &store.Snapshot{Graph: benchProcessor(b).Graph()}); err != nil {
+		b.Fatal(err)
+	}
+	qp, err := Load(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	targets := workflowgen.HighFanoutNodes(qp.Graph(), 50)
+	for _, c := range []struct {
+		name string
+		prep func(*Session) error
+	}{
+		{"fresh", func(*Session) error { return nil }},
+		{"after-round-trip", func(s *Session) error {
+			for _, m := range dealershipZoomModules {
+				if _, err := s.ZoomOut(m); err != nil {
+					return err
+				}
+				if _, err := s.ZoomIn(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := NewSession(qp)
+			if err := c.prep(s); err != nil {
+				b.Fatal(err)
+			}
+			described := 0
+			describe := func(v View, res *provgraph.DeletionResult, _ []provgraph.RecomputedAggregate) {
+				for _, id := range res.Removed {
+					typ, op := v.Graph.TypeOp(id)
+					described += len(typ.String()) + len(op.String()) + len(v.Graph.LabelOf(id))
+				}
+			}
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				if err := s.Delete(targets[i%len(targets):][:1], true, describe); err != nil {
+					b.Fatal(err)
+				}
+				i++
+			}
+		})
+	}
+}

@@ -54,8 +54,11 @@ func propagateDeletionOf(r reader, ids ...NodeID) *DeletionResult {
 // live in-degree is counted when an edge from a removed node first
 // reaches it (mark[id] == epoch then means deg[id] is set; -1 marks a
 // removed node). The view does not change during a propagation, so the
-// lazy count equals an eager one taken up front.
+// lazy count equals an eager one taken up front. On a view that is its
+// base, without a dead slot, every in-edge is live, so the count is the
+// adjacency's length and the in-list is not read.
 func propagateDeletion(r reader, s *visitScratch, ids ...NodeID) {
+	r = r.bare()
 	s.deg = grown(s.deg, r.total())
 	remove := func(id NodeID) {
 		s.mark[id], s.deg[id] = s.epoch, -1
@@ -76,9 +79,13 @@ func propagateDeletion(r reader, s *visitScratch, ids ...NodeID) {
 				// among the live in-edges counted, so the count is >= 1 and
 				// reaching 0 below means every incoming edge was deleted.
 				var d int32
-				for _, src := range r.adj(up, dst, &s.adj2) {
-					if r.alive(src) {
-						d++
+				if r.ov == nil && r.g.dead == 0 {
+					d = int32(r.g.in.count(dst))
+				} else {
+					for _, src := range r.adj(up, dst, &s.adj2) {
+						if r.alive(src) {
+							d++
+						}
 					}
 				}
 				s.mark[dst], s.deg[dst] = s.epoch, d

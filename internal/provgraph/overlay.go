@@ -204,7 +204,10 @@ func (o *Overlay) Reset(base *Graph) {
 
 // Changes returns the number of recorded deltas (liveness overrides,
 // appended nodes, appended edges, and value overrides) — the session's
-// memory cost in units of changes, not graph size.
+// memory cost in units of changes, not graph size. It counts what is
+// overridden, not which pages exist: a zoom that was rolled back leaves
+// its pages behind with no bit set. At 0 the view is its base, so read
+// kernels answer from the base alone (reader.bare).
 func (o *Overlay) Changes() int {
 	return o.overrides + len(o.added) + len(o.edgeLog) + len(o.values)
 }

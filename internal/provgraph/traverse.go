@@ -159,16 +159,14 @@ func walk(r reader, s *visitScratch, head int, d dir, skipOutputs bool) {
 // A frontier node the base's CSR covers, without
 // edges appended by an overlay, is read from offs/edges unless edges
 // spilled since the load; any other goes through reader.adj. While the
-// view has no liveness page and no appended node (a *Graph, or an
-// overlay without deltas), liveness is the base's bitset alone; otherwise
-// it is Overlay.Alive. frontier may alias s.queue: appends land past it.
+// view is its base (a *Graph, or an overlay without deltas), liveness is
+// the base's bitset alone; otherwise it is Overlay.Alive. frontier may
+// alias s.queue: appends land past it.
 func expand(r reader, s *visitScratch, frontier []NodeID, d dir, skipOutputs bool) {
+	r = r.bare()
 	a := r.g.half(d)
 	alive, mark, epoch, queue := r.g.alive, s.mark, s.epoch, s.queue
 	o := r.ov
-	if o != nil && len(o.pages) == 0 && len(o.added) == 0 {
-		o = nil
-	}
 	bare, csr := o == nil && !skipOutputs, a.spill == nil
 	for _, cur := range frontier {
 		var next []NodeID

@@ -352,12 +352,25 @@ func BenchmarkOverlayZoomRoundTrip(b *testing.B) {
 }
 
 // BenchmarkWhatIfDelete propagates a leaf's deletion through a session
-// overlay over a 64k-slot base: the cost is the cascade's.
+// overlay over a 64k-slot base: the cost is the cascade's. The overlay is
+// fresh, or has made a zoom round trip, which leaves its liveness pages
+// behind and no delta.
 func BenchmarkWhatIfDelete(b *testing.B) {
 	g, leaf := moduleGraph(1 << 16)
-	ov := NewOverlay(g)
-	b.ReportAllocs()
-	for b.Loop() {
-		ov.PropagateDeletion(leaf)
+	for _, c := range []struct {
+		name string
+		prep func(*Overlay)
+	}{
+		{"fresh", func(*Overlay) {}},
+		{"after-round-trip", func(ov *Overlay) { ov.ZoomIn(ov.ZoomOut("M")) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ov := NewOverlay(g)
+			c.prep(ov)
+			b.ReportAllocs()
+			for b.Loop() {
+				ov.PropagateDeletion(leaf)
+			}
+		})
 	}
 }

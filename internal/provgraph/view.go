@@ -66,6 +66,16 @@ func (g *Graph) reader() reader { return reader{g: g} }
 
 func (o *Overlay) reader() reader { return reader{g: o.base, ov: o} }
 
+// bare returns r without its overlay when the overlay holds no delta
+// (Overlay.Changes is 0): the view is then the base itself. Only a
+// kernel that does not mutate the view while it reads may take it.
+func (r reader) bare() reader {
+	if r.ov != nil && r.ov.Changes() == 0 {
+		r.ov = nil
+	}
+	return r
+}
+
 // total returns the number of node slots in the view.
 func (r reader) total() int {
 	if r.ov != nil {

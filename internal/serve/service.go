@@ -113,7 +113,7 @@ func (s *Service) Info(path string) (*InfoResult, error) {
 
 // infoOf summarizes any processor's graph (static snapshot or live).
 func infoOf(qp *core.QueryProcessor) (*InfoResult, error) {
-	st := qp.Graph().ComputeStats()
+	st := qp.Stats()
 	byType := make(map[string]int, len(st.ByType))
 	for t, n := range st.ByType {
 		byType[t.String()] = n

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"time"
 
@@ -191,7 +192,9 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 type executable interface{ ExecuteAll() error }
 
 // executeTrial is a trial that builds a run off the clock (inventory
-// seeding, workflow compile) and times its executions only.
+// seeding, workflow compile) and times its executions only. It collects
+// before starting the clock, so no earlier trial's garbage is collected
+// on this one's time.
 func executeTrial(errp *error, build func() (executable, error)) func() time.Duration {
 	return func() time.Duration {
 		run, err := build()
@@ -201,6 +204,7 @@ func executeTrial(errp *error, build func() (executable, error)) func() time.Dur
 			}
 			return 0
 		}
+		runtime.GC()
 		return timeErr(errp, run.ExecuteAll)()
 	}
 }
@@ -300,11 +304,17 @@ func Fig5b(s Scale, clock Clock) (*Figure, error) {
 	return f, nil
 }
 
+// overheadPairs is the number of plain/tracked run pairs Fig5c times to
+// measure the tracking overhead. One pair of runs of a few milliseconds
+// each is noise: its ratio fell below 1 in about half of the runs.
+const overheadPairs = 9
+
 // Fig5c reproduces Figure 5(c): percent improvement from additional
 // reducers on the simulated 27-node cluster, with the reduce-task costs
 // taken from a real run's per-dealership work and the provenance variant
 // scaled by the measured tracking overhead: the clock times a plain and
-// a tracked run.
+// a tracked run, alternately, overheadPairs times, and the factor is the
+// median of the pairs' ratios.
 func Fig5c(s Scale, clock Clock) (*Figure, error) {
 	f := &Figure{
 		ID: "fig5c", Title: "Car dealerships: impact of parallelism (simulated 27-node cluster)",
@@ -315,15 +325,26 @@ func Fig5c(s Scale, clock Clock) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	plainTime := clock("plain run", dealershipTrial(&err, params))
+	plain := dealershipTrial(&err, params)
 	params.Gran = workflow.Fine
-	fineTime := clock("tracked run", dealershipTrial(&err, params))
+	tracked := dealershipTrial(&err, params)
+	plain() // the first pair only warms up
+	tracked()
+	var ratios []float64
+	for range overheadPairs {
+		p := clock("plain run", plain)
+		t := clock("tracked run", tracked)
+		if p > 0 {
+			ratios = append(ratios, float64(t)/float64(p))
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
 	overhead := 1.0
-	if plainTime > 0 {
-		overhead = max(float64(fineTime)/float64(plainTime), 1)
+	if len(ratios) > 0 {
+		sort.Float64s(ratios)
+		overhead = max(ratios[len(ratios)/2], 1)
 	}
 
 	// Reduce-task costs: each dealership's bid generation is one natural
